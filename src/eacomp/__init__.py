@@ -56,11 +56,14 @@ from .iepsilon import (
     objective,
 )
 from .rates import (
+    Analysis,
     EntropyProfile,
     RatePoint,
+    analyze,
     blind_rates,
     classical_entanglement_corner,
     entropy_profile,
+    gram_matrix,
     optimal_rates,
     resource_convert,
     visible_rates,

@@ -29,8 +29,8 @@ from .ensemble import (
 from .errors import EacompError, EnsembleFormatError
 from .iepsilon import IsometrySearchConfig, check_lemma_properties, estimate_grid, i_zero_bounds
 from .rates import (
+    analyze,
     classical_entanglement_corner,
-    entropy_profile,
     optimal_rates,
     blind_rates,
     visible_rates,
@@ -111,9 +111,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    e = _load(args)
-    profile = entropy_profile(e, args.tol)
-    d = irreducible_components(e, args.tol)
+    a = analyze(_load(args), args.tol)
+    profile, d = a.profile, a.decomposition
     report = {
         "schema_version": 1,
         "input": args.ensemble,
@@ -124,26 +123,26 @@ def cmd_rates(args) -> int:
             "weights": [c.weight for c in d.components],
         },
         "rates": {
-            "optimal": optimal_rates(e, args.tol).to_json(),
+            "optimal": optimal_rates(a).to_json(),
             "unassisted": {"Q": profile.to_json()["S_A"], "note": "no shared entanglement"},
         },
     }
-    if e.is_blind(args.tol):
-        report["rates"]["blind"] = blind_rates(e, args.tol).to_json()
-        report["rates"]["classical_corner"] = classical_entanglement_corner(e, args.tol).to_json()
-    if e.is_visible(args.tol):
-        report["rates"]["visible"] = visible_rates(e, args.tol).to_json()
+    if a.blind:
+        report["rates"]["blind"] = blind_rates(a).to_json()
+        report["rates"]["classical_corner"] = classical_entanglement_corner(a).to_json()
+    if a.visible:
+        report["rates"]["visible"] = visible_rates(a).to_json()
     _emit(_dump_json(report), args.output)
     return 0
 
 
 def cmd_region(args) -> int:
-    e = _load(args)
+    a = analyze(_load(args), args.tol)
     if args.kind == "EQ":
-        spec = eq_region(e, args.tol)
+        spec = eq_region(a)
         header = ("E", "Q")
     else:
-        spec = ce_region(e, args.tol)
+        spec = ce_region(a)
         header = ("C", "E")
     points = boundary_polyline(spec, lo=args.lo, hi=args.hi, samples=args.samples)
     _emit(polyline_csv(points, header), args.output)
@@ -183,7 +182,8 @@ def cmd_iepsilon(args) -> int:
         env_cap=args.env_cap,
         seed=args.seed,
     )
-    floor, ceiling = i_zero_bounds(e, args.tol)
+    a = analyze(e, args.tol)
+    floor, ceiling = i_zero_bounds(a)
     report = {
         "schema_version": 1,
         "input": args.ensemble,
@@ -192,7 +192,7 @@ def cmd_iepsilon(args) -> int:
         "bounds": {"floor_I_X_C": floor, "ceiling_S_CY": ceiling},
     }
     if args.check_lemma:
-        lemma = check_lemma_properties(e, eps_grid, config, args.tol)
+        lemma = check_lemma_properties(a, eps_grid, config)
         report["estimates"] = [
             {"eps": g, "estimate": v} for g, v in zip(lemma.eps_grid, lemma.estimates)
         ]

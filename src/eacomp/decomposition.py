@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,11 +72,15 @@ class Decomposition:
     def weights(self) -> np.ndarray:
         return np.array([c.weight for c in self.components])
 
+    @cached_property
+    def _y_by_label(self) -> dict[str, int]:
+        return {lbl: c.y for c in self.components for lbl in c.labels}
+
     def y_of(self, label: str) -> int:
-        for c in self.components:
-            if label in c.labels:
-                return c.y
-        raise LabelError(f"label {label!r} not covered by any component")
+        try:
+            return self._y_by_label[label]
+        except KeyError:
+            raise LabelError(f"label {label!r} not covered by any component") from None
 
     def to_json(self) -> dict:
         return {

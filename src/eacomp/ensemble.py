@@ -170,21 +170,35 @@ def make_visible(states, probs, labels=None) -> Ensemble:
     return Ensemble(dim_a, n, items)
 
 
+def _is_finite(v) -> bool:
+    """True for a finite real; ints too large for a float count as infinite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def validate(e: Ensemble) -> list[str]:
     """Structural diagnostics; empty list means the ensemble is well formed."""
     out = []
     for i, it in enumerate(e.items):
-        if it.prob < -PROB_ATOL:
+        if not _is_finite(it.prob):
+            out.append(f"item {i} ({it.label!r}): probability {it.prob!r} is not finite")
+        elif it.prob < -PROB_ATOL:
             out.append(f"item {i} ({it.label!r}): negative probability {it.prob!r}")
-        nrm = float(np.linalg.norm(it.psi.amplitudes))
-        if abs(nrm - 1.0) > 1e-9:
-            out.append(f"item {i} ({it.label!r}): psi norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-        nrm = float(np.linalg.norm(it.sigma.amplitudes))
-        if abs(nrm - 1.0) > 1e-9:
-            out.append(f"item {i} ({it.label!r}): sigma norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    total = float(sum(it.prob for it in e.items))
-    if abs(total - 1.0) > PROB_ATOL:
-        out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
+        for name, state in (("psi", it.psi), ("sigma", it.sigma)):
+            if not np.all(np.isfinite(state.amplitudes)):
+                out.append(f"item {i} ({it.label!r}): {name} has non-finite amplitudes")
+                continue
+            nrm = float(np.linalg.norm(state.amplitudes))
+            if abs(nrm - 1.0) > 1e-9:
+                out.append(
+                    f"item {i} ({it.label!r}): {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}"
+                )
+    if all(_is_finite(it.prob) for it in e.items):
+        total = float(sum(it.prob for it in e.items))
+        if not abs(total - 1.0) <= PROB_ATOL:
+            out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
     labels = [it.label for it in e.items]
     for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
@@ -320,17 +334,22 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
 # JSON interchange
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _amplitude(raw, where: str, problems: list[str]) -> complex:
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return complex(raw)
-    if (
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
-        return complex(raw[0], raw[1])
-    problems.append(f"{where}: amplitude must be a number or [re, im] pair, got {raw!r}")
-    return 0j
+    if _is_number(raw):
+        parts = (raw, 0.0)
+    elif isinstance(raw, list) and len(raw) == 2 and all(_is_number(v) for v in raw):
+        parts = tuple(raw)
+    else:
+        problems.append(f"{where}: amplitude must be a number or [re, im] pair, got {raw!r}")
+        return 0j
+    if not all(_is_finite(v) for v in parts):
+        problems.append(f"{where}: amplitude {raw!r} is not finite")
+        return 0j
+    return complex(*parts)
 
 
 def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray:
@@ -338,6 +357,17 @@ def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray:
         problems.append(f"{where}: expected {dim} amplitudes")
         return np.zeros(dim, dtype=np.complex128)
     return np.array([_amplitude(v, where, problems) for v in raw], dtype=np.complex128)
+
+
+def _unit_vector(raw, dim: int, where: str, name: str, label: str, problems: list[str]) -> np.ndarray:
+    """Parse one state vector; its norm is checked only if every amplitude parsed."""
+    before = len(problems)
+    v = _vector(raw, dim, f"{where} {name}", problems)
+    if len(problems) == before:
+        nrm = float(np.linalg.norm(v))
+        if abs(nrm - 1.0) > 1e-9:
+            problems.append(f"{where} ({label!r}): {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+    return v
 
 
 def ensemble_from_json(data: dict) -> Ensemble:
@@ -365,6 +395,7 @@ def ensemble_from_json(data: dict) -> Ensemble:
         problems.append(f"visible ensembles need dimC = number of states ({len(states)})")
 
     items = []
+    probs_ok = True
     for i, raw in enumerate(states):
         where = f"state {i}"
         if not isinstance(raw, dict):
@@ -377,25 +408,22 @@ def ensemble_from_json(data: dict) -> Ensemble:
             problems.append(f"{where}: label must be a string")
             label = str(i)
         prob = raw.get("prob")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+        if not _is_number(prob):
             problems.append(f"{where}: prob must be a number")
+            probs_ok = False
             prob = 0.0
-        psi = _vector(raw.get("psi"), dim_a, f"{where} psi", problems)
-        nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > 1e-9:
-            problems.append(f"{where} ({label!r}): psi norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+        elif not _is_finite(prob):
+            problems.append(f"{where}: prob {prob!r} is not finite")
+            probs_ok = False
+            prob = 0.0
+        psi = _unit_vector(raw.get("psi"), dim_a, where, "psi", label, problems)
         if visible:
             if "sigma" in raw:
                 problems.append(f"{where}: sigma conflicts with top-level 'visible'")
             sigma = np.zeros(dim_c, dtype=np.complex128)
             sigma[i if i < dim_c else 0] = 1.0
         elif "sigma" in raw:
-            sigma = _vector(raw["sigma"], dim_c, f"{where} sigma", problems)
-            nrm = float(np.linalg.norm(sigma))
-            if abs(nrm - 1.0) > 1e-9:
-                problems.append(
-                    f"{where} ({label!r}): sigma norm deviates from 1 by {abs(nrm - 1.0):.3e}"
-                )
+            sigma = _unit_vector(raw["sigma"], dim_c, where, "sigma", label, problems)
         elif dim_c == 1:
             sigma = np.ones(1, dtype=np.complex128)
         else:
@@ -414,7 +442,7 @@ def ensemble_from_json(data: dict) -> Ensemble:
         )
 
     total = float(sum(it.prob for it in items))
-    if abs(total - 1.0) > PROB_ATOL:
+    if probs_ok and not abs(total - 1.0) <= PROB_ATOL:
         problems.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
     labels = [it.label for it in items]
     for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):

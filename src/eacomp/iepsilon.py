@@ -31,7 +31,7 @@ from ._accel import unitary_objective
 from .decomposition import DEFAULT_OVERLAP_TOL
 from .ensemble import Ensemble, reduced, tensor_power
 from .errors import ConsistencyError, EacompError
-from .rates import entropy_profile
+from .rates import analyze
 from .states import (
     DensityMatrix,
     PureStateVector,
@@ -144,15 +144,16 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
     return mi, float(fid)
 
 
-def i_zero_bounds(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> tuple[float, float]:
-    """(floor, ceiling) for the zero-disturbance limit.
+def i_zero_bounds(src, tol: float = DEFAULT_OVERLAP_TOL) -> tuple[float, float]:
+    """(floor, ceiling) for the zero-disturbance limit of an ensemble or
+    its analysis.
 
     The identity channel extracts I(X : C) = S(C); no lossless extraction
     can beat S(CY) of the component-extended source.
     """
-    floor = von_neumann_entropy(reduced(e, {"C"}))
-    ceiling = entropy_profile(e, tol).s_cy
-    return floor, ceiling
+    a = analyze(src, tol)
+    floor = von_neumann_entropy(reduced(a.source, {"C"}))
+    return floor, a.profile.s_cy
 
 
 @dataclass(frozen=True)
@@ -354,7 +355,7 @@ class LemmaReport:
 
 
 def check_lemma_properties(
-    e: Ensemble,
+    src,
     eps_grid,
     config: IsometrySearchConfig = IsometrySearchConfig(),
     tol: float = DEFAULT_OVERLAP_TOL,
@@ -367,12 +368,15 @@ def check_lemma_properties(
     be a bug, because lossless extraction is capped by the component
     structure. Subadditivity is spot-checked on a two-copy product at
     eps = 0, the one point where the cap is available in closed form.
-    Diagnostic only: nothing here raises.
+    src is an ensemble or its analysis. Diagnostic only: nothing here
+    raises.
     """
+    a = analyze(src, tol)
+    e = a.source
     ests = estimate_grid(e, eps_grid, config)
     values = tuple(est.value for est in ests)
     grid = tuple(est.eps for est in ests)
-    floor, ceiling = i_zero_bounds(e, tol)
+    floor, ceiling = i_zero_bounds(a)
 
     violations = []
     for (e0, v0), (e1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):

@@ -11,10 +11,19 @@ case collapses to Q = S(A) - S(Y)/2, E = S(Y)/2, the visible one to
 Q = E = S(A)/2, and trading the quantum channel for a classical one at
 the blind corner costs C = 2 S(A) - S(Y) cbits with E = S(A) - S(Y) ebits.
 
+A source is analysed once (`analyze`): one decomposition, one entropy
+profile, and the blind/visible flags. Every rate point is arithmetic on
+that analysis; passing an Ensemble instead analyses it on entry.
+
 All conditional quantities are computed through the Y-extended ensemble.
-S(ACY) is evaluated twice, once from the block structure and once by a
-direct eigendecomposition of the assembled joint state; disagreement
-beyond 1e-6 raises ConsistencyError since it can only come from a bug.
+S(ACY) is evaluated twice, once from the block structure and once as the
+spectrum of the support-sized Gram matrix of the Y-extended signals,
+G_xy = sqrt(p_x p_y) <psi_x|psi_y> <sigma_x|sigma_y> [y(x) = y(y)],
+which has the nonzero spectrum of rho_ACY (Jozsa & Schlienz, PRA 62,
+012301, 2000); disagreement beyond 1e-6 raises ConsistencyError since it
+can only come from a bug. No matrix larger than the support size or the
+largest per-component A(x)C marginal is diagonalised, so those two are
+what MATRIX_CAP bounds here.
 """
 
 from __future__ import annotations
@@ -23,15 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import DEFAULT_OVERLAP_TOL, irreducible_components
+from .decomposition import DEFAULT_OVERLAP_TOL, Decomposition, irreducible_components
 from .ensemble import Ensemble, reduced
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
-from .states import (
-    DensityMatrix,
-    SubsystemLayout,
-    entropy_from_probs,
-    von_neumann_entropy,
-)
+from .states import DensityMatrix, entropy_from_probs, single, von_neumann_entropy
 
 CONSISTENCY_ATOL = 1e-6
 CROSS_CHECK_ATOL = 1e-9
@@ -73,8 +77,32 @@ def _clamp_tiny(v: float) -> float:
     return 0.0 if abs(v) < REPORT_CLAMP else float(v)
 
 
-def entropy_profile(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> EntropyProfile:
-    d = irreducible_components(e, tol)
+def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
+    """Gram matrix of the Y-extended signals sqrt(p_x) |psi_x sigma_x y(x)>,
+    one row per support item (layout "X").
+
+    Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
+    cross-component overlaps at or below the decomposition tolerance.
+    """
+    items = [e.items[i] for i in e.support()]
+    amp = np.sqrt([it.prob for it in items])
+    psis = np.stack([it.psi.amplitudes for it in items])
+    sigmas = np.stack([it.sigma.amplitudes for it in items])
+    ys = np.array([d.y_of(it.label) for it in items])
+    gram = (
+        np.outer(amp, amp)
+        * (psis.conj() @ psis.T)
+        * (sigmas.conj() @ sigmas.T)
+        * (ys[:, None] == ys[None, :])
+    )
+    return DensityMatrix(single("X", len(items)), gram, check=False)
+
+
+def entropy_profile(
+    e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL, decomposition: Decomposition | None = None
+) -> EntropyProfile:
+    """Entropy profile of e; pass the decomposition of e at tol to reuse it."""
+    d = irreducible_components(e, tol) if decomposition is None else decomposition
     q = d.weights
     s_y = entropy_from_probs(q)
     h_x = entropy_from_probs(e.probs[list(e.support())])
@@ -89,20 +117,9 @@ def entropy_profile(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> EntropyPro
     s_cy = s_y + s_c_blocks
     s_acy = s_y + s_ac_blocks
 
-    # Direct path: assemble the full ACY matrix item by item and take its
-    # spectrum whole. Shares nothing with the block path beyond y(x).
-    da, dc, ny = e.dim_a, e.dim_c, d.size
-    dim = ny * da * dc
-    joint = np.zeros((dim, dim), dtype=np.complex128)
-    for i in e.support():
-        it = e.items[i]
-        y = d.y_of(it.label)
-        tag = np.zeros(ny, dtype=np.complex128)
-        tag[y] = 1.0
-        v = np.kron(tag, np.kron(it.psi.amplitudes, it.sigma.amplitudes))
-        joint += it.prob * np.outer(v, v.conj())
-    layout = SubsystemLayout(("Y", "A", "C"), (ny, da, dc))
-    s_acy_direct = von_neumann_entropy(DensityMatrix(layout, joint, check=False))
+    # Gram path: the whole Y-extended source at once, no marginal shared
+    # with the block path.
+    s_acy_direct = von_neumann_entropy(gram_matrix(e, d))
 
     if abs(s_acy - s_acy_direct) > CONSISTENCY_ATOL:
         raise ConsistencyError(
@@ -121,6 +138,29 @@ def entropy_profile(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> EntropyPro
         num_components=d.size,
         component_weights=tuple(float(w) for w in q),
     )
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A source analysed once: its decomposition, entropy profile and kind."""
+
+    source: Ensemble
+    decomposition: Decomposition
+    profile: EntropyProfile
+    blind: bool
+    visible: bool
+
+
+def analyze(src, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
+    """Decompose src and build its entropy profile, once each.
+
+    An Analysis is returned as it is, so every function taking a source
+    accepts either form.
+    """
+    if isinstance(src, Analysis):
+        return src
+    d = irreducible_components(src, tol)
+    return Analysis(src, d, entropy_profile(src, tol, d), src.is_blind(tol), src.is_visible(tol))
 
 
 @dataclass(frozen=True)
@@ -154,10 +194,10 @@ class RatePoint:
         return out
 
 
-def optimal_rates(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def optimal_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """Cheapest qubit rate under free entanglement, with the ebit rate
     the protocol actually consumes at that corner."""
-    p = entropy_profile(e, tol)
+    p = analyze(src, tol).profile
     return RatePoint(
         q=0.5 * (p.s_a + p.s_a_given_cy),
         e=0.5 * p.i_a_cy,
@@ -165,52 +205,49 @@ def optimal_rates(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     )
 
 
-def _require_blind(e: Ensemble, tol: float):
-    if not e.is_blind(tol):
+def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoint:
+    general = optimal_rates(a)
+    if abs(point.q - general.q) > CROSS_CHECK_ATOL or abs(point.e - general.e) > CROSS_CHECK_ATOL:
+        raise ConsistencyError(
+            f"{kind} specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
+            f"general formula (Q={general.q!r}, E={general.e!r})"
+        )
+    return point
+
+
+def _require_blind(a: Analysis):
+    if not a.blind:
         raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
 
 
-def _require_visible(e: Ensemble, tol: float):
-    if not e.is_visible(tol):
-        raise EacompError("side information does not identify the signal; visible formulas do not apply")
-
-
-def blind_rates(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """No side information: Q = S(A) - S(Y)/2, E = S(Y)/2.
 
     Cross-checked against the general formula; disagreement is a bug.
     """
-    _require_blind(e, tol)
-    p = entropy_profile(e, tol)
+    a = analyze(src, tol)
+    _require_blind(a)
+    p = a.profile
     point = RatePoint(q=p.s_a - 0.5 * p.s_y, e=0.5 * p.s_y, note="blind specialization")
-    general = optimal_rates(e, tol)
-    if abs(point.q - general.q) > CROSS_CHECK_ATOL or abs(point.e - general.e) > CROSS_CHECK_ATOL:
-        raise ConsistencyError(
-            f"blind specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
-            f"general formula (Q={general.q!r}, E={general.e!r})"
-        )
-    return point
+    return _check_against_general(point, a, "blind")
 
 
-def visible_rates(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def visible_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """Side information identifies the signal: Q = E = S(A)/2."""
-    _require_visible(e, tol)
-    p = entropy_profile(e, tol)
+    a = analyze(src, tol)
+    if not a.visible:
+        raise EacompError("side information does not identify the signal; visible formulas do not apply")
+    p = a.profile
     point = RatePoint(q=0.5 * p.s_a, e=0.5 * p.s_a, note="visible specialization")
-    general = optimal_rates(e, tol)
-    if abs(point.q - general.q) > CROSS_CHECK_ATOL or abs(point.e - general.e) > CROSS_CHECK_ATOL:
-        raise ConsistencyError(
-            f"visible specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
-            f"general formula (Q={general.q!r}, E={general.e!r})"
-        )
-    return point
+    return _check_against_general(point, a, "visible")
 
 
-def classical_entanglement_corner(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def classical_entanglement_corner(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """Blind corner after teleporting the whole quantum message:
     C = 2 S(A) - S(Y), E = S(A) - S(Y)."""
-    _require_blind(e, tol)
-    p = entropy_profile(e, tol)
+    a = analyze(src, tol)
+    _require_blind(a)
+    p = a.profile
     return RatePoint(
         c=2.0 * p.s_a - p.s_y,
         e=p.s_a - p.s_y,

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import DEFAULT_OVERLAP_TOL
-from .ensemble import Ensemble
 from .errors import EacompError
-from .rates import EntropyProfile, classical_entanglement_corner, entropy_profile, optimal_rates
+from .rates import EntropyProfile, analyze, classical_entanglement_corner
 
 CONTAINS_ATOL = 1e-9
 
@@ -72,18 +71,15 @@ class RegionSpec:
 
 
 def eq_region(src, tol: float = DEFAULT_OVERLAP_TOL) -> RegionSpec:
-    """Qubit/ebit region of an ensemble (or a precomputed profile)."""
-    if isinstance(src, EntropyProfile):
-        profile = src
-    else:
-        profile = entropy_profile(src, tol)
+    """Qubit/ebit region of an ensemble, its analysis, or a precomputed profile."""
+    profile = src if isinstance(src, EntropyProfile) else analyze(src, tol).profile
     q_min = 0.5 * (profile.s_a + profile.s_a_given_cy)
     return RegionSpec(kind="EQ", q_min=q_min, sum_min=profile.s_a)
 
 
-def ce_region(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> RegionSpec:
-    """Cbit/ebit region at the blind corner."""
-    corner = classical_entanglement_corner(e, tol)
+def ce_region(src, tol: float = DEFAULT_OVERLAP_TOL) -> RegionSpec:
+    """Cbit/ebit region at the blind corner of an ensemble or its analysis."""
+    corner = classical_entanglement_corner(src, tol)
     return RegionSpec(kind="CE", c_min=corner.c, e_min=corner.e)
 
 

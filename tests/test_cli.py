@@ -20,7 +20,9 @@ from eacomp import (
     fidelity_curve,
     limits,
     load_ensemble,
+    make_visible,
     optimal_rates,
+    save_ensemble,
 )
 from eacomp import _accel
 
@@ -85,6 +87,35 @@ class TestValidate:
         code, _, err = run(["validate", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert err.strip()
+
+
+NON_FINITE = {
+    "nan_prob": {"dimA": 2, "dimC": 1, "states": [
+        {"label": "a", "prob": float("nan"), "psi": [[1.0, 0.0], [0.0, 0.0]]},
+        {"label": "b", "prob": 0.5, "psi": [[0.0, 0.0], [1.0, 0.0]]}]},
+    "infinite_psi": {"dimA": 2, "dimC": 1, "states": [
+        {"label": "a", "prob": 0.5, "psi": [[float("inf"), 0.0], [0.0, 0.0]]},
+        {"label": "b", "prob": 0.5, "psi": [[0.0, 0.0], [1.0, 0.0]]}]},
+    "negative_infinite_sigma": {"dimA": 2, "dimC": 2, "states": [
+        {"label": "a", "prob": 0.5, "psi": [1.0, 0.0], "sigma": [1.0, float("-inf")]},
+        {"label": "b", "prob": 0.5, "psi": [0.0, 1.0], "sigma": [0.0, 1.0]}]},
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["rates"], ["simulate", "--rate", "0.8", "--n", "2"]])
+    def test_rejected_with_violation_line(self, tmp_path, capsys, case, command):
+        path = tmp_path / "bad.json"
+        text = json.dumps(NON_FINITE[case])
+        assert "NaN" in text or "Infinity" in text  # JSON literals, as json.load accepts them
+        path.write_text(text)
+        code, out, err = run([command[0], str(path), *command[1:]], capsys)
+        assert code == 1
+        assert out == ""
+        assert "is not finite" in err
+        assert "negative" not in err and "disagrees" not in err
 
 
 class TestUsage:
@@ -169,6 +200,65 @@ class TestRates:
         assert report["num_components"] == 2
         weights = [c["weight"] for c in report["components"]]
         assert weights == pytest.approx([0.6, 0.4], abs=1e-12)
+
+
+class TestAnalysedOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls of the two analysis stages, rebinding every eacomp
+        name that refers to them."""
+        from eacomp import decomposition, rates
+
+        counts = {}
+        for module, name in ((decomposition, "irreducible_components"), (rates, "entropy_profile")):
+            original = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for modname, ns in list(sys.modules.items()):
+                if modname == "eacomp" or modname.startswith("eacomp."):
+                    for attr, value in list(vars(ns).items()):
+                        if value is original:
+                            monkeypatch.setattr(ns, attr, counted)
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", BLIND],
+        ["rates", SECTORS],
+        ["rates", VISIBLE],
+        ["rates", TRIPLE],
+        ["region", BLIND, "--kind", "EQ"],
+        ["region", SECTORS, "--kind", "CE"],
+        ["iepsilon", TRIPLE, "--eps", "0", "--restarts", "1", "--max-iters", "4", "--env-cap", "4"],
+        ["iepsilon", BLIND, "--eps", "0", "--restarts", "1", "--max-iters", "4", "--env-cap", "4",
+         "--check-lemma"],
+    ])
+    def test_one_decomposition_one_profile(self, calls, capsys, argv):
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        assert calls == {"irreducible_components": 1, "entropy_profile": 1}
+
+    def test_no_dense_acy_wall(self, tmp_path, capsys):
+        # visible, N = 48, dA = 4: a dense rho_ACY would have side
+        # 48 * 4 * 48 = 9216, beyond the default MATRIX_CAP
+        n, dim_a = 48, 4
+        assert n * dim_a * n > limits.MATRIX_CAP
+        rng = np.random.default_rng(4801)
+        states = rng.standard_normal((n, dim_a)) + 1j * rng.standard_normal((n, dim_a))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        path = tmp_path / "visible48.json"
+        save_ensemble(make_visible(states, rng.dirichlet(np.ones(n))), path)
+        code, out, err = run(["rates", str(path)], capsys)
+        assert code == 0, err
+        report = json.loads(out)
+        half_s_a = report["entropy_profile"]["S_A"] / 2
+        assert report["entropy_profile"]["num_components"] == n
+        for point in (report["rates"]["optimal"], report["rates"]["visible"]):
+            assert point["Q"] == pytest.approx(half_s_a, abs=1e-9)
+            assert point["E"] == pytest.approx(half_s_a, abs=1e-9)
 
 
 class TestRegion:

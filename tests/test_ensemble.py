@@ -117,6 +117,23 @@ class TestValidate:
         with pytest.raises(EnsembleFormatError):
             require_valid(bad)
 
+    def test_flags_non_finite(self):
+        bad = Ensemble(
+            2,
+            1,
+            (
+                EnsembleItem("p", float("nan"), PureStateVector(single("A", 2), [1, 0]),
+                             PureStateVector(single("C", 1), [1])),
+                EnsembleItem("q", 0.5, PureStateVector(single("A", 2), [np.inf, 0], check=False),
+                             PureStateVector(single("C", 1), [1])),
+            ),
+        )
+        msgs = validate(bad)
+        assert any("'p'): probability nan is not finite" in m for m in msgs)
+        assert any("'q'): psi has non-finite amplitudes" in m for m in msgs)
+        with pytest.raises(EnsembleFormatError):
+            require_valid(bad)
+
     def test_clean(self):
         require_valid(sideinfo_triple())
 
@@ -297,6 +314,16 @@ class TestJson:
         assert "psi norm" in text
         assert "probability sum" in text
         assert "duplicate label" in text
+
+    def test_int_too_large_for_float_is_not_finite(self):
+        with pytest.raises(EnsembleFormatError, match="is not finite"):
+            ensemble_from_json(
+                {"dimA": 2, "states": [{"label": "a", "prob": 10**400, "psi": [1, 0]}]}
+            )
+        with pytest.raises(EnsembleFormatError, match="is not finite"):
+            ensemble_from_json(
+                {"dimA": 2, "states": [{"label": "a", "prob": 1.0, "psi": [[1, 0], [10**400, 0]]}]}
+            )
 
     def test_sigma_required_when_dimc_gt1(self):
         with pytest.raises(EnsembleFormatError, match="sigma required"):

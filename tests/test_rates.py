@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from eacomp.decomposition import irreducible_components
 from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
 from eacomp.rates import (
     RatePoint,
+    analyze,
     blind_rates,
     classical_entanglement_corner,
     entropy_profile,
+    gram_matrix,
     optimal_rates,
     resource_convert,
     visible_rates,
@@ -219,17 +222,126 @@ class TestRatePointJson:
         assert set(RatePoint(q=1.0).to_json()) == {"Q"}
 
 
+def dense_acy_spectrum(e, d):
+    """Spectrum of rho_ACY of the Y-extended source, assembled item by item."""
+    ny = d.size
+    dim = ny * e.dim_a * e.dim_c
+    rho = np.zeros((dim, dim), dtype=complex)
+    for i in e.support():
+        it = e.items[i]
+        tag = np.zeros(ny)
+        tag[d.y_of(it.label)] = 1.0
+        v = np.kron(tag, np.kron(it.psi.amplitudes, it.sigma.amplitudes))
+        rho += it.prob * np.outer(v, v.conj())
+    return np.linalg.eigvalsh(rho)
+
+
+def near_orthogonal_sectors(rng, leak):
+    """Two sectors on A = C^4, spanned by {|0>,|1>} and {|2>,|3>}; the
+    second leaks `leak` into the first, so cross-sector overlaps are
+    nonzero but small."""
+    n = int(rng.integers(2, 5))
+    probs = rng.dirichlet(np.ones(2 * n))
+    items = []
+    for k in range(2 * n):
+        psi = np.zeros(4, dtype=complex)
+        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        if k < n:
+            psi[:2] = z
+        else:
+            psi[2:] = z / np.linalg.norm(z)
+            psi[:2] = leak * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        sig = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        items.append(
+            EnsembleItem(
+                str(k),
+                float(probs[k]),
+                PureStateVector(single("A", 4), psi / np.linalg.norm(psi)),
+                PureStateVector(single("C", 2), sig / np.linalg.norm(sig)),
+            )
+        )
+    return Ensemble(4, 2, tuple(items))
+
+
+def padded_desc(evs, n):
+    out = np.zeros(n)
+    out[: len(evs)] = np.sort(evs)[::-1]
+    return out
+
+
+class TestGramPath:
+    def assert_same_spectrum(self, e, d):
+        gram = np.linalg.eigvalsh(gram_matrix(e, d).entries)
+        dense = dense_acy_spectrum(e, d)
+        n = max(len(gram), len(dense))
+        np.testing.assert_allclose(padded_desc(gram, n), padded_desc(dense, n), rtol=0, atol=1e-12)
+
+    def test_matches_dense_on_random_sources(self):
+        rng = np.random.default_rng(7301)
+        for _ in range(30):
+            e = rand_ensemble(rng)
+            self.assert_same_spectrum(e, irreducible_components(e))
+
+    def test_matches_dense_with_sub_tolerance_cross_overlaps(self):
+        rng = np.random.default_rng(7302)
+        tol = 1e-2
+        for _ in range(20):
+            e = near_orthogonal_sectors(rng, leak=2e-3)
+            d = irreducible_components(e, tol)
+            assert d.size == 2
+            cross = [
+                abs(np.vdot(e.joint_vector(i).amplitudes, e.joint_vector(j).amplitudes))
+                for i in range(e.size)
+                for j in range(e.size)
+                if d.y_of(e.items[i].label) != d.y_of(e.items[j].label)
+            ]
+            assert 0.0 < max(cross) <= tol
+            self.assert_same_spectrum(e, d)
+            # the [y(x) = y(y)] mask matters: without it the spectrum moves
+            amp = np.sqrt(e.probs)
+            joints = np.stack([e.joint_vector(i).amplitudes for i in range(e.size)])
+            unmasked = np.outer(amp, amp) * (joints.conj() @ joints.T)
+            shift = np.sort(np.linalg.eigvalsh(unmasked)) - np.sort(
+                np.linalg.eigvalsh(gram_matrix(e, d).entries)
+            )
+            assert np.max(np.abs(shift)) > 1e-9
+
+    def test_zero_probability_items_dropped(self):
+        e = make_blind([[1, 0], PLUS, [0, 1]], [0.5, 0.5, 0.0])
+        d = irreducible_components(e)
+        assert gram_matrix(e, d).dim == 2
+        self.assert_same_spectrum(e, d)
+
+
+class TestAnalyze:
+    def test_bundles_one_profile(self):
+        e = make_blind([[1, 0], [0, 1]], [0.5, 0.5])
+        a = analyze(e)
+        assert a.source is e and a.blind and not a.visible
+        assert a.decomposition.size == 2
+        assert a.profile == entropy_profile(e)
+        assert analyze(a) is a
+
+    def test_rate_functions_accept_analysis(self):
+        e = make_visible([[1, 0], PLUS], [0.5, 0.5])
+        a = analyze(e)
+        assert visible_rates(a) == visible_rates(e)
+        assert optimal_rates(a) == optimal_rates(e)
+        with pytest.raises(EacompError):
+            blind_rates(a)
+
+
 class TestConsistencyGuard:
     def test_block_vs_direct_disagreement_raises(self, monkeypatch):
         import eacomp.rates as rates_mod
 
-        # poison the direct path only; the guard must notice
+        # poison the Gram path only; the guard must notice
         real = rates_mod.von_neumann_entropy
         calls = {"n": 0}
 
         def crooked(m):
             v = real(m)
-            if m.layout.labels == ("Y", "A", "C"):
+            if m.layout.labels == ("X",):
                 calls["n"] += 1
                 return v + 1e-3
             return v
