@@ -5,7 +5,7 @@ label information."""
 
 __version__ = "0.1.0"
 
-from ._accel import NUMBA_AVAILABLE, active_backend, force_backend
+from ._accel import NUMBA_AVAILABLE, active_backend
 from .decomposition import (
     DEFAULT_OVERLAP_TOL,
     Component,

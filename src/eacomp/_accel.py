@@ -1,11 +1,4 @@
-"""Hot numerical kernels, each in two interchangeable implementations.
-
-Every kernel has a vectorized numpy form and a loop form compiled with
-numba. The compiled path is used when numba imports cleanly and the
-environment variable EACOMP_DISABLE_NUMBA is unset (or "0"/"false");
-force_backend() overrides both for benchmarks and cross-checks. The two
-implementations of a kernel agree to 1e-12 on valid inputs and the test
-suite pins that down; neither path is ever allowed to shadow the other.
+"""Hot numerical kernels, one numpy implementation each.
 
 Kernels:
   block_fidelity     expected decoding fidelity of a projective code,
@@ -18,42 +11,16 @@ Kernels:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-_ENV_DISABLED = os.environ.get("EACOMP_DISABLE_NUMBA", "").strip().lower() not in ("", "0", "false")
-FORCED_BACKEND: str | None = None
-
-
-def force_backend(name: str | None):
-    """Pin the backend to "numpy" or "numba"; None restores the default."""
-    global FORCED_BACKEND
-    if name not in (None, "numpy", "numba"):
-        raise ValueError(f"backend must be 'numpy' or 'numba', got {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise RuntimeError("numba is not importable in this environment")
-    FORCED_BACKEND = name
+# There is one backend. These two names stay because callers report it:
+# the benchmark's environment line and the `iepsilon` JSON report.
+NUMBA_AVAILABLE = False
 
 
 def active_backend() -> str:
-    if FORCED_BACKEND is not None:
-        return FORCED_BACKEND
-    return "numba" if (NUMBA_AVAILABLE and not _ENV_DISABLED) else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -63,91 +30,46 @@ def active_backend() -> str:
 # every failed measurement collapses. No n-copy vectors are ever formed.
 
 
-def _block_fidelity_numpy(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
-    ns = probs.shape[0]
-    rank, n = sel.shape
-    seqs = np.indices((ns,) * n).reshape(n, -1).T
-    pseq = probs[seqs].prod(axis=1)
-
-    ppass = np.zeros(seqs.shape[0])
-    comp = np.zeros(seqs.shape[0])
-    fail = np.ones(seqs.shape[0])
-    for k in range(rank):
-        term = g[seqs, sel[k][None, :]].prod(axis=1)
-        if k == 0:
-            fail = term
-        y = term - comp
-        t = ppass + y
-        comp = (t - ppass) - y
-        ppass = t
-    np.clip(ppass, 0.0, 1.0, out=ppass)
-    fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
-    np.clip(fv, 0.0, 1.0, out=fv)
-    total = math.fsum((pseq * fv).tolist())
-    return min(max(total, 0.0), 1.0)
-
-
-@njit(cache=True)
-def _block_fidelity_numba(probs, g, sel):  # pragma: no cover - covered via dispatcher
-    ns = probs.shape[0]
-    rank, n = sel.shape
-    total_seqs = 1
-    for _ in range(n):
-        total_seqs *= ns
-    digits = np.zeros(n, np.int64)
-    acc = 0.0
-    comp = 0.0
-    for _s in range(total_seqs):
-        pseq = 1.0
-        for i in range(n):
-            pseq *= probs[digits[i]]
-        if pseq > 0.0:
-            ppass = 0.0
-            pcomp = 0.0
-            fail = 1.0
-            for k in range(rank):
-                term = 1.0
-                for i in range(n):
-                    term *= g[digits[i], sel[k, i]]
-                if k == 0:
-                    fail = term
-                y = term - pcomp
-                t = ppass + y
-                pcomp = (t - ppass) - y
-                ppass = t
-            if ppass > 1.0:
-                ppass = 1.0
-            elif ppass < 0.0:
-                ppass = 0.0
-            fv = math.sqrt(ppass * ppass + (1.0 - ppass) * fail)
-            if fv > 1.0:
-                fv = 1.0
-            contrib = pseq * fv
-            y = contrib - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        i = n - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < ns:
-                break
-            digits[i] = 0
-            i -= 1
-    if acc > 1.0:
-        acc = 1.0
-    elif acc < 0.0:
-        acc = 0.0
-    return acc
+def _sequence_table(cols) -> np.ndarray:
+    """prod_i cols[i][x_i] for every sequence x, flattened in C order."""
+    out = cols[0]
+    for c in cols[1:]:
+        out = np.multiply.outer(out, c).ravel()
+    return out
 
 
 def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     sel = np.ascontiguousarray(sel, dtype=np.int64)
-    if active_backend() == "numba":
-        return float(_block_fidelity_numba(probs, g, sel))
-    return _block_fidelity_numpy(probs, g, sel)
+    rank, n = sel.shape
+
+    # p_pass(x^n) = sum_k prod_i g[x_i, sel[k, i]] as a prefix-tree
+    # contraction: with the rows sorted, the rows below each code prefix
+    # of length m are contiguous, and that prefix holds the sum of their
+    # suffix products as a table over x_{m+1..n}. Stepping from m + 1 to
+    # m multiplies each node by g[:, its last index] and adds siblings.
+    rows = sel[np.lexsort(sel.T[::-1])]
+    heads = np.arange(rank)  # first row of each node at the current depth
+    table = np.ones((rank, 1))
+    for m in range(n - 1, -1, -1):
+        last = g[:, rows[heads, m]].T
+        table = (last[:, :, None] * table[:, None, :]).reshape(len(heads), -1)
+        prefixes = rows[heads, :m]
+        first = np.ones(len(heads), dtype=bool)
+        first[1:] = (prefixes[1:] != prefixes[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        table = np.add.reduceat(table, starts, axis=0)
+        heads = heads[starts]
+    ppass = table[0]
+
+    fail = _sequence_table([g[:, k] for k in sel[0]])
+    pseq = _sequence_table([probs] * n)
+    np.clip(ppass, 0.0, 1.0, out=ppass)
+    fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
+    np.clip(fv, 0.0, 1.0, out=fv)
+    total = math.fsum((pseq * fv).tolist())
+    return min(max(total, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +86,10 @@ def _entropy_rows(evs: np.ndarray) -> np.ndarray:
     return -(np.where(evs > 1e-15, evs * np.log2(safe), 0.0)).sum(axis=-1)
 
 
-def _unitary_objective_numpy(h, phis, probs, da, dc, dw):
+def unitary_objective(h, phis, probs, da: int, dc: int, dw: int) -> tuple[float, float]:
+    h = np.ascontiguousarray(h, dtype=np.complex128)
+    phis = np.ascontiguousarray(phis, dtype=np.complex128)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
     d_in = da * dc
     nx = phis.shape[0]
     evs, vecs = np.linalg.eigh(h)
@@ -182,72 +107,3 @@ def _unitary_objective_numpy(h, phis, probs, da, dc, dw):
     f = np.clip((np.abs(ov) ** 2).sum(axis=1), 0.0, 1.0)
     fid = float(probs @ np.sqrt(f))
     return mi, fid
-
-
-@njit(cache=True)
-def _unitary_objective_numba(h, phis, probs, da, dc, dw):  # pragma: no cover
-    d_in = da * dc
-    dim = dw * d_in
-    nx = phis.shape[0]
-    dcw = dw * dc
-
-    evs, vecs = np.linalg.eigh(h)
-    scaled = vecs * np.exp(1j * evs)
-    u = np.dot(scaled, np.conj(vecs).T)
-
-    mix = np.zeros((dcw, dcw), np.complex128)
-    cond = 0.0
-    fid = 0.0
-    for x in range(nx):
-        xi = np.dot(u, phis[x])
-        b = np.empty((dcw, da), np.complex128)
-        for w in range(dw):
-            for c in range(dc):
-                for a in range(da):
-                    b[w * dc + c, a] = xi[w * d_in + a * dc + c]
-        m = np.dot(b, np.conj(b).T)
-        mix += probs[x] * m
-        mev = np.linalg.eigvalsh(m)
-        s = 0.0
-        for v in mev:
-            if v > 1e-15:
-                s -= v * np.log2(v)
-        cond += probs[x] * s
-
-        f = 0.0
-        for w in range(dw):
-            acc = 0.0 + 0.0j
-            for k in range(d_in):
-                acc += np.conj(phis[x, k]) * xi[w * d_in + k]
-            f += acc.real * acc.real + acc.imag * acc.imag
-        if f > 1.0:
-            f = 1.0
-        elif f < 0.0:
-            f = 0.0
-        fid += probs[x] * math.sqrt(f)
-
-    mev = np.linalg.eigvalsh(mix)
-    s = 0.0
-    for v in mev:
-        if v > 1e-15:
-            s -= v * np.log2(v)
-    return s - cond, fid
-
-
-def unitary_objective(h, phis, probs, da: int, dc: int, dw: int) -> tuple[float, float]:
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    phis = np.ascontiguousarray(phis, dtype=np.complex128)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if active_backend() == "numba":
-        mi, fid = _unitary_objective_numba(h, phis, probs, da, dc, dw)
-        return float(mi), float(fid)
-    return _unitary_objective_numpy(h, phis, probs, da, dc, dw)
-
-
-def warm_up():
-    """Trigger jit compilation on tiny inputs so timings stay honest."""
-    if active_backend() != "numba":
-        return
-    block_fidelity(np.array([1.0]), np.array([[1.0]]), np.zeros((1, 1), np.int64))
-    unitary_objective(np.zeros((4, 4), np.complex128), np.eye(1, 4, dtype=np.complex128),
-                      np.array([1.0]), 2, 1, 2)

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import __version__, limits
-from ._accel import active_backend, force_backend
+from ._accel import active_backend
 from .decomposition import DEFAULT_OVERLAP_TOL, irreducible_components
 from .ensemble import (
     Ensemble,
@@ -85,8 +85,6 @@ def _apply_limits(args):
         limits.SEQUENCE_CAP = args.sequence_cap
     if args.code_dim_cap is not None:
         limits.CODE_DIM_CAP = args.code_dim_cap
-    if getattr(args, "backend", "auto") != "auto":
-        force_backend(args.backend)
 
 
 def cmd_validate(args) -> int:
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocess(p)
     p.add_argument("--rate", type=float, required=True, help="qubit rate Q")
     p.add_argument("--n", required=True, help="comma-separated block lengths")
-    p.add_argument("--backend", choices=("auto", "numpy", "numba"), default="auto")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("iepsilon", help="certified lower bounds on extractable label information")
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-lemma", action="store_true",
                    help="also run the monotonicity/bounds diagnostics")
-    p.add_argument("--backend", choices=("auto", "numpy", "numba"), default="auto")
     p.set_defaults(fn=cmd_iepsilon)
     return parser
 

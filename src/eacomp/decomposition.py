@@ -11,7 +11,6 @@ to any rate and their conditional ensembles would be ill defined.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,7 +163,3 @@ def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
         )
         items.append(EnsembleItem(it.label, it.prob, it.psi, sigma))
     return Ensemble(e.dim_a, dim_c, tuple(items))
-
-
-def decomposition_to_json_str(d: Decomposition) -> str:
-    return json.dumps(d.to_json(), indent=2, sort_keys=True) + "\n"

@@ -179,22 +179,29 @@ def _is_finite(v) -> bool:
 
 
 def validate(e: Ensemble) -> list[str]:
-    """Structural diagnostics; empty list means the ensemble is well formed."""
+    """Value diagnostics; empty list means the ensemble is well formed.
+
+    One line per fault: a non-finite probability or amplitude is not also
+    reported as a bad probability sum or norm.
+    """
     out = []
     for i, it in enumerate(e.items):
+        where = f"item {i} ({it.label!r})"
         if not _is_finite(it.prob):
-            out.append(f"item {i} ({it.label!r}): probability {it.prob!r} is not finite")
+            out.append(f"{where}: probability {it.prob!r} is not finite")
         elif it.prob < -PROB_ATOL:
-            out.append(f"item {i} ({it.label!r}): negative probability {it.prob!r}")
+            out.append(f"{where}: negative probability {it.prob!r}")
         for name, state in (("psi", it.psi), ("sigma", it.sigma)):
-            if not np.all(np.isfinite(state.amplitudes)):
-                out.append(f"item {i} ({it.label!r}): {name} has non-finite amplitudes")
+            amps = state.amplitudes
+            bad = np.flatnonzero(~np.isfinite(amps))
+            for k in bad:
+                out.append(f"{where}: {name} has non-finite amplitudes: "
+                           f"amplitude {k} = {amps[k]} is not finite")
+            if bad.size:
                 continue
-            nrm = float(np.linalg.norm(state.amplitudes))
+            nrm = float(np.linalg.norm(amps))
             if abs(nrm - 1.0) > 1e-9:
-                out.append(
-                    f"item {i} ({it.label!r}): {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}"
-                )
+                out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     if all(_is_finite(it.prob) for it in e.items):
         total = float(sum(it.prob for it in e.items))
         if not abs(total - 1.0) <= PROB_ATOL:
@@ -338,40 +345,39 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _amplitude(raw, where: str, problems: list[str]) -> complex:
-    if _is_number(raw):
-        parts = (raw, 0.0)
-    elif isinstance(raw, list) and len(raw) == 2 and all(_is_number(v) for v in raw):
-        parts = tuple(raw)
-    else:
-        problems.append(f"{where}: amplitude must be a number or [re, im] pair, got {raw!r}")
-        return 0j
-    if not all(_is_finite(v) for v in parts):
-        problems.append(f"{where}: amplitude {raw!r} is not finite")
-        return 0j
-    return complex(*parts)
+def _float(v) -> float:
+    """float(v), with ints too large for a float as infinities for validate() to reject."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
-def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray:
+def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray | None:
+    """Amplitudes as [re, im] pairs or bare reals; None after a structural fault."""
     if not isinstance(raw, list) or len(raw) != dim:
         problems.append(f"{where}: expected {dim} amplitudes")
-        return np.zeros(dim, dtype=np.complex128)
-    return np.array([_amplitude(v, where, problems) for v in raw], dtype=np.complex128)
-
-
-def _unit_vector(raw, dim: int, where: str, name: str, label: str, problems: list[str]) -> np.ndarray:
-    """Parse one state vector; its norm is checked only if every amplitude parsed."""
-    before = len(problems)
-    v = _vector(raw, dim, f"{where} {name}", problems)
-    if len(problems) == before:
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-9:
-            problems.append(f"{where} ({label!r}): {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    return v
+        return None
+    out = np.zeros(dim, dtype=np.complex128)
+    whole = True
+    for k, v in enumerate(raw):
+        if _is_number(v):
+            out[k] = _float(v)
+        elif isinstance(v, list) and len(v) == 2 and all(_is_number(p) for p in v):
+            out[k] = complex(_float(v[0]), _float(v[1]))
+        else:
+            problems.append(f"{where}: amplitude must be a number or [re, im] pair, got {v!r}")
+            whole = False
+    return out if whole else None
 
 
 def ensemble_from_json(data: dict) -> Ensemble:
-    """Parse and validate the interchange dict; raises EnsembleFormatError."""
+    """Parse and validate the interchange dict; raises EnsembleFormatError.
+
+    The parser checks structure (keys, types, shapes). Once every state is
+    built, the values are checked by validate(); a file whose structure is
+    broken reports only the structural faults.
+    """
     problems: list[str] = []
     if not isinstance(data, dict):
         raise EnsembleFormatError(["top level must be an object"])
@@ -395,7 +401,6 @@ def ensemble_from_json(data: dict) -> Ensemble:
         problems.append(f"visible ensembles need dimC = number of states ({len(states)})")
 
     items = []
-    probs_ok = True
     for i, raw in enumerate(states):
         where = f"state {i}"
         if not isinstance(raw, dict):
@@ -410,46 +415,37 @@ def ensemble_from_json(data: dict) -> Ensemble:
         prob = raw.get("prob")
         if not _is_number(prob):
             problems.append(f"{where}: prob must be a number")
-            probs_ok = False
-            prob = 0.0
-        elif not _is_finite(prob):
-            problems.append(f"{where}: prob {prob!r} is not finite")
-            probs_ok = False
-            prob = 0.0
-        psi = _unit_vector(raw.get("psi"), dim_a, where, "psi", label, problems)
+            prob = None
+        psi = _vector(raw.get("psi"), dim_a, f"{where} psi", problems)
         if visible:
             if "sigma" in raw:
                 problems.append(f"{where}: sigma conflicts with top-level 'visible'")
             sigma = np.zeros(dim_c, dtype=np.complex128)
             sigma[i if i < dim_c else 0] = 1.0
         elif "sigma" in raw:
-            sigma = _unit_vector(raw["sigma"], dim_c, where, "sigma", label, problems)
+            sigma = _vector(raw["sigma"], dim_c, f"{where} sigma", problems)
         elif dim_c == 1:
             sigma = np.ones(1, dtype=np.complex128)
         else:
             problems.append(f"{where}: sigma required when dimC > 1")
-            sigma = np.zeros(dim_c, dtype=np.complex128)
-            sigma[0] = 1.0
-        if prob < -PROB_ATOL:
-            problems.append(f"{where} ({label!r}): negative probability {prob!r}")
-        items.append(
-            EnsembleItem(
-                label,
-                float(prob),
-                PureStateVector(single("A", dim_a), psi, check=False),
-                PureStateVector(single("C", dim_c), sigma, check=False),
+            sigma = None
+        if prob is not None and psi is not None and sigma is not None:
+            items.append(
+                EnsembleItem(
+                    label,
+                    _float(prob),
+                    PureStateVector(single("A", dim_a), psi, check=False),
+                    PureStateVector(single("C", dim_c), sigma, check=False),
+                )
             )
-        )
 
-    total = float(sum(it.prob for it in items))
-    if probs_ok and not abs(total - 1.0) <= PROB_ATOL:
-        problems.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
-    labels = [it.label for it in items]
-    for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):
-        problems.append(f"duplicate label {lbl!r}")
+    if len(items) < len(states):
+        raise EnsembleFormatError(problems)
+    e = Ensemble(dim_a, dim_c, tuple(items))
+    problems.extend(validate(e))
     if problems:
         raise EnsembleFormatError(problems)
-    return Ensemble(dim_a, dim_c, tuple(items))
+    return e
 
 
 def ensemble_to_json(e: Ensemble) -> dict:

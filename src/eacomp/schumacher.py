@@ -81,14 +81,17 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
         )
     weights, vectors = eig_hermitian(reduced(e, {"A"}))
 
-    prod = weights.copy()
-    for _ in range(n - 1):
-        prod = np.multiply.outer(prod, weights)
-    flat = prod.ravel()
+    # Weigh each index tuple as prod_j w_j ** count_j, the same float
+    # operations for every tuple of one type, so equal-weight products tie
+    # exactly and the stable sort keeps them in lexicographic order.
+    indices = np.indices((da,) * n).reshape(n, -1)
+    flat = np.ones(indices.shape[1])
+    for j, w in enumerate(weights):
+        flat *= w ** np.count_nonzero(indices == j, axis=0)
     order = np.argsort(-flat, kind="stable")
     rank = code_rank(n, rate_q, da)
     kept = order[:rank]
-    selected = np.stack(np.unravel_index(kept, (da,) * n), axis=1).astype(np.int64)
+    selected = np.ascontiguousarray(indices[:, kept].T, dtype=np.int64)
     return CodeSpace(
         n=n,
         rate_q=float(rate_q),

@@ -106,7 +106,7 @@ class PureStateVector:
             )
         if self.check:
             nrm = float(np.linalg.norm(amps))
-            if abs(nrm - 1.0) > NORM_ATOL:
+            if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
                 raise NotAStateError(f"vector norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
 
     @property
@@ -155,10 +155,10 @@ class DensityMatrix:
             raise DimensionLimitError(f"matrix side {d} exceeds cap {limits.MATRIX_CAP}")
         if self.check:
             herm = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
-            if herm > HERMITICITY_ATOL:
+            if not herm <= HERMITICITY_ATOL:
                 raise NotAStateError(f"matrix deviates from Hermitian by {herm!r}")
             tr = complex(np.trace(m))
-            if abs(tr - 1.0) > NORM_ATOL:
+            if not abs(tr - 1.0) <= NORM_ATOL:
                 raise NotAStateError(f"trace {tr!r} deviates from 1 beyond {NORM_ATOL}")
 
     @property

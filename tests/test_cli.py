@@ -24,7 +24,6 @@ from eacomp import (
     optimal_rates,
     save_ensemble,
 )
-from eacomp import _accel
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BLIND = str(DATA / "blind_pair.json")
@@ -36,10 +35,8 @@ SECTORS = str(DATA / "blind_two_sectors.json")
 @pytest.fixture(autouse=True)
 def _restore_globals():
     caps = (limits.VECTOR_CAP, limits.MATRIX_CAP, limits.SEQUENCE_CAP, limits.CODE_DIM_CAP)
-    forced = _accel.FORCED_BACKEND
     yield
     limits.VECTOR_CAP, limits.MATRIX_CAP, limits.SEQUENCE_CAP, limits.CODE_DIM_CAP = caps
-    _accel.FORCED_BACKEND = forced
 
 
 def run(argv, capsys):

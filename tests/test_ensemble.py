@@ -325,6 +325,21 @@ class TestJson:
                 {"dimA": 2, "states": [{"label": "a", "prob": 1.0, "psi": [[1, 0], [10**400, 0]]}]}
             )
 
+    def test_parser_reports_what_validate_reports(self):
+        psis = [[1, 1], [np.inf, np.nan], [1, 0]]
+        probs = [-0.1, 0.6, 0.7]
+        labels = ["a", "a", "c"]
+        with pytest.raises(EnsembleFormatError) as err:
+            ensemble_from_json({"dimA": 2, "states": [
+                {"label": l, "prob": p, "psi": v} for l, p, v in zip(labels, probs, psis)]})
+        in_memory = Ensemble(2, 1, tuple(
+            EnsembleItem(l, p, PureStateVector(single("A", 2), v, check=False),
+                         PureStateVector(single("C", 1), [1]))
+            for l, p, v in zip(labels, probs, psis)))
+        # negative prob, norm, one line per non-finite amplitude, sum, duplicate
+        assert len(err.value.violations) == 6
+        assert set(err.value.violations) == set(validate(in_memory))
+
     def test_sigma_required_when_dimc_gt1(self):
         with pytest.raises(EnsembleFormatError, match="sigma required"):
             ensemble_from_json(

@@ -152,6 +152,20 @@ class TestSimulate:
             code_b = build_code_space(shuffled, 4, q)
             assert abs(simulate_fidelity(e, code_a) - simulate_fidelity(shuffled, code_b)) < 1e-12
 
+    def test_rotation_invariance(self):
+        # a unitary on A leaves every fidelity unchanged; equal-weight
+        # products must then be ranked by the lexicographic tie-break, not
+        # by rounding, which moved these fidelities by up to 1.7e-4
+        e = make_blind([[1, 0], PLUS, [0.6, 0.8j]], [0.5, 0.3, 0.2])
+        ns = range(1, 11)
+        ref = fidelity_curve(e, ns, 0.75).points
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            u, _r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            rotated = make_blind([u @ it.psi.amplitudes for it in e.items], [0.5, 0.3, 0.2])
+            for (n, f), (_n, g) in zip(ref, fidelity_curve(rotated, ns, 0.75).points):
+                assert abs(f - g) <= 1e-12, n
+
     def test_zero_prob_items_ignored(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5])
         padded = make_blind([[1, 0], PLUS, [0, 1]], [0.5, 0.5, 0.0])

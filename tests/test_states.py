@@ -83,6 +83,16 @@ class TestStates:
         # escape hatch for callers that guarantee normalization themselves
         PureStateVector(single("A", 2), [1, 1], check=False)
 
+    def test_non_finite_entries_rejected(self):
+        lay = single("A", 2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotAStateError):
+                PureStateVector(lay, [bad, 0])
+        with pytest.raises(NotAStateError):
+            DensityMatrix(lay, np.array([[np.nan, 0], [0, 0.5]]))
+        with pytest.raises(NotAStateError):  # unit trace, NaN off the diagonal
+            DensityMatrix(lay, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
     def test_immutable(self):
         psi = basis_state(single("A", 2), 0)
         with pytest.raises(ValueError):
