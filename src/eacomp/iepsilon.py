@@ -19,6 +19,13 @@ to the identity channel (W in a fixed pure state), which is feasible at
 every eps and pins the estimate at I(X : C) or above. Every reported
 optimum is re-evaluated through an independent dense-matrix route and
 the run aborts if the two disagree.
+
+The two routes share no step for generators of side
+_accel.TAYLOR_MIN_DIM and more: the search kernel pushes the signal
+vectors through a Taylor series of exp(iH) and takes entropies from
+small Gram spectra, while the dense check diagonalises H, forms the
+isometry and traces out density matrices. Below that side both start
+from eigh(H).
 """
 
 from __future__ import annotations

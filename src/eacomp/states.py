@@ -154,6 +154,8 @@ class DensityMatrix:
         if d > limits.MATRIX_CAP:
             raise DimensionLimitError(f"matrix side {d} exceeds cap {limits.MATRIX_CAP}")
         if self.check:
+            if not np.isfinite(m).all():
+                raise NotAStateError("matrix has non-finite entries")
             herm = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
             if not herm <= HERMITICITY_ATOL:
                 raise NotAStateError(f"matrix deviates from Hermitian by {herm!r}")

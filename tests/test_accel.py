@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+from eacomp import _accel
 from eacomp._accel import block_fidelity, unitary_objective
 
 
@@ -76,3 +77,20 @@ class TestObjectiveAgreement:
             h_x = -(probs * np.log2(probs)).sum()
             assert -1e-9 <= mi <= h_x + 1e-9
             assert 0.0 <= fid <= 1.0 + 1e-12
+
+    def test_evolved_rows_match_eigh_at_large_norms(self, monkeypatch):
+        # the Taylor route splits exp(iH) into steps of norm <= THETA;
+        # without the split it loses digits to cancellation at these norms
+        rng = np.random.default_rng(104)
+        for dim in (8, 27, 64):
+            phis = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+            for norm in (0.0, 1.0, 30.0, 300.0):
+                m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                h = (m + m.conj().T) / 2
+                h *= norm / np.linalg.norm(h)
+                evs, vecs = np.linalg.eigh(h)
+                ref = phis @ ((vecs * np.exp(1j * evs)) @ vecs.conj().T).T
+                for min_dim in (0, 10**9):
+                    monkeypatch.setattr(_accel, "TAYLOR_MIN_DIM", min_dim)
+                    got = _accel._evolve_rows(h, phis)
+                    assert np.abs(got - ref).max() < 1e-12, (dim, norm, min_dim)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eacomp import _accel
 from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
 from eacomp.errors import EacompError, IsometryError
@@ -40,6 +41,26 @@ def sideinfo_triple(t=0.05):
             )
         )
     return Ensemble(2, 2, tuple(items))
+
+
+def random_source(rng, da, dc, nx):
+    """nx random pure signals on A and C with Dirichlet probabilities."""
+
+    def unit(d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    probs = rng.dirichlet(np.ones(nx))
+    items = tuple(
+        EnsembleItem(
+            str(i),
+            float(p),
+            PureStateVector(single("A", da), unit(da)),
+            PureStateVector(single("C", dc), unit(dc)),
+        )
+        for i, p in enumerate(probs)
+    )
+    return Ensemble(da, dc, items)
 
 
 def rand_isometry(rng, d_out, d_in):
@@ -111,25 +132,32 @@ class TestObjective:
         assert abs(mi - (h_w - 0.5)) < 1e-10
         assert abs(fid - (0.5 * 1.0 + 0.5 * np.sqrt(0.5))) < 1e-10
 
-    def test_matches_kernel_on_random_generators(self):
-        e = sideinfo_triple()
-        rng = np.random.default_rng(7)
-        d_in = 4
-        dw = 3
-        dim = dw * d_in
-        probs = np.array([it.prob for it in e.items])
-        phis = np.zeros((3, dim), dtype=complex)
-        for i in range(3):
-            phis[i, :d_in] = e.joint_vector(i).amplitudes
-        for _ in range(5):
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = (m + m.conj().T) / 2
-            mi_k, fid_k = unitary_objective(h, phis, probs, 2, 2, dw)
-            evs, vecs = np.linalg.eigh(h)
-            u = (vecs * np.exp(1j * evs)) @ vecs.conj().T
-            mi_r, fid_r = objective(e, u[:, :d_in])
-            assert abs(mi_k - mi_r) < 1e-10
-            assert abs(fid_k - fid_r) < 1e-10
+    def test_matches_kernel_on_random_generators(self, monkeypatch):
+        # dims d_in * dw from 4 to 64 straddle the eigh/Taylor threshold;
+        # the two forced settings also run one route at every size
+        for min_dim in (_accel.TAYLOR_MIN_DIM, 0, 10**9):
+            monkeypatch.setattr(_accel, "TAYLOR_MIN_DIM", min_dim)
+            rng = np.random.default_rng(7)
+            for da, dc, nx in [(2, 1, 3), (3, 1, 4), (2, 2, 3), (2, 2, 5)]:
+                e = random_source(rng, da, dc, nx)
+                d_in = da * dc
+                probs = np.array([it.prob for it in e.items])
+                for dw in sorted({2, d_in**2, 16}):
+                    dim = dw * d_in
+                    phis = np.zeros((nx, dim), dtype=complex)
+                    for i in range(nx):
+                        phis[i, :d_in] = e.joint_vector(i).amplitudes
+                    for norm in (1.0, 4.0, 20.0, 100.0):
+                        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                        h = (m + m.conj().T) / 2
+                        h *= norm / np.linalg.norm(h)
+                        mi_k, fid_k = unitary_objective(h, phis, probs, da, dc, dw)
+                        evs, vecs = np.linalg.eigh(h)
+                        u = (vecs * np.exp(1j * evs)) @ vecs.conj().T
+                        mi_r, fid_r = objective(e, u[:, :d_in])
+                        case = (min_dim, da, dc, nx, dw, norm)
+                        assert abs(mi_k - mi_r) < 1e-10, case
+                        assert abs(fid_k - fid_r) < 1e-10, case
 
     def test_rejects_bad_shapes(self):
         e = blind_pair()
@@ -198,6 +226,18 @@ class TestGrid:
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12  # warm start keeps the chain non-decreasing
         assert values[-1] > 0.1  # something real is extracted at eps = 0.2
+
+    def test_search_trajectory_is_pinned(self):
+        # recorded from the search when every evaluation diagonalised H
+        # and formed all of exp(iH); a kernel change that moves one step
+        # of the search moves these numbers
+        ests = estimate_grid(sideinfo_triple(), [0.0, 0.1], FAST)
+        assert [est.evaluations for est in ests] == [133, 125]
+        for est, value, fid in zip(
+            ests, [0.27451479891986763, 0.444205423503934], [1.0, 0.9757720431356492]
+        ):
+            assert abs(est.value - value) <= 1e-12
+            assert abs(est.fidelity - fid) <= 1e-12
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):

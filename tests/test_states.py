@@ -92,6 +92,8 @@ class TestStates:
             DensityMatrix(lay, np.array([[np.nan, 0], [0, 0.5]]))
         with pytest.raises(NotAStateError):  # unit trace, NaN off the diagonal
             DensityMatrix(lay, np.array([[0.5, np.nan], [np.nan, 0.5]]))
+        with pytest.raises(NotAStateError):  # inf - inf in a Hermiticity check would warn
+            DensityMatrix(lay, np.array([[np.inf, 0], [0, 0.5]]))
 
     def test_immutable(self):
         psi = basis_state(single("A", 2), 0)
