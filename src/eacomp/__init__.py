@@ -10,7 +10,6 @@ from .decomposition import (
     DEFAULT_OVERLAP_TOL,
     Component,
     Decomposition,
-    extend_with_y,
     irreducible_components,
     is_irreducible,
     overlap_graph,

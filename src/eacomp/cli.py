@@ -23,6 +23,7 @@ from .ensemble import (
     Ensemble,
     apply_product_unitary,
     cnot_unitary,
+    check_tolerance,
     ensemble_from_json,
     load_ensemble,
 )
@@ -88,12 +89,7 @@ def _apply_limits(args):
 
 
 def cmd_validate(args) -> int:
-    try:
-        e = load_ensemble(args.ensemble)
-    except EnsembleFormatError as exc:
-        for line in exc.violations:
-            print(line, file=sys.stderr)
-        return 1
+    e = load_ensemble(args.ensemble)
     kind = "blind" if e.is_blind(args.tol) else ("visible" if e.is_visible(args.tol) else "general")
     print(f"ok: {e.size} states, dimA={e.dim_a}, dimC={e.dim_c}, {kind}")
     return 0
@@ -202,9 +198,18 @@ def cmd_iepsilon(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite nonnegative float."""
+    try:
+        check_tolerance(tol := float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
+
+
 def _add_common(p: argparse.ArgumentParser, output=True):
     p.add_argument("ensemble", help="path to an ensemble JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_OVERLAP_TOL,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL,
                    help="overlap tolerance for the component graph (default %(default)s)")
     if output:
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
@@ -232,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check an ensemble file, print violations")
     p.add_argument("ensemble")
-    p.add_argument("--tol", type=float, default=DEFAULT_OVERLAP_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("decompose", help="irreducible components of the source")

@@ -1,7 +1,9 @@
 """Splitting a source into irreducible pieces.
 
 Two signals belong to the same piece when their joint states on A (x) C
-overlap, directly or through a chain of overlapping signals. The rate
+overlap, directly or through a chain of overlapping signals: the graph
+is |<psi_x|psi_x'>| |<sigma_x|sigma_x'>| > tol on the two overlap
+matrices (`Ensemble.overlaps`), grown a whole frontier at a time. The rate
 formulas condition on the resulting component index Y, which is the
 finest classical information any protocol can extract for free.
 
@@ -11,17 +13,22 @@ to any rate and their conditional ensembles would be ill defined.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .ensemble import Ensemble, EnsembleItem
+from .ensemble import Ensemble, Overlaps, check_tolerance
 from .errors import LabelError
-from .states import PureStateVector, basis_state, single
 
 DEFAULT_OVERLAP_TOL = 1e-10
+
+
+def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
+    """Adjacency over the support items: |<psi|psi'>| |<sigma|sigma'>| > tol."""
+    check_tolerance(tol)
+    link = np.triu(np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) > tol, 1)
+    return link | link.T
 
 
 def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
@@ -30,21 +37,23 @@ def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
     Rows and columns of zero-probability items are all False, as is the
     diagonal.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    n = e.size
-    adj = np.zeros((n, n), dtype=bool)
-    sup = e.support()
-    psis = [it.psi.amplitudes for it in e.items]
-    sigs = [it.sigma.amplitudes for it in e.items]
-    for a in range(len(sup)):
-        i = sup[a]
-        for b in range(a + 1, len(sup)):
-            j = sup[b]
-            ov = abs(np.vdot(psis[i], psis[j])) * abs(np.vdot(sigs[i], sigs[j]))
-            if ov > tol:
-                adj[i, j] = adj[j, i] = True
+    sup = list(e.overlaps.support)
+    adj = np.zeros((e.size, e.size), dtype=bool)
+    adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
     return adj
+
+
+def _connected_parts(link: np.ndarray) -> list[np.ndarray]:
+    """Connected parts of a symmetric adjacency, each as ascending indices."""
+    parts, unseen = [], np.ones(len(link), dtype=bool)
+    while unseen.any():
+        member = frontier = np.arange(len(link)) == np.argmax(unseen)
+        while frontier.any():
+            frontier = link[frontier].any(axis=0) & ~member
+            member = member | frontier
+        unseen &= ~member
+        parts.append(np.flatnonzero(member))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -99,36 +108,14 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     Components are ordered by their smallest member label so the Y index
     does not depend on item order quirks.
     """
-    adj = overlap_graph(e, tol)
-    sup = list(e.support())
-    seen = set()
-    groups = []
-    for start in sup:
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            i = queue.popleft()
-            comp.append(i)
-            for j in np.flatnonzero(adj[i]):
-                j = int(j)
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        groups.append(sorted(comp))
+    ov = e.overlaps
+    groups = [[ov.support[k] for k in part] for part in _connected_parts(_support_graph(ov, tol))]
     groups.sort(key=lambda g: min(e.items[i].label for i in g))
 
     comps = []
     for y, group in enumerate(groups):
         weight = float(sum(e.items[i].prob for i in group))
-        items = tuple(
-            EnsembleItem(
-                e.items[i].label, e.items[i].prob / weight, e.items[i].psi, e.items[i].sigma
-            )
-            for i in group
-        )
+        items = tuple(replace(e.items[i], prob=e.items[i].prob / weight) for i in group)
         comps.append(
             Component(y, tuple(e.items[i].label for i in group), weight, Ensemble(e.dim_a, e.dim_c, items))
         )
@@ -137,29 +124,3 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
 
 def is_irreducible(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
     return irreducible_components(e, tol).size == 1
-
-
-def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
-    """Append |y(x)> to each sigma_x, making the component index explicit.
-
-    The extension leaves every rate quantity unchanged because y(x) is a
-    deterministic function of x that local operations could compute anyway.
-    Zero-probability items are dropped (they have no component).
-    """
-    covered = {lbl for c in d.components for lbl in c.labels}
-    sup_labels = {e.items[i].label for i in e.support()}
-    if covered != sup_labels:
-        raise LabelError(
-            f"decomposition covers {sorted(covered)} but ensemble support is {sorted(sup_labels)}"
-        )
-    ny = d.size
-    dim_c = e.dim_c * ny
-    items = []
-    for i in e.support():
-        it = e.items[i]
-        tag = basis_state(single("Y", ny), d.y_of(it.label))
-        sigma = PureStateVector(
-            single("C", dim_c), np.kron(it.sigma.amplitudes, tag.amplitudes), check=False
-        )
-        items.append(EnsembleItem(it.label, it.prob, it.psi, sigma))
-    return Ensemble(e.dim_a, dim_c, tuple(items))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,42 +90,85 @@ class Ensemble:
         layout = SubsystemLayout(("A", "C"), (self.dim_a, self.dim_c))
         return PureStateVector(layout, np.kron(it.psi.amplitudes, it.sigma.amplitudes), check=False)
 
+    @cached_property
+    def overlaps(self) -> "Overlaps":
+        """The support stacked with its overlap matrices; built on first use
+        and shared by every analysis of this ensemble."""
+        sup = self.support()
+        psi = np.array([self.items[i].psi.amplitudes for i in sup], dtype=np.complex128)
+        sigma = np.array([self.items[i].sigma.amplitudes for i in sup], dtype=np.complex128)
+        psi, sigma = psi.reshape(len(sup), self.dim_a), sigma.reshape(len(sup), self.dim_c)
+        probs = np.array([self.items[i].prob for i in sup])
+        return Overlaps(sup, probs, psi, sigma, psi.conj() @ psi.T, sigma.conj() @ sigma.T)
+
     def is_blind(self, tol: float = 1e-10) -> bool:
         """True when the encoder side information carries nothing.
 
         Either dimC = 1, or every sigma_x on the support is the same state
-        up to phase within tol.
+        up to phase within tol: 1 - |<sigma_0|sigma_x>| <= tol.
         """
+        check_tolerance(tol)
         if self.dim_c == 1:
             return True
-        sup = self.support()
-        if not sup:
-            return True
-        ref = self.items[sup[0]].sigma.amplitudes
-        for i in sup[1:]:
-            ov = abs(np.vdot(ref, self.items[i].sigma.amplitudes))
-            if 1.0 - ov > tol:
-                return False
-        return True
+        return not (1.0 - np.abs(self.overlaps.sigma_gram[:1]) > tol).any()
 
     def is_visible(self, tol: float = 1e-10) -> bool:
         """True when the side information identifies x: sigmas pairwise orthogonal."""
-        sup = self.support()
-        if len(sup) < 2:
+        check_tolerance(tol)
+        g = self.overlaps.sigma_gram
+        if len(g) < 2 or self.dim_c < len(g):
             return False
-        if self.dim_c < len(sup):
-            return False
-        for a in range(len(sup)):
-            for b in range(a + 1, len(sup)):
-                ov = abs(
-                    np.vdot(
-                        self.items[sup[a]].sigma.amplitudes,
-                        self.items[sup[b]].sigma.amplitudes,
-                    )
-                )
-                if ov > tol:
-                    return False
-        return True
+        return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
+
+
+def check_tolerance(tol: float):
+    """Reject an overlap tolerance that is negative or not finite."""
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
+
+
+@dataclass(frozen=True, eq=False)
+class Overlaps:
+    """A source's support: item indices, probabilities, the rows psi_x and
+    sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
+    Every rate quantity is invariant under U_A (x) U_C, so it depends on
+    the source only through p and these two matrices."""
+
+    support: tuple[int, ...]
+    probs: np.ndarray
+    psi: np.ndarray
+    sigma: np.ndarray
+    psi_gram: np.ndarray
+    sigma_gram: np.ndarray
+
+    def vectors(self, keep) -> np.ndarray:
+        """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
+        {C} or {A, C}."""
+        keep = set(keep)
+        if not keep or keep - {"A", "C"}:
+            raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
+        if keep == {"A"}:
+            return self.psi
+        if keep == {"C"}:
+            return self.sigma
+        return (self.psi[:, :, None] * self.sigma[:, None, :]).reshape(len(self.probs), -1)
+
+    def marginal(self, keep) -> DensityMatrix:
+        """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product."""
+        v = self.vectors(keep)
+        pairs = [(l, m.shape[1]) for l, m in (("A", self.psi), ("C", self.sigma)) if l in keep]
+        layout = SubsystemLayout(tuple(l for l, _ in pairs), tuple(d for _, d in pairs))
+        return DensityMatrix(layout, (self.probs[:, None] * v).T @ v.conj(), check=False)
+
+    def density(self, keep) -> DensityMatrix:
+        """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
+        (layout "X") when that side is smaller. The two share their nonzero
+        spectrum, so either gives the entropy."""
+        v = self.vectors(keep)
+        if len(v) >= v.shape[1]:
+            return self.marginal(keep)
+        amp = np.sqrt(self.probs)
+        return DensityMatrix(single("X", len(v)), np.outer(amp, amp) * (v.conj() @ v.T), check=False)
 
 
 def _as_pure(vec, dim: int, label: str) -> PureStateVector:
@@ -242,24 +286,7 @@ def source_state(e: Ensemble) -> SourceState:
 
 def reduced(e: Ensemble, keep) -> DensityMatrix:
     """Marginal of the average state on a nonempty subset of {A, C}."""
-    keep = set(keep)
-    if not keep or keep - {"A", "C"}:
-        raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
-    labels = tuple(l for l in ("A", "C") if l in keep)
-    dims = tuple({"A": e.dim_a, "C": e.dim_c}[l] for l in labels)
-    d = math.prod(dims)
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for it in e.items:
-        if it.prob == 0.0:
-            continue
-        if keep == {"A"}:
-            v = it.psi.amplitudes
-        elif keep == {"C"}:
-            v = it.sigma.amplitudes
-        else:
-            v = np.kron(it.psi.amplitudes, it.sigma.amplitudes)
-        acc += it.prob * np.outer(v, v.conj())
-    return DensityMatrix(SubsystemLayout(labels, dims), acc, check=False)
+    return e.overlaps.marginal(keep)
 
 
 def tensor_power(e: Ensemble, n: int) -> Ensemble:

@@ -102,13 +102,6 @@ class IsometrySearchConfig:
         }
 
 
-def _support_joints(e: Ensemble):
-    sup = e.support()
-    probs = np.array([e.items[i].prob for i in sup])
-    joints = np.stack([e.joint_vector(i).amplitudes for i in sup])
-    return probs, joints
-
-
 def identity_isometry(d_in: int, env_dim: int) -> np.ndarray:
     """V appending |0> on W, in the environment-major output ordering."""
     return np.eye(env_dim * d_in, d_in, dtype=np.complex128)
@@ -129,7 +122,7 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
     env_dim = v.shape[0] // d_in
     out_layout = SubsystemLayout(("W", "A", "C"), (env_dim, e.dim_a, e.dim_c))
 
-    probs, joints = _support_joints(e)
+    probs, joints = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
     cw_states = []
     fid = 0.0
     for p, phi in zip(probs, joints):
@@ -214,7 +207,7 @@ def estimate_i_epsilon(
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    probs, joints = _support_joints(e)
+    probs, joints = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
     d_in = e.dim_a * e.dim_c
     env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
     dim = env_dim * d_in

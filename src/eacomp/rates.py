@@ -12,28 +12,32 @@ Q = E = S(A)/2, and trading the quantum channel for a classical one at
 the blind corner costs C = 2 S(A) - S(Y) cbits with E = S(A) - S(Y) ebits.
 
 A source is analysed once (`analyze`): one decomposition, one entropy
-profile, and the blind/visible flags. Every rate point is arithmetic on
-that analysis; passing an Ensemble instead analyses it on entry.
+profile and the blind/visible flags, all read from the source's two
+overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>] over its
+support (`Ensemble.overlaps`). Every rate point is arithmetic on that
+analysis; passing an Ensemble instead analyses it on entry.
 
-All conditional quantities are computed through the Y-extended ensemble.
-S(ACY) is evaluated twice, once from the block structure and once as the
-spectrum of the support-sized Gram matrix of the Y-extended signals,
-G_xy = sqrt(p_x p_y) <psi_x|psi_y> <sigma_x|sigma_y> [y(x) = y(y)],
-which has the nonzero spectrum of rho_ACY (Jozsa & Schlienz, PRA 62,
-012301, 2000); disagreement beyond 1e-6 raises ConsistencyError since it
-can only come from a bug. No matrix larger than the support size or the
-largest per-component A(x)C marginal is diagonalised, so those two are
-what MATRIX_CAP bounds here.
+S(CY) and S(ACY) are each evaluated twice: from the renormalised
+components, and as the spectrum of the support-sized Gram matrix of the
+Y-extended signals built from the raw items and the label -> y map,
+G_xy = sqrt(p_x p_y) <psi_x|psi_y> <sigma_x|sigma_y> [y(x) = y(y)]
+(without <psi_x|psi_y> for S(CY)), which has the nonzero spectrum of
+rho_ACY (Jozsa & Schlienz, PRA 62, 012301, 2000); disagreement beyond
+1e-6 raises ConsistencyError since it can only come from a bug. Every
+spectrum comes from the smaller of a Gram matrix and its marginal, so
+MATRIX_CAP bounds the support size and, per component of k states,
+min(k, dA dC).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
 from .decomposition import DEFAULT_OVERLAP_TOL, Decomposition, irreducible_components
-from .ensemble import Ensemble, reduced
+from .ensemble import Ensemble
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
 from .states import DensityMatrix, entropy_from_probs, single, von_neumann_entropy
 
@@ -77,6 +81,15 @@ def _clamp_tiny(v: float) -> float:
     return 0.0 if abs(v) < REPORT_CLAMP else float(v)
 
 
+def _y_masked_gram(e: Ensemble, d: Decomposition, *overlaps: np.ndarray) -> DensityMatrix:
+    """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
+    row per support item (layout "X")."""
+    amp = np.sqrt(e.overlaps.probs)
+    ys = np.array([d.y_of(e.items[i].label) for i in e.overlaps.support])
+    gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
+    return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
+
+
 def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     """Gram matrix of the Y-extended signals sqrt(p_x) |psi_x sigma_x y(x)>,
     one row per support item (layout "X").
@@ -84,18 +97,7 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
     cross-component overlaps at or below the decomposition tolerance.
     """
-    items = [e.items[i] for i in e.support()]
-    amp = np.sqrt([it.prob for it in items])
-    psis = np.stack([it.psi.amplitudes for it in items])
-    sigmas = np.stack([it.sigma.amplitudes for it in items])
-    ys = np.array([d.y_of(it.label) for it in items])
-    gram = (
-        np.outer(amp, amp)
-        * (psis.conj() @ psis.T)
-        * (sigmas.conj() @ sigmas.T)
-        * (ys[:, None] == ys[None, :])
-    )
-    return DensityMatrix(single("X", len(items)), gram, check=False)
+    return _y_masked_gram(e, d, e.overlaps.psi_gram, e.overlaps.sigma_gram)
 
 
 def entropy_profile(
@@ -103,28 +105,36 @@ def entropy_profile(
 ) -> EntropyProfile:
     """Entropy profile of e; pass the decomposition of e at tol to reuse it."""
     d = irreducible_components(e, tol) if decomposition is None else decomposition
+    ov = e.overlaps
     q = d.weights
     s_y = entropy_from_probs(q)
-    h_x = entropy_from_probs(e.probs[list(e.support())])
-    s_a = von_neumann_entropy(reduced(e, {"A"}))
+    h_x = entropy_from_probs(ov.probs)
+    s_a = von_neumann_entropy(ov.density({"A"}))
 
-    # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY.
+    # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each from
+    # the rows of the renormalised component.
     s_c_blocks = 0.0
     s_ac_blocks = 0.0
     for c in d.components:
-        s_c_blocks += c.weight * von_neumann_entropy(reduced(c.sub_ensemble, {"C"}))
-        s_ac_blocks += c.weight * von_neumann_entropy(reduced(c.sub_ensemble, {"A", "C"}))
+        sub = c.sub_ensemble.overlaps
+        s_c_blocks += c.weight * von_neumann_entropy(sub.density({"C"}))
+        s_ac_blocks += c.weight * von_neumann_entropy(sub.density({"A", "C"}))
     s_cy = s_y + s_c_blocks
     s_acy = s_y + s_ac_blocks
 
-    # Gram path: the whole Y-extended source at once, no marginal shared
-    # with the block path.
+    # Direct path: the whole Y-extended source at once, from the raw items
+    # and the label -> y map; no weight or renormalisation shared with the
+    # block path.
+    s_cy_direct = von_neumann_entropy(_y_masked_gram(e, d, ov.sigma_gram))
     s_acy_direct = von_neumann_entropy(gram_matrix(e, d))
 
-    if abs(s_acy - s_acy_direct) > CONSISTENCY_ATOL:
-        raise ConsistencyError(
-            f"S(ACY) disagrees between block ({s_acy!r}) and direct ({s_acy_direct!r}) evaluation"
-        )
+    faults = [
+        f"{name} disagrees between block ({block!r}) and direct ({direct!r}) evaluation"
+        for name, block, direct in (("S(CY)", s_cy, s_cy_direct), ("S(ACY)", s_acy, s_acy_direct))
+        if not abs(block - direct) <= CONSISTENCY_ATOL
+    ]
+    if faults:
+        raise ConsistencyError("; ".join(faults))
 
     return EntropyProfile(
         s_a=s_a,
@@ -152,7 +162,8 @@ class Analysis:
 
 
 def analyze(src, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
-    """Decompose src and build its entropy profile, once each.
+    """Decompose src and build its entropy profile, once each; both, and
+    the blind/visible flags, read the overlap matrices src builds once.
 
     An Analysis is returned as it is, so every function taking a source
     accepts either form.

@@ -1,0 +1,87 @@
+"""Dense reference computations for the tests.
+
+Everything here works on full density matrices built item by item, with
+no overlap matrices and no Gram spectra, so it shares no arithmetic with
+the package's analysis.
+"""
+
+import numpy as np
+
+from eacomp.decomposition import Decomposition
+from eacomp.ensemble import Ensemble, EnsembleItem
+from eacomp.errors import LabelError
+from eacomp.states import DensityMatrix, PureStateVector, SubsystemLayout, basis_state, partial_trace, single
+
+
+def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
+    """Append |y(x)> to each sigma_x, making the component index explicit.
+
+    The extension leaves every rate quantity unchanged because y(x) is a
+    deterministic function of x that local operations could compute anyway.
+    Zero-probability items are dropped (they have no component).
+    """
+    covered = {lbl for c in d.components for lbl in c.labels}
+    sup_labels = {e.items[i].label for i in e.support()}
+    if covered != sup_labels:
+        raise LabelError(
+            f"decomposition covers {sorted(covered)} but ensemble support is {sorted(sup_labels)}"
+        )
+    ny = d.size
+    dim_c = e.dim_c * ny
+    items = []
+    for i in e.support():
+        it = e.items[i]
+        tag = basis_state(single("Y", ny), d.y_of(it.label))
+        sigma = PureStateVector(
+            single("C", dim_c), np.kron(it.sigma.amplitudes, tag.amplitudes), check=False
+        )
+        items.append(EnsembleItem(it.label, it.prob, it.psi, sigma))
+    return Ensemble(e.dim_a, dim_c, tuple(items))
+
+
+def entropy(m: DensityMatrix) -> float:
+    evs = np.clip(np.linalg.eigvalsh(m.entries), 0.0, None)
+    evs = evs[evs > 1e-300]
+    return float(-(evs * np.log2(evs)).sum())
+
+
+def dense_profile(e: Ensemble, d: Decomposition) -> dict:
+    """S_A, S_Y, S_CY, S_ACY and S_A_given_CY from rho_{A C Y} of the
+    Y-extended source, assembled as sum_x p_x |v_x><v_x| and reduced by
+    partial traces."""
+    ext = extend_with_y(e, d)
+    dims = (e.dim_a, e.dim_c, d.size)
+    rho = np.zeros((np.prod(dims),) * 2, dtype=complex)
+    for it in ext.items:
+        v = np.kron(it.psi.amplitudes, it.sigma.amplitudes)
+        rho += it.prob * np.outer(v, v.conj())
+    acy = DensityMatrix(SubsystemLayout(("A", "C", "Y"), dims), rho)
+    out = {
+        "S_A": entropy(partial_trace(acy, {"A"})),
+        "S_Y": entropy(partial_trace(acy, {"Y"})),
+        "S_CY": entropy(partial_trace(acy, {"C", "Y"})),
+        "S_ACY": entropy(acy),
+    }
+    out["S_A_given_CY"] = out["S_ACY"] - out["S_CY"]
+    return out
+
+
+def components(e: Ensemble, tol: float) -> list[set[str]]:
+    """Label sets of the connected parts of the joint-overlap graph, from a
+    pairwise loop and a union-find."""
+    sup = list(e.support())
+    parent = {i: i for i in sup}
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a in sup:
+        for b in sup:
+            if a < b and abs(np.vdot(e.joint_vector(a).amplitudes, e.joint_vector(b).amplitudes)) > tol:
+                parent[root(a)] = root(b)
+    groups = {}
+    for i in sup:
+        groups.setdefault(root(i), set()).add(e.items[i].label)
+    return sorted(groups.values(), key=min)

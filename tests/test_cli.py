@@ -115,6 +115,29 @@ class TestNonFiniteInput:
         assert "negative" not in err and "disagrees" not in err
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["decompose"],
+        ["rates"],
+        ["region", "--kind", "EQ"],
+        ["iepsilon", "--eps", "0"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out"
+        argv = [command[0], VISIBLE, *command[1:], "--tol", tol]
+        if command[0] != "validate":
+            argv += ["-o", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "--tol" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsage:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,23 +262,27 @@ class TestAnalysedOnce:
         assert calls == {"irreducible_components": 1, "entropy_profile": 1}
 
     def test_no_dense_acy_wall(self, tmp_path, capsys):
-        # visible, N = 48, dA = 4: a dense rho_ACY would have side
-        # 48 * 4 * 48 = 9216, beyond the default MATRIX_CAP
-        n, dim_a = 48, 4
-        assert n * dim_a * n > limits.MATRIX_CAP
-        rng = np.random.default_rng(4801)
-        states = rng.standard_normal((n, dim_a)) + 1j * rng.standard_normal((n, dim_a))
-        states /= np.linalg.norm(states, axis=1, keepdims=True)
-        path = tmp_path / "visible48.json"
-        save_ensemble(make_visible(states, rng.dirichlet(np.ones(n))), path)
-        code, out, err = run(["rates", str(path)], capsys)
-        assert code == 0, err
-        report = json.loads(out)
-        half_s_a = report["entropy_profile"]["S_A"] / 2
-        assert report["entropy_profile"]["num_components"] == n
-        for point in (report["rates"]["optimal"], report["rates"]["visible"]):
-            assert point["Q"] == pytest.approx(half_s_a, abs=1e-9)
-            assert point["E"] == pytest.approx(half_s_a, abs=1e-9)
+        # visible, dA = 4: a dense rho_ACY would have side N * 4 * N, and
+        # each component's A(x)C marginal side 4 * N; at N = 48 the first
+        # is beyond the default MATRIX_CAP, and with the cap at N = 256
+        # no matrix wider than the support may be diagonalised at all
+        dim_a = 4
+        for n, cap in ((48, None), (256, 256)):
+            assert n * dim_a * n > limits.MATRIX_CAP
+            rng = np.random.default_rng(4801 if n == 48 else 25601)
+            states = rng.standard_normal((n, dim_a)) + 1j * rng.standard_normal((n, dim_a))
+            states /= np.linalg.norm(states, axis=1, keepdims=True)
+            path = tmp_path / f"visible{n}.json"
+            save_ensemble(make_visible(states, rng.dirichlet(np.ones(n))), path)
+            caps = [] if cap is None else ["--matrix-cap", str(cap)]
+            code, out, err = run(["rates", str(path), *caps], capsys)
+            assert code == 0, err
+            report = json.loads(out)
+            half_s_a = report["entropy_profile"]["S_A"] / 2
+            assert report["entropy_profile"]["num_components"] == n
+            for point in (report["rates"]["optimal"], report["rates"]["visible"]):
+                assert point["Q"] == pytest.approx(half_s_a, abs=1e-9)
+                assert point["E"] == pytest.approx(half_s_a, abs=1e-9)
 
 
 class TestRegion:

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+from dense_oracle import extend_with_y
 from eacomp.decomposition import (
-    Decomposition,
-    extend_with_y,
     irreducible_components,
     is_irreducible,
     overlap_graph,
 )
 from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
 from eacomp.errors import LabelError
-from eacomp.rates import entropy_profile, optimal_rates
+from eacomp.rates import analyze, entropy_profile, optimal_rates
 from eacomp.states import PureStateVector, single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -75,6 +74,14 @@ class TestOverlapGraph:
         assert not overlap_graph(e, tol=1e-3)[1, 2]
         with pytest.raises(ValueError):
             overlap_graph(e, tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        e = sideinfo_triple()
+        checks = (overlap_graph, irreducible_components, analyze, Ensemble.is_blind, Ensemble.is_visible)
+        for check in checks:
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                check(e, tol)
 
 
 class TestComponents:
@@ -143,15 +150,6 @@ class TestComponents:
 
 
 class TestExtendWithY:
-    def test_dims_and_tag(self):
-        e = two_sector_blind()
-        d = irreducible_components(e)
-        ext = extend_with_y(e, d)
-        assert ext.dim_c == e.dim_c * d.size
-        # sigma of a component-1 item carries the |1> tag
-        sig = ext.items[2].sigma.amplitudes
-        np.testing.assert_allclose(sig, [0, 1], atol=1e-12)
-
     def test_rates_unchanged(self):
         # the component label is computable for free, so appending it to the
         # side information must not move any entropy the rates depend on
@@ -164,17 +162,6 @@ class TestExtendWithY:
         assert abs(p1.s_acy - p2.s_acy) < 1e-10
         r1, r2 = optimal_rates(e), optimal_rates(ext)
         assert abs(r1.q - r2.q) < 1e-10 and abs(r1.e - r2.e) < 1e-10
-
-    def test_zero_prob_dropped(self):
-        e = make_blind([[1, 0], [0, 1], PLUS], [0.6, 0.4, 0.0])
-        ext = extend_with_y(e, irreducible_components(e))
-        assert ext.size == 2
-
-    def test_mismatched_decomposition(self):
-        e = two_sector_blind()
-        other = irreducible_components(make_blind([[1, 0], [0, 1]], [0.5, 0.5]))
-        with pytest.raises(LabelError):
-            extend_with_y(e, other)
 
 
 class TestVisibleDecomposition:

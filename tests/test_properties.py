@@ -1,0 +1,135 @@
+"""Property tests of the source analysis on random sources.
+
+The sources mix blind, visible and general side information, include
+zero-probability items, and split A into sectors whose signals leak into
+the other sectors far below the overlap tolerance, so that components
+are separated by small but nonzero cross-component overlaps.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dense_oracle
+from eacomp.ensemble import Ensemble, EnsembleItem
+from eacomp.rates import analyze, optimal_rates
+from eacomp.states import PureStateVector, single
+
+TOL = 1e-6
+LEAK = 1e-9
+
+
+def unit(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def sources(draw):
+    kind = draw(st.sampled_from(["blind", "same_sigma", "visible", "general"]))
+    sectors = draw(st.integers(1, 3))
+    sector_dim = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    # signals drawn from |0>, |1>, |+> of their sector overlap in chains
+    # (|0> - |+> - |1>) rather than all pairwise
+    chained = draw(st.booleans())
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    probs = rng.dirichlet(np.ones(n))
+    probs[np.array(zero)] = 0.0
+    if not probs.any():
+        probs[0] = 1.0
+    probs /= probs.sum()
+
+    dim_a = sectors * sector_dim
+    dim_c = {"blind": 1, "same_sigma": 2, "visible": n, "general": draw(st.integers(1, 3))}[kind]
+    shared_sigma = unit(rng, dim_c)
+    items = []
+    for x in range(n):
+        s = int(rng.integers(sectors))
+        psi = LEAK * unit(rng, dim_a)
+        if chained:
+            part = np.vstack([np.eye(sector_dim), np.ones(sector_dim)])[rng.integers(sector_dim + 1)]
+            part = np.exp(2j * np.pi * rng.random()) * part / np.linalg.norm(part)
+        else:
+            part = unit(rng, sector_dim)
+        psi[s * sector_dim:(s + 1) * sector_dim] += part
+        if kind == "visible":
+            sigma = np.eye(n)[x]
+        elif kind == "general":
+            sigma = unit(rng, dim_c)
+        else:
+            sigma = np.exp(2j * np.pi * rng.random()) * shared_sigma
+        items.append(
+            EnsembleItem(
+                f"s{x}",
+                float(probs[x]),
+                PureStateVector(single("A", dim_a), psi / np.linalg.norm(psi)),
+                PureStateVector(single("C", dim_c), sigma),
+            )
+        )
+    return Ensemble(dim_a, dim_c, tuple(items))
+
+
+def label_sets(a):
+    return [set(c.labels) for c in a.decomposition.components]
+
+
+@given(sources())
+def test_profile_matches_dense_oracle(e):
+    a = analyze(e, TOL)
+    assert label_sets(a) == dense_oracle.components(e, TOL)
+    want = dense_oracle.dense_profile(e, a.decomposition)
+    p = a.profile
+    got = {"S_A": p.s_a, "S_Y": p.s_y, "S_CY": p.s_cy, "S_ACY": p.s_acy,
+           "S_A_given_CY": p.s_a_given_cy}
+    for name, value in got.items():
+        assert value == pytest.approx(want[name], abs=1e-10), name
+    assert p.s_acy_direct == pytest.approx(want["S_ACY"], abs=1e-10)
+
+
+def moved(e, rng, how):
+    """e with its items permuted, global phases on psi_x and sigma_x, or
+    U_A (x) U_C applied to every signal."""
+    order = rng.permutation(e.size) if how == "permute" else range(e.size)
+    u_a = haar_unitary(rng, e.dim_a) if how == "unitary" else np.eye(e.dim_a)
+    u_c = haar_unitary(rng, e.dim_c) if how == "unitary" else np.eye(e.dim_c)
+    items = []
+    for i in order:
+        it = e.items[i]
+        ph_a, ph_c = np.exp(2j * np.pi * rng.random(2)) if how == "phase" else (1.0, 1.0)
+        items.append(
+            EnsembleItem(
+                it.label,
+                it.prob,
+                PureStateVector(single("A", e.dim_a), ph_a * (u_a @ it.psi.amplitudes)),
+                PureStateVector(single("C", e.dim_c), ph_c * (u_c @ it.sigma.amplitudes)),
+            )
+        )
+    return Ensemble(e.dim_a, e.dim_c, tuple(items))
+
+
+@pytest.mark.parametrize("how", ["permute", "phase", "unitary"])
+@given(e=sources(), seed=st.integers(0, 2**32 - 1))
+def test_invariances(how, e, seed):
+    a = analyze(e, TOL)
+    b = analyze(moved(e, np.random.default_rng(seed), how), TOL)
+    for name in ("s_a", "s_y", "s_cy", "s_acy"):
+        assert getattr(b.profile, name) == pytest.approx(getattr(a.profile, name), abs=1e-9), name
+    assert (b.blind, b.visible) == (a.blind, a.visible)
+    assert label_sets(b) == label_sets(a)
+
+
+@given(sources())
+def test_rate_bounds(e):
+    a = analyze(e, TOL)
+    r = optimal_rates(a)
+    assert -1e-9 <= r.q <= a.profile.s_a + 1e-9
+    assert r.e >= -1e-9

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,18 +336,78 @@ class TestConsistencyGuard:
     def test_block_vs_direct_disagreement_raises(self, monkeypatch):
         import eacomp.rates as rates_mod
 
-        # poison the Gram path only; the guard must notice
+        # poison the direct S(ACY) path only; the guard must notice. Block
+        # Gram matrices share its "X" layout, so the poisoned matrix is
+        # recognised as the one gram_matrix returned.
         real = rates_mod.von_neumann_entropy
+        real_gram = rates_mod.gram_matrix
+        direct = []
         calls = {"n": 0}
+
+        def recorded(e, d):
+            direct.append(real_gram(e, d))
+            return direct[-1]
 
         def crooked(m):
             v = real(m)
-            if m.layout.labels == ("X",):
+            if any(m is g for g in direct):
                 calls["n"] += 1
                 return v + 1e-3
             return v
 
+        monkeypatch.setattr(rates_mod, "gram_matrix", recorded)
         monkeypatch.setattr(rates_mod, "von_neumann_entropy", crooked)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"S\(ACY\)") as exc:
             entropy_profile(sideinfo_triple(0.05))
+        assert "S(CY)" not in str(exc.value)
         assert calls["n"] == 1
+
+    @staticmethod
+    def mutate_first_component(monkeypatch, mutate):
+        """Make the decomposition entropy_profile computes hand back its
+        first component rewritten by mutate(component)."""
+        import eacomp.rates as rates_mod
+
+        real = rates_mod.irreducible_components
+
+        def mutated(e, tol):
+            d = real(e, tol)
+            return replace(d, components=(mutate(d.components[0]),) + d.components[1:])
+
+        monkeypatch.setattr(rates_mod, "irreducible_components", mutated)
+
+    @pytest.mark.parametrize("source", ["two_sectors", "triple", "visible"])
+    def test_wrong_component_weight_raises_both(self, monkeypatch, source):
+        self.mutate_first_component(monkeypatch, lambda c: replace(c, weight=c.weight * 0.9))
+        with pytest.raises(ConsistencyError) as exc:
+            entropy_profile(GUARD_SOURCES[source]())
+        assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
+
+    @pytest.mark.parametrize("source", ["two_sectors", "triple", "visible"])
+    def test_wrong_renormalisation_raises_both(self, monkeypatch, source):
+        def unnormalised(c):
+            # conditional probabilities summing to 0.9 instead of 1
+            items = tuple(replace(it, prob=it.prob * 0.9) for it in c.sub_ensemble.items)
+            return replace(c, sub_ensemble=replace(c.sub_ensemble, items=items))
+
+        self.mutate_first_component(monkeypatch, unnormalised)
+        with pytest.raises(ConsistencyError) as exc:
+            entropy_profile(GUARD_SOURCES[source]())
+        assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
+
+    def test_unmutated_sources_pass(self):
+        for make in GUARD_SOURCES.values():
+            entropy_profile(make())
+
+
+def two_sectors_with_side_information():
+    # sectors {|0>,|1>} and {|2>,|3>} on A, random qubit side information
+    rng = np.random.default_rng(3401)
+    return near_orthogonal_sectors(rng, leak=0.0)
+
+
+GUARD_SOURCES = {
+    "two_sectors": two_sectors_with_side_information,
+    "triple": lambda: sideinfo_triple(0.05),
+    "visible": lambda: make_visible([[1, 0], PLUS, [0, 1]], [0.3, 0.4, 0.3]),
+}
