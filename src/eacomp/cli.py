@@ -192,7 +192,7 @@ def cmd_iepsilon(args) -> int:
         ]
         report["lemma_checks"] = lemma.to_json()
     else:
-        ests = estimate_grid(e, eps_grid, config)
+        ests = estimate_grid(a, eps_grid, config)
         report["estimates"] = [est.to_json() for est in ests]
     _emit(_dump_json(report), args.output)
     return 0

@@ -3,7 +3,8 @@
 Two signals belong to the same piece when their joint states on A (x) C
 overlap, directly or through a chain of overlapping signals: the graph
 is |<psi_x|psi_x'>| |<sigma_x|sigma_x'>| > tol on the two overlap
-matrices (`Ensemble.overlaps`), grown a whole frontier at a time. The rate
+matrices (`Ensemble.overlaps`), split by propagating the least index
+along its edges until every part carries one label. The rate
 formulas condition on the resulting component index Y, which is the
 finest classical information any protocol can extract for free.
 
@@ -13,13 +14,14 @@ to any rate and their conditional ensembles would be ill defined.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .ensemble import Ensemble, Overlaps, check_tolerance
-from .errors import LabelError
+from .errors import ConsistencyError, LabelError
 
 DEFAULT_OVERLAP_TOL = 1e-10
 
@@ -43,17 +45,24 @@ def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
     return adj
 
 
+def _part_labels(link: np.ndarray) -> np.ndarray:
+    """The smallest index in each node's connected part of a symmetric
+    adjacency: every label falls to its least neighbour's label, then to
+    its own label's label, until nothing changes."""
+    n = len(link)
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(link, labels, n).min(axis=1, initial=n))
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
 def _connected_parts(link: np.ndarray) -> list[np.ndarray]:
     """Connected parts of a symmetric adjacency, each as ascending indices."""
-    parts, unseen = [], np.ones(len(link), dtype=bool)
-    while unseen.any():
-        member = frontier = np.arange(len(link)) == np.argmax(unseen)
-        while frontier.any():
-            frontier = link[frontier].any(axis=0) & ~member
-            member = member | frontier
-        unseen &= ~member
-        parts.append(np.flatnonzero(member))
-    return parts
+    labels = _part_labels(link)
+    return [np.flatnonzero(labels == r) for r in np.flatnonzero(labels == np.arange(len(labels)))]
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,10 @@ class Decomposition:
         except KeyError:
             raise LabelError(f"label {label!r} not covered by any component") from None
 
+    def support_ys(self, e: Ensemble) -> np.ndarray:
+        """The component index y of each support item of e, in support order."""
+        return np.array([self.y_of(e.items[i].label) for i in e.overlaps.support], dtype=int)
+
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
@@ -120,6 +133,30 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
             Component(y, tuple(e.items[i].label for i in group), weight, Ensemble(e.dim_a, e.dim_c, items))
         )
     return Decomposition(tuple(comps), tol)
+
+
+def check_components(e: Ensemble, d: Decomposition):
+    """Raise ConsistencyError unless d is the component structure of e's
+    overlap graph at d's tolerance: no edge joins two components, and
+    each component is one connected part."""
+    ov, ys = e.overlaps, d.support_ys(e)
+    link = _support_graph(ov, d.tolerance)
+    cross = link & (ys[:, None] != ys[None, :])
+    if cross.any():
+        i, j = np.argwhere(cross)[0]
+        raise ConsistencyError(
+            f"decomposition does not match the overlap graph: items {e.items[ov.support[i]].label!r} "
+            f"(y={ys[i]}) and {e.items[ov.support[j]].label!r} (y={ys[j]}) overlap above the "
+            f"tolerance {d.tolerance} across components"
+        )
+    labels = _part_labels(link)
+    parts = Counter(ys[labels == np.arange(len(ys))].tolist())  # one root per part
+    for c in d.components:
+        if parts[c.y] != 1:
+            raise ConsistencyError(
+                f"decomposition does not match the overlap graph: component y={c.y} "
+                f"covers {parts[c.y]} connected parts of it, not one"
+            )
 
 
 def is_irreducible(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> bool:

@@ -36,7 +36,12 @@ from functools import reduce
 
 import numpy as np
 
-from .decomposition import DEFAULT_OVERLAP_TOL, Decomposition, irreducible_components
+from .decomposition import (
+    DEFAULT_OVERLAP_TOL,
+    Decomposition,
+    check_components,
+    irreducible_components,
+)
 from .ensemble import Ensemble
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
 from .states import DensityMatrix, entropy_from_probs, single, von_neumann_entropy
@@ -85,7 +90,7 @@ def _y_masked_gram(e: Ensemble, d: Decomposition, *overlaps: np.ndarray) -> Dens
     """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
     row per support item (layout "X")."""
     amp = np.sqrt(e.overlaps.probs)
-    ys = np.array([d.y_of(e.items[i].label) for i in e.overlaps.support])
+    ys = d.support_ys(e)
     gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
     return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
 
@@ -103,8 +108,14 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
 def entropy_profile(
     e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL, decomposition: Decomposition | None = None
 ) -> EntropyProfile:
-    """Entropy profile of e; pass the decomposition of e at tol to reuse it."""
+    """Entropy profile of e; pass the decomposition of e at tol to reuse it.
+
+    The decomposition is checked against e's overlap graph at its own
+    tolerance first: the block and direct paths below share its label ->
+    y map, so neither could see a merged or split component.
+    """
     d = irreducible_components(e, tol) if decomposition is None else decomposition
+    check_components(e, d)
     ov = e.overlaps
     q = d.weights
     s_y = entropy_from_probs(q)
@@ -217,13 +228,32 @@ def optimal_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
 
 
 def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoint:
+    """point, unless it disagrees with the general formula.
+
+    A disagreement is a bug when the source is blind (visible) and its
+    components are separate at the strict default tolerance. Otherwise
+    the user's looser tolerance made the specialization apply to a source
+    whose entropies still see distinct side information or overlapping
+    components, and that is reported as such.
+    """
     general = optimal_rates(a)
-    if abs(point.q - general.q) > CROSS_CHECK_ATOL or abs(point.e - general.e) > CROSS_CHECK_ATOL:
+    if abs(point.q - general.q) <= CROSS_CHECK_ATOL and abs(point.e - general.e) <= CROSS_CHECK_ATOL:
+        return point
+    e, ov = a.source, a.source.overlaps
+    ys = a.decomposition.support_ys(e)
+    cross = np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) * (ys[:, None] != ys[None, :])
+    strict = e.is_blind() if kind == "blind" else e.is_visible()
+    if strict and not (cross > DEFAULT_OVERLAP_TOL).any():
         raise ConsistencyError(
             f"{kind} specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
             f"general formula (Q={general.q!r}, E={general.e!r})"
         )
-    return point
+    raise EacompError(
+        f"{kind} rates (Q={point.q!r}, E={point.e!r}) differ from the general ones "
+        f"(Q={general.q!r}, E={general.e!r}): the overlap tolerance {a.decomposition.tolerance} "
+        f"(--tol) treats distinct side information as one state or overlapping signals as "
+        f"separate components; use a smaller --tol"
+    )
 
 
 def _require_blind(a: Analysis):

@@ -7,13 +7,16 @@ subprocess tests confirm the installed console script works at all.
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eacomp import (
+    analyze,
     apply_product_unitary,
+    blind_rates,
     cli,
     cnot_unitary,
     entropy_profile,
@@ -24,6 +27,7 @@ from eacomp import (
     optimal_rates,
     save_ensemble,
 )
+from eacomp.errors import ConsistencyError, EacompError
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BLIND = str(DATA / "blind_pair.json")
@@ -136,6 +140,33 @@ class TestTolerance:
         assert "--tol" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("path, tol", [(TRIPLE, "0.5"), (TRIPLE, "2"), (VISIBLE, "2"), (BLIND, "2")],
+                             ids=["triple-0.5", "triple-2", "visible-2", "blind-2"])
+    def test_loose_tolerance_is_input_error(self, capsys, path, tol):
+        # the sigmas of TRIPLE and VISIBLE are one state only within tol, and
+        # at tol 2 the overlapping signals of BLIND are separate components:
+        # the blind rates then differ from the general ones, but no internal
+        # computation disagrees with another
+        code, out, err = run(["rates", path, "--tol", tol], capsys)
+        assert code == 1 and out == ""
+        assert "--tol" in err and "disagrees" not in err and "Traceback" not in err
+        with pytest.raises(EacompError) as exc:
+            blind_rates(analyze(load_ensemble(path), float(tol)))
+        assert not isinstance(exc.value, ConsistencyError)
+
+    def test_strict_disagreement_is_consistency_error(self, monkeypatch, capsys):
+        from eacomp import rates
+
+        real = rates.optimal_rates
+        monkeypatch.setattr(rates, "optimal_rates", lambda a: replace(real(a), q=real(a).q + 1e-3))
+        code, out, err = run(["rates", BLIND], capsys)
+        assert code == 1 and out == ""
+        assert "blind specialization" in err and "disagrees with general formula" in err
+        assert "--tol" not in err
+        with pytest.raises(ConsistencyError):
+            blind_rates(analyze(load_ensemble(BLIND)))
 
 
 class TestUsage:

@@ -1,0 +1,123 @@
+"""Fuzz the command line with malformed ensemble files.
+
+Each example mutates one of data/*.json: keys dropped, values replaced by
+ones of the wrong type or shape, numbers replaced by NaN or +-Infinity
+literals, list items duplicated, the text truncated. validate, rates and
+simulate must each exit 0, 1 or 2 without an uncaught exception, and
+never exit 0 with a non-finite number in their output.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from eacomp import cli
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+FILES = {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
+
+COMMANDS = (
+    ["validate"],
+    ["rates"],
+    ["simulate", "--rate", "0.8", "--n", "1,2"],
+)
+
+WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -0.0, 10**400]),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+    st.lists(st.floats(-2, 2), max_size=3),
+    st.just([[1.0, 0.0]]),
+    st.just([[math.nan, 0.0], [0.0, math.inf]]),
+)
+
+
+def node_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, prefix + (key,))
+
+
+def numeric_paths(doc):
+    return [p for p in node_paths(doc) if _is_number(_get(doc, p))]
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_files(draw):
+    doc = copy.deepcopy(FILES[draw(st.sampled_from(sorted(FILES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "retype", "nonfinite", "duplicate"]))
+        numbers = numeric_paths(doc)
+        if how == "nonfinite" and numbers:
+            path, value = draw(st.sampled_from(numbers)), draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            path, value = draw(st.sampled_from(list(node_paths(doc)))), draw(WRONG)
+        if not path:
+            doc = value
+            continue
+        parent, key = _get(doc, path[:-1]), path[-1]
+        if how == "drop":
+            del parent[key]
+        elif how == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = value
+    text = json.dumps(doc)  # non-finite floats become NaN / Infinity literals
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite literal {name} in the output")
+
+
+def assert_finite_output(command, out):
+    if command == "rates":
+        json.loads(out, parse_constant=_reject_constant)
+    elif command == "simulate":
+        for line in out.splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), line
+    else:
+        assert out.startswith("ok: ")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(text=mutated_files())
+def test_malformed_files_never_crash(workdir, text):
+    path = workdir / "source.json"
+    path.write_text(text)
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 2), (command, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert_finite_output(command[0], out.getvalue())

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eacomp import _accel
+from eacomp import _accel, iepsilon
 from eacomp._accel import unitary_objective
-from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
-from eacomp.errors import EacompError, IsometryError
+from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
+from eacomp.errors import ConsistencyError, EacompError, IsometryError
 from eacomp.iepsilon import (
     IsometrySearchConfig,
     check_lemma_properties,
@@ -14,7 +18,10 @@ from eacomp.iepsilon import (
     identity_isometry,
     objective,
 )
-from eacomp.states import PureStateVector, single
+from eacomp.rates import analyze
+from eacomp.states import PureStateVector, entropy_from_probs, single
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -218,6 +225,90 @@ class TestEstimator:
         assert est.value > 0.5
 
 
+@st.composite
+def multi_sector_sources(draw):
+    """Blind or side-information sources of 2-3 components: each signal
+    lies in one of mutually orthogonal sectors of A, so S(C) < S(CY)
+    whenever the side information does not already tell them apart."""
+    sectors = draw(st.integers(2, 3))
+    sector_dim = draw(st.integers(1, 2))
+    dim_c = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(sectors, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.dirichlet(np.ones(n))
+    home = np.concatenate([np.arange(sectors), rng.integers(sectors, size=n - sectors)])
+    items = []
+    for x in range(n):
+        psi = np.zeros(sectors * sector_dim, dtype=complex)
+        part = rng.standard_normal(sector_dim) + 1j * rng.standard_normal(sector_dim)
+        psi[home[x] * sector_dim:(home[x] + 1) * sector_dim] = part / np.linalg.norm(part)
+        sigma = rng.standard_normal(dim_c) + 1j * rng.standard_normal(dim_c)
+        items.append(
+            EnsembleItem(
+                f"s{x}",
+                float(probs[x]),
+                PureStateVector(single("A", len(psi)), psi),
+                PureStateVector(single("C", dim_c), sigma / np.linalg.norm(sigma)),
+            )
+        )
+    return Ensemble(sectors * sector_dim, dim_c, tuple(items))
+
+
+class TestCeilingsAndWitness:
+    def test_blind_two_sectors_certifies_s_cy_at_zero(self):
+        a = analyze(load_ensemble(DATA / "blind_two_sectors.json"))
+        est = estimate_i_epsilon(a, 0.0)
+        assert a.profile.s_cy > 0.9
+        assert abs(est.value - a.profile.s_cy) <= 1e-12
+        assert est.fidelity >= 1.0 - 1e-9
+        assert est.evaluations == 2  # the identity, then the witness
+        assert not est.fallback_identity
+
+    @settings(max_examples=30)
+    @given(multi_sector_sources())
+    def test_estimate_never_below_s_cy(self, e):
+        a = analyze(e)
+        cfg = IsometrySearchConfig(restarts=2, max_iters=5, env_cap=4)
+        for est in estimate_grid(e, [0.0, 0.05, 0.2], cfg):
+            assert est.value >= a.profile.s_cy - 1e-9, est.eps
+            assert est.fidelity >= 1.0 - est.eps - 1e-9
+
+    def test_visible_pair_stops_at_h_x(self):
+        a = analyze(load_ensemble(DATA / "visible_pair.json"))
+        est = estimate_i_epsilon(a, 0.1)
+        assert est.evaluations == 1
+        assert len(est.restart_values) == 1
+        assert abs(est.value - a.profile.h_x) <= 1e-9
+
+    def test_stop_keeps_dense_verification(self, monkeypatch):
+        a = analyze(load_ensemble(DATA / "visible_pair.json"))
+        real = iepsilon.objective
+        monkeypatch.setattr(
+            iepsilon, "objective", lambda e, v: (real(e, v)[0] - 1e-6, real(e, v)[1])
+        )
+        with pytest.raises(ConsistencyError, match="disagree"):
+            estimate_i_epsilon(a, 0.1)
+
+    def test_witness_coarse_grains_y_into_env_dim_groups(self):
+        # three orthogonal signals, |W| = 2: groups {0, 2} and {1}
+        probs = [0.2, 0.3, 0.5]
+        e = make_blind(np.eye(3), probs)
+        est = estimate_i_epsilon(e, 0.0, IsometrySearchConfig(restarts=1, env_dim=2))
+        assert abs(est.value - entropy_from_probs(np.array([0.7, 0.3]))) <= 1e-12
+        assert est.fidelity >= 1.0 - 1e-9
+
+    def test_witness_orthogonalises_near_orthogonal_components(self):
+        # the two components overlap by 1e-12, below the tolerance: the
+        # witness still keeps the signals and extracts the component bit
+        leak = 1e-12
+        e = make_blind([[1, 0], [leak, np.sqrt(1 - leak**2)]], [0.5, 0.5])
+        a = analyze(e)
+        assert a.decomposition.size == 2
+        est = estimate_i_epsilon(a, 0.0)
+        assert abs(est.value - 1.0) <= 1e-9
+        assert est.fidelity >= 1.0 - 1e-9
+
+
 class TestGrid:
     def test_monotone_chain(self):
         e = blind_pair()
@@ -228,11 +319,12 @@ class TestGrid:
         assert values[-1] > 0.1  # something real is extracted at eps = 0.2
 
     def test_search_trajectory_is_pinned(self):
-        # recorded from the search when every evaluation diagonalised H
-        # and formed all of exp(iH); a kernel change that moves one step
-        # of the search moves these numbers
+        # eps = 0 ends at the identity start, whose I(X:C) is S(CY) here;
+        # eps = 0.1 is the walk recorded when every evaluation
+        # diagonalised H and formed all of exp(iH): a kernel change that
+        # moves one step of the search moves these numbers
         ests = estimate_grid(sideinfo_triple(), [0.0, 0.1], FAST)
-        assert [est.evaluations for est in ests] == [133, 125]
+        assert [est.evaluations for est in ests] == [1, 125]
         for est, value, fid in zip(
             ests, [0.27451479891986763, 0.444205423503934], [1.0, 0.9757720431356492]
         ):
@@ -254,6 +346,12 @@ class TestLemmaReport:
         assert rep.pair_estimate_at_zero <= 2 * rep.ceiling + 1e-3
         j = rep.to_json()
         assert j["estimates"] == list(rep.estimates)
+
+    def test_two_sector_pair_reaches_doubled_ceiling(self):
+        rep = check_lemma_properties(load_ensemble(DATA / "blind_two_sectors.json"), [0.0], FAST)
+        assert abs(rep.estimates[0] - rep.ceiling) <= 1e-12
+        assert abs(rep.pair_estimate_at_zero - 2 * rep.ceiling) <= 1e-9
+        assert rep.ceiling_at_zero_ok and rep.subadditive_ok
 
     def test_triple_report(self):
         rep = check_lemma_properties(sideinfo_triple(), [0.0, 0.1], FAST)

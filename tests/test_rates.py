@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eacomp.decomposition import irreducible_components
-from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
+from eacomp.decomposition import Component, irreducible_components
+from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
 from eacomp.rates import (
     RatePoint,
@@ -21,6 +22,7 @@ from eacomp.rates import (
 from eacomp.states import PureStateVector, single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # frozen reference values from a standalone 2x2/4x4 eigendecomposition
 # oracle, computed before this module existed
@@ -394,6 +396,27 @@ class TestConsistencyGuard:
         with pytest.raises(ConsistencyError) as exc:
             entropy_profile(GUARD_SOURCES[source]())
         assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
+
+    @staticmethod
+    def two_sectors_file():
+        e = load_ensemble(DATA / "blind_two_sectors.json")
+        d = irreducible_components(e)
+        assert [c.labels for c in d.components] == [("a0", "a1"), ("b0", "b1")]
+        return e, d
+
+    def test_merged_components_raise(self):
+        # one component over both sectors: S(Y) would read 0 and Q 1.572
+        e, d = self.two_sectors_file()
+        merged = Component(0, e.labels, 1.0, e)
+        with pytest.raises(ConsistencyError, match="y=0 covers 2 connected parts"):
+            entropy_profile(e, decomposition=replace(d, components=(merged,)))
+
+    def test_split_component_raises(self):
+        e, d = self.two_sectors_file()
+        a, b = d.components
+        halves = (replace(a, labels=("a0",)), replace(b, y=1), replace(a, y=2, labels=("a1",)))
+        with pytest.raises(ConsistencyError, match=r"'a0' \(y=0\) and 'a1' \(y=2\) overlap"):
+            entropy_profile(e, decomposition=replace(d, components=halves))
 
     def test_unmutated_sources_pass(self):
         for make in GUARD_SOURCES.values():
