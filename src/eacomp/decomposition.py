@@ -135,13 +135,26 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     return Decomposition(tuple(comps), tol)
 
 
+def _links(e: Ensemble, d: Decomposition, tol: float):
+    """The component index of each support item of e, the overlap graph
+    at tol over them, and the edges of that graph that join two of d's
+    components."""
+    ys = d.support_ys(e)
+    link = _support_graph(e.overlaps, tol)
+    return ys, link, link & (ys[:, None] != ys[None, :])
+
+
+def overlaps_across_components(e: Ensemble, d: Decomposition, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
+    """True when a joint overlap above tol joins two of d's components."""
+    return bool(_links(e, d, tol)[2].any())
+
+
 def check_components(e: Ensemble, d: Decomposition):
     """Raise ConsistencyError unless d is the component structure of e's
     overlap graph at d's tolerance: no edge joins two components, and
     each component is one connected part."""
-    ov, ys = e.overlaps, d.support_ys(e)
-    link = _support_graph(ov, d.tolerance)
-    cross = link & (ys[:, None] != ys[None, :])
+    ov = e.overlaps
+    ys, link, cross = _links(e, d, d.tolerance)
     if cross.any():
         i, j = np.argwhere(cross)[0]
         raise ConsistencyError(

@@ -24,7 +24,8 @@ at I(X : C) or above; the reversible extraction of the component index
 Y, V = sum_y P_y (x) |y>_W with P_y the projector onto the A(x)C span of
 component y, which keeps every signal intact and extracts S(CY) (a
 coarse-graining of Y when there are more components than |W|); the warm
-starts; random generators. Every start is scored before any is walked.
+starts, less a copy of the witness; random generators. Every start is
+scored before any is walked.
 The search ends as soon as a feasible candidate reaches a proven
 ceiling, less 1e-9: S(CY) at eps = 0, which no lossless extraction can
 beat, and H(X) above it, since I(X : C W') <= H(X) always.
@@ -66,12 +67,15 @@ VERIFY_ATOL = 1e-8
 class IsometrySearchConfig:
     """Knobs of the random-direction search. All defaults are deterministic.
 
-    restarts counts search starts in total. Start 0 is always the zero
-    generator (identity channel); the reversible-extraction witness comes
-    next when the source has more than one component, then the warm
-    starts; random starts fill the remainder. All starts are scored
-    before any is walked, and the search stops at the first feasible
-    candidate within 1e-9 of its ceiling: S(CY) at eps = 0, H(X) above.
+    restarts counts every search start but the witness. Start 0 is
+    always the zero generator (identity channel); the reversible-
+    extraction witness comes next when the source has more than one
+    component, on top of restarts; then the warm starts, less any equal
+    to the witness; random starts fill the remainder. So restarts = 1
+    runs the identity and, on a source with several components, the
+    witness. All starts are scored before any is walked, and the search
+    stops at the first feasible candidate within 1e-9 of its ceiling:
+    S(CY) at eps = 0, H(X) above.
     env_dim pins |W|; left unset it defaults to min((dimA*dimC)^2,
     env_cap).
     """
@@ -264,16 +268,16 @@ def estimate_i_epsilon(
     eps: float,
     config: IsometrySearchConfig = IsometrySearchConfig(),
     warm_starts: tuple[np.ndarray, ...] = (),
-    tol: float = DEFAULT_OVERLAP_TOL,
 ) -> IEpsilonEstimate:
     """Best certified value found by the multi-start search at one eps.
 
-    src is an ensemble or its analysis; the witness start and both
-    ceilings come from the analysis. warm_starts are extra Hermitian
-    generators to seed from (estimate_grid passes the previous optimum
-    so estimates grow with eps).
+    src is an ensemble or its analysis (pass analyze(e, tol) for another
+    overlap tolerance); the witness start and both ceilings come from
+    the analysis. warm_starts are extra Hermitian generators to seed
+    from (estimate_grid passes the previous optimum so estimates grow
+    with eps).
     """
-    return _search(_target(analyze(src, tol)), eps, config, warm_starts)
+    return _search(_target(analyze(src)), eps, config, warm_starts)
 
 
 def _search(
@@ -331,11 +335,14 @@ def _search(
         return False
 
     starts = [np.zeros((dim, dim), dtype=np.complex128)]
+    warm = [np.asarray(w, dtype=np.complex128) for w in warm_starts]
     witness = _witness(t, env_dim)
     if witness is not None:
         starts.append(witness)
-    starts.extend(np.asarray(w, dtype=np.complex128) for w in warm_starts)
-    for r in range(config.restarts - len(starts)):
+        # estimate_grid passes the witness back whenever it was the optimum
+        warm = [w for w in warm if not np.array_equal(w, witness)]
+    starts.extend(warm)
+    for r in range(config.restarts - 1 - len(warm)):
         rng = np.random.default_rng([config.seed, 1000 + r])
         starts.append(_random_hermitian(rng, dim) * (0.5 + r))
 
@@ -383,7 +390,6 @@ def estimate_grid(
     src,
     eps_grid,
     config: IsometrySearchConfig = IsometrySearchConfig(),
-    tol: float = DEFAULT_OVERLAP_TOL,
 ) -> list[IEpsilonEstimate]:
     """Estimates along an ascending eps grid, warm-starting each point
     with the previous optimum so the reported curve is non-decreasing.
@@ -391,7 +397,7 @@ def estimate_grid(
     eps_grid = [float(x) for x in eps_grid]
     if any(b < a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError(f"eps grid must be sorted ascending, got {eps_grid}")
-    a = analyze(src, tol)
+    a = analyze(src)
     out = []
     warm: tuple[np.ndarray, ...] = ()
     for eps in eps_grid:

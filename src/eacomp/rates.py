@@ -41,6 +41,7 @@ from .decomposition import (
     Decomposition,
     check_components,
     irreducible_components,
+    overlaps_across_components,
 )
 from .ensemble import Ensemble
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
@@ -230,20 +231,19 @@ def optimal_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
 def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoint:
     """point, unless it disagrees with the general formula.
 
-    A disagreement is a bug when the source is blind (visible) and its
-    components are separate at the strict default tolerance. Otherwise
-    the user's looser tolerance made the specialization apply to a source
-    whose entropies still see distinct side information or overlapping
-    components, and that is reported as such.
+    A disagreement is a bug when the source is blind (visible) and no
+    joint overlap above the strict default tolerance joins two of its
+    components. Otherwise the user's looser tolerance made the
+    specialization apply to a source whose entropies still see distinct
+    side information or overlapping components, and that is reported as
+    such.
     """
     general = optimal_rates(a)
     if abs(point.q - general.q) <= CROSS_CHECK_ATOL and abs(point.e - general.e) <= CROSS_CHECK_ATOL:
         return point
-    e, ov = a.source, a.source.overlaps
-    ys = a.decomposition.support_ys(e)
-    cross = np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) * (ys[:, None] != ys[None, :])
+    e = a.source
     strict = e.is_blind() if kind == "blind" else e.is_visible()
-    if strict and not (cross > DEFAULT_OVERLAP_TOL).any():
+    if strict and not overlaps_across_components(e, a.decomposition):
         raise ConsistencyError(
             f"{kind} specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
             f"general formula (Q={general.q!r}, E={general.e!r})"
@@ -264,7 +264,10 @@ def _require_blind(a: Analysis):
 def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """No side information: Q = S(A) - S(Y)/2, E = S(Y)/2.
 
-    Cross-checked against the general formula; disagreement is a bug.
+    Cross-checked against the general formula. A disagreement is a
+    ConsistencyError (a bug) when the source is blind with separate
+    components at the strict default tolerance; when it is blind only
+    within a looser tol, it is an EacompError naming --tol.
     """
     a = analyze(src, tol)
     _require_blind(a)
@@ -274,7 +277,12 @@ def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
 
 
 def visible_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
-    """Side information identifies the signal: Q = E = S(A)/2."""
+    """Side information identifies the signal: Q = E = S(A)/2.
+
+    Cross-checked against the general formula as blind_rates is: a bug
+    at the strict default tolerance, an EacompError naming --tol when
+    the source is visible only within a looser tol.
+    """
     a = analyze(src, tol)
     if not a.visible:
         raise EacompError("side information does not identify the signal; visible formulas do not apply")

@@ -308,6 +308,16 @@ class TestCeilingsAndWitness:
         assert abs(est.value - 1.0) <= 1e-9
         assert est.fidelity >= 1.0 - 1e-9
 
+    def test_witness_is_not_a_restart(self):
+        # restarts counts the identity, warm and random starts; the warm
+        # start that repeats the eps = 0 witness is dropped, so two random
+        # starts keep their places
+        a = analyze(load_ensemble(DATA / "blind_two_sectors.json"))
+        cfg = IsometrySearchConfig(restarts=3, max_iters=5)
+        at_zero, above = estimate_grid(a, [0.0, 0.05], cfg)
+        assert not at_zero.fallback_identity
+        assert len(above.restart_values) == 4  # identity, witness, two random
+
 
 class TestGrid:
     def test_monotone_chain(self):
