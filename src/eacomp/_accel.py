@@ -4,13 +4,12 @@ Kernels:
   block_fidelity     expected decoding fidelity of a projective code,
                      enumerated exactly over classical sequences
   unitary_objective  mutual information and average fidelity of the
-                     channel induced by exp(iH) restricted to the input
-                     block (W-major output ordering, environment first).
-                     Only the signal vectors are evolved: by a scaled
-                     Taylor series of exp(iH) for generators of side
-                     TAYLOR_MIN_DIM and more, by eigh below. Both
+                     channel of an isometry V (W-major output ordering,
+                     environment first), and on request their gradients
+                     in V. One product V phi_x per signal; both
                      entropies come from the spectra of small Gram
-                     matrices, never from the C W marginals themselves.
+                     matrices, never from the C W marginals themselves,
+                     and the entropy gradients from their eigenvectors.
 """
 
 from __future__ import annotations
@@ -78,90 +77,57 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# unitary_objective: h is a (dim, dim) Hermitian generator with
-# dim = dw * da * dc; the candidate isometry is the first da*dc columns of
-# exp(iH), mapping the joint input onto environment-major output indices
-# w * (da * dc) + a * dc + c. phis holds the joint input vectors padded
-# with zeros to length dim, one row per positive-probability signal.
-# Returns (I(X : C W') in bits, average fidelity on A C).
-
-# Below this generator side one eigh, applied to the rows, is cheaper than
-# the Taylor series, whose cost grows with ||H||_F (a median of about 2 in
-# the search). Median ratio Taylor/eigh of one evaluation at ||H||_F = 2,
-# nx = 3, over 4 interleaved rounds (numpy 2.4, OpenBLAS on one thread,
-# 2-vCPU Xeon): 1.69 at dim 8, 1.47 at 12, 1.15 at 16, 0.98 at 20, 0.81
-# at 24, 0.96 at 27, 0.77 at 32, 0.37 at 64 (eigh 0.8-1.0 ms there).
-TAYLOR_MIN_DIM = 20
-
-# Each Taylor step applies exp(iH/s) with ||H/s||_2 <= ||H||_F/s <= THETA,
-# so no term exceeds THETA^k/k! <= e^THETA times the rows: that bounds the
-# cancellation. A larger THETA needs fewer steps of more terms each: over
-# the generators the search visits on the side-information fixtures, 4
-# took 22 products per evaluation on average, 2 took 29 and 6 took 22.
-THETA = 4.0
-_UNIT_ROUNDOFF = 2.0**-53
+# unitary_objective: v is a (dw * da * dc, da * dc) isometry mapping the
+# joint input onto environment-major output indices w * (da * dc) +
+# a * dc + c; phis holds the joint input vectors, one row per
+# positive-probability signal. Returns (I(X : C W') in bits, average
+# fidelity on A C) and, with grad=True, their Euclidean gradients G in
+# V, d(value) = Re Tr(G^dagger dV), valid off the isometries too.
 
 
-def _taylor_terms(t: float) -> int:
-    """Fewest terms m of sum_k (iA)^k / k! with ||A||_2 <= t whose tail
-    sum_{k >= m} t^k / k! <= (t^m / m!) / (1 - t / (m + 1)) is below the
-    unit roundoff (relative to the rows it is applied to)."""
-    m, term = 1, t  # term = t^m / m!
-    while m + 1 <= t or term / (1.0 - t / (m + 1)) > _UNIT_ROUNDOFF:
-        m += 1
-        term *= t / m
-    return m
-
-
-def _evolve_rows(h: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """phis @ exp(iH).T, i.e. exp(iH) applied to each row of phis."""
-    if h.shape[0] < TAYLOR_MIN_DIM:
-        evs, vecs = np.linalg.eigh(h)
-        return ((phis @ vecs.conj()) * np.exp(1j * evs)) @ vecs.T
-    # exp(iH) = exp(iH/s)^s with ||H/s||_F <= THETA (Al-Mohy & Higham 2011)
-    norm = float(np.linalg.norm(h))  # Frobenius
-    steps = max(1, math.ceil(norm / THETA))
-    terms = _taylor_terms(norm / steps)
-    a = h.T * (1j / steps)
-    rows = phis
-    for _ in range(steps):
-        term = rows
-        for k in range(1, terms):
-            term = (term @ a) * (1.0 / k)
-            rows = rows + term
-    return rows
-
-
-def _entropy_rows(evs: np.ndarray) -> np.ndarray:
-    safe = np.where(evs > 1e-15, evs, 1.0)  # 1 log 1 = 0 drops the rest
-    return -(safe * np.log2(safe)).sum(axis=-1)
-
-
-def _gram_spectra(m: np.ndarray) -> np.ndarray:
-    """Nonzero spectra of m m^dagger over the last two axes, taken from
-    m^dagger m when that side is smaller (the two share them)."""
+def _entropy_pull(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(m m^dagger) in bits over the last two axes, and log2(m m^dagger) m,
+    both from m^dagger m when that side is smaller (the two share their
+    nonzero spectra, f(m m^dagger) m = m f(m^dagger m), and zero
+    eigenvalues drop out)."""
     mh = m.conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m)
+    left = m.shape[-2] <= m.shape[-1]
+    evs, u = np.linalg.eigh(m @ mh if left else mh @ m)
+    safe = np.where(evs > 1e-15, evs, 1.0)  # 1 log 1 = 0 drops the rest
+    logs = np.log2(safe)
+    f = (u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    return -(safe * logs).sum(axis=-1), (f @ m if left else m @ f)
 
 
-def unitary_objective(h, phis, probs, da: int, dc: int, dw: int) -> tuple[float, float]:
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    phis = np.ascontiguousarray(phis, dtype=np.complex128)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    d_in = da * dc
-    nx = phis.shape[0]
-    xis = _evolve_rows(h, phis)
+def unitary_objective(v, phis, probs, da: int, dc: int, dw: int, grad: bool = False):
+    nx, d_in = phis.shape
     dcw = dw * dc
+    xis = phis @ v.T  # row x is V phi_x
 
     # b[x] is the (C W) x A matrix of signal x's output; its C W marginal
     # is b b^dagger, and the mixture's is B B^dagger for the columns
     # B = [sqrt(p_x) b[x]] stacked side by side.
+    roots = np.sqrt(probs)
     b = xis.reshape(nx, dw, da, dc).transpose(0, 1, 3, 2).reshape(nx, dcw, da)
-    stacked = (np.sqrt(probs)[:, None, None] * b).transpose(1, 0, 2).reshape(dcw, nx * da)
-    cond = float(probs @ _entropy_rows(_gram_spectra(b)))
-    mi = float(_entropy_rows(_gram_spectra(stacked))) - cond
+    stacked = (roots[:, None, None] * b).transpose(1, 0, 2).reshape(dcw, nx * da)
 
-    ov = np.einsum("xk,xwk->xw", phis[:, :d_in].conj(), xis.reshape(nx, dw, d_in))
-    f = np.clip((np.abs(ov) ** 2).sum(axis=1), 0.0, 1.0)
-    fid = float(probs @ np.sqrt(f))
-    return mi, fid
+    s_x, pull_x = _entropy_pull(b)
+    s_mix, pull = _entropy_pull(stacked)
+    mi = float(s_mix) - float(probs @ s_x)
+    ov = np.einsum("xk,xwk->xw", phis.conj(), xis.reshape(nx, dw, d_in))
+    f = (np.abs(ov) ** 2).sum(axis=1)
+    fid = float(probs @ np.sqrt(np.clip(f, 0.0, 1.0)))
+    if not grad:
+        return mi, fid
+
+    # dS(m m^dagger) = -2 Re Tr[((log2(m m^dagger) + 1/ln 2) m)^dagger dm],
+    # and the 1/ln 2 terms of S(B B^dagger) and sum_x p_x S(b b^dagger)
+    # cancel: dI/db[x] = 2 p_x (log2(b b^dagger) - log2(B B^dagger)) b[x]
+    pull = pull.reshape(dcw, nx, da).transpose(1, 0, 2)  # sqrt(p_x) log2(B B^dagger) b[x]
+    g_b = 2.0 * (probs[:, None, None] * pull_x - roots[:, None, None] * pull)
+    g_xis = g_b.reshape(nx, dw, dc, da).transpose(0, 1, 3, 2).reshape(nx, -1)
+
+    # F = sum_x p_x sqrt(f_x), f_x = sum_w |<phi_x| V_w |phi_x>|^2
+    weight = np.divide(probs, np.sqrt(f), out=np.zeros_like(f), where=f > 0.0)
+    g_ov = (weight[:, None] * ov)[:, :, None] * phis[:, None, :]
+    return mi, fid, g_xis.T @ phis.conj(), g_ov.reshape(nx, -1).T @ phis.conj()

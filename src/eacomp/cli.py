@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
 def cmd_iepsilon(args) -> int:
     e = _load(args)
     eps_grid = sorted(float(v) for v in args.eps.split(",") if v.strip())
-    if not eps_grid:
+    if not eps_grid or not all(0.0 <= x <= 1.0 for x in eps_grid):
         print("--eps needs a comma-separated list of values in [0, 1]", file=sys.stderr)
         return 2
     config = IsometrySearchConfig(
@@ -205,6 +205,13 @@ def _tolerance(text: str) -> float:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return tol
+
+
+def _finite(text: str) -> float:
+    """argparse type for a numeric option: a finite float."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser, output=True):
@@ -256,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("EQ", "CE"), required=True,
                    help="EQ: qubit/ebit region; CE: classical/ebit region (blind sources)")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
+    p.add_argument("--lo", type=_finite, default=None)
+    p.add_argument("--hi", type=_finite, default=None)
     p.add_argument("--spec-out", default=None,
                    help="where to write the region constraints as JSON "
                         "(default: alongside -o with a .json extension)")
@@ -266,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="finite-blocklength fidelity of typical-subspace coding")
     _add_common(p)
     _add_preprocess(p)
-    p.add_argument("--rate", type=float, required=True, help="qubit rate Q")
+    p.add_argument("--rate", type=_finite, required=True, help="qubit rate Q")
     p.add_argument("--n", required=True, help="comma-separated block lengths")
     p.set_defaults(fn=cmd_simulate)
 
@@ -275,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocess(p)
     p.add_argument("--eps", required=True, help="comma-separated disturbance levels in [0, 1]")
     p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--penalty", type=float, default=64.0)
+    p.add_argument("--max-iters", type=int, default=200,
+                   help="Riemannian gradient steps per search start (default %(default)s)")
+    p.add_argument("--penalty", type=_finite, default=64.0)
     p.add_argument("--env-dim", type=int, default=None)
     p.add_argument("--env-cap", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)

@@ -6,11 +6,14 @@ isometries V : A(x)C -> A(x)C(x)W subject to the average output state
 keeping fidelity at least 1 - eps with the source on A(x)C. The
 environment W may always be taken no larger than (dimA * dimC)^2.
 
-The search parametrizes V as the first dimA*dimC columns of exp(iH) for
-a Hermitian generator H, walks H along random Hermitian directions with
-a shrinking step, and scores candidates by the penalized objective
+The search works on V itself, a (|W| dimA dimC) x (dimA dimC) matrix
+with orthonormal columns, and climbs the penalized objective
 
-    I(X : C W')  -  penalty * max(0, (1 - eps) - fidelity)^2 .
+    I(X : C W')  -  penalty * max(0, (1 - eps) - fidelity)^2
+
+by Riemannian gradient ascent on that Stiefel manifold (Edelman, Arias
+& Smith 1998): the kernel's Euclidean gradient projected onto the
+tangent space, a QR retraction, and Armijo backtracking.
 
 Only candidates whose achieved fidelity is within 1e-9 of the constraint
 ever become the reported estimate, so the returned value is a certified
@@ -18,29 +21,28 @@ achievable lower bound, never an optimistic one. Every reported optimum
 is re-evaluated through an independent dense-matrix route and the run
 aborts if the two disagree.
 
-The starts, in order: the zero generator, i.e. the identity channel (W
-in a fixed pure state), feasible at every eps, which pins the estimate
-at I(X : C) or above; the reversible extraction of the component index
-Y, V = sum_y P_y (x) |y>_W with P_y the projector onto the A(x)C span of
-component y, which keeps every signal intact and extracts S(CY) (a
-coarse-graining of Y when there are more components than |W|); the warm
-starts, less a copy of the witness; random generators. Every start is
-scored before any is walked.
+The starts, in order: the identity channel (W in a fixed pure state),
+feasible at every eps, which pins the estimate at I(X : C) or above;
+the reversible extraction of the component index Y, V = sum_y P_y (x)
+|y>_W with P_y the projector onto the A(x)C span of component y, which
+keeps every signal intact and extracts S(CY) (a coarse-graining of Y
+when there are more components than |W|); the warm starts, less copies
+of earlier starts; random isometries. Every start is scored before any
+is walked. A start where the gradient vanishes (the identity on a blind
+source, where I = 0 is a minimum) is left by a step along a random
+tangent direction.
 The search ends as soon as a feasible candidate reaches a proven
 ceiling, less 1e-9: S(CY) at eps = 0, which no lossless extraction can
 beat, and H(X) above it, since I(X : C W') <= H(X) always.
 
-The two routes share no step for generators of side
-_accel.TAYLOR_MIN_DIM and more: the search kernel pushes the signal
-vectors through a Taylor series of exp(iH) and takes entropies from
-small Gram spectra, while the dense check diagonalises H, forms the
-isometry and traces out density matrices. Below that side both start
-from eigh(H).
+The two routes share no step: the search kernel forms V phi_x for each
+signal and takes entropies from small Gram spectra, while the dense
+check builds each output state and traces out density matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -61,30 +63,31 @@ from .states import (
 
 FEASIBILITY_SLACK = 1e-9
 VERIFY_ATOL = 1e-8
+# a shortfall of FEASIBILITY_SLACK costs a whole bit at this penalty
+MAX_PENALTY = 1e18
+# a step is accepted once it gains this share of its first-order gain
+ARMIJO = 1e-4
+# Frobenius length of the step that leaves a stationary start
+KICK = 0.5
 
 
 @dataclass(frozen=True)
 class IsometrySearchConfig:
-    """Knobs of the random-direction search. All defaults are deterministic.
+    """Knobs of the gradient search. All defaults are deterministic.
 
-    restarts counts every search start but the witness. Start 0 is
-    always the zero generator (identity channel); the reversible-
-    extraction witness comes next when the source has more than one
-    component, on top of restarts; then the warm starts, less any equal
-    to the witness; random starts fill the remainder. So restarts = 1
-    runs the identity and, on a source with several components, the
-    witness. All starts are scored before any is walked, and the search
-    stops at the first feasible candidate within 1e-9 of its ceiling:
-    S(CY) at eps = 0, H(X) above.
-    env_dim pins |W|; left unset it defaults to min((dimA*dimC)^2,
-    env_cap).
+    restarts counts every search start but the witness (the order is in
+    the module docstring): random isometries fill what the identity and
+    the warm starts leave, so restarts = 1 runs the identity and, on a
+    source with several components, the witness. Each walk takes at
+    most max_iters Riemannian gradient steps and ends once an accepted
+    step gains less than conv_tol, or no step that could gain conv_tol
+    is accepted. env_dim pins |W|; left unset it defaults to
+    min((dimA*dimC)^2, env_cap).
     """
 
     restarts: int = 4
     max_iters: int = 200
     penalty: float = 64.0
-    step_init: float = 0.25
-    step_decay: float = 0.9
     conv_tol: float = 1e-4
     env_dim: int | None = None
     env_cap: int = 16
@@ -93,8 +96,14 @@ class IsometrySearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one search start")
-        if not 0 < self.step_decay < 1:
-            raise ValueError(f"step_decay must be in (0, 1), got {self.step_decay}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not 0 <= self.penalty <= MAX_PENALTY:
+            raise ValueError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {self.penalty}")
+        if not 0 < self.conv_tol < np.inf:
+            raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol}")
+        if self.env_cap < 1:
+            raise ValueError(f"env_cap must be >= 1, got {self.env_cap}")
 
     def resolve_env_dim(self, dim_a: int, dim_c: int) -> int:
         bound = (dim_a * dim_c) ** 2
@@ -105,17 +114,7 @@ class IsometrySearchConfig:
         return max(1, min(bound, self.env_cap))
 
     def to_json(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "penalty": self.penalty,
-            "step_init": self.step_init,
-            "step_decay": self.step_decay,
-            "conv_tol": self.conv_tol,
-            "env_dim": self.env_dim,
-            "env_cap": self.env_cap,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def identity_isometry(d_in: int, env_dim: int) -> np.ndarray:
@@ -183,7 +182,6 @@ class IEpsilonEstimate:
     restart_values: tuple[float, ...]
     evaluations: int
     fallback_identity: bool
-    generator: np.ndarray = field(repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -198,16 +196,30 @@ class IEpsilonEstimate:
         }
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (m + m.conj().T) / 2.0
-    return h / np.linalg.norm(h)
+def penalised_objective(v, phis, probs, dims: tuple[int, int, int], need: float, penalty: float):
+    """(I, fidelity, I - penalty * max(0, need - fidelity)^2, its Euclidean
+    gradient in V) for the isometry v; dims = (dimA, dimC, |W|)."""
+    mi, fid, g_mi, g_fid = unitary_objective(v, phis, probs, *dims, grad=True)
+    short = max(0.0, need - fid)
+    return mi, fid, mi - penalty * short**2, g_mi + (2.0 * penalty * short) * g_fid
 
 
-def _isometry_from_generator(h: np.ndarray, d_in: int) -> np.ndarray:
-    evs, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(1j * evs)) @ vecs.conj().T
-    return np.ascontiguousarray(u[:, :d_in])
+def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Projection of g onto the tangent space of the isometries at v."""
+    s = v.conj().T @ g
+    return g - v @ ((s + s.conj().T) / 2.0)
+
+
+def _retract(m: np.ndarray) -> np.ndarray:
+    """The isometry Q of m = QR with R's diagonal positive; m = V + tZ for
+    a tangent Z has full column rank, (V + tZ)^dagger (V + tZ) >= 1."""
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -237,19 +249,20 @@ def _pair_target(a: Analysis) -> _Target:
 
 
 def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
-    """Generator of the reversible extraction of Y, or None when it is the
-    identity (one component, or |W| = 1).
+    """The reversible extraction of Y, or None when it is the identity
+    (one component, or |W| = 1).
 
-    H = (pi/2) sum_{g>=1} (|0><g| + |g><0|)_W (x) P_g, where g = y mod |W|
-    and P_g projects onto the span of group g, made orthogonal to the
-    groups before it: exp(iH) sends |phi>|0> to i|phi>|g> for phi in it.
+    V = sum_g |g>_W (x) P_g, where g = y mod |W|, P_g projects onto the
+    span of group g made orthogonal to the groups before it, and P_0
+    also takes the rest of A(x)C: V sends |phi> to |phi>|g> for phi in
+    group g.
     """
     groups = t.ys % env_dim
     if not groups.any():
         return None
     joints = t.source.overlaps.vectors({"A", "C"})
     d_in = joints.shape[1]
-    h = np.zeros((env_dim * d_in, env_dim * d_in), dtype=np.complex128)
+    v = identity_isometry(d_in, env_dim)
     basis = np.zeros((d_in, 0), dtype=np.complex128)
     for g in sorted(set(groups.tolist())):  # np.unique would import numpy.ma (1 MB)
         m = joints[groups == g].T
@@ -257,10 +270,11 @@ def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
         u, s, _ = np.linalg.svd(m, full_matrices=False)
         span = u[:, s > 1e-8]
         if g:
-            h[:d_in, g * d_in:(g + 1) * d_in] = (np.pi / 2) * (span @ span.conj().T)
-            h[g * d_in:(g + 1) * d_in, :d_in] = h[:d_in, g * d_in:(g + 1) * d_in]
+            p = span @ span.conj().T
+            v[g * d_in:(g + 1) * d_in] = p
+            v[:d_in] -= p
         basis = np.hstack([basis, span])
-    return h
+    return v
 
 
 def estimate_i_epsilon(
@@ -273,9 +287,9 @@ def estimate_i_epsilon(
 
     src is an ensemble or its analysis (pass analyze(e, tol) for another
     overlap tolerance); the witness start and both ceilings come from
-    the analysis. warm_starts are extra Hermitian generators to seed
-    from (estimate_grid passes the previous optimum so estimates grow
-    with eps).
+    the analysis. warm_starts are extra isometries to start from
+    (estimate_grid passes the previous optimum so estimates grow with
+    eps).
     """
     return _search(_target(analyze(src)), eps, config, warm_starts)
 
@@ -283,89 +297,102 @@ def estimate_i_epsilon(
 def _search(
     t: _Target, eps: float, config: IsometrySearchConfig, warm_starts: tuple[np.ndarray, ...] = ()
 ) -> IEpsilonEstimate:
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     e = t.source
-    probs, joints = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+    probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
     d_in = e.dim_a * e.dim_c
     env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
-    dim = env_dim * d_in
-    phis = np.zeros((joints.shape[0], dim), dtype=np.complex128)
-    phis[:, :d_in] = joints
+    dims = (e.dim_a, e.dim_c, env_dim)
 
     need = 1.0 - eps
     ceiling = t.s_cy if eps == 0 else t.h_x
     evaluations = 0
-    # per start: (I, fidelity, generator) of its best feasible candidate
+    # per start: (I, fidelity, isometry) of its best feasible candidate
     bests: list[tuple[float, float, np.ndarray | None]] = []
 
-    def score(h):
+    def score(v):
         nonlocal evaluations
         evaluations += 1
-        mi, fid = unitary_objective(h, phis, probs, e.dim_a, e.dim_c, env_dim)
-        return mi, fid, mi - config.penalty * max(0.0, need - fid) ** 2
+        return penalised_objective(v, phis, probs, dims, need, config.penalty)
 
-    def keep(r, h, mi, fid) -> bool:
+    def keep(r, v, mi, fid) -> bool:
         """Record a candidate of start r; True once it reaches the ceiling."""
         if fid < need - FEASIBILITY_SLACK:
             return False
         if mi > bests[r][0]:
-            bests[r] = (mi, fid, h)
+            bests[r] = (mi, fid, v)
         return mi >= ceiling - FEASIBILITY_SLACK
 
-    def walk(r, cur_h, cur_pen) -> bool:
-        """Random-direction ascent of the penalised objective from start r;
-        True once it reaches the ceiling."""
-        rng = np.random.default_rng([config.seed, r])
-        step = config.step_init
-        for _ in range(config.max_iters):
-            direction = _random_hermitian(rng, dim)
-            for sign in (1.0, -1.0):
-                cand = cur_h + (sign * step) * direction
-                mi, fid, pen = score(cand)
+    def walk(r, v, cur) -> bool:
+        """Riemannian gradient ascent of the penalised objective from start
+        r, with Armijo backtracking; True once it reaches the ceiling."""
+        _, _, pen, g = cur
+        step = 1.0
+        for it in range(config.max_iters):
+            z = _tangent(v, g)
+            slope = float(np.vdot(z, z).real)
+            if it == 0 and slope < config.conv_tol:
+                # a stationary start (the identity on a blind source):
+                # leave it along a random tangent direction
+                z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
+                v = _retract(v + (KICK / np.linalg.norm(z)) * z)
+                mi, fid, pen, g = score(v)
+                if keep(r, v, mi, fid):
+                    return True
+                continue
+            while True:
+                cand = _retract(v + step * z)
+                mi, fid, cand_pen, g = score(cand)
                 if keep(r, cand, mi, fid):
                     return True
-                if pen > cur_pen + 1e-12:
-                    cur_h, cur_pen = cand, pen
+                if cand_pen >= pen + ARMIJO * step * slope:
                     break
-            else:  # neither sign improved
-                step *= config.step_decay
-                if step < config.conv_tol:
-                    break
+                step /= 2.0
+                if step * slope < config.conv_tol:  # no step left to gain conv_tol
+                    return False
+            gain = cand_pen - pen
+            v, pen = cand, cand_pen
+            if gain < config.conv_tol:
+                break
+            step *= 2.0
         return False
 
-    starts = [np.zeros((dim, dim), dtype=np.complex128)]
-    warm = [np.asarray(w, dtype=np.complex128) for w in warm_starts]
+    identity = identity_isometry(d_in, env_dim)
+    starts = [identity]
     witness = _witness(t, env_dim)
     if witness is not None:
         starts.append(witness)
-        # estimate_grid passes the witness back whenever it was the optimum
-        warm = [w for w in warm if not np.array_equal(w, witness)]
-    starts.extend(warm)
-    for r in range(config.restarts - 1 - len(warm)):
+    # estimate_grid passes the previous optimum back, often the identity
+    # or the witness itself
+    warm = 0
+    for w in warm_starts:
+        if not any(np.array_equal(w, s) for s in starts):
+            starts.append(np.asarray(w, dtype=np.complex128))
+            warm += 1
+    for r in range(config.restarts - 1 - warm):
         rng = np.random.default_rng([config.seed, 1000 + r])
-        starts.append(_random_hermitian(rng, dim) * (0.5 + r))
+        starts.append(_retract(_gaussian(rng, identity.shape)))
 
     scored = []
-    for h0 in starts:
+    for v0 in starts:
         bests.append((-np.inf, 0.0, None))
-        mi, fid, pen = score(h0)
-        scored.append((h0, pen))
-        if keep(len(bests) - 1, h0, mi, fid):
+        cur = score(v0)
+        scored.append((v0, cur))
+        if keep(len(bests) - 1, v0, cur[0], cur[1]):
             break
     else:  # no start at the ceiling
-        for r, (h0, pen) in enumerate(scored):
-            if walk(r, h0, pen):
+        for r, (v0, cur) in enumerate(scored):
+            if walk(r, v0, cur):
                 break
 
     # the first start with the largest value, as a sequential search would keep
-    best_mi, best_fid, best_h = max(bests, key=lambda b: b[0])
-    if best_h is None:
-        # Cannot happen for eps >= 0: the zero generator is feasible.
+    best_mi, best_fid, best_v = max(bests, key=lambda b: b[0])
+    if best_v is None:
+        # Cannot happen for eps >= 0: the identity start is feasible.
         raise ConsistencyError("no feasible candidate found, identity start included")
 
-    v = _isometry_from_generator(best_h, d_in)
-    ref_mi, ref_fid = objective(e, v)
+    ref_mi, ref_fid = objective(e, best_v)
     if abs(ref_mi - best_mi) > VERIFY_ATOL or abs(ref_fid - best_fid) > VERIFY_ATOL:
         raise ConsistencyError(
             f"search kernel ({best_mi!r}, {best_fid!r}) and dense evaluation "
@@ -376,13 +403,12 @@ def _search(
         eps=float(eps),
         value=ref_mi,
         fidelity=ref_fid,
-        isometry=v,
+        isometry=best_v,
         env_dim=env_dim,
         identity_floor=floor,
         restart_values=tuple(float(b[0]) for b in bests),
         evaluations=evaluations,
-        fallback_identity=not best_h.any(),
-        generator=best_h,
+        fallback_identity=best_v is identity,
     )
 
 
@@ -403,7 +429,7 @@ def estimate_grid(
     for eps in eps_grid:
         est = estimate_i_epsilon(a, eps, config, warm_starts=warm)
         out.append(est)
-        warm = (est.generator,)
+        warm = (est.isometry,)
     return out
 
 

@@ -256,11 +256,6 @@ def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoin
     )
 
 
-def _require_blind(a: Analysis):
-    if not a.blind:
-        raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
-
-
 def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """No side information: Q = S(A) - S(Y)/2, E = S(Y)/2.
 
@@ -270,7 +265,8 @@ def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     within a looser tol, it is an EacompError naming --tol.
     """
     a = analyze(src, tol)
-    _require_blind(a)
+    if not a.blind:
+        raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
     p = a.profile
     point = RatePoint(q=p.s_a - 0.5 * p.s_y, e=0.5 * p.s_y, note="blind specialization")
     return _check_against_general(point, a, "blind")
@@ -293,9 +289,10 @@ def visible_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
 
 def classical_entanglement_corner(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     """Blind corner after teleporting the whole quantum message:
-    C = 2 S(A) - S(Y), E = S(A) - S(Y)."""
+    C = 2 S(A) - S(Y), E = S(A) - S(Y). Refused as blind_rates is when
+    the blind point disagrees with the general formula."""
     a = analyze(src, tol)
-    _require_blind(a)
+    blind_rates(a)
     p = a.profile
     return RatePoint(
         c=2.0 * p.s_a - p.s_y,

@@ -58,8 +58,10 @@ class CodeSpace:
 
 def code_rank(n: int, rate_q: float, dim_single: int) -> int:
     """floor(2^(nQ)) kept vectors, clamped to [1, dim_single^n]."""
-    raw = int(math.floor(2.0 ** (n * rate_q) + 1e-9))
-    return max(1, min(raw, dim_single**n))
+    full = dim_single**n
+    if n * rate_q >= math.log2(full):  # also keeps 2^(nQ) from overflowing
+        return full
+    return max(1, int(math.floor(2.0 ** (n * rate_q) + 1e-9)))
 
 
 def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:

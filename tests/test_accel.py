@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 
-from eacomp import _accel
 from eacomp._accel import block_fidelity, unitary_objective
 
 
@@ -28,15 +27,12 @@ def enumerated_fidelity(probs, g, sel):
 
 def rand_objective_inputs(rng, da=2, dc=2, dw=3, nx=3):
     d_in = da * dc
-    dim = dw * d_in
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (m + m.conj().T) / 2
+    m = rng.standard_normal((dw * d_in, d_in)) + 1j * rng.standard_normal((dw * d_in, d_in))
+    v, _ = np.linalg.qr(m)
     probs = rng.dirichlet(np.ones(nx))
-    phis = np.zeros((nx, dim), dtype=np.complex128)
-    for i in range(nx):
-        v = rng.standard_normal(d_in) + 1j * rng.standard_normal(d_in)
-        phis[i, :d_in] = v / np.linalg.norm(v)
-    return h, phis, probs, da, dc, dw
+    phis = rng.standard_normal((nx, d_in)) + 1j * rng.standard_normal((nx, d_in))
+    phis /= np.linalg.norm(phis, axis=1)[:, None]
+    return v, phis, probs, da, dc, dw
 
 
 class TestBlockFidelityAgreement:
@@ -62,35 +58,18 @@ class TestBlockFidelityAgreement:
 
 
 class TestObjectiveAgreement:
-    def test_zero_generator_is_identity_channel(self):
+    def test_identity_is_identity_channel(self):
         rng = np.random.default_rng(102)
-        h, phis, probs, da, dc, dw = rand_objective_inputs(rng)
-        mi, fid = unitary_objective(np.zeros_like(h), phis, probs, da, dc, dw)
+        v, phis, probs, da, dc, dw = rand_objective_inputs(rng)
+        mi, fid = unitary_objective(np.eye(*v.shape), phis, probs, da, dc, dw)
         assert abs(fid - 1.0) < 1e-12
         assert mi >= -1e-12
 
     def test_mutual_information_bounds(self):
         rng = np.random.default_rng(103)
         for _ in range(5):
-            h, phis, probs, da, dc, dw = rand_objective_inputs(rng)
-            mi, fid = unitary_objective(h, phis, probs, da, dc, dw)
+            v, phis, probs, da, dc, dw = rand_objective_inputs(rng)
+            mi, fid = unitary_objective(v, phis, probs, da, dc, dw)
             h_x = -(probs * np.log2(probs)).sum()
             assert -1e-9 <= mi <= h_x + 1e-9
             assert 0.0 <= fid <= 1.0 + 1e-12
-
-    def test_evolved_rows_match_eigh_at_large_norms(self, monkeypatch):
-        # the Taylor route splits exp(iH) into steps of norm <= THETA;
-        # without the split it loses digits to cancellation at these norms
-        rng = np.random.default_rng(104)
-        for dim in (8, 27, 64):
-            phis = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
-            for norm in (0.0, 1.0, 30.0, 300.0):
-                m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                h = (m + m.conj().T) / 2
-                h *= norm / np.linalg.norm(h)
-                evs, vecs = np.linalg.eigh(h)
-                ref = phis @ ((vecs * np.exp(1j * evs)) @ vecs.conj().T).T
-                for min_dim in (0, 10**9):
-                    monkeypatch.setattr(_accel, "TAYLOR_MIN_DIM", min_dim)
-                    got = _accel._evolve_rows(h, phis)
-                    assert np.abs(got - ref).max() < 1e-12, (dim, norm, min_dim)

@@ -142,14 +142,18 @@ class TestTolerance:
         assert list(tmp_path.iterdir()) == []
 
 
-    @pytest.mark.parametrize("path, tol", [(TRIPLE, "0.5"), (TRIPLE, "2"), (VISIBLE, "2"), (BLIND, "2")],
-                             ids=["triple-0.5", "triple-2", "visible-2", "blind-2"])
-    def test_loose_tolerance_is_input_error(self, capsys, path, tol):
+    LOOSE = [(TRIPLE, "0.5"), (TRIPLE, "2"), (VISIBLE, "2"), (BLIND, "2")]
+    LOOSE_IDS = ["triple-0.5", "triple-2", "visible-2", "blind-2"]
+
+    @pytest.mark.parametrize("command, path, tol", [(["rates"], *case) for case in LOOSE] + [
+        (["region", "--kind", "CE"], *case) for case in LOOSE
+    ], ids=LOOSE_IDS + [f"region-CE-{i}" for i in LOOSE_IDS])
+    def test_loose_tolerance_is_input_error(self, capsys, command, path, tol):
         # the sigmas of TRIPLE and VISIBLE are one state only within tol, and
         # at tol 2 the overlapping signals of BLIND are separate components:
-        # the blind rates then differ from the general ones, but no internal
-        # computation disagrees with another
-        code, out, err = run(["rates", path, "--tol", tol], capsys)
+        # the blind rates and corner then differ from the general ones, but
+        # no internal computation disagrees with another
+        code, out, err = run([command[0], path, *command[1:], "--tol", tol], capsys)
         assert code == 1 and out == ""
         assert "--tol" in err and "disagrees" not in err and "Traceback" not in err
         with pytest.raises(EacompError) as exc:
@@ -167,6 +171,37 @@ class TestTolerance:
         assert "--tol" not in err
         with pytest.raises(ConsistencyError):
             blind_rates(analyze(load_ensemble(BLIND)))
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize("argv", [
+        ["iepsilon", BLIND, "--eps", "nan"],
+        ["iepsilon", BLIND, "--eps", "inf"],
+        ["iepsilon", BLIND, "--eps", "0,1.5"],
+        ["iepsilon", BLIND, "--eps", "0", "--penalty", "nan"],
+        ["iepsilon", BLIND, "--eps", "0", "--penalty", "-1"],
+        ["iepsilon", BLIND, "--eps", "0", "--max-iters", "-3"],
+        ["iepsilon", BLIND, "--eps", "0", "--env-cap", "0"],
+        ["region", BLIND, "--kind", "EQ", "--lo", "nan"],
+        ["region", BLIND, "--kind", "EQ", "--hi", "inf"],
+        ["simulate", BLIND, "--rate", "inf", "--n", "1,2"],
+        ["simulate", BLIND, "--rate", "nan", "--n", "1,2"],
+    ], ids=lambda argv: " ".join([argv[0], *argv[2:]]))
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
+        # some are refused by argparse (SystemExit), the rest by main
+        try:
+            code = cli.main([*argv, "-o", str(tmp_path / "out")])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_rate_keeps_the_whole_space(self, capsys):
+        code, out, _ = run(["simulate", BLIND, "--rate", "1e300", "--n", "1,2"], capsys)
+        assert code == 0
+        assert [float(line.split(",")[2]) for line in out.splitlines()[1:]] == [1.0, 1.0]
 
 
 class TestUsage:

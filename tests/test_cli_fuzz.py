@@ -2,9 +2,11 @@
 
 Each example mutates one of data/*.json: keys dropped, values replaced by
 ones of the wrong type or shape, numbers replaced by NaN or +-Infinity
-literals, list items duplicated, the text truncated. validate, rates and
-simulate must each exit 0, 1 or 2 without an uncaught exception, and
-never exit 0 with a non-finite number in their output.
+literals, list items duplicated, the text truncated. A second strategy
+keeps the files intact and replaces one numeric option with NaN, +-inf,
+a negative or a huge value. Every command must exit 0, 1 or 2 without
+an uncaught exception, and never exit 0 with a non-finite number in its
+output.
 """
 
 import contextlib
@@ -27,7 +29,24 @@ COMMANDS = (
     ["validate"],
     ["rates"],
     ["simulate", "--rate", "0.8", "--n", "1,2"],
+    ["iepsilon", "--eps", "0,0.1"],
+    ["region", "--kind", "EQ"],
 )
+
+# each command with every single-number option at a valid value
+NUMERIC_COMMANDS = (
+    ["validate", "--tol", "1e-10"],
+    ["rates", "--tol", "1e-10"],
+    ["simulate", "--rate", "0.8", "--n", "1,2"],
+    ["iepsilon", "--eps", "0,0.1", "--max-iters", "20", "--penalty", "64", "--env-cap", "4",
+     "--seed", "1"],
+    ["region", "--kind", "EQ", "--samples", "8", "--lo", "0", "--hi", "1"],
+)
+# --n, --restarts and the caps are left out: they count work, and a huge
+# value asks for that much of it
+NUMERIC_OPTIONS = {"--tol", "--rate", "--eps", "--max-iters", "--penalty", "--env-cap", "--seed",
+                   "--samples", "--lo", "--hi"}
+BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "-1e-300", "1e300", str(10**30))
 
 WRONG = st.one_of(
     st.none(),
@@ -95,9 +114,9 @@ def _reject_constant(name):
 
 
 def assert_finite_output(command, out):
-    if command == "rates":
+    if command in ("rates", "iepsilon"):
         json.loads(out, parse_constant=_reject_constant)
-    elif command == "simulate":
+    elif command in ("simulate", "region"):
         for line in out.splitlines()[1:]:
             assert all(math.isfinite(float(v)) for v in line.split(",")), line
     else:
@@ -109,15 +128,35 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def assert_clean_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a bad option value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert_finite_output(argv[0], out.getvalue())
+
+
 @given(text=mutated_files())
 def test_malformed_files_never_crash(workdir, text):
     path = workdir / "source.json"
     path.write_text(text)
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command[0], str(path), *command[1:]])
-        assert code in (0, 1, 2), (command, code)
-        assert "Traceback" not in err.getvalue()
-        if code == 0:
-            assert_finite_output(command[0], out.getvalue())
+        assert_clean_run([command[0], str(path), *command[1:]])
+
+
+@st.composite
+def bad_numeric_options(draw):
+    command = list(draw(st.sampled_from(NUMERIC_COMMANDS)))
+    slot = draw(st.sampled_from([i + 1 for i, a in enumerate(command) if a in NUMERIC_OPTIONS]))
+    command[slot] = draw(st.sampled_from(BAD_NUMBERS))
+    return command
+
+
+@given(name=st.sampled_from(sorted(FILES)), command=bad_numeric_options())
+def test_bad_numeric_options_never_crash(name, command):
+    assert_clean_run([command[0], str(DATA / name), *command[1:]])

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eacomp import _accel, iepsilon
+from eacomp import cli, iepsilon
 from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, IsometryError
@@ -17,6 +18,7 @@ from eacomp.iepsilon import (
     i_zero_bounds,
     identity_isometry,
     objective,
+    penalised_objective,
 )
 from eacomp.rates import analyze
 from eacomp.states import PureStateVector, entropy_from_probs, single
@@ -70,6 +72,10 @@ def random_source(rng, da, dc, nx):
     return Ensemble(da, dc, items)
 
 
+# (dimA, dimC, signals) of the kernel checks
+KERNEL_DIMS = [(2, 1, 3), (3, 1, 4), (2, 2, 3), (2, 2, 5)]
+
+
 def rand_isometry(rng, d_out, d_in):
     m = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
     q, _ = np.linalg.qr(m)
@@ -94,8 +100,17 @@ class TestConfig:
     def test_guards(self):
         with pytest.raises(ValueError):
             IsometrySearchConfig(restarts=0)
-        with pytest.raises(ValueError):
-            IsometrySearchConfig(step_decay=1.5)
+        for bad in (
+            {"penalty": float("nan")},
+            {"penalty": float("inf")},
+            {"penalty": -1.0},
+            {"max_iters": -3},
+            {"conv_tol": 0.0},
+            {"conv_tol": float("nan")},
+            {"env_cap": 0},
+        ):
+            with pytest.raises(ValueError):
+                IsometrySearchConfig(**bad)
 
 
 class TestObjective:
@@ -139,32 +154,55 @@ class TestObjective:
         assert abs(mi - (h_w - 0.5)) < 1e-10
         assert abs(fid - (0.5 * 1.0 + 0.5 * np.sqrt(0.5))) < 1e-10
 
-    def test_matches_kernel_on_random_generators(self, monkeypatch):
-        # dims d_in * dw from 4 to 64 straddle the eigh/Taylor threshold;
-        # the two forced settings also run one route at every size
-        for min_dim in (_accel.TAYLOR_MIN_DIM, 0, 10**9):
-            monkeypatch.setattr(_accel, "TAYLOR_MIN_DIM", min_dim)
-            rng = np.random.default_rng(7)
-            for da, dc, nx in [(2, 1, 3), (3, 1, 4), (2, 2, 3), (2, 2, 5)]:
-                e = random_source(rng, da, dc, nx)
-                d_in = da * dc
-                probs = np.array([it.prob for it in e.items])
-                for dw in sorted({2, d_in**2, 16}):
-                    dim = dw * d_in
-                    phis = np.zeros((nx, dim), dtype=complex)
-                    for i in range(nx):
-                        phis[i, :d_in] = e.joint_vector(i).amplitudes
-                    for norm in (1.0, 4.0, 20.0, 100.0):
-                        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                        h = (m + m.conj().T) / 2
-                        h *= norm / np.linalg.norm(h)
-                        mi_k, fid_k = unitary_objective(h, phis, probs, da, dc, dw)
-                        evs, vecs = np.linalg.eigh(h)
-                        u = (vecs * np.exp(1j * evs)) @ vecs.conj().T
-                        mi_r, fid_r = objective(e, u[:, :d_in])
-                        case = (min_dim, da, dc, nx, dw, norm)
-                        assert abs(mi_k - mi_r) < 1e-10, case
-                        assert abs(fid_k - fid_r) < 1e-10, case
+    def test_matches_kernel_on_random_isometries(self):
+        # output dims d_in * dw from 4 to 64
+        rng = np.random.default_rng(7)
+        for da, dc, nx in KERNEL_DIMS:
+            e = random_source(rng, da, dc, nx)
+            d_in = da * dc
+            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            for dw in sorted({2, d_in**2, 16}):
+                for trial in range(4):
+                    v = rand_isometry(rng, dw * d_in, d_in)
+                    mi_r, fid_r = objective(e, v)
+                    for got in (
+                        unitary_objective(v, phis, probs, da, dc, dw),
+                        unitary_objective(v, phis, probs, da, dc, dw, grad=True)[:2],
+                    ):
+                        case = (da, dc, nx, dw, trial)
+                        assert abs(got[0] - mi_r) < 1e-10, case
+                        assert abs(got[1] - fid_r) < 1e-10, case
+
+    @pytest.mark.parametrize("need", [0.0, 1.0], ids=["penalty-inactive", "penalty-active"])
+    def test_gradients_match_central_differences(self, need):
+        # the Euclidean gradients of I, F and the penalised objective, read
+        # along random directions and along each gradient itself
+        rng = np.random.default_rng(11)
+        h = 1e-5
+        for da, dc, nx in KERNEL_DIMS:
+            e = random_source(rng, da, dc, nx)
+            d_in = da * dc
+            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            for dw in sorted({2, d_in**2, 16}):
+                dims = (da, dc, dw)
+                v = rand_isometry(rng, dw * d_in, d_in)
+                mi, fid, pen, g_pen = penalised_objective(v, phis, probs, dims, need, 64.0)
+                assert (pen < mi) == (need > fid)
+                _, _, g_mi, g_fid = unitary_objective(v, phis, probs, *dims, grad=True)
+
+                def values(w):
+                    return np.array(penalised_objective(w, phis, probs, dims, need, 64.0)[:3])
+
+                for g, k in ((g_mi, 0), (g_fid, 1), (g_pen, 2)):
+                    scale = np.linalg.norm(g)
+                    dirs = [g / scale] + [
+                        rand_isometry(rng, dw * d_in, d_in) - v for _ in range(3)
+                    ]
+                    for dv in dirs:
+                        fd = (values(v + h * dv)[k] - values(v - h * dv)[k]) / (2 * h)
+                        exact = np.vdot(g, dv).real
+                        case = (da, dc, nx, dw, k)
+                        assert abs(fd - exact) <= 1e-6 * scale * np.linalg.norm(dv), case
 
     def test_rejects_bad_shapes(self):
         e = blind_pair()
@@ -215,8 +253,17 @@ class TestEstimator:
         assert c.value != a.value  # different seed explores differently
 
     def test_eps_guard(self):
-        with pytest.raises(ValueError):
-            estimate_i_epsilon(blind_pair(), -0.1, FAST)
+        for eps in (-0.1, 1.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                estimate_i_epsilon(blind_pair(), eps, FAST)
+
+    def test_stationary_identity_start_is_left(self):
+        # on a blind source the identity is a critical point (I = 0, zero
+        # gradient); with one start the walk must still leave it
+        est = estimate_i_epsilon(blind_pair(), 0.1, IsometrySearchConfig(restarts=1))
+        assert est.value >= 0.5
+        assert est.fidelity >= 0.9 - 1e-9
+        assert not est.fallback_identity
 
     def test_reducible_blind_extracts_component_bit(self):
         # orthogonal states: the component label is a free bit once eps > 0
@@ -330,16 +377,39 @@ class TestGrid:
 
     def test_search_trajectory_is_pinned(self):
         # eps = 0 ends at the identity start, whose I(X:C) is S(CY) here;
-        # eps = 0.1 is the walk recorded when every evaluation
-        # diagonalised H and formed all of exp(iH): a kernel change that
-        # moves one step of the search moves these numbers
+        # eps = 0.1 is the gradient walk recorded when the search moved to
+        # the isometries: a kernel or step-rule change that moves one step
+        # of the search moves these numbers
         ests = estimate_grid(sideinfo_triple(), [0.0, 0.1], FAST)
-        assert [est.evaluations for est in ests] == [1, 125]
+        assert [est.evaluations for est in ests] == [1, 42]
         for est, value, fid in zip(
-            ests, [0.27451479891986763, 0.444205423503934], [1.0, 0.9757720431356492]
+            ests, [0.27451479891986763, 1.2058510708599512], [1.0, 0.9002608996911337]
         ):
             assert abs(est.value - value) <= 1e-12
             assert abs(est.fidelity - fid) <= 1e-12
+
+    # I_eps on every data file before the search moved to the isometries
+    # (random walk over Hermitian generators, default config)
+    RANDOM_WALK_VALUES = {
+        "blind_pair": [0.0, 0.500700356246694, 0.5891304359620197, 0.6006922886418166],
+        "blind_two_sectors": [
+            0.9709505944546684, 1.0961197840583894, 1.2221326706161388, 1.33298131903336
+        ],
+        "sideinfo_triple": [
+            0.2745147989198678, 0.6458473141150601, 0.9633598850384997, 1.1989386410285343
+        ],
+        "visible_pair": [1.0, 1.0, 1.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANDOM_WALK_VALUES))
+    def test_data_files_at_least_random_walk_values(self, name, capsys):
+        code = cli.main(["iepsilon", str(DATA / f"{name}.json"), "--eps", "0,0.05,0.1,0.2"])
+        assert code == 0
+        ests = json.loads(capsys.readouterr().out)["estimates"]
+        assert len(ests) == 4
+        for est, old in zip(ests, self.RANDOM_WALK_VALUES[name]):
+            assert est["estimate"] >= old, est["eps"]
+            assert est["fidelity"] >= 1.0 - est["eps"] - 1e-9, est["eps"]
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import dense_oracle
 from eacomp.ensemble import Ensemble, EnsembleItem
 from eacomp.rates import analyze, optimal_rates
+from eacomp.region import eq_region
 from eacomp.states import PureStateVector, single
 
 TOL = 1e-6
@@ -133,3 +134,9 @@ def test_rate_bounds(e):
     r = optimal_rates(a)
     assert -1e-9 <= r.q <= a.profile.s_a + 1e-9
     assert r.e >= -1e-9
+
+
+@given(sources())
+def test_assisted_optimum_below_unassisted_cost(e):
+    spec = eq_region(analyze(e, TOL))
+    assert spec.q_min <= spec.sum_min + 1e-12
