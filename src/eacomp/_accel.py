@@ -5,8 +5,7 @@ Kernels:
                      enumerated exactly over classical sequences
   unitary_objective  mutual information and average fidelity of the
                      channel of an isometry V (W-major output ordering,
-                     environment first), and on request their gradients
-                     in V. One product V phi_x per signal; both
+                     environment first), and their gradients in V. One product V phi_x per signal; both
                      entropies come from the spectra of small Gram
                      matrices, never from the C W marginals themselves,
                      and the entropy gradients from their eigenvectors.
@@ -81,8 +80,8 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
 # joint input onto environment-major output indices w * (da * dc) +
 # a * dc + c; phis holds the joint input vectors, one row per
 # positive-probability signal. Returns (I(X : C W') in bits, average
-# fidelity on A C) and, with grad=True, their Euclidean gradients G in
-# V, d(value) = Re Tr(G^dagger dV), valid off the isometries too.
+# fidelity on A C, and their Euclidean gradients G in V,
+# d(value) = Re Tr(G^dagger dV), valid off the isometries too).
 
 
 def _entropy_pull(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +98,7 @@ def _entropy_pull(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(safe * logs).sum(axis=-1), (f @ m if left else m @ f)
 
 
-def unitary_objective(v, phis, probs, da: int, dc: int, dw: int, grad: bool = False):
+def unitary_objective(v, phis, probs, da: int, dc: int, dw: int):
     nx, d_in = phis.shape
     dcw = dw * dc
     xis = phis @ v.T  # row x is V phi_x
@@ -117,8 +116,6 @@ def unitary_objective(v, phis, probs, da: int, dc: int, dw: int, grad: bool = Fa
     ov = np.einsum("xk,xwk->xw", phis.conj(), xis.reshape(nx, dw, d_in))
     f = (np.abs(ov) ** 2).sum(axis=1)
     fid = float(probs @ np.sqrt(np.clip(f, 0.0, 1.0)))
-    if not grad:
-        return mi, fid
 
     # dS(m m^dagger) = -2 Re Tr[((log2(m m^dagger) + 1/ln 2) m)^dagger dm],
     # and the 1/ln 2 terms of S(B B^dagger) and sum_x p_x S(b b^dagger)

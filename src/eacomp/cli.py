@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-iters", type=int, default=200,
                    help="Riemannian gradient steps per search start (default %(default)s)")
-    p.add_argument("--penalty", type=_finite, default=64.0)
+    p.add_argument("--penalty", type=float, default=64.0)
     p.add_argument("--env-dim", type=int, default=None)
     p.add_argument("--env-cap", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)

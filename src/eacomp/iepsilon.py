@@ -199,7 +199,7 @@ class IEpsilonEstimate:
 def penalised_objective(v, phis, probs, dims: tuple[int, int, int], need: float, penalty: float):
     """(I, fidelity, I - penalty * max(0, need - fidelity)^2, its Euclidean
     gradient in V) for the isometry v; dims = (dimA, dimC, |W|)."""
-    mi, fid, g_mi, g_fid = unitary_objective(v, phis, probs, *dims, grad=True)
+    mi, fid, g_mi, g_fid = unitary_objective(v, phis, probs, *dims)
     short = max(0.0, need - fid)
     return mi, fid, mi - penalty * short**2, g_mi + (2.0 * penalty * short) * g_fid
 

@@ -61,7 +61,7 @@ class TestObjectiveAgreement:
     def test_identity_is_identity_channel(self):
         rng = np.random.default_rng(102)
         v, phis, probs, da, dc, dw = rand_objective_inputs(rng)
-        mi, fid = unitary_objective(np.eye(*v.shape), phis, probs, da, dc, dw)
+        mi, fid = unitary_objective(np.eye(*v.shape), phis, probs, da, dc, dw)[:2]
         assert abs(fid - 1.0) < 1e-12
         assert mi >= -1e-12
 
@@ -69,7 +69,7 @@ class TestObjectiveAgreement:
         rng = np.random.default_rng(103)
         for _ in range(5):
             v, phis, probs, da, dc, dw = rand_objective_inputs(rng)
-            mi, fid = unitary_objective(v, phis, probs, da, dc, dw)
+            mi, fid = unitary_objective(v, phis, probs, da, dc, dw)[:2]
             h_x = -(probs * np.log2(probs)).sum()
             assert -1e-9 <= mi <= h_x + 1e-9
             assert 0.0 <= fid <= 1.0 + 1e-12
