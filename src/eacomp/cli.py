@@ -9,6 +9,7 @@ command on the same input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,15 +78,8 @@ def _load(args) -> Ensemble:
     return e
 
 
-def _apply_limits(args):
-    if args.vector_cap is not None:
-        limits.VECTOR_CAP = args.vector_cap
-    if args.matrix_cap is not None:
-        limits.MATRIX_CAP = args.matrix_cap
-    if args.sequence_cap is not None:
-        limits.SEQUENCE_CAP = args.sequence_cap
-    if args.code_dim_cap is not None:
-        limits.CODE_DIM_CAP = args.code_dim_cap
+# the caps that --vector-cap, --matrix-cap, ... override for one call
+_CAPS = ("VECTOR_CAP", "MATRIX_CAP", "SEQUENCE_CAP", "CODE_DIM_CAP")
 
 
 def cmd_validate(args) -> int:
@@ -234,7 +228,13 @@ def _add_preprocess(p: argparse.ArgumentParser):
                        help="JSON matrix of [re, im] pairs applied on A(x)C before the computation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Each parse_args fills a fresh namespace, so the shared parser carries
+    nothing from one main() call to the next. Callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="eacomp",
         description="Optimal compression rates for pure-state sources with encoder side information",
@@ -296,9 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved = {name: getattr(limits, name) for name in _CAPS}
     try:
-        if args.command != "validate":
-            _apply_limits(args)
+        for name in _CAPS:
+            value = getattr(args, name.lower(), None)  # validate takes no cap flags
+            if value is not None:
+                setattr(limits, name, value)
         return args.fn(args)
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
@@ -316,6 +319,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    finally:
+        for name, value in saved.items():
+            setattr(limits, name, value)
 
 
 if __name__ == "__main__":

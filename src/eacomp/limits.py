@@ -3,7 +3,8 @@
 Defaults are sized for desk-scale problems (an n=12 qubit block simulation
 fits comfortably in memory). Each cap can be overridden by environment
 variable at import time or reassigned at runtime (the CLI does the latter
-when the corresponding flag is given; flags win over the environment).
+for one call when the corresponding flag is given, and restores the cap
+after it; flags win over the environment).
 """
 
 import os

@@ -76,17 +76,26 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
         raise ValueError(f"block length must be >= 1, got {n}")
     if rate_q < 0:
         raise ValueError(f"qubit rate must be >= 0, got {rate_q}")
-    da = e.dim_a
-    if da**n > limits.CODE_DIM_CAP:
-        raise DimensionLimitError(
-            f"block dimension {da}^{n} exceeds cap {limits.CODE_DIM_CAP}; lower n"
-        )
+    da, cap = e.dim_a, limits.CODE_DIM_CAP
+    # da**n > cap is settled without forming da**n for a huge n: for
+    # da >= 2 it holds once n passes cap's bit length. n is capped too,
+    # since at da = 1 it is the only size that grows.
+    if (da > 1 and n > cap.bit_length()) or da**n > cap:
+        raise DimensionLimitError(f"block dimension {da}^{n} exceeds cap {cap}; lower n")
+    if n > cap:
+        raise DimensionLimitError(f"block length {n} exceeds cap {cap}; lower n")
     weights, vectors = eig_hermitian(reduced(e, {"A"}))
 
+    # Every index tuple in lexicographic order, one row per copy: row i
+    # runs through 0..da-1 once per period, holding each index for
+    # da**(n-1-i) tuples. (np.indices gives the same but needs n + 1 axes,
+    # and numpy stops at 64.)
+    indices = np.empty((n, da**n), dtype=np.int64)
+    for i, row in enumerate(indices):
+        row.reshape(da**i, da, -1)[...] = np.arange(da)[:, None]
     # Weigh each index tuple as prod_j w_j ** count_j, the same float
     # operations for every tuple of one type, so equal-weight products tie
     # exactly and the stable sort keeps them in lexicographic order.
-    indices = np.indices((da,) * n).reshape(n, -1)
     flat = np.ones(indices.shape[1])
     for j, w in enumerate(weights):
         flat *= w ** np.count_nonzero(indices == j, axis=0)

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line front end.
 
-Most tests drive cli.main() in process to keep the suite fast; two
-subprocess tests confirm the installed console script works at all.
+Most tests drive cli.main() in process to keep the suite fast; the
+subprocess tests confirm the installed console script works at all and
+that `python -m eacomp.cli` writes the bytes an in-process call writes.
 """
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from eacomp import (
+    __version__,
     analyze,
     apply_product_unitary,
     blind_rates,
@@ -227,6 +230,59 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["rates", BLIND, "--apply-cnot", "--pre-unitary", str(u)])
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    """main() parses with one parser per process; each call stays its own."""
+
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["validate", BLIND], ["rates", BLIND], ["region", BLIND, "--kind", "EQ"]):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_stay_independent(self, tmp_path, capsys):
+        u = tmp_path / "eye.json"
+        u.write_text("[[[1,0],[0,0]],[[0,0],[1,0]]]")
+        outputs = [tmp_path / f"rates{i}.json" for i in range(3)]
+        unknown = ["rates", BLIND, "--frobnicate"]
+        exclusive = ["rates", BLIND, "--apply-cnot", "--pre-unitary", str(u)]
+
+        def refused(argv):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            return exc.value.code, capsys.readouterr()
+
+        cli.build_parser.cache_clear()
+        first_unknown, first_exclusive = refused(unknown), refused(exclusive)
+        assert first_unknown[0] == 2 and "unrecognized arguments: --frobnicate" in first_unknown[1].err
+        assert first_exclusive[0] == 2 and "not allowed with argument" in first_exclusive[1].err
+        assert cli.main(["rates", TRIPLE, "-o", str(outputs[0])]) == 0
+        assert cli.main(["rates", TRIPLE, "--apply-cnot"]) == 0
+        assert cli.main(["rates", BLIND, "--pre-unitary", str(u), "-o", str(outputs[1])]) == 0
+        capsys.readouterr()
+        assert refused(unknown) == first_unknown
+        assert refused(exclusive) == first_exclusive
+        code, captured = refused(["--version"])
+        assert code == 0 and captured.out == f"eacomp {__version__}\n"
+        assert cli.main(["rates", TRIPLE, "-o", str(outputs[2])]) == 0
+        assert outputs[2].read_bytes() == outputs[0].read_bytes()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", BLIND, "--rate", "0.9", "--n", "2"], ["--code-dim-cap", "2"]),
+        (["simulate", BLIND, "--rate", "0.9", "--n", "2,12"], ["--sequence-cap", "10"]),
+        (["rates", TRIPLE], ["--matrix-cap", "2"]),
+        (["rates", TRIPLE], ["--vector-cap", "1"]),
+    ], ids=["code-dim-cap", "sequence-cap", "matrix-cap", "vector-cap"])
+    def test_cap_flags_hold_for_one_call(self, capsys, argv, flag):
+        caps = (limits.VECTOR_CAP, limits.MATRIX_CAP, limits.SEQUENCE_CAP, limits.CODE_DIM_CAP)
+        fresh = run(argv, capsys)
+        _, _, err = run([*argv, *flag], capsys)
+        assert "exceed" in err and f"cap {flag[1]}" in err
+        assert run(argv, capsys) == fresh
+        assert (limits.VECTOR_CAP, limits.MATRIX_CAP, limits.SEQUENCE_CAP, limits.CODE_DIM_CAP) == caps
 
 
 class TestRates:
@@ -475,3 +531,14 @@ class TestConsoleScript:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "malformed JSON" in proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+    def test_module_invocation_matches_in_process(self, tmp_path, name):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eacomp.cli", "rates", str(DATA / name), "-o", str(tmp_path / "process.json")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main(["rates", str(DATA / name), "-o", str(tmp_path / "in_process.json")]) == 0
+        assert (tmp_path / "process.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()

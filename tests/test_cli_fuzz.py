@@ -42,10 +42,10 @@ NUMERIC_COMMANDS = (
      "--seed", "1"],
     ["region", "--kind", "EQ", "--samples", "8", "--lo", "0", "--hi", "1"],
 )
-# --n, --restarts and the caps are left out: they count work, and a huge
-# value asks for that much of it
-NUMERIC_OPTIONS = {"--tol", "--rate", "--eps", "--max-iters", "--penalty", "--env-cap", "--seed",
-                   "--samples", "--lo", "--hi"}
+# --restarts and the caps are left out: they count work, and a huge value
+# asks for that much of it. A huge --n is a block size past the cap.
+NUMERIC_OPTIONS = {"--tol", "--rate", "--n", "--eps", "--max-iters", "--penalty", "--env-cap",
+                   "--seed", "--samples", "--lo", "--hi"}
 BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "-1e-300", "1e300", str(10**30))
 
 WRONG = st.one_of(
@@ -139,6 +139,7 @@ def assert_clean_run(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert_finite_output(argv[0], out.getvalue())
+    return code, out.getvalue(), err.getvalue()
 
 
 @given(text=mutated_files())
@@ -160,3 +161,17 @@ def bad_numeric_options(draw):
 @given(name=st.sampled_from(sorted(FILES)), command=bad_numeric_options())
 def test_bad_numeric_options_never_crash(name, command):
     assert_clean_run([command[0], str(DATA / name), *command[1:]])
+
+
+def test_huge_block_length_is_skipped(workdir):
+    # at dimA = 1 every block has dimension 1, so only the block length
+    # itself can stop a huge --n; at dimA = 2 the dimension stops it
+    line = workdir / "line.json"
+    line.write_text(json.dumps({"dimA": 1, "dimC": 1,
+                                "states": [{"label": "a", "prob": 1.0, "psi": [[1.0, 0.0]]}]}))
+    for path, fidelity, reason in ((line, "1.0000000000", "block length"),
+                                   (DATA / "blind_pair.json", "0.9865048090", "block dimension 2^")):
+        code, out, err = assert_clean_run(["simulate", str(path), "--rate", "0.9", "--n", f"2,{10**30}"])
+        assert code == 0
+        assert out == f"n,Q,fidelity\n2,0.900000,{fidelity}\n"
+        assert err.startswith(f"skipped n={10**30}: {reason}")

@@ -23,6 +23,11 @@ def blind_qutrit():
     return make_blind([v0, v1, v2], [0.5, 0.25, 0.25])
 
 
+def blind_line():
+    """A source on a one-dimensional A: every block length has dimension 1."""
+    return make_blind([[1.0]], [1.0])
+
+
 def brute_force_fidelity(e, n, rate_q):
     """Reference by explicit n-copy construction, shares no code with the
     package beyond the ensemble accessors."""
@@ -108,6 +113,34 @@ class TestCodeSpace:
                 build_code_space(blind_pair(), 5, 0.5)
         finally:
             limits.CODE_DIM_CAP = old
+
+    def test_dimension_cap_without_forming_the_power(self, monkeypatch):
+        # a block length far past the cap is refused before da**n or an
+        # n-long index row exists; at dA = 1 the block length itself is capped
+        cap = 2**6
+        monkeypatch.setattr(limits, "CODE_DIM_CAP", cap)
+        for e in (blind_pair(), blind_qutrit(), blind_line()):
+            for n in (cap + 1, 10**30):
+                with pytest.raises(DimensionLimitError, match="lower n"):
+                    build_code_space(e, n, 0.5)
+        assert build_code_space(blind_pair(), 6, 0.5).dim == cap
+        assert build_code_space(blind_line(), cap, 0.5).selected.shape == (1, cap)
+
+    @pytest.mark.parametrize("source, ns", [
+        (blind_pair, range(1, 11)), (blind_qutrit, range(1, 7)), (blind_line, (1, 2, 63))])
+    def test_index_rows_match_np_indices(self, source, ns):
+        # the enumeration np.indices gave before; it stops at n = 63
+        e = source()
+        for n in ns:
+            code = build_code_space(e, n, 10.0)
+            da = e.dim_a
+            indices = np.indices((da,) * n).reshape(n, -1)
+            flat = np.ones(indices.shape[1])
+            for j, w in enumerate(code.eigen_weights):
+                flat *= w ** np.count_nonzero(indices == j, axis=0)
+            order = np.argsort(-flat, kind="stable")
+            np.testing.assert_array_equal(code.selected, indices[:, order].T)
+            np.testing.assert_array_equal(code.selected_weights, flat[order])
 
 
 class TestSimulate:
