@@ -17,7 +17,6 @@ from .decomposition import (
 from .ensemble import (
     Ensemble,
     EnsembleItem,
-    SourceState,
     apply_product_unitary,
     cnot_unitary,
     ensemble_from_json,
@@ -26,9 +25,7 @@ from .ensemble import (
     make_blind,
     make_visible,
     reduced,
-    require_valid,
     save_ensemble,
-    source_state,
     tensor_power,
     validate,
 )
@@ -88,7 +85,6 @@ from .states import (
     DensityMatrix,
     PureStateVector,
     SubsystemLayout,
-    apply_isometry,
     basis_state,
     eig_hermitian,
     entropy_from_probs,
@@ -96,6 +92,5 @@ from .states import (
     partial_trace,
     pure_fidelity,
     single,
-    tensor,
     von_neumann_entropy,
 )

@@ -20,10 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import Ensemble, Overlaps, check_tolerance
+from .ensemble import DEFAULT_OVERLAP_TOL, Ensemble, Overlaps, check_tolerance
 from .errors import ConsistencyError, LabelError
-
-DEFAULT_OVERLAP_TOL = 1e-10
 
 
 def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
@@ -144,9 +142,10 @@ def _links(e: Ensemble, d: Decomposition, tol: float):
     return ys, link, link & (ys[:, None] != ys[None, :])
 
 
-def overlaps_across_components(e: Ensemble, d: Decomposition, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
-    """True when a joint overlap above tol joins two of d's components."""
-    return bool(_links(e, d, tol)[2].any())
+def overlaps_across_components(e: Ensemble, d: Decomposition) -> bool:
+    """True when a joint overlap above the strict default tolerance joins
+    two of d's components."""
+    return bool(_links(e, d, DEFAULT_OVERLAP_TOL)[2].any())
 
 
 def check_components(e: Ensemble, d: Decomposition):

@@ -43,6 +43,14 @@ from .states import (
 )
 
 PROB_ATOL = 1e-9
+# default overlap tolerance of the component graph and the blind/visible flags
+DEFAULT_OVERLAP_TOL = 1e-10
+
+
+def check_tolerance(tol: float):
+    """Reject an overlap tolerance that is negative or not finite."""
+    if not 0.0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,6 @@ class Ensemble:
         """Indices of items with strictly positive probability."""
         return tuple(i for i, it in enumerate(self.items) if it.prob > 0.0)
 
-    def joint_vector(self, i: int) -> PureStateVector:
-        """psi_x tensor sigma_x for item i."""
-        it = self.items[i]
-        layout = SubsystemLayout(("A", "C"), (self.dim_a, self.dim_c))
-        return PureStateVector(layout, np.kron(it.psi.amplitudes, it.sigma.amplitudes), check=False)
-
     @cached_property
     def overlaps(self) -> "Overlaps":
         """The support stacked with its overlap matrices; built on first use
@@ -101,7 +103,7 @@ class Ensemble:
         probs = np.array([self.items[i].prob for i in sup])
         return Overlaps(sup, probs, psi, sigma, psi.conj() @ psi.T, sigma.conj() @ sigma.T)
 
-    def is_blind(self, tol: float = 1e-10) -> bool:
+    def is_blind(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the encoder side information carries nothing.
 
         Either dimC = 1, or every sigma_x on the support is the same state
@@ -112,19 +114,13 @@ class Ensemble:
             return True
         return not (1.0 - np.abs(self.overlaps.sigma_gram[:1]) > tol).any()
 
-    def is_visible(self, tol: float = 1e-10) -> bool:
+    def is_visible(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the side information identifies x: sigmas pairwise orthogonal."""
         check_tolerance(tol)
         g = self.overlaps.sigma_gram
         if len(g) < 2 or self.dim_c < len(g):
             return False
         return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
-
-
-def check_tolerance(tol: float):
-    """Reject an overlap tolerance that is negative or not finite."""
-    if not 0.0 <= tol < math.inf:  # NaN fails too
-        raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,34 +250,6 @@ def validate(e: Ensemble) -> list[str]:
     for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
     return out
-
-
-def require_valid(e: Ensemble):
-    violations = validate(e)
-    if violations:
-        raise EnsembleFormatError(violations)
-
-
-@dataclass(frozen=True)
-class SourceState:
-    """The classical-quantum-quantum source as one density matrix on X, A, C."""
-
-    density: DensityMatrix
-    classical_labels: tuple[str, ...] = ("X",)
-
-
-def source_state(e: Ensemble) -> SourceState:
-    """sum_x p(x) |x><x| (x) psi_x (x) sigma_x, block diagonal in x."""
-    nx, da, dc = e.size, e.dim_a, e.dim_c
-    dac = da * dc
-    big = np.zeros((nx * dac, nx * dac), dtype=np.complex128)
-    for i, it in enumerate(e.items):
-        if it.prob == 0.0:
-            continue
-        w = np.kron(it.psi.amplitudes, it.sigma.amplitudes)
-        big[i * dac : (i + 1) * dac, i * dac : (i + 1) * dac] = it.prob * np.outer(w, w.conj())
-    layout = SubsystemLayout(("X", "A", "C"), (nx, da, dc))
-    return SourceState(DensityMatrix(layout, big, check=False))
 
 
 def reduced(e: Ensemble, keep) -> DensityMatrix:

@@ -47,7 +47,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ._accel import unitary_objective
-from .decomposition import DEFAULT_OVERLAP_TOL
 from .ensemble import Ensemble, reduced, tensor_power
 from .errors import ConsistencyError, EacompError
 from .rates import Analysis, analyze
@@ -65,6 +64,8 @@ FEASIBILITY_SLACK = 1e-9
 VERIFY_ATOL = 1e-8
 # a shortfall of FEASIBILITY_SLACK costs a whole bit at this penalty
 MAX_PENALTY = 1e18
+# every random start is built before any is scored, so this bounds memory
+MAX_RESTARTS = 1000
 # a step is accepted once it gains this share of its first-order gain
 ARMIJO = 1e-4
 # Frobenius length of the step that leaves a stationary start
@@ -82,7 +83,7 @@ class IsometrySearchConfig:
     most max_iters Riemannian gradient steps and ends once an accepted
     step gains less than conv_tol, or no step that could gain conv_tol
     is accepted. env_dim pins |W|; left unset it defaults to
-    min((dimA*dimC)^2, env_cap).
+    min((dimA*dimC)^2, env_cap). restarts is at most MAX_RESTARTS.
     """
 
     restarts: int = 4
@@ -96,6 +97,8 @@ class IsometrySearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("need at least one search start")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"restarts must be <= {MAX_RESTARTS}, got {self.restarts}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0 <= self.penalty <= MAX_PENALTY:
@@ -159,14 +162,14 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
     return mi, float(fid)
 
 
-def i_zero_bounds(src, tol: float = DEFAULT_OVERLAP_TOL) -> tuple[float, float]:
+def i_zero_bounds(src) -> tuple[float, float]:
     """(floor, ceiling) for the zero-disturbance limit of an ensemble or
     its analysis.
 
     The identity channel extracts I(X : C) = S(C); no lossless extraction
     can beat S(CY) of the component-extended source.
     """
-    a = analyze(src, tol)
+    a = analyze(src)
     floor = von_neumann_entropy(reduced(a.source, {"C"}))
     return floor, a.profile.s_cy
 
@@ -471,7 +474,6 @@ def check_lemma_properties(
     src,
     eps_grid,
     config: IsometrySearchConfig = IsometrySearchConfig(),
-    tol: float = DEFAULT_OVERLAP_TOL,
 ) -> LemmaReport:
     """Estimate along the grid and test the properties a correct value
     function must satisfy.
@@ -487,7 +489,7 @@ def check_lemma_properties(
     and subadditive_ok test that witness, not the optimiser. src is an
     ensemble or its analysis. Diagnostic only: nothing here raises.
     """
-    a = analyze(src, tol)
+    a = analyze(src)
     ests = estimate_grid(a, eps_grid, config)
     values = tuple(est.value for est in ests)
     grid = tuple(est.eps for est in ests)

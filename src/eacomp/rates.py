@@ -15,7 +15,8 @@ A source is analysed once (`analyze`): one decomposition, one entropy
 profile and the blind/visible flags, all read from the source's two
 overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>] over its
 support (`Ensemble.overlaps`). Every rate point is arithmetic on that
-analysis; passing an Ensemble instead analyses it on entry.
+analysis; passing an Ensemble instead analyses it on entry, at the
+default tolerance. `analyze` is the one place a tolerance is given.
 
 S(CY) and S(ACY) are each evaluated twice: from the renormalised
 components, and as the spectrum of the support-sized Gram matrix of the
@@ -106,16 +107,15 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     return _y_masked_gram(e, d, e.overlaps.psi_gram, e.overlaps.sigma_gram)
 
 
-def entropy_profile(
-    e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL, decomposition: Decomposition | None = None
-) -> EntropyProfile:
-    """Entropy profile of e; pass the decomposition of e at tol to reuse it.
+def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> EntropyProfile:
+    """Entropy profile of e over a decomposition of e, by default the one
+    at the strict default tolerance.
 
     The decomposition is checked against e's overlap graph at its own
     tolerance first: the block and direct paths below share its label ->
     y map, so neither could see a merged or split component.
     """
-    d = irreducible_components(e, tol) if decomposition is None else decomposition
+    d = irreducible_components(e, DEFAULT_OVERLAP_TOL) if decomposition is None else decomposition
     check_components(e, d)
     ov = e.overlaps
     q = d.weights
@@ -177,13 +177,15 @@ def analyze(src, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
     """Decompose src and build its entropy profile, once each; both, and
     the blind/visible flags, read the overlap matrices src builds once.
 
-    An Analysis is returned as it is, so every function taking a source
+    tol is the overlap tolerance of the component graph and the flags;
+    no rate, region or bound function takes one. An Analysis is returned
+    as it is, at its own tolerance, so every function taking a source
     accepts either form.
     """
     if isinstance(src, Analysis):
         return src
     d = irreducible_components(src, tol)
-    return Analysis(src, d, entropy_profile(src, tol, d), src.is_blind(tol), src.is_visible(tol))
+    return Analysis(src, d, entropy_profile(src, d), src.is_blind(tol), src.is_visible(tol))
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,10 @@ class RatePoint:
         return out
 
 
-def optimal_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def optimal_rates(src) -> RatePoint:
     """Cheapest qubit rate under free entanglement, with the ebit rate
     the protocol actually consumes at that corner."""
-    p = analyze(src, tol).profile
+    p = analyze(src).profile
     return RatePoint(
         q=0.5 * (p.s_a + p.s_a_given_cy),
         e=0.5 * p.i_a_cy,
@@ -256,15 +258,16 @@ def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoin
     )
 
 
-def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def blind_rates(src) -> RatePoint:
     """No side information: Q = S(A) - S(Y)/2, E = S(Y)/2.
 
     Cross-checked against the general formula. A disagreement is a
     ConsistencyError (a bug) when the source is blind with separate
     components at the strict default tolerance; when it is blind only
-    within a looser tol, it is an EacompError naming --tol.
+    within the looser tolerance of its analysis, it is an EacompError
+    naming --tol.
     """
-    a = analyze(src, tol)
+    a = analyze(src)
     if not a.blind:
         raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
     p = a.profile
@@ -272,14 +275,15 @@ def blind_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     return _check_against_general(point, a, "blind")
 
 
-def visible_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def visible_rates(src) -> RatePoint:
     """Side information identifies the signal: Q = E = S(A)/2.
 
     Cross-checked against the general formula as blind_rates is: a bug
     at the strict default tolerance, an EacompError naming --tol when
-    the source is visible only within a looser tol.
+    the source is visible only within the looser tolerance of its
+    analysis.
     """
-    a = analyze(src, tol)
+    a = analyze(src)
     if not a.visible:
         raise EacompError("side information does not identify the signal; visible formulas do not apply")
     p = a.profile
@@ -287,11 +291,11 @@ def visible_rates(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
     return _check_against_general(point, a, "visible")
 
 
-def classical_entanglement_corner(src, tol: float = DEFAULT_OVERLAP_TOL) -> RatePoint:
+def classical_entanglement_corner(src) -> RatePoint:
     """Blind corner after teleporting the whole quantum message:
     C = 2 S(A) - S(Y), E = S(A) - S(Y). Refused as blind_rates is when
     the blind point disagrees with the general formula."""
-    a = analyze(src, tol)
+    a = analyze(src)
     blind_rates(a)
     p = a.profile
     return RatePoint(

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DEFAULT_OVERLAP_TOL
 from .errors import EacompError
-from .rates import EntropyProfile, analyze, classical_entanglement_corner
+from .rates import analyze, classical_entanglement_corner
 
 CONTAINS_ATOL = 1e-9
 
@@ -70,16 +69,16 @@ class RegionSpec:
         return out
 
 
-def eq_region(src, tol: float = DEFAULT_OVERLAP_TOL) -> RegionSpec:
-    """Qubit/ebit region of an ensemble, its analysis, or a precomputed profile."""
-    profile = src if isinstance(src, EntropyProfile) else analyze(src, tol).profile
+def eq_region(src) -> RegionSpec:
+    """Qubit/ebit region of an ensemble or its analysis."""
+    profile = analyze(src).profile
     q_min = 0.5 * (profile.s_a + profile.s_a_given_cy)
     return RegionSpec(kind="EQ", q_min=q_min, sum_min=profile.s_a)
 
 
-def ce_region(src, tol: float = DEFAULT_OVERLAP_TOL) -> RegionSpec:
+def ce_region(src) -> RegionSpec:
     """Cbit/ebit region at the blind corner of an ensemble or its analysis."""
-    corner = classical_entanglement_corner(src, tol)
+    corner = classical_entanglement_corner(src)
     return RegionSpec(kind="CE", c_min=corner.c, e_min=corner.e)
 
 

@@ -48,16 +48,24 @@ class CodeSpace:
     selected_weights: np.ndarray
 
     @property
-    def fail_index(self) -> np.ndarray:
-        return self.selected[0]
-
-    @property
     def dim(self) -> int:
         return int(self.eigen_weights.shape[0] ** self.n)
 
 
 def code_rank(n: int, rate_q: float, dim_single: int) -> int:
-    """floor(2^(nQ)) kept vectors, clamped to [1, dim_single^n]."""
+    """floor(2^(nQ)) kept vectors, clamped to [1, dim_single^n].
+
+    Raises DimensionLimitError when the block dimension dim_single^n or
+    the block length n exceeds CODE_DIM_CAP.
+    """
+    cap = limits.CODE_DIM_CAP
+    # dim_single**n > cap is settled without forming dim_single**n for a
+    # huge n: for dim_single >= 2 it holds once n passes cap's bit length.
+    # n is capped too, since at dim_single = 1 it is the only size that grows.
+    if (dim_single > 1 and n > cap.bit_length()) or dim_single**n > cap:
+        raise DimensionLimitError(f"block dimension {dim_single}^{n} exceeds cap {cap}; lower n")
+    if n > cap:
+        raise DimensionLimitError(f"block length {n} exceeds cap {cap}; lower n")
     full = dim_single**n
     if n * rate_q >= math.log2(full):  # also keeps 2^(nQ) from overflowing
         return full
@@ -76,14 +84,8 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
         raise ValueError(f"block length must be >= 1, got {n}")
     if rate_q < 0:
         raise ValueError(f"qubit rate must be >= 0, got {rate_q}")
-    da, cap = e.dim_a, limits.CODE_DIM_CAP
-    # da**n > cap is settled without forming da**n for a huge n: for
-    # da >= 2 it holds once n passes cap's bit length. n is capped too,
-    # since at da = 1 it is the only size that grows.
-    if (da > 1 and n > cap.bit_length()) or da**n > cap:
-        raise DimensionLimitError(f"block dimension {da}^{n} exceeds cap {cap}; lower n")
-    if n > cap:
-        raise DimensionLimitError(f"block length {n} exceeds cap {cap}; lower n")
+    da = e.dim_a
+    rank = code_rank(n, rate_q, da)
     weights, vectors = eig_hermitian(reduced(e, {"A"}))
 
     # Every index tuple in lexicographic order, one row per copy: row i
@@ -100,7 +102,6 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     for j, w in enumerate(weights):
         flat *= w ** np.count_nonzero(indices == j, axis=0)
     order = np.argsort(-flat, kind="stable")
-    rank = code_rank(n, rate_q, da)
     kept = order[:rank]
     selected = np.ascontiguousarray(indices[:, kept].T, dtype=np.int64)
     return CodeSpace(

@@ -57,12 +57,6 @@ class SubsystemLayout:
         except ValueError:
             raise LabelError(f"unknown subsystem {label!r}; have {self.labels}") from None
 
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.axis(label)]
-
-    def tensor(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        return SubsystemLayout(self.labels + other.labels, self.dims + other.dims)
-
     def restricted(self, keep) -> "SubsystemLayout":
         """Sub-layout with the kept labels, in this layout's order."""
         keep = set(keep)
@@ -116,10 +110,6 @@ class PureStateVector:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def overlap(self, other: "PureStateVector") -> complex:
-        _require_same_layout(self.layout, other.layout)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def basis_state(layout_or_dim, index: int, label: str = "C") -> PureStateVector:
     """Computational basis vector |index> (dim may be given bare)."""
@@ -171,17 +161,6 @@ class DensityMatrix:
 def _require_same_layout(a: SubsystemLayout, b: SubsystemLayout):
     if a.labels != b.labels or a.dims != b.dims:
         raise LayoutMismatchError(f"layouts differ: {a} vs {b}")
-
-
-def tensor(a, b):
-    """Kronecker product of two vectors or two density matrices."""
-    if isinstance(a, PureStateVector) and isinstance(b, PureStateVector):
-        return PureStateVector(
-            a.layout.tensor(b.layout), np.kron(a.amplitudes, b.amplitudes), check=False
-        )
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.layout.tensor(b.layout), np.kron(a.entries, b.entries), check=False)
-    raise LayoutMismatchError("tensor requires two vectors or two density matrices")
 
 
 def partial_trace(m: DensityMatrix, keep) -> DensityMatrix:
@@ -269,33 +248,3 @@ def check_isometry(v: np.ndarray) -> np.ndarray:
     if err > ISOMETRY_ATOL:
         raise IsometryError(f"columns deviate from orthonormal by {err!r}")
     return v
-
-
-def apply_isometry(v: np.ndarray, state, out_layout: SubsystemLayout | None = None):
-    """Apply V (or a unitary) to a vector or density matrix.
-
-    out_layout names the output space; it may be omitted when V is square,
-    in which case the input layout is reused.
-    """
-    v = check_isometry(v)
-    d_out, d_in = v.shape
-    if state.layout.total_dim != d_in:
-        raise LayoutMismatchError(f"isometry input dim {d_in} vs state dim {state.layout.total_dim}")
-    if out_layout is None:
-        if d_out != d_in:
-            raise LayoutMismatchError("out_layout is required when the isometry enlarges the space")
-        out_layout = state.layout
-    elif out_layout.total_dim != d_out:
-        raise LayoutMismatchError(
-            f"out_layout dim {out_layout.total_dim} does not match isometry output {d_out}"
-        )
-    if isinstance(state, PureStateVector):
-        amps = v @ state.amplitudes
-        nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-7:
-            raise NotAStateError(f"isometry output norm {nrm!r} drifted from 1")
-        return PureStateVector(out_layout, amps, check=False)
-    if isinstance(state, DensityMatrix):
-        out = v @ state.entries @ v.conj().T
-        return DensityMatrix(out_layout, out, check=False)
-    raise LayoutMismatchError("state must be a PureStateVector or DensityMatrix")

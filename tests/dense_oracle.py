@@ -77,9 +77,10 @@ def components(e: Ensemble, tol: float) -> list[set[str]]:
             i = parent[i]
         return i
 
+    joint = {i: np.kron(e.items[i].psi.amplitudes, e.items[i].sigma.amplitudes) for i in sup}
     for a in sup:
         for b in sup:
-            if a < b and abs(np.vdot(e.joint_vector(a).amplitudes, e.joint_vector(b).amplitudes)) > tol:
+            if a < b and abs(np.vdot(joint[a], joint[b])) > tol:
                 parent[root(a)] = root(b)
     groups = {}
     for i in sup:

@@ -38,14 +38,15 @@ NUMERIC_COMMANDS = (
     ["validate", "--tol", "1e-10"],
     ["rates", "--tol", "1e-10"],
     ["simulate", "--rate", "0.8", "--n", "1,2"],
-    ["iepsilon", "--eps", "0,0.1", "--max-iters", "20", "--penalty", "64", "--env-cap", "4",
-     "--seed", "1"],
+    ["iepsilon", "--eps", "0,0.1", "--restarts", "2", "--max-iters", "20", "--penalty", "64",
+     "--env-cap", "4", "--seed", "1"],
     ["region", "--kind", "EQ", "--samples", "8", "--lo", "0", "--hi", "1"],
 )
-# --restarts and the caps are left out: they count work, and a huge value
-# asks for that much of it. A huge --n is a block size past the cap.
-NUMERIC_OPTIONS = {"--tol", "--rate", "--n", "--eps", "--max-iters", "--penalty", "--env-cap",
-                   "--seed", "--samples", "--lo", "--hi"}
+# the caps are left out: they count work, and a huge value asks for that
+# much of it. A huge --n is a block size past the cap, a huge --restarts
+# a count past MAX_RESTARTS.
+NUMERIC_OPTIONS = {"--tol", "--rate", "--n", "--eps", "--restarts", "--max-iters", "--penalty",
+                   "--env-cap", "--seed", "--samples", "--lo", "--hi"}
 BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "-1e-300", "1e300", str(10**30))
 
 WRONG = st.one_of(

@@ -11,6 +11,7 @@ from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, IsometryError
 from eacomp.iepsilon import (
+    MAX_RESTARTS,
     IsometrySearchConfig,
     check_lemma_properties,
     estimate_grid,
@@ -108,6 +109,7 @@ class TestConfig:
             {"conv_tol": 0.0},
             {"conv_tol": float("nan")},
             {"env_cap": 0},
+            {"restarts": MAX_RESTARTS + 1},
         ):
             with pytest.raises(ValueError):
                 IsometrySearchConfig(**bad)

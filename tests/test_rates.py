@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -5,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eacomp.decomposition import Component, irreducible_components
+from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
 from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
+from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
 from eacomp.rates import (
     RatePoint,
     analyze,
@@ -19,6 +21,7 @@ from eacomp.rates import (
     resource_convert,
     visible_rates,
 )
+from eacomp.region import ce_region, eq_region
 from eacomp.states import PureStateVector, single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -292,8 +295,9 @@ class TestGramPath:
             e = near_orthogonal_sectors(rng, leak=2e-3)
             d = irreducible_components(e, tol)
             assert d.size == 2
+            joints = np.stack([np.kron(it.psi.amplitudes, it.sigma.amplitudes) for it in e.items])
             cross = [
-                abs(np.vdot(e.joint_vector(i).amplitudes, e.joint_vector(j).amplitudes))
+                abs(np.vdot(joints[i], joints[j]))
                 for i in range(e.size)
                 for j in range(e.size)
                 if d.y_of(e.items[i].label) != d.y_of(e.items[j].label)
@@ -302,7 +306,6 @@ class TestGramPath:
             self.assert_same_spectrum(e, d)
             # the [y(x) = y(y)] mask matters: without it the spectrum moves
             amp = np.sqrt(e.probs)
-            joints = np.stack([e.joint_vector(i).amplitudes for i in range(e.size)])
             unmasked = np.outer(amp, amp) * (joints.conj() @ joints.T)
             shift = np.sort(np.linalg.eigvalsh(unmasked)) - np.sort(
                 np.linalg.eigvalsh(gram_matrix(e, d).entries)
@@ -332,6 +335,26 @@ class TestAnalyze:
         assert optimal_rates(a) == optimal_rates(e)
         with pytest.raises(EacompError):
             blind_rates(a)
+
+    def test_only_analyze_takes_a_tolerance(self):
+        # the tolerance fixes Y; every rate, region and bound reads it
+        # from the one analysis
+        for fn in (optimal_rates, blind_rates, visible_rates, classical_entanglement_corner,
+                   eq_region, ce_region, i_zero_bounds, check_lemma_properties,
+                   overlaps_across_components, entropy_profile):
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        assert "tol" in inspect.signature(analyze).parameters
+
+    def test_loose_analysis_keeps_its_tolerance(self):
+        # at tol 2 the two signals of blind_pair are separate components:
+        # S(A|CY) = 0 and Q = S(A)/2, where the default tolerance gives S(A)
+        e = load_ensemble(DATA / "blind_pair.json")
+        loose = analyze(e, 2.0)
+        assert loose.decomposition.size == 2
+        q = optimal_rates(loose).q
+        assert abs(q - BLIND_PAIR_S_A / 2) < 1e-12
+        assert eq_region(loose).q_min == q
+        assert abs(optimal_rates(e).q - BLIND_PAIR_S_A) < 1e-12
 
 
 class TestConsistencyGuard:

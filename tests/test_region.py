@@ -3,7 +3,7 @@ import pytest
 
 from eacomp.ensemble import make_blind, make_visible
 from eacomp.errors import EacompError
-from eacomp.rates import entropy_profile, optimal_rates
+from eacomp.rates import analyze, optimal_rates
 from eacomp.region import (
     RegionSpec,
     boundary_polyline,
@@ -29,8 +29,7 @@ class TestSpecs:
     def test_eq_from_ensemble_and_profile(self):
         e = visible_pair()
         spec = eq_region(e)
-        spec2 = eq_region(entropy_profile(e))
-        assert spec.q_min == spec2.q_min and spec.sum_min == spec2.sum_min
+        assert spec == eq_region(analyze(e))
         r = optimal_rates(e)
         assert abs(spec.q_min - r.q) < 1e-12
 

@@ -75,13 +75,20 @@ class TestCodeRank:
         # floor robust against representation dust: 3 * (1/3) slightly below 1
         assert code_rank(3, 1.0 / 3.0, 2) == 2
 
+    def test_huge_block_length_refused(self):
+        # refused before dim_single**n is formed; at dimension 1 the block
+        # length itself is capped
+        for dim in (1, 2, 3):
+            with pytest.raises(DimensionLimitError, match="lower n"):
+                code_rank(10**30, 0.5, dim)
+
 
 class TestCodeSpace:
     def test_structure(self):
         code = build_code_space(blind_pair(), 4, 0.7)
         assert code.rank == 6
         assert code.selected.shape == (6, 4)
-        np.testing.assert_array_equal(code.fail_index, [0, 0, 0, 0])
+        np.testing.assert_array_equal(code.selected[0], [0, 0, 0, 0])
         # weights are the products of the single-copy spectrum, descending
         w = code.eigen_weights
         assert w[0] >= w[1]
