@@ -25,8 +25,8 @@ from .ensemble import (
     apply_product_unitary,
     cnot_unitary,
     check_tolerance,
-    ensemble_from_json,
     load_ensemble,
+    matrix_from_json,
 )
 from .errors import EacompError, EnsembleFormatError
 from .iepsilon import IsometrySearchConfig, check_lemma_properties, estimate_grid, i_zero_bounds
@@ -72,9 +72,7 @@ def _load(args) -> Ensemble:
     pre = getattr(args, "pre_unitary", None)
     if pre:
         with open(pre, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        u = np.array([[complex(v[0], v[1]) for v in row] for row in raw], dtype=np.complex128)
-        e = apply_product_unitary(e, u)
+            e = apply_product_unitary(e, matrix_from_json(json.load(fh), "--pre-unitary"))
     return e
 
 

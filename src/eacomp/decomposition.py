@@ -15,7 +15,7 @@ to any rate and their conditional ensembles would be ill defined.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,13 +65,12 @@ def _connected_parts(link: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Component:
-    """One irreducible piece: the labels it covers, its weight, and the
-    conditional ensemble renormalized to probability one."""
+    """One irreducible piece: its index y, the labels it covers and its
+    weight; its conditional source is `Overlaps.given` on its rows."""
 
     y: int
     labels: tuple[str, ...]
     weight: float
-    sub_ensemble: Ensemble
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class Decomposition:
 
 
 def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Decomposition:
-    """Connected components of the overlap graph, as conditional ensembles.
+    """Connected components of the overlap graph.
 
     Components are ordered by their smallest member label so the Y index
     does not depend on item order quirks.
@@ -123,13 +122,8 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     groups = [[ov.support[k] for k in part] for part in _connected_parts(_support_graph(ov, tol))]
     groups.sort(key=lambda g: min(e.items[i].label for i in g))
 
-    comps = []
-    for y, group in enumerate(groups):
-        weight = float(sum(e.items[i].prob for i in group))
-        items = tuple(replace(e.items[i], prob=e.items[i].prob / weight) for i in group)
-        comps.append(
-            Component(y, tuple(e.items[i].label for i in group), weight, Ensemble(e.dim_a, e.dim_c, items))
-        )
+    comps = [Component(y, tuple(e.items[i].label for i in g), float(sum(e.items[i].prob for i in g)))
+             for y, g in enumerate(groups)]
     return Decomposition(tuple(comps), tol)
 
 

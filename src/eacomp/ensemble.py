@@ -94,14 +94,13 @@ class Ensemble:
 
     @cached_property
     def overlaps(self) -> "Overlaps":
-        """The support stacked with its overlap matrices; built on first use
-        and shared by every analysis of this ensemble."""
+        """The support stacked row by row; built on first use and shared by
+        every analysis of this ensemble (its overlap matrices on first read)."""
         sup = self.support()
         psi = np.array([self.items[i].psi.amplitudes for i in sup], dtype=np.complex128)
         sigma = np.array([self.items[i].sigma.amplitudes for i in sup], dtype=np.complex128)
         psi, sigma = psi.reshape(len(sup), self.dim_a), sigma.reshape(len(sup), self.dim_c)
-        probs = np.array([self.items[i].prob for i in sup])
-        return Overlaps(sup, probs, psi, sigma, psi.conj() @ psi.T, sigma.conj() @ sigma.T)
+        return Overlaps(sup, np.array([self.items[i].prob for i in sup]), psi, sigma)
 
     def is_blind(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the encoder side information carries nothing.
@@ -112,14 +111,16 @@ class Ensemble:
         check_tolerance(tol)
         if self.dim_c == 1:
             return True
-        return not (1.0 - np.abs(self.overlaps.sigma_gram[:1]) > tol).any()
+        sigma = self.overlaps.sigma
+        return not (1.0 - np.abs(sigma[:1].conj() @ sigma.T) > tol).any()
 
     def is_visible(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the side information identifies x: sigmas pairwise orthogonal."""
         check_tolerance(tol)
-        g = self.overlaps.sigma_gram
-        if len(g) < 2 or self.dim_c < len(g):
+        n = len(self.overlaps.probs)
+        if n < 2 or self.dim_c < n:
             return False
+        g = self.overlaps.sigma_gram
         return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
 
 
@@ -128,14 +129,27 @@ class Overlaps:
     """A source's support: item indices, probabilities, the rows psi_x and
     sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
     Every rate quantity is invariant under U_A (x) U_C, so it depends on
-    the source only through p and these two matrices."""
+    the source only through p and these two matrices. Each is built on
+    first read, and refused above MATRIX_CAP before it is formed."""
 
     support: tuple[int, ...]
     probs: np.ndarray
     psi: np.ndarray
     sigma: np.ndarray
-    psi_gram: np.ndarray
-    sigma_gram: np.ndarray
+
+    @cached_property
+    def psi_gram(self) -> np.ndarray:
+        return _gram(self.psi)
+
+    @cached_property
+    def sigma_gram(self) -> np.ndarray:
+        return _gram(self.sigma)
+
+    def given(self, rows, weight: float) -> "Overlaps":
+        """The items at rows, a boolean mask over the support, with their
+        probabilities divided by weight: one component, renormalised."""
+        return Overlaps(tuple(k for k, keep in zip(self.support, rows) if keep), self.probs[rows] / weight,
+                        self.psi[rows], self.sigma[rows])
 
     def vectors(self, keep) -> np.ndarray:
         """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
@@ -165,6 +179,13 @@ class Overlaps:
             return self.marginal(keep)
         amp = np.sqrt(self.probs)
         return DensityMatrix(single("X", len(v)), np.outer(amp, amp) * (v.conj() @ v.T), check=False)
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """[<v_x|v_x'>] over the rows, refused above MATRIX_CAP before the product."""
+    if len(rows) > limits.MATRIX_CAP:
+        raise DimensionLimitError(f"matrix side {len(rows)} exceeds cap {limits.MATRIX_CAP}")
+    return rows.conj() @ rows.T
 
 
 def _as_pure(vec, dim: int, label: str) -> PureStateVector:
@@ -309,7 +330,7 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
     if u.shape != (d, d):
         raise LayoutMismatchError(f"unitary shape {u.shape} does not match A(x)C dim {d}")
     err = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if err > 1e-8:
+    if not err <= 1e-8:  # NaN fails too
         raise IsometryError(f"matrix deviates from unitary by {err!r}")
     items = []
     for i, it in enumerate(e.items):
@@ -364,6 +385,23 @@ def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray | None
             problems.append(f"{where}: amplitude must be a number or [re, im] pair, got {v!r}")
             whole = False
     return out if whole else None
+
+
+def matrix_from_json(raw, where: str) -> np.ndarray:
+    """A square matrix given as rows of amplitudes in the forms _vector
+    accepts; raises EnsembleFormatError, one line per fault, on a bad
+    shape or entry and on a non-finite one."""
+    if not isinstance(raw, list):
+        raise EnsembleFormatError([f"{where}: expected a list of rows"])
+    problems: list[str] = []
+    rows = [_vector(row, len(raw), f"{where} row {i}", problems) for i, row in enumerate(raw)]
+    if problems:
+        raise EnsembleFormatError(problems)
+    m = np.array(rows, dtype=np.complex128).reshape(len(raw), len(raw))
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        raise EnsembleFormatError([f"{where} row {i}: amplitude {k} = {m[i, k]} is not finite" for i, k in bad])
+    return m
 
 
 def ensemble_from_json(data: dict) -> Ensemble:

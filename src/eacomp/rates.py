@@ -18,9 +18,9 @@ support (`Ensemble.overlaps`). Every rate point is arithmetic on that
 analysis; passing an Ensemble instead analyses it on entry, at the
 default tolerance. `analyze` is the one place a tolerance is given.
 
-S(CY) and S(ACY) are each evaluated twice: from the renormalised
-components, and as the spectrum of the support-sized Gram matrix of the
-Y-extended signals built from the raw items and the label -> y map,
+S(CY) and S(ACY) are each evaluated twice: from each component's rows,
+renormalised (`Overlaps.given`), and as the spectrum of the support-sized
+Gram matrix of the Y-extended signals (raw items, label -> y map),
 G_xy = sqrt(p_x p_y) <psi_x|psi_y> <sigma_x|sigma_y> [y(x) = y(y)]
 (without <psi_x|psi_y> for S(CY)), which has the nonzero spectrum of
 rho_ACY (Jozsa & Schlienz, PRA 62, 012301, 2000); disagreement beyond
@@ -88,11 +88,10 @@ def _clamp_tiny(v: float) -> float:
     return 0.0 if abs(v) < REPORT_CLAMP else float(v)
 
 
-def _y_masked_gram(e: Ensemble, d: Decomposition, *overlaps: np.ndarray) -> DensityMatrix:
+def _y_masked_gram(e: Ensemble, ys: np.ndarray, *overlaps: np.ndarray) -> DensityMatrix:
     """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
-    row per support item (layout "X")."""
+    row per support item of e, whose component indices are ys (layout "X")."""
     amp = np.sqrt(e.overlaps.probs)
-    ys = d.support_ys(e)
     gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
     return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
 
@@ -104,7 +103,7 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
     cross-component overlaps at or below the decomposition tolerance.
     """
-    return _y_masked_gram(e, d, e.overlaps.psi_gram, e.overlaps.sigma_gram)
+    return _y_masked_gram(e, d.support_ys(e), e.overlaps.psi_gram, e.overlaps.sigma_gram)
 
 
 def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> EntropyProfile:
@@ -118,26 +117,22 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> 
     d = irreducible_components(e, DEFAULT_OVERLAP_TOL) if decomposition is None else decomposition
     check_components(e, d)
     ov = e.overlaps
+    ys = d.support_ys(e)
     q = d.weights
     s_y = entropy_from_probs(q)
     h_x = entropy_from_probs(ov.probs)
     s_a = von_neumann_entropy(ov.density({"A"}))
 
     # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each from
-    # the rows of the renormalised component.
-    s_c_blocks = 0.0
-    s_ac_blocks = 0.0
-    for c in d.components:
-        sub = c.sub_ensemble.overlaps
-        s_c_blocks += c.weight * von_neumann_entropy(sub.density({"C"}))
-        s_ac_blocks += c.weight * von_neumann_entropy(sub.density({"A", "C"}))
-    s_cy = s_y + s_c_blocks
-    s_acy = s_y + s_ac_blocks
+    # the component's rows, renormalised.
+    blocks = [(c.weight, ov.given(ys == c.y, c.weight)) for c in d.components]
+    s_cy = s_y + sum(w * von_neumann_entropy(sub.density({"C"})) for w, sub in blocks)
+    s_acy = s_y + sum(w * von_neumann_entropy(sub.density({"A", "C"})) for w, sub in blocks)
 
     # Direct path: the whole Y-extended source at once, from the raw items
     # and the label -> y map; no weight or renormalisation shared with the
     # block path.
-    s_cy_direct = von_neumann_entropy(_y_masked_gram(e, d, ov.sigma_gram))
+    s_cy_direct = von_neumann_entropy(_y_masked_gram(e, ys, ov.sigma_gram))
     s_acy_direct = von_neumann_entropy(gram_matrix(e, d))
 
     faults = [
@@ -173,17 +168,21 @@ class Analysis:
     visible: bool
 
 
-def analyze(src, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
+def analyze(src, tol: float | None = None) -> Analysis:
     """Decompose src and build its entropy profile, once each; both, and
     the blind/visible flags, read the overlap matrices src builds once.
 
-    tol is the overlap tolerance of the component graph and the flags;
-    no rate, region or bound function takes one. An Analysis is returned
-    as it is, at its own tolerance, so every function taking a source
-    accepts either form.
+    tol is the overlap tolerance of the component graph and the flags
+    (default DEFAULT_OVERLAP_TOL); no rate, region or bound function
+    takes one. An Analysis is returned as it is, so every function
+    taking a source accepts either form; a tol other than its own is
+    refused with ValueError.
     """
     if isinstance(src, Analysis):
+        if tol is not None and tol != src.decomposition.tolerance:
+            raise ValueError(f"analysis is at tolerance {src.decomposition.tolerance}, not {tol}")
         return src
+    tol = DEFAULT_OVERLAP_TOL if tol is None else tol
     d = irreducible_components(src, tol)
     return Analysis(src, d, entropy_profile(src, d), src.is_blind(tol), src.is_visible(tol))
 

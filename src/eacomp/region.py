@@ -20,6 +20,10 @@ from .errors import EacompError
 from .rates import analyze, classical_entanglement_corner
 
 CONTAINS_ATOL = 1e-9
+# CSV numbers of this magnitude or more are written in scientific notation:
+# a double has no fractional digits left there, and a fixed-point field
+# would run to hundreds of digits
+FIXED_POINT_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,14 @@ def boundary_polyline(
     return [(c, spec.e_min) for c in sorted(grid)]
 
 
+def csv_number(v: float, decimals: int) -> str:
+    """v to the given decimals: fixed-point below FIXED_POINT_LIMIT in
+    magnitude, scientific from there on."""
+    return f"{v:.{decimals}{'f' if abs(v) < FIXED_POINT_LIMIT else 'e'}}"
+
+
 def polyline_csv(points, header: tuple[str, str]) -> str:
-    """Fixed-point CSV, 6 decimals, one vertex per line."""
+    """CSV with 6 decimals (csv_number), one vertex per line."""
     lines = [f"{header[0]},{header[1]}"]
-    lines.extend(f"{a:.6f},{b:.6f}" for a, b in points)
+    lines.extend(f"{csv_number(a, 6)},{csv_number(b, 6)}" for a, b in points)
     return "\n".join(lines) + "\n"

@@ -26,6 +26,7 @@ from . import limits
 from ._accel import block_fidelity
 from .ensemble import Ensemble, reduced
 from .errors import DimensionLimitError, EacompError
+from .region import csv_number
 from .states import eig_hermitian
 
 
@@ -117,19 +118,17 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
 
 def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
     """Expected decoding fidelity of the code on n iid signals."""
-    sup = e.support()
+    ov = e.overlaps
     if e.dim_a != code.eigen_vectors.shape[0]:
         raise EacompError(
             f"code built for dimension {code.eigen_vectors.shape[0]}, ensemble has {e.dim_a}"
         )
-    if len(sup) ** code.n > limits.SEQUENCE_CAP:
+    if len(ov.probs) ** code.n > limits.SEQUENCE_CAP:
         raise DimensionLimitError(
-            f"{len(sup)}^{code.n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n"
+            f"{len(ov.probs)}^{code.n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n"
         )
-    probs = np.array([e.items[i].prob for i in sup])
-    amps = np.stack([e.items[i].psi.amplitudes for i in sup])
-    g = np.abs(amps @ code.eigen_vectors.conj()) ** 2
-    return block_fidelity(probs, g, code.selected)
+    g = np.abs(ov.psi @ code.eigen_vectors.conj()) ** 2
+    return block_fidelity(ov.probs, g, code.selected)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class FidelityCurve:
 
     def csv(self) -> str:
         lines = ["n,Q,fidelity"]
-        lines.extend(f"{n},{self.rate_q:.6f},{f:.10f}" for n, f in self.points)
+        lines.extend(f"{n},{csv_number(self.rate_q, 6)},{csv_number(f, 10)}" for n, f in self.points)
         return "\n".join(lines) + "\n"
 
 

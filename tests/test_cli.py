@@ -206,6 +206,16 @@ class TestNumericOptions:
         assert code == 0
         assert [float(line.split(",")[2]) for line in out.splitlines()[1:]] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("argv, fields", [
+        (["region", BLIND, "--kind", "EQ", "--hi", "1e300", "--samples", "3"],
+         ["E,Q", "0.000000,0.600876", "5.000000e+299,0.600876", "1.000000e+300,0.600876"]),
+        (["simulate", BLIND, "--rate", "1e300", "--n", "1,2"],
+         ["n,Q,fidelity", "1,1.000000e+300,1.0000000000", "2,1.000000e+300,1.0000000000"]),
+    ], ids=["region-hi", "simulate-rate"])
+    def test_huge_values_print_in_scientific_notation(self, capsys, argv, fields):
+        # fixed point would print 1e300 as 301 digits and six decimals
+        assert run(argv, capsys) == (0, "\n".join(fields) + "\n", "")
+
 
 class TestUsage:
     def test_version(self, capsys):
@@ -318,6 +328,15 @@ class TestRates:
         # atomic write leaves no temp droppings
         assert not list(tmp_path.glob(".eacomp-*"))
 
+    def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
+        # -o naming a directory: the temp file is written beside it, and
+        # the rename over the directory fails
+        target = tmp_path / "out"
+        target.mkdir()
+        code, out, err = run(["rates", BLIND, "-o", str(target)], capsys)
+        assert (code, out) == (2, "") and str(target) in err
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
     def test_apply_cnot_matches_library_preprocess(self, capsys):
         code, out, _ = run(["rates", TRIPLE, "--apply-cnot"], capsys)
         assert code == 0
@@ -334,6 +353,29 @@ class TestRates:
         _, plain, _ = run(["rates", BLIND], capsys)
         _, pre, _ = run(["rates", BLIND, "--pre-unitary", str(u)], capsys)
         assert plain == pre
+
+    @pytest.mark.parametrize("text, fault", [
+        ("[[1, 0], [0, 1]]", None),
+        ('{"u": 1}', "--pre-unitary: expected a list of rows"),
+        (f"[[[{10**400}, 0], [0, 0]], [[0, 0], [1, 0]]]", "row 0: amplitude 0 = (inf+0j) is not finite"),
+        ("[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]", "row 0: amplitude 0 = (nan+0j) is not finite"),
+        ("[[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]", "row 1: amplitude 1 = (inf+0j) is not finite"),
+        ("[[[1, 0], [0, 0]], [[1, 0]]]", "--pre-unitary row 1: expected 2 amplitudes"),
+    ], ids=["bare-reals", "object", "huge-int", "nan", "infinity", "ragged"])
+    def test_malformed_pre_unitary_rejected(self, tmp_path, capsys, text, fault):
+        u = tmp_path / "u.json"
+        u.write_text(text)
+        code, out, err = run(["rates", BLIND, "--pre-unitary", str(u)], capsys)
+        assert "Traceback" not in err and "SVD did not converge" not in err
+        if fault is None:  # bare reals, as an ensemble file takes them
+            assert (code, out, err) == run(["rates", BLIND], capsys)
+        else:
+            assert (code, out) == (1, "") and fault in err
+
+    def test_decompose_refuses_overlaps_above_matrix_cap(self, capsys):
+        # sideinfo_triple's overlap matrices are 3 x 3
+        assert run(["decompose", TRIPLE, "--matrix-cap", "2"], capsys) == (
+            1, "", "matrix side 3 exceeds cap 2\n")
 
     def test_decompose_two_sectors(self, capsys):
         code, out, _ = run(["decompose", SECTORS], capsys)

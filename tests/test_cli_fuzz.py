@@ -6,7 +6,7 @@ literals, list items duplicated, the text truncated. A second strategy
 keeps the files intact and replaces one numeric option with NaN, +-inf,
 a negative or a huge value. Every command must exit 0, 1 or 2 without
 an uncaught exception, and never exit 0 with a non-finite number in its
-output.
+output or a CSV number longer than MAX_CSV_FIELD.
 """
 
 import contextlib
@@ -48,6 +48,8 @@ NUMERIC_COMMANDS = (
 NUMERIC_OPTIONS = {"--tol", "--rate", "--n", "--eps", "--restarts", "--max-iters", "--penalty",
                    "--env-cap", "--seed", "--samples", "--lo", "--hi"}
 BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "-1e-300", "1e300", str(10**30))
+# the longest CSV number: fixed point stops below 1e15 in magnitude
+MAX_CSV_FIELD = len("-999999999999999.000000")
 
 WRONG = st.one_of(
     st.none(),
@@ -119,7 +121,7 @@ def assert_finite_output(command, out):
         json.loads(out, parse_constant=_reject_constant)
     elif command in ("simulate", "region"):
         for line in out.splitlines()[1:]:
-            assert all(math.isfinite(float(v)) for v in line.split(",")), line
+            assert all(math.isfinite(float(v)) and len(v) <= MAX_CSV_FIELD for v in line.split(",")), line
     else:
         assert out.startswith("ok: ")
 

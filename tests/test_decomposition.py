@@ -103,8 +103,10 @@ class TestComponents:
             d.y_of("nope")
 
     def test_conditional_probs_renormalized(self):
-        d = irreducible_components(two_sector_blind())
-        sub = d.components[0].sub_ensemble
+        e = two_sector_blind()
+        d = irreducible_components(e)
+        c = d.components[0]
+        sub = e.overlaps.given(d.support_ys(e) == c.y, c.weight)
         np.testing.assert_allclose(sub.probs, [0.5, 0.5], atol=1e-12)
         assert abs(sum(sub.probs) - 1) < 1e-12
 

@@ -220,6 +220,8 @@ class TestProductUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(IsometryError):
             apply_product_unitary(sideinfo_triple(), np.eye(4) * 0.5)
+        with pytest.raises(IsometryError, match="nan"):
+            apply_product_unitary(sideinfo_triple(), np.full((4, 4), np.nan))
         with pytest.raises(LayoutMismatchError):
             apply_product_unitary(blind_pair(), np.eye(4))
 
@@ -287,6 +289,20 @@ class TestJson:
         assert "psi norm" in text
         assert "probability sum" in text
         assert "duplicate label" in text
+
+    @pytest.mark.parametrize("change, line", [
+        ({"visible": 1}, "'visible' must be a boolean"),
+        ({"visible": True, "dimC": 3}, "visible ensembles need dimC = number of states (2)"),
+        ({"states": [1, {"prob": 1.0, "psi": [1, 0]}]}, "state 0: must be an object"),
+        ({"visible": True, "states": [{"prob": 0.5, "psi": [1, 0], "sigma": [1, 0]},
+                                      {"prob": 0.5, "psi": [0, 1]}]},
+         "state 0: sigma conflicts with top-level 'visible'"),
+    ], ids=["visible-type", "visible-dimC", "state-type", "visible-sigma"])
+    def test_structural_violation_reported(self, change, line):
+        pair = {"dimA": 2, "states": [{"prob": 0.5, "psi": [1, 0]}, {"prob": 0.5, "psi": [0, 1]}]}
+        with pytest.raises(EnsembleFormatError) as err:
+            ensemble_from_json({**pair, **change})
+        assert line in err.value.violations
 
     def test_int_too_large_for_float_is_not_finite(self):
         with pytest.raises(EnsembleFormatError, match="is not finite"):

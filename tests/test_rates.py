@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
-from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, EnsembleItem, Overlaps, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
 from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
 from eacomp.rates import (
@@ -345,6 +345,13 @@ class TestAnalyze:
             assert "tol" not in inspect.signature(fn).parameters, fn.__name__
         assert "tol" in inspect.signature(analyze).parameters
 
+    def test_analysis_refuses_another_tolerance(self):
+        # analyze(analyze(e), 2.0) once kept 1e-10 without a word
+        a = analyze(load_ensemble(DATA / "blind_pair.json"))
+        assert analyze(a) is a and analyze(a, 1e-10) is a
+        with pytest.raises(ValueError, match=r"analysis is at tolerance 1e-10, not 2\.0"):
+            analyze(a, 2.0)
+
     def test_loose_analysis_keeps_its_tolerance(self):
         # at tol 2 the two signals of blind_pair are separate components:
         # S(A|CY) = 0 and Q = S(A)/2, where the default tolerance gives S(A)
@@ -410,12 +417,16 @@ class TestConsistencyGuard:
 
     @pytest.mark.parametrize("source", ["two_sectors", "triple", "visible"])
     def test_wrong_renormalisation_raises_both(self, monkeypatch, source):
-        def unnormalised(c):
-            # conditional probabilities summing to 0.9 instead of 1
-            items = tuple(replace(it, prob=it.prob * 0.9) for it in c.sub_ensemble.items)
-            return replace(c, sub_ensemble=replace(c.sub_ensemble, items=items))
+        real = Overlaps.given
+        calls = []
 
-        self.mutate_first_component(monkeypatch, unnormalised)
+        def unnormalised(ov, rows, weight):
+            # the first component's conditional probabilities sum to 0.9, not 1
+            sub = real(ov, rows, weight)
+            calls.append(rows)
+            return sub if len(calls) > 1 else replace(sub, probs=sub.probs * 0.9)
+
+        monkeypatch.setattr(Overlaps, "given", unnormalised)
         with pytest.raises(ConsistencyError) as exc:
             entropy_profile(GUARD_SOURCES[source]())
         assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
@@ -430,7 +441,7 @@ class TestConsistencyGuard:
     def test_merged_components_raise(self):
         # one component over both sectors: S(Y) would read 0 and Q 1.572
         e, d = self.two_sectors_file()
-        merged = Component(0, e.labels, 1.0, e)
+        merged = Component(0, e.labels, 1.0)
         with pytest.raises(ConsistencyError, match="y=0 covers 2 connected parts"):
             entropy_profile(e, decomposition=replace(d, components=(merged,)))
 

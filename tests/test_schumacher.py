@@ -1,13 +1,15 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eacomp import limits
-from eacomp.ensemble import make_blind, make_visible
+from eacomp.ensemble import Ensemble, make_blind, make_visible, reduced
 from eacomp.errors import DimensionLimitError, EacompError
 from eacomp.schumacher import build_code_space, code_rank, fidelity_curve, simulate_fidelity
+from eacomp.states import basis_state
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -223,6 +225,14 @@ class TestSimulate:
                 simulate_fidelity(e, code)
         finally:
             limits.SEQUENCE_CAP = old
+
+    def test_builds_no_overlap_matrix(self):
+        # blind with dimC = 2: the blind check, the marginal on A and the
+        # fidelity read the rows psi_x and sigma_x, never an N x N matrix
+        e = Ensemble(2, 2, tuple(replace(it, sigma=basis_state(2, 0)) for it in blind_pair().items))
+        reduced(e, {"A"})
+        simulate_fidelity(e, build_code_space(e, 2, 0.5))
+        assert not {"psi_gram", "sigma_gram"} & vars(e.overlaps).keys()
 
     def test_code_ensemble_dim_mismatch(self):
         code = build_code_space(blind_pair(), 2, 0.5)
