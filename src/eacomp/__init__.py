@@ -16,7 +16,6 @@ from .decomposition import (
 )
 from .ensemble import (
     Ensemble,
-    EnsembleItem,
     apply_product_unitary,
     cnot_unitary,
     ensemble_from_json,
@@ -85,7 +84,6 @@ from .states import (
     DensityMatrix,
     PureStateVector,
     SubsystemLayout,
-    basis_state,
     eig_hermitian,
     entropy_from_probs,
     fidelity,

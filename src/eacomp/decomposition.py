@@ -98,7 +98,7 @@ class Decomposition:
 
     def support_ys(self, e: Ensemble) -> np.ndarray:
         """The component index y of each support item of e, in support order."""
-        return np.array([self.y_of(e.items[i].label) for i in e.overlaps.support], dtype=int)
+        return np.array([self.y_of(e.labels[i]) for i in e.overlaps.support], dtype=int)
 
     def to_json(self) -> dict:
         return {
@@ -120,9 +120,9 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     """
     ov = e.overlaps
     groups = [[ov.support[k] for k in part] for part in _connected_parts(_support_graph(ov, tol))]
-    groups.sort(key=lambda g: min(e.items[i].label for i in g))
+    groups.sort(key=lambda g: min(e.labels[i] for i in g))
 
-    comps = [Component(y, tuple(e.items[i].label for i in g), float(sum(e.items[i].prob for i in g)))
+    comps = [Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
              for y, g in enumerate(groups)]
     return Decomposition(tuple(comps), tol)
 
@@ -151,8 +151,8 @@ def check_components(e: Ensemble, d: Decomposition):
     if cross.any():
         i, j = np.argwhere(cross)[0]
         raise ConsistencyError(
-            f"decomposition does not match the overlap graph: items {e.items[ov.support[i]].label!r} "
-            f"(y={ys[i]}) and {e.items[ov.support[j]].label!r} (y={ys[j]}) overlap above the "
+            f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
+            f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "
             f"tolerance {d.tolerance} across components"
         )
     labels = _part_labels(link)

@@ -1,9 +1,11 @@
 """Classical-quantum sources: labeled ensembles of pure signal states.
 
-An Ensemble pairs each classical letter x with a probability p(x), a
-signal state psi_x on A, and a side-information state sigma_x on C held
-by the encoder. dimC = 1 models the blind setting (no side information);
-sigma_x = |x> models the visible setting.
+An Ensemble holds a source as rows, one per classical letter x: its
+label, its probability p(x), its signal state psi_x on A (a row of the
+N x dimA array psi) and the side-information state sigma_x on C held by
+the encoder (a row of the N x dimC array sigma). dimC = 1 models the
+blind setting (no side information); sigma_x = |x> models the visible
+setting.
 
 The JSON interchange format is
 
@@ -33,14 +35,9 @@ from .errors import (
     LabelError,
     LayoutMismatchError,
     EacompError,
+    NotAStateError,
 )
-from .states import (
-    DensityMatrix,
-    PureStateVector,
-    SubsystemLayout,
-    basis_state,
-    single,
-)
+from .states import NORM_ATOL, DensityMatrix, SubsystemLayout, single
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -53,54 +50,62 @@ def check_tolerance(tol: float):
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
 
 
-@dataclass(frozen=True)
-class EnsembleItem:
-    label: str
-    prob: float
-    psi: PureStateVector
-    sigma: PureStateVector
+def _frozen(a, dtype) -> np.ndarray:
+    a = np.array(a, dtype=dtype, copy=True)
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
-    dim_a: int
-    dim_c: int
-    items: tuple[EnsembleItem, ...]
+    """The source {p_x, psi_x (x) sigma_x} as rows: labels (N,), probs
+    (N,), psi (N, dimA) and sigma (N, dimC), each a read-only copy."""
+
+    labels: tuple[str, ...]
+    probs: np.ndarray
+    psi: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        if not self.items:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name, dtype in (("probs", np.float64), ("psi", np.complex128), ("sigma", np.complex128)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        n = len(self.labels)
+        if not n:
             raise EnsembleFormatError(["ensemble has no states"])
-        for i, it in enumerate(self.items):
-            if it.psi.dim != self.dim_a:
-                raise LayoutMismatchError(f"item {i}: psi dim {it.psi.dim} != dimA {self.dim_a}")
-            if it.sigma.dim != self.dim_c:
-                raise LayoutMismatchError(f"item {i}: sigma dim {it.sigma.dim} != dimC {self.dim_c}")
+        if self.probs.shape != (n,) or self.psi.ndim != 2 or self.sigma.ndim != 2 \
+                or len(self.psi) != n or len(self.sigma) != n:
+            raise LayoutMismatchError(
+                f"{n} labels need probs of shape ({n},) and psi, sigma of {n} rows; got "
+                f"{self.probs.shape}, {self.psi.shape} and {self.sigma.shape}"
+            )
+        for dim in (self.dim_a, self.dim_c):
+            if dim > limits.VECTOR_CAP:
+                raise DimensionLimitError(f"vector dimension {dim} exceeds cap {limits.VECTOR_CAP}")
+
+    @property
+    def dim_a(self) -> int:
+        return self.psi.shape[1]
+
+    @property
+    def dim_c(self) -> int:
+        return self.sigma.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.items)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(it.label for it in self.items)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return np.array([it.prob for it in self.items])
+        return len(self.labels)
 
     def support(self) -> tuple[int, ...]:
         """Indices of items with strictly positive probability."""
-        return tuple(i for i, it in enumerate(self.items) if it.prob > 0.0)
+        return tuple(np.flatnonzero(self.probs > 0.0).tolist())
 
     @cached_property
     def overlaps(self) -> "Overlaps":
-        """The support stacked row by row; built on first use and shared by
-        every analysis of this ensemble (its overlap matrices on first read)."""
+        """The support's rows; built on first use and shared by every
+        analysis of this ensemble (its overlap matrices on first read)."""
         sup = self.support()
-        psi = np.array([self.items[i].psi.amplitudes for i in sup], dtype=np.complex128)
-        sigma = np.array([self.items[i].sigma.amplitudes for i in sup], dtype=np.complex128)
-        psi, sigma = psi.reshape(len(sup), self.dim_a), sigma.reshape(len(sup), self.dim_c)
-        return Overlaps(sup, np.array([self.items[i].prob for i in sup]), psi, sigma)
+        rows = list(sup)
+        return Overlaps(sup, self.probs[rows], self.psi[rows], self.sigma[rows])
 
     def is_blind(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the encoder side information carries nothing.
@@ -154,89 +159,85 @@ class Overlaps:
     def vectors(self, keep) -> np.ndarray:
         """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
         {C} or {A, C}."""
-        keep = set(keep)
-        if not keep or keep - {"A", "C"}:
-            raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
-        if keep == {"A"}:
+        labels = self._layout(keep).labels
+        if labels == ("A",):
             return self.psi
-        if keep == {"C"}:
+        if labels == ("C",):
             return self.sigma
         return (self.psi[:, :, None] * self.sigma[:, None, :]).reshape(len(self.probs), -1)
 
     def marginal(self, keep) -> DensityMatrix:
-        """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product."""
+        """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product,
+        refused above MATRIX_CAP before it is formed."""
+        layout = self._layout(keep)
+        _check_side(layout.total_dim)
         v = self.vectors(keep)
-        pairs = [(l, m.shape[1]) for l, m in (("A", self.psi), ("C", self.sigma)) if l in keep]
-        layout = SubsystemLayout(tuple(l for l, _ in pairs), tuple(d for _, d in pairs))
         return DensityMatrix(layout, (self.probs[:, None] * v).T @ v.conj(), check=False)
 
     def density(self, keep) -> DensityMatrix:
         """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
         (layout "X") when that side is smaller. The two share their nonzero
-        spectrum, so either gives the entropy."""
-        v = self.vectors(keep)
-        if len(v) >= v.shape[1]:
+        spectrum, so either gives the entropy. The Gram side is read from
+        the overlap matrices; the joint rows on A (x) C are never formed for it."""
+        layout = self._layout(keep)
+        if len(self.probs) >= layout.total_dim:
             return self.marginal(keep)
+        labels = layout.labels
+        if labels == ("A",):
+            gram = self.psi_gram
+        elif labels == ("C",):
+            gram = self.sigma_gram
+        else:
+            gram = self.psi_gram * self.sigma_gram
         amp = np.sqrt(self.probs)
-        return DensityMatrix(single("X", len(v)), np.outer(amp, amp) * (v.conj() @ v.T), check=False)
+        return DensityMatrix(single("X", len(amp)), np.outer(amp, amp) * gram, check=False)
+
+    def _layout(self, keep) -> SubsystemLayout:
+        """The kept factors, A before C; keep must be a nonempty subset of {A, C}."""
+        keep = set(keep)
+        if not keep or keep - {"A", "C"}:
+            raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
+        pairs = [(l, m.shape[1]) for l, m in (("A", self.psi), ("C", self.sigma)) if l in keep]
+        return SubsystemLayout(tuple(l for l, _ in pairs), tuple(d for _, d in pairs))
+
+
+def _check_side(side: int):
+    if side > limits.MATRIX_CAP:
+        raise DimensionLimitError(f"matrix side {side} exceeds cap {limits.MATRIX_CAP}")
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
     """[<v_x|v_x'>] over the rows, refused above MATRIX_CAP before the product."""
-    if len(rows) > limits.MATRIX_CAP:
-        raise DimensionLimitError(f"matrix side {len(rows)} exceeds cap {limits.MATRIX_CAP}")
+    _check_side(len(rows))
     return rows.conj() @ rows.T
 
 
-def _as_pure(vec, dim: int, label: str) -> PureStateVector:
-    if isinstance(vec, PureStateVector):
-        if vec.dim != dim:
-            raise LayoutMismatchError(f"state dim {vec.dim} != {dim}")
-        return PureStateVector(single(label, dim), vec.amplitudes, check=False)
-    return PureStateVector(single(label, dim), np.asarray(vec, dtype=np.complex128))
+def _unit_rows(states) -> np.ndarray:
+    """The states stacked as rows; each must be a unit vector of the first one's shape."""
+    rows = [np.asarray(s, dtype=np.complex128) for s in states]
+    for i, row in enumerate(rows):
+        if row.shape != rows[0].shape:
+            raise LayoutMismatchError(f"state {i} has shape {row.shape}, state 0 has {rows[0].shape}")
+        nrm = float(np.linalg.norm(row))
+        if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
+            raise NotAStateError(f"state {i}: vector norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
+    return np.array(rows)
+
+
+def _default_labels(labels, n: int) -> list[str]:
+    return list(labels) if labels is not None else [str(i) for i in range(n)]
 
 
 def make_blind(states, probs, labels=None) -> Ensemble:
     """Ensemble with trivial side information (dimC = 1)."""
-    states = list(states)
-    dim_a = len(np.asarray(states[0], dtype=np.complex128).ravel()) if not isinstance(
-        states[0], PureStateVector
-    ) else states[0].dim
-    labels = list(labels) if labels is not None else [str(i) for i in range(len(states))]
-    trivial = basis_state(single("C", 1), 0)
-    items = tuple(
-        EnsembleItem(labels[i], float(probs[i]), _as_pure(states[i], dim_a, "A"), trivial)
-        for i in range(len(states))
-    )
-    return Ensemble(dim_a, 1, items)
+    psi = _unit_rows(states)
+    return Ensemble(_default_labels(labels, len(psi)), probs, psi, np.ones((len(psi), 1)))
 
 
 def make_visible(states, probs, labels=None) -> Ensemble:
     """Ensemble whose side information is a classical copy of the label."""
-    states = list(states)
-    n = len(states)
-    dim_a = len(np.asarray(states[0], dtype=np.complex128).ravel()) if not isinstance(
-        states[0], PureStateVector
-    ) else states[0].dim
-    labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-    items = tuple(
-        EnsembleItem(
-            labels[i],
-            float(probs[i]),
-            _as_pure(states[i], dim_a, "A"),
-            basis_state(single("C", n), i),
-        )
-        for i in range(n)
-    )
-    return Ensemble(dim_a, n, items)
-
-
-def _is_finite(v) -> bool:
-    """True for a finite real; ints too large for a float count as infinite."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+    psi = _unit_rows(states)
+    return Ensemble(_default_labels(labels, len(psi)), probs, psi, np.eye(len(psi)))
 
 
 def validate(e: Ensemble) -> list[str]:
@@ -246,14 +247,14 @@ def validate(e: Ensemble) -> list[str]:
     reported as a bad probability sum or norm.
     """
     out = []
-    for i, it in enumerate(e.items):
-        where = f"item {i} ({it.label!r})"
-        if not _is_finite(it.prob):
-            out.append(f"{where}: probability {it.prob!r} is not finite")
-        elif it.prob < -PROB_ATOL:
-            out.append(f"{where}: negative probability {it.prob!r}")
-        for name, state in (("psi", it.psi), ("sigma", it.sigma)):
-            amps = state.amplitudes
+    probs = e.probs.tolist()
+    for i, (label, prob) in enumerate(zip(e.labels, probs)):
+        where = f"item {i} ({label!r})"
+        if not math.isfinite(prob):
+            out.append(f"{where}: probability {prob!r} is not finite")
+        elif prob < -PROB_ATOL:
+            out.append(f"{where}: negative probability {prob!r}")
+        for name, amps in (("psi", e.psi[i]), ("sigma", e.sigma[i])):
             bad = np.flatnonzero(~np.isfinite(amps))
             for k in bad:
                 out.append(f"{where}: {name} has non-finite amplitudes: "
@@ -263,12 +264,11 @@ def validate(e: Ensemble) -> list[str]:
             nrm = float(np.linalg.norm(amps))
             if abs(nrm - 1.0) > 1e-9:
                 out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    if all(_is_finite(it.prob) for it in e.items):
-        total = float(sum(it.prob for it in e.items))
+    if all(map(math.isfinite, probs)):
+        total = float(sum(probs))
         if not abs(total - 1.0) <= PROB_ATOL:
             out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
-    labels = [it.label for it in e.items]
-    for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):
+    for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
     return out
 
@@ -279,7 +279,8 @@ def reduced(e: Ensemble, keep) -> DensityMatrix:
 
 
 def tensor_power(e: Ensemble, n: int) -> Ensemble:
-    """n independent copies, labels joined with commas."""
+    """n independent copies, labels joined with commas, in C order of the
+    copies' item indices (item k of two copies holds items k // N, k % N)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if e.size**n > limits.SEQUENCE_CAP:
@@ -289,24 +290,13 @@ def tensor_power(e: Ensemble, n: int) -> Ensemble:
     da, dc = e.dim_a**n, e.dim_c**n
     if da > limits.VECTOR_CAP or dc > limits.VECTOR_CAP:
         raise DimensionLimitError(f"copy dimensions {da}x{dc} exceed cap {limits.VECTOR_CAP}")
-    items = []
-    for combo in np.ndindex(*([e.size] * n)):
-        parts = [e.items[i] for i in combo]
-        prob = math.prod(p.prob for p in parts)
-        psi = parts[0].psi.amplitudes
-        sig = parts[0].sigma.amplitudes
-        for p in parts[1:]:
-            psi = np.kron(psi, p.psi.amplitudes)
-            sig = np.kron(sig, p.sigma.amplitudes)
-        items.append(
-            EnsembleItem(
-                ",".join(p.label for p in parts),
-                prob,
-                PureStateVector(single("A", da), psi, check=False),
-                PureStateVector(single("C", dc), sig, check=False),
-            )
-        )
-    return Ensemble(da, dc, tuple(items))
+    labels, probs, psi, sigma = list(e.labels), e.probs, e.psi, e.sigma
+    for _ in range(n - 1):
+        labels = [f"{a},{b}" for a in labels for b in e.labels]
+        probs = (probs[:, None] * e.probs).ravel()
+        psi = (psi[:, None, :, None] * e.psi[None, :, None, :]).reshape(len(labels), -1)
+        sigma = (sigma[:, None, :, None] * e.sigma[None, :, None, :]).reshape(len(labels), -1)
+    return Ensemble(labels, probs, psi, sigma)
 
 
 def cnot_unitary() -> np.ndarray:
@@ -332,25 +322,18 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
     err = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
     if not err <= 1e-8:  # NaN fails too
         raise IsometryError(f"matrix deviates from unitary by {err!r}")
-    items = []
-    for i, it in enumerate(e.items):
-        w = u @ np.kron(it.psi.amplitudes, it.sigma.amplitudes)
-        mat = w.reshape(e.dim_a, e.dim_c)
-        left, s, right = np.linalg.svd(mat)
-        if s.size > 1 and s[1] > 1e-9:
-            raise EacompError(
-                f"unitary entangles item {i} ({it.label!r}) across A/C "
-                f"(second Schmidt coefficient {s[1]:.3e}); cannot keep the product form"
-            )
-        items.append(
-            EnsembleItem(
-                it.label,
-                it.prob,
-                PureStateVector(single("A", e.dim_a), left[:, 0] * s[0], check=False),
-                PureStateVector(single("C", e.dim_c), right[0, :], check=False),
-            )
+    joints = (e.psi[:, :, None] * e.sigma[:, None, :]).reshape(e.size, d)
+    # u times each joint as a column rounds as the per-signal u @ w does; joints @ u.T would not
+    w = u @ joints[:, :, None]
+    left, s, right = np.linalg.svd(w.reshape(e.size, e.dim_a, e.dim_c))
+    entangled = np.flatnonzero(s[:, 1:2] > 1e-9)
+    if entangled.size:
+        i = entangled[0]
+        raise EacompError(
+            f"unitary entangles item {i} ({e.labels[i]!r}) across A/C "
+            f"(second Schmidt coefficient {s[i, 1]:.3e}); cannot keep the product form"
         )
-    return Ensemble(e.dim_a, e.dim_c, tuple(items))
+    return Ensemble(e.labels, e.probs, left[:, :, 0] * s[:, :1], right[:, 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +416,7 @@ def ensemble_from_json(data: dict) -> Ensemble:
     if visible and dim_c != len(states):
         problems.append(f"visible ensembles need dimC = number of states ({len(states)})")
 
-    items = []
+    rows = []
     for i, raw in enumerate(states):
         where = f"state {i}"
         if not isinstance(raw, dict):
@@ -463,18 +446,13 @@ def ensemble_from_json(data: dict) -> Ensemble:
             problems.append(f"{where}: sigma required when dimC > 1")
             sigma = None
         if prob is not None and psi is not None and sigma is not None:
-            items.append(
-                EnsembleItem(
-                    label,
-                    _float(prob),
-                    PureStateVector(single("A", dim_a), psi, check=False),
-                    PureStateVector(single("C", dim_c), sigma, check=False),
-                )
-            )
+            rows.append((label, _float(prob), psi, sigma))
 
-    if len(items) < len(states):
+    # as each complete state is read: one above VECTOR_CAP is refused
+    # before the structural faults of the others are reported
+    e = Ensemble(*zip(*rows)) if rows else None
+    if len(rows) < len(states):
         raise EnsembleFormatError(problems)
-    e = Ensemble(dim_a, dim_c, tuple(items))
     problems.extend(validate(e))
     if problems:
         raise EnsembleFormatError(problems)
@@ -488,10 +466,10 @@ def ensemble_to_json(e: Ensemble) -> dict:
         return [[float(a.real), float(a.imag)] for a in v]
 
     states = []
-    for it in e.items:
-        entry = {"label": it.label, "prob": it.prob, "psi": pairs(it.psi.amplitudes)}
+    for label, prob, psi, sigma in zip(e.labels, e.probs.tolist(), e.psi, e.sigma):
+        entry = {"label": label, "prob": prob, "psi": pairs(psi)}
         if e.dim_c > 1:
-            entry["sigma"] = pairs(it.sigma.amplitudes)
+            entry["sigma"] = pairs(sigma)
         states.append(entry)
     return {"dimA": e.dim_a, "dimC": e.dim_c, "states": states}
 

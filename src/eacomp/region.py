@@ -24,6 +24,9 @@ CONTAINS_ATOL = 1e-9
 # a double has no fractional digits left there, and a fixed-point field
 # would run to hundreds of digits
 FIXED_POINT_LIMIT = 1e15
+# boundary_polyline holds its whole grid (a list of floats and a set of
+# them) before it returns; 10**6 samples peak near 130 MB there
+MAX_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ def boundary_polyline(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if spec.kind == "EQ":
         lo = 0.0 if lo is None else max(float(lo), 0.0)
         hi = spec.sum_min if hi is None else float(hi)

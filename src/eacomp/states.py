@@ -111,18 +111,6 @@ class PureStateVector:
         return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-def basis_state(layout_or_dim, index: int, label: str = "C") -> PureStateVector:
-    """Computational basis vector |index> (dim may be given bare)."""
-    layout = layout_or_dim
-    if isinstance(layout_or_dim, int):
-        layout = single(label, layout_or_dim)
-    if not 0 <= index < layout.total_dim:
-        raise LayoutMismatchError(f"basis index {index} out of range for dim {layout.total_dim}")
-    amps = np.zeros(layout.total_dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureStateVector(layout, amps)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.

@@ -8,9 +8,9 @@ the package's analysis.
 import numpy as np
 
 from eacomp.decomposition import Decomposition
-from eacomp.ensemble import Ensemble, EnsembleItem
+from eacomp.ensemble import Ensemble
 from eacomp.errors import LabelError
-from eacomp.states import DensityMatrix, PureStateVector, SubsystemLayout, basis_state, partial_trace, single
+from eacomp.states import DensityMatrix, SubsystemLayout, partial_trace
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -21,22 +21,15 @@ def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
     Zero-probability items are dropped (they have no component).
     """
     covered = {lbl for c in d.components for lbl in c.labels}
-    sup_labels = {e.items[i].label for i in e.support()}
+    sup_labels = {e.labels[i] for i in e.support()}
     if covered != sup_labels:
         raise LabelError(
             f"decomposition covers {sorted(covered)} but ensemble support is {sorted(sup_labels)}"
         )
-    ny = d.size
-    dim_c = e.dim_c * ny
-    items = []
-    for i in e.support():
-        it = e.items[i]
-        tag = basis_state(single("Y", ny), d.y_of(it.label))
-        sigma = PureStateVector(
-            single("C", dim_c), np.kron(it.sigma.amplitudes, tag.amplitudes), check=False
-        )
-        items.append(EnsembleItem(it.label, it.prob, it.psi, sigma))
-    return Ensemble(e.dim_a, dim_c, tuple(items))
+    sup = list(e.support())
+    tags = np.eye(d.size)
+    sigma = [np.kron(e.sigma[i], tags[d.y_of(e.labels[i])]) for i in sup]
+    return Ensemble([e.labels[i] for i in sup], e.probs[sup], e.psi[sup], sigma)
 
 
 def entropy(m: DensityMatrix) -> float:
@@ -52,9 +45,9 @@ def dense_profile(e: Ensemble, d: Decomposition) -> dict:
     ext = extend_with_y(e, d)
     dims = (e.dim_a, e.dim_c, d.size)
     rho = np.zeros((np.prod(dims),) * 2, dtype=complex)
-    for it in ext.items:
-        v = np.kron(it.psi.amplitudes, it.sigma.amplitudes)
-        rho += it.prob * np.outer(v, v.conj())
+    for prob, psi, sigma in zip(ext.probs, ext.psi, ext.sigma):
+        v = np.kron(psi, sigma)
+        rho += prob * np.outer(v, v.conj())
     acy = DensityMatrix(SubsystemLayout(("A", "C", "Y"), dims), rho)
     out = {
         "S_A": entropy(partial_trace(acy, {"A"})),
@@ -77,12 +70,12 @@ def components(e: Ensemble, tol: float) -> list[set[str]]:
             i = parent[i]
         return i
 
-    joint = {i: np.kron(e.items[i].psi.amplitudes, e.items[i].sigma.amplitudes) for i in sup}
+    joint = {i: np.kron(e.psi[i], e.sigma[i]) for i in sup}
     for a in sup:
         for b in sup:
             if a < b and abs(np.vdot(joint[a], joint[b])) > tol:
                 parent[root(a)] = root(b)
     groups = {}
     for i in sup:
-        groups.setdefault(root(i), set()).add(e.items[i].label)
+        groups.setdefault(root(i), set()).add(e.labels[i])
     return sorted(groups.values(), key=min)

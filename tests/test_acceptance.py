@@ -16,9 +16,7 @@ import numpy as np
 
 from eacomp import (
     Ensemble,
-    EnsembleItem,
     IsometrySearchConfig,
-    PureStateVector,
     RatePoint,
     cli,
     entropy_profile,
@@ -35,7 +33,6 @@ from eacomp import (
     optimal_rates,
     resource_convert,
     save_ensemble,
-    single,
 )
 
 from test_rates import TRIPLE_ORACLE, BLIND_PAIR_S_A, sideinfo_triple
@@ -75,13 +72,10 @@ def rand_unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
-def build(dim_a, dim_c, rows):
-    items = tuple(
-        EnsembleItem(lbl, pr, PureStateVector(single("A", dim_a), psi),
-                     PureStateVector(single("C", dim_c), sig))
-        for lbl, pr, psi, sig in rows
-    )
-    return Ensemble(dim_a, dim_c, items)
+def build(rows):
+    """An Ensemble from (label, prob, psi, sigma) rows."""
+    labels, probs, psi, sigma = zip(*rows)
+    return Ensemble(labels, probs, psi, sigma)
 
 
 def test_worked_example_rates(capsys, tmp_path):
@@ -161,7 +155,7 @@ def blind_two_sector(rng):
             rows.append((f"{b}{i}", 0.0, psi, np.ones(1, complex)))
     probs = rng.dirichlet(np.ones(4))
     rows = [(lbl, float(p), psi, sig) for (lbl, _, psi, sig), p in zip(rows, probs)]
-    return build(4, 1, rows)
+    return build(rows)
 
 
 def test_corner_consistency(capsys):
@@ -174,7 +168,7 @@ def test_corner_consistency(capsys):
                 dim_a, dim_c = int(rng.integers(2, 4)), int(rng.integers(1, 4))
                 m = int(rng.integers(2, 6))
                 probs = rng.dirichlet(np.ones(m))
-                e = build(dim_a, dim_c, [
+                e = build([
                     (str(i), float(probs[i]), rand_unit(rng, dim_a), rand_unit(rng, dim_c))
                     for i in range(m)
                 ])
@@ -212,7 +206,7 @@ def test_entropy_dual_path(capsys):
                 else:
                     sig = rand_unit(rng, dim_c)
                 rows.append((str(i), float(probs[i]), rand_unit(rng, dim_a), sig))
-            p = entropy_profile(build(dim_a, dim_c, rows))
+            p = entropy_profile(build(rows))
             assert abs(p.s_acy - p.s_acy_direct) <= 1e-8
 
 
@@ -289,8 +283,7 @@ def test_information_bounds(capsys):
 def oracle_partition(e, thresh=1e-6):
     # test-side connectivity check, independent of the package BFS
     m = e.size
-    vecs_a = [it.psi.amplitudes for it in e.items]
-    vecs_c = [it.sigma.amplitudes for it in e.items]
+    vecs_a, vecs_c = e.psi, e.sigma
     adj = [[False] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
@@ -308,7 +301,7 @@ def oracle_partition(e, thresh=1e-6):
             comp.add(i)
             stack.extend(j for j in range(m) if adj[i][j] and j not in comp)
         seen |= comp
-        groups.append(frozenset(e.items[i].label for i in comp))
+        groups.append(frozenset(e.labels[i] for i in comp))
     return frozenset(groups)
 
 
@@ -330,7 +323,7 @@ def planted_ensemble(rng):
                 else:
                     sig[b] = 1.0
                 block.append((rand_unit(rng, dim_a), sig))
-            probe = build(dim_a, dim_c, [
+            probe = build([
                 (str(i), 1.0 / size, psi, sig) for i, (psi, sig) in enumerate(block)
             ])
             if len(oracle_partition(probe)) == 1:
@@ -343,7 +336,7 @@ def planted_ensemble(rng):
         planted.append(frozenset(labels))
     probs = rng.dirichlet(np.ones(len(rows)))
     rows = [(lbl, float(p), psi, sig) for (lbl, _, psi, sig), p in zip(rows, probs)]
-    return build(dim_a, dim_c, rows), frozenset(planted)
+    return build(rows), frozenset(planted)
 
 
 def recovered_partition(e):
@@ -352,14 +345,11 @@ def recovered_partition(e):
 
 
 def perturbed(e, rng, scale=1e-11):
-    items = []
-    for it in e.items:
-        psi = it.psi.amplitudes + scale * rand_unit(rng, e.dim_a)
-        sig = it.sigma.amplitudes + scale * rand_unit(rng, e.dim_c)
-        items.append(EnsembleItem(it.label, it.prob,
-                                  PureStateVector(single("A", e.dim_a), psi),
-                                  PureStateVector(single("C", e.dim_c), sig)))
-    return Ensemble(e.dim_a, e.dim_c, tuple(items))
+    psi, sigma = [], []
+    for a, c in zip(e.psi, e.sigma):
+        psi.append(a + scale * rand_unit(rng, e.dim_a))
+        sigma.append(c + scale * rand_unit(rng, e.dim_c))
+    return Ensemble(e.labels, e.probs, psi, sigma)
 
 
 def test_partition_recovery(capsys):
@@ -372,7 +362,7 @@ def test_partition_recovery(capsys):
             assert recovered_partition(e) == planted
 
             perm = rng.permutation(e.size)
-            shuffled = Ensemble(e.dim_a, e.dim_c, tuple(e.items[i] for i in perm))
+            shuffled = Ensemble([e.labels[i] for i in perm], e.probs[perm], e.psi[perm], e.sigma[perm])
             assert recovered_partition(shuffled) == planted
 
             assert recovered_partition(perturbed(e, rng)) == planted

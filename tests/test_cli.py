@@ -31,6 +31,7 @@ from eacomp import (
     save_ensemble,
 )
 from eacomp.errors import ConsistencyError, EacompError
+from eacomp.region import MAX_SAMPLES
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BLIND = str(DATA / "blind_pair.json")
@@ -187,6 +188,8 @@ class TestNumericOptions:
         ["iepsilon", BLIND, "--eps", "0", "--env-cap", "0"],
         ["region", BLIND, "--kind", "EQ", "--lo", "nan"],
         ["region", BLIND, "--kind", "EQ", "--hi", "inf"],
+        ["region", BLIND, "--kind", "EQ", "--samples", "1"],
+        ["region", BLIND, "--kind", "EQ", "--samples", str(MAX_SAMPLES + 1)],
         ["simulate", BLIND, "--rate", "inf", "--n", "1,2"],
         ["simulate", BLIND, "--rate", "nan", "--n", "1,2"],
     ], ids=lambda argv: " ".join([argv[0], *argv[2:]]))

@@ -7,30 +7,16 @@ from eacomp.decomposition import (
     is_irreducible,
     overlap_graph,
 )
-from eacomp.ensemble import Ensemble, EnsembleItem, make_blind, make_visible
+from eacomp.ensemble import Ensemble, make_blind, make_visible
 from eacomp.errors import LabelError
 from eacomp.rates import analyze, entropy_profile, optimal_rates
-from eacomp.states import PureStateVector, single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
 
 def sideinfo_triple(t=0.05):
-    items = []
-    for lbl, pr, psi, sig in [
-        ("0", 0.5 - t, [1, 0], [1, 0]),
-        ("1", 0.5 - t, [0, 1], [1, 0]),
-        ("2", 2 * t, PLUS, PLUS),
-    ]:
-        items.append(
-            EnsembleItem(
-                lbl,
-                pr,
-                PureStateVector(single("A", 2), np.asarray(psi, complex)),
-                PureStateVector(single("C", 2), np.asarray(sig, complex)),
-            )
-        )
-    return Ensemble(2, 2, tuple(items))
+    return Ensemble(("0", "1", "2"), [0.5 - t, 0.5 - t, 2 * t],
+                    [[1, 0], [0, 1], PLUS], [[1, 0], [1, 0], PLUS])
 
 
 def two_sector_blind():
@@ -112,7 +98,8 @@ class TestComponents:
 
     def test_item_order_invariance(self):
         e = two_sector_blind()
-        shuffled = Ensemble(e.dim_a, e.dim_c, tuple(e.items[i] for i in (3, 0, 2, 1)))
+        p = [3, 0, 2, 1]
+        shuffled = Ensemble([e.labels[i] for i in p], e.probs[p], e.psi[p], e.sigma[p])
         d1 = irreducible_components(e)
         d2 = irreducible_components(shuffled)
         assert [set(c.labels) for c in d1.components] == [set(c.labels) for c in d2.components]
@@ -127,15 +114,11 @@ class TestComponents:
     def test_perturbation_invariance(self):
         rng = np.random.default_rng(404)
         e = two_sector_blind()
-        items = []
-        for it in e.items:
-            noise = 1e-11 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            v = it.psi.amplitudes + noise
-            v = v / np.linalg.norm(v)
-            items.append(
-                EnsembleItem(it.label, it.prob, PureStateVector(single("A", 4), v), it.sigma)
-            )
-        d = irreducible_components(Ensemble(4, 1, tuple(items)))
+        psi = []
+        for v in e.psi:
+            v = v + 1e-11 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            psi.append(v / np.linalg.norm(v))
+        d = irreducible_components(Ensemble(e.labels, e.probs, psi, e.sigma))
         assert [c.labels for c in d.components] == [("a0", "a1"), ("b0", "b1")]
 
     def test_single_state(self):

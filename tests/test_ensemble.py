@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ import pytest
 from eacomp import limits
 from eacomp.ensemble import (
     Ensemble,
-    EnsembleItem,
     apply_product_unitary,
     cnot_unitary,
     ensemble_from_json,
@@ -27,10 +28,29 @@ from eacomp.errors import (
     IsometryError,
     LabelError,
     LayoutMismatchError,
+    NotAStateError,
 )
-from eacomp.states import PureStateVector, single
+from eacomp.states import single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
+
+
+def rand_unit(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Yields a one-element list that holds, on exit, the peak bytes
+    allocated inside the block."""
+    peak = [0]
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak[0] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def blind_pair():
@@ -38,21 +58,8 @@ def blind_pair():
 
 
 def sideinfo_triple(t=0.05):
-    items = []
-    for lbl, pr, psi, sig in [
-        ("0", 0.5 - t, [1, 0], [1, 0]),
-        ("1", 0.5 - t, [0, 1], [1, 0]),
-        ("2", 2 * t, PLUS, PLUS),
-    ]:
-        items.append(
-            EnsembleItem(
-                lbl,
-                pr,
-                PureStateVector(single("A", 2), np.asarray(psi, complex)),
-                PureStateVector(single("C", 2), np.asarray(sig, complex)),
-            )
-        )
-    return Ensemble(2, 2, tuple(items))
+    return Ensemble(("0", "1", "2"), [0.5 - t, 0.5 - t, 2 * t],
+                    [[1, 0], [0, 1], PLUS], [[1, 0], [1, 0], PLUS])
 
 
 class TestConstructors:
@@ -67,16 +74,12 @@ class TestConstructors:
         e = make_visible([[1, 0], PLUS], [0.5, 0.5])
         assert e.dim_c == 2
         assert e.is_visible() and not e.is_blind()
-        np.testing.assert_allclose(e.items[1].sigma.amplitudes, [0, 1])
+        np.testing.assert_allclose(e.sigma[1], [0, 1])
 
     def test_identical_sigmas_count_as_blind(self):
         e = sideinfo_triple()
         assert not e.is_blind()
-        same = Ensemble(
-            2,
-            2,
-            tuple(EnsembleItem(it.label, it.prob, it.psi, e.items[0].sigma) for it in e.items),
-        )
+        same = Ensemble(e.labels, e.probs, e.psi, [e.sigma[0]] * e.size)
         assert same.is_blind()
 
     def test_support_skips_zero_prob(self):
@@ -84,40 +87,53 @@ class TestConstructors:
         assert e.support() == (0, 2)
 
     def test_dim_mismatch(self):
+        e = blind_pair()
+        for probs, psi, sigma in [(e.probs, e.psi, np.ones((3, 1))), (e.probs[:1], e.psi, e.sigma),
+                                  (e.probs, e.psi[0], e.sigma)]:
+            with pytest.raises(LayoutMismatchError):
+                Ensemble(e.labels, probs, psi, sigma)
+        with pytest.raises(EnsembleFormatError, match="ensemble has no states"):
+            Ensemble((), [], np.zeros((0, 2)), np.zeros((0, 1)))
+
+    def test_vector_cap(self, monkeypatch):
+        e = make_visible([[1], [1]], [0.5, 0.5])
+        monkeypatch.setattr(limits, "VECTOR_CAP", 1)
+        with pytest.raises(DimensionLimitError, match="^vector dimension 2 exceeds cap 1$"):
+            Ensemble(e.labels, e.probs, e.psi, e.sigma)
+        with pytest.raises(DimensionLimitError, match="^vector dimension 2 exceeds cap 1$"):
+            Ensemble(e.labels, e.probs, e.sigma, e.psi)
+
+    def test_rows_are_read_only_copies(self):
+        psi = np.array([[1, 0], PLUS], dtype=complex)
+        e = make_blind(psi, [0.5, 0.5])
+        psi[0, 0] = 0.0
+        assert e.psi[0, 0] == 1.0
+        for rows in (e.probs, e.psi, e.sigma):
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+
+    def test_equality_is_identity(self):
+        e = blind_pair()
+        assert e == e and e != blind_pair()
+        assert {e: 1}[e] == 1
+
+    def test_constructors_refuse_bad_states(self):
+        with pytest.raises(NotAStateError):
+            make_blind([[1, 0], [1, 1]], [0.5, 0.5])
         with pytest.raises(LayoutMismatchError):
-            Ensemble(3, 1, blind_pair().items)
-        with pytest.raises(EnsembleFormatError):
-            Ensemble(2, 1, ())
+            make_visible([[1, 0], [1, 0, 0]], [0.5, 0.5])
 
 
 class TestValidate:
     def test_flags_problems(self):
-        bad = Ensemble(
-            2,
-            1,
-            (
-                EnsembleItem("x", 0.7, PureStateVector(single("A", 2), [1, 1], check=False),
-                             PureStateVector(single("C", 1), [1])),
-                EnsembleItem("x", 0.7, PureStateVector(single("A", 2), [1, 0]),
-                             PureStateVector(single("C", 1), [1])),
-            ),
-        )
+        bad = Ensemble(("x", "x"), [0.7, 0.7], [[1, 1], [1, 0]], [[1], [1]])
         msgs = validate(bad)
         assert any("psi norm" in m for m in msgs)
         assert any("probability sum" in m for m in msgs)
         assert any("duplicate label" in m for m in msgs)
 
     def test_flags_non_finite(self):
-        bad = Ensemble(
-            2,
-            1,
-            (
-                EnsembleItem("p", float("nan"), PureStateVector(single("A", 2), [1, 0]),
-                             PureStateVector(single("C", 1), [1])),
-                EnsembleItem("q", 0.5, PureStateVector(single("A", 2), [np.inf, 0], check=False),
-                             PureStateVector(single("C", 1), [1])),
-            ),
-        )
+        bad = Ensemble(("p", "q"), [float("nan"), 0.5], [[1, 0], [np.inf, 0]], [[1], [1]])
         msgs = validate(bad)
         assert any("'p'): probability nan is not finite" in m for m in msgs)
         assert any("'q'): psi has non-finite amplitudes" in m for m in msgs)
@@ -153,21 +169,96 @@ class TestReduced:
             reduced(e, {"A", "X"})
 
 
+    def test_marginal_refused_before_it_is_formed(self, monkeypatch):
+        # the 2000 x 2000 marginal on C would take 64 MB
+        rng = np.random.default_rng(3)
+        e = Ensemble(("a", "b"), [0.5, 0.5], np.eye(2), [rand_unit(rng, 2000) for _ in range(2)])
+        monkeypatch.setattr(limits, "MATRIX_CAP", 100)
+        with pytest.raises(DimensionLimitError, match="^matrix side 2000 exceeds cap 100$"):
+            with traced_peak() as peak:
+                reduced(e, {"C"})
+        assert peak[0] < 2 * 2**20
+
+    def test_gram_side_forms_no_joint_rows(self):
+        rng = np.random.default_rng(4)
+        e = Ensemble(("a", "b", "c"), np.ones(3) / 3, [rand_unit(rng, 256) for _ in range(3)],
+                     [rand_unit(rng, 256) for _ in range(3)])
+        ov = e.overlaps
+        joint_bytes = 3 * 256 * 256 * 16
+        with traced_peak() as peak:
+            rho = ov.density({"A", "C"})
+        assert rho.layout == single("X", 3)
+        assert peak[0] < joint_bytes / 10
+        joints = np.array([np.kron(a, c) for a, c in zip(e.psi, e.sigma)])
+        np.testing.assert_allclose(rho.entries, (joints.conj() @ joints.T) / 3, rtol=0, atol=1e-15)
+
+
+def rand_source(rng, dim_a, dim_c, n):
+    """n random signals; each but the first has probability zero with chance 0.3."""
+    probs = rng.dirichlet(np.ones(n))
+    probs[1:][rng.random(n - 1) < 0.3] = 0.0
+    return Ensemble([f"x{i}" for i in range(n)], probs / probs.sum(),
+                    [rand_unit(rng, dim_a) for _ in range(n)], [rand_unit(rng, dim_c) for _ in range(n)])
+
+
+def rand_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def kron_chain_power(e, n):
+    """tensor_power as a loop over index tuples, each copy an np.kron chain."""
+    labels, probs, psi, sigma = [], [], [], []
+    p = e.probs.tolist()
+    for combo in np.ndindex(*([e.size] * n)):
+        labels.append(",".join(e.labels[i] for i in combo))
+        probs.append(math.prod(p[i] for i in combo))
+        a, c = e.psi[combo[0]], e.sigma[combo[0]]
+        for i in combo[1:]:
+            a, c = np.kron(a, e.psi[i]), np.kron(c, e.sigma[i])
+        psi.append(a)
+        sigma.append(c)
+    return tuple(labels), np.array(probs), np.array(psi), np.array(sigma)
+
+
+def per_item_unitary(e, u):
+    """apply_product_unitary as a loop over items: u @ kron(psi, sigma) and
+    one SVD each. Returns the new rows, or the index of the first item the
+    unitary entangles."""
+    psi, sigma = [], []
+    for i in range(e.size):
+        w = u @ np.kron(e.psi[i], e.sigma[i])
+        left, s, right = np.linalg.svd(w.reshape(e.dim_a, e.dim_c))
+        if s.size > 1 and s[1] > 1e-9:
+            return i
+        psi.append(left[:, 0] * s[0])
+        sigma.append(right[0, :])
+    return np.array(psi), np.array(sigma)
+
+
 class TestTensorPower:
+    def test_matches_kron_chain(self):
+        rng = np.random.default_rng(11)
+        for dim_a, dim_c, size in [(2, 1, 3), (3, 2, 4), (1, 3, 2), (2, 2, 5)]:
+            e = rand_source(rng, dim_a, dim_c, size)
+            for n in (1, 2, 3):
+                got = tensor_power(e, n)
+                labels, probs, psi, sigma = kron_chain_power(e, n)
+                assert got.labels == labels
+                assert np.array_equal(got.probs, probs)
+                assert np.array_equal(got.psi, psi) and np.array_equal(got.sigma, sigma)
     def test_n1_is_same(self):
         e = blind_pair()
         e1 = tensor_power(e, 1)
         assert e1.labels == e.labels
-        np.testing.assert_allclose(e1.items[1].psi.amplitudes, e.items[1].psi.amplitudes)
+        np.testing.assert_allclose(e1.psi[1], e.psi[1])
 
     def test_square(self):
         e = tensor_power(blind_pair(), 2)
         assert e.size == 4 and e.dim_a == 4 and e.dim_c == 1
         assert e.labels == ("0,0", "0,1", "1,0", "1,1")
-        assert abs(sum(it.prob for it in e.items) - 1) < 1e-12
-        np.testing.assert_allclose(
-            e.items[1].psi.amplitudes, np.kron([1, 0], PLUS), atol=1e-15
-        )
+        assert abs(sum(e.probs) - 1) < 1e-12
+        np.testing.assert_allclose(e.psi[1], np.kron([1, 0], PLUS), atol=1e-15)
 
     def test_label_separator_avoids_collisions(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5], labels=["1", "11"])
@@ -187,12 +278,48 @@ class TestTensorPower:
 
 
 class TestProductUnitary:
+    def test_matches_per_item_loop(self):
+        rng = np.random.default_rng(12)
+        for dim_a, dim_c, size in [(2, 1, 3), (3, 2, 4), (1, 3, 2), (2, 2, 5), (4, 3, 6)]:
+            e = rand_source(rng, dim_a, dim_c, size)
+            for _ in range(3):
+                u = np.kron(rand_unitary(rng, dim_a), rand_unitary(rng, dim_c))
+                got = apply_product_unitary(e, u)
+                psi, sigma = per_item_unitary(e, u)
+                assert got.labels == e.labels and np.array_equal(got.probs, e.probs)
+                assert np.array_equal(got.psi, psi) and np.array_equal(got.sigma, sigma)
+
+    def test_cnot_matches_per_item_loop(self):
+        # CNOT keeps |a>|s> a product when a is a basis state or s is |+> or |->
+        rng = np.random.default_rng(13)
+        minus = np.array([1.0, -1.0]) / np.sqrt(2)
+        for _ in range(10):
+            e = rand_source(rng, 2, 2, 5)
+            psi, sigma = [], []
+            for k in range(e.size):
+                if rng.random() < 0.5:
+                    psi.append(np.exp(2j * np.pi * rng.random()) * np.eye(2)[rng.integers(2)])
+                    sigma.append(e.sigma[k])
+                else:
+                    psi.append(e.psi[k])
+                    sigma.append((PLUS, minus)[rng.integers(2)])
+            e = Ensemble(e.labels, e.probs, psi, sigma)
+            got = apply_product_unitary(e, cnot_unitary())
+            want_psi, want_sigma = per_item_unitary(e, cnot_unitary())
+            assert got.labels == e.labels and np.array_equal(got.probs, e.probs)
+            assert np.array_equal(got.psi, want_psi) and np.array_equal(got.sigma, want_sigma)
+
+    def test_entangler_names_first_item(self):
+        # CNOT keeps |0>|0> a product and sends |+>|0> (items b and c) to a Bell state
+        e = Ensemble(("a", "b", "c"), [0.2, 0.3, 0.5], [[1, 0], PLUS, PLUS], [[1, 0]] * 3)
+        assert per_item_unitary(e, cnot_unitary()) == 1
+        with pytest.raises(EacompError, match=r"^unitary entangles item 1 \('b'\) across A/C"):
+            apply_product_unitary(e, cnot_unitary())
+
     def test_cnot_on_triple(self):
         e2 = apply_product_unitary(sideinfo_triple(), cnot_unitary())
         # |0>|0> -> |0>|0>, |1>|0> -> |1>|1>, |+>|+> -> |+>|+>
-        got = [
-            (np.abs(it.psi.amplitudes), np.abs(it.sigma.amplitudes)) for it in e2.items
-        ]
+        got = list(zip(np.abs(e2.psi), np.abs(e2.sigma)))
         np.testing.assert_allclose(got[0][0], [1, 0], atol=1e-12)
         np.testing.assert_allclose(got[0][1], [1, 0], atol=1e-12)
         np.testing.assert_allclose(got[1][0], [0, 1], atol=1e-12)
@@ -204,9 +331,9 @@ class TestProductUnitary:
         e = sideinfo_triple()
         u = cnot_unitary()
         e2 = apply_product_unitary(e, u)
-        for it, it2 in zip(e.items, e2.items):
-            before = u @ np.kron(it.psi.amplitudes, it.sigma.amplitudes)
-            after = np.kron(it2.psi.amplitudes, it2.sigma.amplitudes)
+        for psi, sigma, psi2, sigma2 in zip(e.psi, e.sigma, e2.psi, e2.sigma):
+            before = u @ np.kron(psi, sigma)
+            after = np.kron(psi2, sigma2)
             # equal up to global phase
             assert abs(abs(np.vdot(before, after)) - 1) < 1e-10
 
@@ -234,10 +361,10 @@ class TestJson:
             back = load_ensemble(path)
             assert back.dim_a == e.dim_a and back.dim_c == e.dim_c
             assert back.labels == e.labels
-            for a, b in zip(back.items, e.items):
-                assert abs(a.prob - b.prob) < 1e-15
-                np.testing.assert_allclose(a.psi.amplitudes, b.psi.amplitudes, atol=1e-15)
-                np.testing.assert_allclose(a.sigma.amplitudes, b.sigma.amplitudes, atol=1e-15)
+            assert (abs(back.probs - e.probs) < 1e-15).all()
+            for a, b in ((back.psi, e.psi), (back.sigma, e.sigma)):
+                for row_a, row_b in zip(a, b):
+                    np.testing.assert_allclose(row_a, row_b, atol=1e-15)
 
     def test_sigma_omitted_means_blind(self):
         e = ensemble_from_json(
@@ -268,7 +395,7 @@ class TestJson:
         e = ensemble_from_json(
             {"dimA": 2, "states": [{"label": "a", "prob": 1.0, "psi": [1, 0]}]}
         )
-        assert e.items[0].psi.amplitudes[0] == 1.0
+        assert e.psi[0, 0] == 1.0
 
     def test_violations_collected(self):
         with pytest.raises(EnsembleFormatError) as err:
@@ -321,10 +448,7 @@ class TestJson:
         with pytest.raises(EnsembleFormatError) as err:
             ensemble_from_json({"dimA": 2, "states": [
                 {"label": l, "prob": p, "psi": v} for l, p, v in zip(labels, probs, psis)]})
-        in_memory = Ensemble(2, 1, tuple(
-            EnsembleItem(l, p, PureStateVector(single("A", 2), v, check=False),
-                         PureStateVector(single("C", 1), [1]))
-            for l, p, v in zip(labels, probs, psis)))
+        in_memory = Ensemble(labels, probs, psis, [[1]] * 3)
         # negative prob, norm, one line per non-finite amplitude, sum, duplicate
         assert len(err.value.violations) == 6
         assert set(err.value.violations) == set(validate(in_memory))

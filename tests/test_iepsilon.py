@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eacomp import cli, iepsilon
 from eacomp._accel import unitary_objective
-from eacomp.ensemble import Ensemble, EnsembleItem, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, IsometryError
 from eacomp.iepsilon import (
     MAX_RESTARTS,
@@ -22,7 +22,7 @@ from eacomp.iepsilon import (
     penalised_objective,
 )
 from eacomp.rates import analyze
-from eacomp.states import PureStateVector, entropy_from_probs, single
+from eacomp.states import entropy_from_probs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -36,21 +36,8 @@ def blind_pair():
 
 
 def sideinfo_triple(t=0.05):
-    items = []
-    for lbl, pr, psi, sig in [
-        ("0", 0.5 - t, [1, 0], [1, 0]),
-        ("1", 0.5 - t, [0, 1], [1, 0]),
-        ("2", 2 * t, PLUS, PLUS),
-    ]:
-        items.append(
-            EnsembleItem(
-                lbl,
-                pr,
-                PureStateVector(single("A", 2), np.asarray(psi, complex)),
-                PureStateVector(single("C", 2), np.asarray(sig, complex)),
-            )
-        )
-    return Ensemble(2, 2, tuple(items))
+    return Ensemble(("0", "1", "2"), [0.5 - t, 0.5 - t, 2 * t],
+                    [[1, 0], [0, 1], PLUS], [[1, 0], [1, 0], PLUS])
 
 
 def random_source(rng, da, dc, nx):
@@ -61,16 +48,8 @@ def random_source(rng, da, dc, nx):
         return v / np.linalg.norm(v)
 
     probs = rng.dirichlet(np.ones(nx))
-    items = tuple(
-        EnsembleItem(
-            str(i),
-            float(p),
-            PureStateVector(single("A", da), unit(da)),
-            PureStateVector(single("C", dc), unit(dc)),
-        )
-        for i, p in enumerate(probs)
-    )
-    return Ensemble(da, dc, items)
+    rows = [(unit(da), unit(dc)) for _ in range(nx)]
+    return Ensemble([str(i) for i in range(nx)], probs, [a for a, _ in rows], [c for _, c in rows])
 
 
 # (dimA, dimC, signals) of the kernel checks
@@ -283,21 +262,15 @@ def multi_sector_sources(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     probs = rng.dirichlet(np.ones(n))
     home = np.concatenate([np.arange(sectors), rng.integers(sectors, size=n - sectors)])
-    items = []
+    psis, sigmas = [], []
     for x in range(n):
         psi = np.zeros(sectors * sector_dim, dtype=complex)
         part = rng.standard_normal(sector_dim) + 1j * rng.standard_normal(sector_dim)
         psi[home[x] * sector_dim:(home[x] + 1) * sector_dim] = part / np.linalg.norm(part)
         sigma = rng.standard_normal(dim_c) + 1j * rng.standard_normal(dim_c)
-        items.append(
-            EnsembleItem(
-                f"s{x}",
-                float(probs[x]),
-                PureStateVector(single("A", len(psi)), psi),
-                PureStateVector(single("C", dim_c), sigma / np.linalg.norm(sigma)),
-            )
-        )
-    return Ensemble(sectors * sector_dim, dim_c, tuple(items))
+        psis.append(psi)
+        sigmas.append(sigma / np.linalg.norm(sigma))
+    return Ensemble([f"s{x}" for x in range(n)], probs, psis, sigmas)
 
 
 class TestCeilingsAndWitness:

@@ -12,10 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_oracle
-from eacomp.ensemble import Ensemble, EnsembleItem
+from eacomp.ensemble import Ensemble
 from eacomp.rates import analyze, optimal_rates
 from eacomp.region import eq_region
-from eacomp.states import PureStateVector, single
 
 TOL = 1e-6
 LEAK = 1e-9
@@ -52,7 +51,7 @@ def sources(draw):
     dim_a = sectors * sector_dim
     dim_c = {"blind": 1, "same_sigma": 2, "visible": n, "general": draw(st.integers(1, 3))}[kind]
     shared_sigma = unit(rng, dim_c)
-    items = []
+    psis, sigmas = [], []
     for x in range(n):
         s = int(rng.integers(sectors))
         psi = LEAK * unit(rng, dim_a)
@@ -68,15 +67,9 @@ def sources(draw):
             sigma = unit(rng, dim_c)
         else:
             sigma = np.exp(2j * np.pi * rng.random()) * shared_sigma
-        items.append(
-            EnsembleItem(
-                f"s{x}",
-                float(probs[x]),
-                PureStateVector(single("A", dim_a), psi / np.linalg.norm(psi)),
-                PureStateVector(single("C", dim_c), sigma),
-            )
-        )
-    return Ensemble(dim_a, dim_c, tuple(items))
+        psis.append(psi / np.linalg.norm(psi))
+        sigmas.append(sigma)
+    return Ensemble([f"s{x}" for x in range(n)], probs, psis, sigmas)
 
 
 def label_sets(a):
@@ -102,19 +95,12 @@ def moved(e, rng, how):
     order = rng.permutation(e.size) if how == "permute" else range(e.size)
     u_a = haar_unitary(rng, e.dim_a) if how == "unitary" else np.eye(e.dim_a)
     u_c = haar_unitary(rng, e.dim_c) if how == "unitary" else np.eye(e.dim_c)
-    items = []
+    psi, sigma = [], []
     for i in order:
-        it = e.items[i]
         ph_a, ph_c = np.exp(2j * np.pi * rng.random(2)) if how == "phase" else (1.0, 1.0)
-        items.append(
-            EnsembleItem(
-                it.label,
-                it.prob,
-                PureStateVector(single("A", e.dim_a), ph_a * (u_a @ it.psi.amplitudes)),
-                PureStateVector(single("C", e.dim_c), ph_c * (u_c @ it.sigma.amplitudes)),
-            )
-        )
-    return Ensemble(e.dim_a, e.dim_c, tuple(items))
+        psi.append(ph_a * (u_a @ e.psi[i]))
+        sigma.append(ph_c * (u_c @ e.sigma[i]))
+    return Ensemble([e.labels[i] for i in order], e.probs[list(order)], psi, sigma)
 
 
 @pytest.mark.parametrize("how", ["permute", "phase", "unitary"])

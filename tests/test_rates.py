@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
-from eacomp.ensemble import Ensemble, EnsembleItem, Overlaps, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, Overlaps, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
 from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
 from eacomp.rates import (
@@ -22,7 +22,6 @@ from eacomp.rates import (
     visible_rates,
 )
 from eacomp.region import ce_region, eq_region
-from eacomp.states import PureStateVector, single
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -39,21 +38,8 @@ BLIND_PAIR_S_A = 0.6008760366928562  # binary entropy of (2 + sqrt 2)/4
 
 
 def sideinfo_triple(t):
-    items = []
-    for lbl, pr, psi, sig in [
-        ("0", 0.5 - t, [1, 0], [1, 0]),
-        ("1", 0.5 - t, [0, 1], [1, 0]),
-        ("2", 2 * t, PLUS, PLUS),
-    ]:
-        items.append(
-            EnsembleItem(
-                lbl,
-                pr,
-                PureStateVector(single("A", 2), np.asarray(psi, complex)),
-                PureStateVector(single("C", 2), np.asarray(sig, complex)),
-            )
-        )
-    return Ensemble(2, 2, tuple(items))
+    return Ensemble(("0", "1", "2"), [0.5 - t, 0.5 - t, 2 * t],
+                    [[1, 0], [0, 1], PLUS], [[1, 0], [1, 0], PLUS])
 
 
 def rand_ensemble(rng, dim_a=None, dim_c=None, n_items=None, blind=False):
@@ -61,19 +47,13 @@ def rand_ensemble(rng, dim_a=None, dim_c=None, n_items=None, blind=False):
     dim_c = 1 if blind else (dim_c or int(rng.integers(1, 4)))
     n_items = n_items or int(rng.integers(2, 7))
     probs = rng.dirichlet(np.ones(n_items))
-    items = []
+    psis, sigmas = [], []
     for i in range(n_items):
         psi = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
         sig = rng.standard_normal(dim_c) + 1j * rng.standard_normal(dim_c)
-        items.append(
-            EnsembleItem(
-                str(i),
-                float(probs[i]),
-                PureStateVector(single("A", dim_a), psi / np.linalg.norm(psi)),
-                PureStateVector(single("C", dim_c), sig / np.linalg.norm(sig)),
-            )
-        )
-    return Ensemble(dim_a, dim_c, tuple(items))
+        psis.append(psi / np.linalg.norm(psi))
+        sigmas.append(sig / np.linalg.norm(sig))
+    return Ensemble([str(i) for i in range(n_items)], probs, psis, sigmas)
 
 
 class TestEntropyProfile:
@@ -234,11 +214,10 @@ def dense_acy_spectrum(e, d):
     dim = ny * e.dim_a * e.dim_c
     rho = np.zeros((dim, dim), dtype=complex)
     for i in e.support():
-        it = e.items[i]
         tag = np.zeros(ny)
-        tag[d.y_of(it.label)] = 1.0
-        v = np.kron(tag, np.kron(it.psi.amplitudes, it.sigma.amplitudes))
-        rho += it.prob * np.outer(v, v.conj())
+        tag[d.y_of(e.labels[i])] = 1.0
+        v = np.kron(tag, np.kron(e.psi[i], e.sigma[i]))
+        rho += e.probs[i] * np.outer(v, v.conj())
     return np.linalg.eigvalsh(rho)
 
 
@@ -248,7 +227,7 @@ def near_orthogonal_sectors(rng, leak):
     nonzero but small."""
     n = int(rng.integers(2, 5))
     probs = rng.dirichlet(np.ones(2 * n))
-    items = []
+    psis, sigmas = [], []
     for k in range(2 * n):
         psi = np.zeros(4, dtype=complex)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -258,15 +237,9 @@ def near_orthogonal_sectors(rng, leak):
             psi[2:] = z / np.linalg.norm(z)
             psi[:2] = leak * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         sig = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        items.append(
-            EnsembleItem(
-                str(k),
-                float(probs[k]),
-                PureStateVector(single("A", 4), psi / np.linalg.norm(psi)),
-                PureStateVector(single("C", 2), sig / np.linalg.norm(sig)),
-            )
-        )
-    return Ensemble(4, 2, tuple(items))
+        psis.append(psi / np.linalg.norm(psi))
+        sigmas.append(sig / np.linalg.norm(sig))
+    return Ensemble([str(k) for k in range(2 * n)], probs, psis, sigmas)
 
 
 def padded_desc(evs, n):
@@ -295,12 +268,12 @@ class TestGramPath:
             e = near_orthogonal_sectors(rng, leak=2e-3)
             d = irreducible_components(e, tol)
             assert d.size == 2
-            joints = np.stack([np.kron(it.psi.amplitudes, it.sigma.amplitudes) for it in e.items])
+            joints = np.stack([np.kron(psi, sig) for psi, sig in zip(e.psi, e.sigma)])
             cross = [
                 abs(np.vdot(joints[i], joints[j]))
                 for i in range(e.size)
                 for j in range(e.size)
-                if d.y_of(e.items[i].label) != d.y_of(e.items[j].label)
+                if d.y_of(e.labels[i]) != d.y_of(e.labels[j])
             ]
             assert 0.0 < max(cross) <= tol
             self.assert_same_spectrum(e, d)

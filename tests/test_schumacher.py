@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from eacomp import limits
-from eacomp.ensemble import Ensemble, make_blind, make_visible, reduced
+from eacomp.ensemble import make_blind, make_visible, reduced
 from eacomp.errors import DimensionLimitError, EacompError
 from eacomp.schumacher import build_code_space, code_rank, fidelity_curve, simulate_fidelity
-from eacomp.states import basis_state
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -35,8 +34,8 @@ def brute_force_fidelity(e, n, rate_q):
     package beyond the ensemble accessors."""
     da = e.dim_a
     sup = e.support()
-    probs = [e.items[i].prob for i in sup]
-    psis = [e.items[i].psi.amplitudes for i in sup]
+    probs = [e.probs[i] for i in sup]
+    psis = [e.psi[i] for i in sup]
     rho = sum(p * np.outer(v, v.conj()) for p, v in zip(probs, psis))
     evs, vecs = np.linalg.eigh(rho)
     evs, vecs = evs[::-1], vecs[:, ::-1]
@@ -204,7 +203,7 @@ class TestSimulate:
         rng = np.random.default_rng(5)
         for _ in range(6):
             u, _r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-            rotated = make_blind([u @ it.psi.amplitudes for it in e.items], [0.5, 0.3, 0.2])
+            rotated = make_blind([u @ psi for psi in e.psi], [0.5, 0.3, 0.2])
             for (n, f), (_n, g) in zip(ref, fidelity_curve(rotated, ns, 0.75).points):
                 assert abs(f - g) <= 1e-12, n
 
@@ -229,7 +228,7 @@ class TestSimulate:
     def test_builds_no_overlap_matrix(self):
         # blind with dimC = 2: the blind check, the marginal on A and the
         # fidelity read the rows psi_x and sigma_x, never an N x N matrix
-        e = Ensemble(2, 2, tuple(replace(it, sigma=basis_state(2, 0)) for it in blind_pair().items))
+        e = replace(blind_pair(), sigma=[[1, 0], [1, 0]])
         reduced(e, {"A"})
         simulate_fidelity(e, build_code_space(e, 2, 0.5))
         assert not {"psi_gram", "sigma_gram"} & vars(e.overlaps).keys()

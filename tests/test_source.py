@@ -1,12 +1,14 @@
 """Static checks over the package source (no linter is a dependency)."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eacomp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -23,3 +25,26 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def backticked(markdown: str) -> set[str]:
+    """The inline code spans of a markdown text, fenced blocks left out,
+    each without a trailing "()"."""
+    markdown = re.sub(r"```.*?```", "", markdown, flags=re.S)
+    return {span.removesuffix("()") for span in re.findall(r"`([^`\n]+)`", markdown)}
+
+
+def package_exports() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_readme_library_lists_the_exports():
+    """README's Library section names every export but the exceptions,
+    which it lists as a group, and its export list names only exports."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    errors = {n.name for n in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+              if isinstance(n, ast.ClassDef)}
+    assert sorted(package_exports() - errors - backticked(library)) == []
+    listed = backticked(library.split("The package root exports:", 1)[1])
+    assert sorted(n for n in listed if n.isidentifier() and n not in package_exports()) == []

@@ -14,7 +14,6 @@ from eacomp.states import (
     DensityMatrix,
     PureStateVector,
     SubsystemLayout,
-    basis_state,
     eig_hermitian,
     entropy_from_probs,
     fidelity,
@@ -91,7 +90,7 @@ class TestStates:
             DensityMatrix(lay, np.array([[np.inf, 0], [0, 0.5]]))
 
     def test_immutable(self):
-        psi = basis_state(single("A", 2), 0)
+        psi = PureStateVector(single("A", 2), np.eye(2)[0])
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 2.0
 
@@ -110,13 +109,13 @@ class TestStates:
         limits.VECTOR_CAP = 4
         try:
             with pytest.raises(DimensionLimitError):
-                basis_state(single("A", 8), 0)
+                PureStateVector(single("A", 8), np.eye(8)[0])
         finally:
             limits.VECTOR_CAP = old
 
     def test_basis_and_overlap(self):
-        e0 = basis_state(2, 0, label="A")
-        e1 = basis_state(2, 1, label="A")
+        e0 = PureStateVector(single("A", 2), np.eye(2)[0])
+        e1 = PureStateVector(single("A", 2), np.eye(2)[1])
         assert np.vdot(e0.amplitudes, e1.amplitudes) == 0
         assert np.vdot(e0.amplitudes, e0.amplitudes) == 1
 
@@ -181,7 +180,7 @@ class TestSpectraAndEntropy:
         assert von_neumann_entropy(m) == 0.0
 
     def test_entropy_values(self):
-        assert von_neumann_entropy(basis_state(single("A", 4), 2).density()) == 0.0
+        assert von_neumann_entropy(PureStateVector(single("A", 4), np.eye(4)[2]).density()) == 0.0
         m = DensityMatrix(single("A", 2), np.eye(2) / 2)
         assert abs(von_neumann_entropy(m) - 1.0) < 1e-12
         m = DensityMatrix(single("A", 2), np.diag([0.9, 0.1]))
@@ -218,8 +217,8 @@ class TestFidelity:
         assert abs(fidelity(m, m) - 1.0) < 1e-9
 
     def test_orthogonal_pure(self):
-        a = basis_state(single("A", 2), 0).density()
-        b = basis_state(single("A", 2), 1).density()
+        a = PureStateVector(single("A", 2), np.eye(2)[0]).density()
+        b = PureStateVector(single("A", 2), np.eye(2)[1]).density()
         assert fidelity(a, b) < 1e-9
 
     def test_symmetric(self):
