@@ -37,7 +37,7 @@ from .errors import (
     EacompError,
     NotAStateError,
 )
-from .states import NORM_ATOL, DensityMatrix, SubsystemLayout, single
+from .states import NORM_ATOL, DensityMatrix, SubsystemLayout, frozen_copy, single
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -48,12 +48,6 @@ def check_tolerance(tol: float):
     """Reject an overlap tolerance that is negative or not finite."""
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tolerance must be a finite nonnegative number, got {tol}")
-
-
-def _frozen(a, dtype) -> np.ndarray:
-    a = np.array(a, dtype=dtype, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +63,7 @@ class Ensemble:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         for name, dtype in (("probs", np.float64), ("psi", np.complex128), ("sigma", np.complex128)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            object.__setattr__(self, name, frozen_copy(getattr(self, name), dtype))
         n = len(self.labels)
         if not n:
             raise EnsembleFormatError(["ensemble has no states"])
@@ -159,7 +153,7 @@ class Overlaps:
     def vectors(self, keep) -> np.ndarray:
         """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
         {C} or {A, C}."""
-        labels = self._layout(keep).labels
+        labels, _ = self._factors(keep)
         if labels == ("A",):
             return self.psi
         if labels == ("C",):
@@ -169,20 +163,19 @@ class Overlaps:
     def marginal(self, keep) -> DensityMatrix:
         """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product,
         refused above MATRIX_CAP before it is formed."""
-        layout = self._layout(keep)
-        _check_side(layout.total_dim)
-        v = self.vectors(keep)
-        return DensityMatrix(layout, (self.probs[:, None] * v).T @ v.conj(), check=False)
+        labels, dims = self._factors(keep)
+        _check_side(math.prod(dims))
+        v = self.vectors(labels)
+        return DensityMatrix(SubsystemLayout(labels, dims), (self.probs[:, None] * v).T @ v.conj(), check=False)
 
     def density(self, keep) -> DensityMatrix:
         """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
         (layout "X") when that side is smaller. The two share their nonzero
         spectrum, so either gives the entropy. The Gram side is read from
         the overlap matrices; the joint rows on A (x) C are never formed for it."""
-        layout = self._layout(keep)
-        if len(self.probs) >= layout.total_dim:
-            return self.marginal(keep)
-        labels = layout.labels
+        labels, dims = self._factors(keep)
+        if len(self.probs) >= math.prod(dims):
+            return self.marginal(labels)
         if labels == ("A",):
             gram = self.psi_gram
         elif labels == ("C",):
@@ -192,13 +185,14 @@ class Overlaps:
         amp = np.sqrt(self.probs)
         return DensityMatrix(single("X", len(amp)), np.outer(amp, amp) * gram, check=False)
 
-    def _layout(self, keep) -> SubsystemLayout:
-        """The kept factors, A before C; keep must be a nonempty subset of {A, C}."""
+    def _factors(self, keep) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """Labels and dims of the kept factors, A before C; keep must be a
+        nonempty subset of {A, C}."""
         keep = set(keep)
         if not keep or keep - {"A", "C"}:
             raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
         pairs = [(l, m.shape[1]) for l, m in (("A", self.psi), ("C", self.sigma)) if l in keep]
-        return SubsystemLayout(tuple(l for l, _ in pairs), tuple(d for _, d in pairs))
+        return tuple(l for l, _ in pairs), tuple(d for _, d in pairs)
 
 
 def _check_side(side: int):

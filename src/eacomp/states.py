@@ -73,8 +73,9 @@ def single(label: str, dim: int) -> SubsystemLayout:
     return SubsystemLayout((label,), (dim,))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128, copy=True)
+def frozen_copy(a, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of a as dtype."""
+    a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
 
@@ -88,7 +89,7 @@ class PureStateVector:
     check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = _freeze(self.amplitudes)
+        amps = frozen_copy(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.shape[0] != self.layout.total_dim:
             raise LayoutMismatchError(
@@ -124,7 +125,7 @@ class DensityMatrix:
     check: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _freeze(self.entries)
+        m = frozen_copy(self.entries)
         object.__setattr__(self, "entries", m)
         d = self.layout.total_dim
         if m.shape != (d, d):
