@@ -442,8 +442,8 @@ def ensemble_from_json(data: dict) -> Ensemble:
         if prob is not None and psi is not None and sigma is not None:
             rows.append((label, _float(prob), psi, sigma))
 
-    # as each complete state is read: one above VECTOR_CAP is refused
-    # before the structural faults of the others are reported
+    # a complete state above VECTOR_CAP is refused even when other states
+    # have structural faults
     e = Ensemble(*zip(*rows)) if rows else None
     if len(rows) < len(states):
         raise EnsembleFormatError(problems)
