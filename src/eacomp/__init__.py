@@ -58,7 +58,6 @@ from .rates import (
     blind_rates,
     classical_entanglement_corner,
     entropy_profile,
-    gram_matrix,
     optimal_rates,
     resource_convert,
     visible_rates,

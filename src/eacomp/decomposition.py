@@ -66,7 +66,8 @@ def _connected_parts(link: np.ndarray) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class Component:
     """One irreducible piece: its index y, the labels it covers and its
-    weight; its conditional source is `Overlaps.given` on its rows."""
+    weight; its conditional source is its rows of the support, with
+    probabilities p_x / weight."""
 
     y: int
     labels: tuple[str, ...]

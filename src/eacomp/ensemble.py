@@ -144,12 +144,6 @@ class Overlaps:
     def sigma_gram(self) -> np.ndarray:
         return _gram(self.sigma)
 
-    def given(self, rows, weight: float) -> "Overlaps":
-        """The items at rows, a boolean mask over the support, with their
-        probabilities divided by weight: one component, renormalised."""
-        return Overlaps(tuple(k for k, keep in zip(self.support, rows) if keep), self.probs[rows] / weight,
-                        self.psi[rows], self.sigma[rows])
-
     def vectors(self, keep) -> np.ndarray:
         """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
         {C} or {A, C}."""
@@ -334,6 +328,9 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
 # JSON interchange
 
 
+_REAL_TYPES = {int, float}
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -346,11 +343,37 @@ def _float(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _whole_vector(raw: list) -> np.ndarray | None:
+    """raw in one float64 conversion, when every entry is exactly an int or
+    a float, or every entry an [re, im] list of them; None otherwise, and
+    when an int is too large for a float. The values are those the
+    per-amplitude loop of _vector gives."""
+    kinds = set(map(type, raw))
+    pairs = kinds == {list} and {type(p) for v in raw for p in v} <= _REAL_TYPES
+    if not (pairs or kinds <= _REAL_TYPES):
+        return None
+    try:
+        a = np.array(raw, dtype=np.float64)
+    except (OverflowError, ValueError):  # an int too large for a float; ragged pairs
+        return None
+    if not pairs:
+        return a.astype(np.complex128)
+    if a.shape != (len(raw), 2):
+        return None
+    # re + 1j * im would turn an infinite part into nan
+    out = np.empty(len(raw), dtype=np.complex128)
+    out.real, out.imag = a[:, 0], a[:, 1]
+    return out
+
+
 def _vector(raw, dim: int, where: str, problems: list[str]) -> np.ndarray | None:
     """Amplitudes as [re, im] pairs or bare reals; None after a structural fault."""
     if not isinstance(raw, list) or len(raw) != dim:
         problems.append(f"{where}: expected {dim} amplitudes")
         return None
+    out = _whole_vector(raw)
+    if out is not None:
+        return out
     out = np.zeros(dim, dtype=np.complex128)
     whole = True
     for k, v in enumerate(raw):

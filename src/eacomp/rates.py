@@ -18,22 +18,24 @@ support (`Ensemble.overlaps`). Every rate point is arithmetic on that
 analysis; passing an Ensemble instead analyses it on entry, at the
 default tolerance. `analyze` is the one place a tolerance is given.
 
-S(CY) and S(ACY) are each evaluated twice: from each component's rows,
-renormalised (`Overlaps.given`), and as the spectrum of the support-sized
-Gram matrix of the Y-extended signals (raw items, label -> y map),
-G_xy = sqrt(p_x p_y) <psi_x|psi_y> <sigma_x|sigma_y> [y(x) = y(y)]
-(without <psi_x|psi_y> for S(CY)), which has the nonzero spectrum of
-rho_ACY (Jozsa & Schlienz, PRA 62, 012301, 2000); disagreement beyond
-1e-6 raises ConsistencyError since it can only come from a bug. Every
-spectrum comes from the smaller of a Gram matrix and its marginal, so
-MATRIX_CAP bounds the support size and, per component of k states,
-min(k, dA dC).
+S(CY) and S(ACY) are each evaluated twice. The block path takes
+H(q) + sum_y q_y S(.|y), each S(.|y) from component y's rows with
+p(x|y) = p_x / q_y. The direct path sums -lambda log lambda over the raw,
+unnormalised blocks of every component, from the raw items, the
+label -> y map and the support's overlap matrices, with no N x N matrix:
+rho_ACY is block diagonal in y, and each block has the nonzero spectrum
+of its Gram matrix sqrt(p_x p_x') <psi_x|psi_x'> <sigma_x|sigma_x'>
+(without <psi_x|psi_x'> for S(CY); Jozsa & Schlienz, PRA 62, 012301,
+2000). Disagreement beyond 1e-6 raises ConsistencyError since it can
+only come from a bug. Each block comes from the smaller of its Gram
+matrix and its marginal, and equal-size blocks share one batched
+eigvalsh, so the cost is sum_y min(k_y, dA dC)^3 over components of
+k_y states; MATRIX_CAP bounds the support size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -44,9 +46,9 @@ from .decomposition import (
     irreducible_components,
     overlaps_across_components,
 )
-from .ensemble import Ensemble
+from .ensemble import Ensemble, Overlaps
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
-from .states import DensityMatrix, entropy_from_probs, single, von_neumann_entropy
+from .states import clamped_spectra, entropy_from_probs, row_entropies, von_neumann_entropy
 
 CONSISTENCY_ATOL = 1e-6
 CROSS_CHECK_ATOL = 1e-9
@@ -88,22 +90,91 @@ def _clamp_tiny(v: float) -> float:
     return 0.0 if abs(v) < REPORT_CLAMP else float(v)
 
 
-def _y_masked_gram(e: Ensemble, ys: np.ndarray, *overlaps: np.ndarray) -> DensityMatrix:
-    """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
-    row per support item of e, whose component indices are ys (layout "X")."""
-    amp = np.sqrt(e.overlaps.probs)
-    gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
-    return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
+def _groups(ys: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The support split by component and grouped by component size: for
+    each size k, the components' indices y (m,) and their support rows
+    (m, k), each row ascending."""
+    order = np.argsort(ys, kind="stable")
+    sizes = np.bincount(ys)
+    starts = np.cumsum(sizes) - sizes
+    out = []
+    for k in sorted(set(sizes[sizes > 0].tolist())):
+        y = np.flatnonzero(sizes == k)
+        out.append((y, order[starts[y][:, None] + np.arange(k)]))
+    return out
 
 
-def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
-    """Gram matrix of the Y-extended signals sqrt(p_x) |psi_x sigma_x y(x)>,
-    one row per support item (layout "X").
+def _conditional(probs: np.ndarray, ys: np.ndarray, d: Decomposition) -> np.ndarray:
+    """p(x|y) = p_x / q_y for each support item, q_y the weight d gives its
+    component."""
+    q = np.zeros(ys.max() + 1)
+    q[[c.y for c in d.components]] = [c.weight for c in d.components]
+    return probs / q[ys]
 
-    Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
-    cross-component overlaps at or below the decomposition tolerance.
+
+def _row_gram(rows: np.ndarray) -> np.ndarray:
+    """[<v_x|v_x'>] of each stacked row set, formed as for the support."""
+    return rows.conj() @ np.swapaxes(rows, -1, -2)
+
+
+def _marginal(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_x probs_x |v_x><v_x| of each stacked row set."""
+    return np.swapaxes(probs[..., None] * rows, -1, -2) @ rows.conj()
+
+
+def _spectra(ov: Overlaps, groups, probs: np.ndarray, sliced: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Spectra of sum_x probs_x |v_x><v_x| over each component's rows, for
+    v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one
+    (m, side) stack per group of `_groups`, from one batched eigvalsh,
+    clamped to [0, 1] after the negativity check.
+
+    A component of k items gives its k x k Gram block
+    [sqrt(probs_x probs_x') <v_x|v_x'>] when k is below the side of v_x,
+    and its marginal otherwise (the tie goes to the marginal, as in
+    Overlaps.density); the two share their nonzero spectrum. The Gram
+    blocks multiply the overlaps of the component's own rows or, when
+    sliced, read them off the support's overlap matrices.
     """
-    return _y_masked_gram(e, d.support_ys(e), e.overlaps.psi_gram, e.overlaps.sigma_gram)
+    dim_a, dim_c = ov.psi.shape[1], ov.sigma.shape[1]
+    out_c, out_ac = [], []
+    for _, idx in groups:
+        k, p = idx.shape[1], probs[idx]
+        if k < dim_a * dim_c:
+            if sliced:
+                cut = (idx[:, :, None], idx[:, None, :])
+                psi_gram, sigma_gram = ov.psi_gram[cut], ov.sigma_gram[cut]
+            else:
+                psi_gram, sigma_gram = _row_gram(ov.psi[idx]), _row_gram(ov.sigma[idx])
+            amp = np.sqrt(p)
+            outer = amp[..., :, None] * amp[..., None, :]
+            ac = outer * (psi_gram * sigma_gram)
+        else:
+            psi, sigma = ov.psi[idx], ov.sigma[idx]
+            ac = _marginal(p, (psi[..., :, None] * sigma[..., None, :]).reshape(*idx.shape, -1))
+        # k < dim_c <= dim_a dim_c: the Gram branch above has run
+        c = outer * sigma_gram if k < dim_c else _marginal(p, ov.sigma[idx])
+        out_c.append(clamped_spectra(c))
+        out_ac.append(clamped_spectra(ac))
+    return out_c, out_ac
+
+
+def _conditional_entropies(ov: Overlaps, groups, cond: np.ndarray) -> tuple[dict[int, float], dict[int, float]]:
+    """S(C|y) and S(AC|y) of each component y, from its rows weighted by
+    p(x|y)."""
+    return tuple(
+        {y: h for (ys, _), s in zip(groups, spectra) for y, h in zip(ys.tolist(), row_entropies(s).tolist())}
+        for spectra in _spectra(ov, groups, cond, sliced=False)
+    )
+
+
+def _direct_entropies(ov: Overlaps, groups) -> tuple[float, float]:
+    """S(CY) and S(ACY), each as -sum lambda log lambda over every
+    component's raw block sum_x p_x |v_x><v_x|, read off the support's
+    overlap matrices."""
+    return tuple(
+        entropy_from_probs(np.concatenate([s.ravel() for s in spectra]))
+        for spectra in _spectra(ov, groups, ov.probs, sliced=True)
+    )
 
 
 def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> EntropyProfile:
@@ -122,18 +193,18 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> 
     s_y = entropy_from_probs(q)
     h_x = entropy_from_probs(ov.probs)
     s_a = von_neumann_entropy(ov.density({"A"}))
+    groups = _groups(ys)
 
-    # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each from
-    # the component's rows, renormalised.
-    blocks = [(c.weight, ov.given(ys == c.y, c.weight)) for c in d.components]
-    s_cy = s_y + sum(w * von_neumann_entropy(sub.density({"C"})) for w, sub in blocks)
-    s_acy = s_y + sum(w * von_neumann_entropy(sub.density({"A", "C"})) for w, sub in blocks)
+    # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each
+    # S(.|y) from the component's rows, renormalised.
+    s_c, s_ac = _conditional_entropies(ov, groups, _conditional(ov.probs, ys, d))
+    s_cy = s_y + sum(c.weight * s_c[c.y] for c in d.components)
+    s_acy = s_y + sum(c.weight * s_ac[c.y] for c in d.components)
 
-    # Direct path: the whole Y-extended source at once, from the raw items
-    # and the label -> y map; no weight or renormalisation shared with the
-    # block path.
-    s_cy_direct = von_neumann_entropy(_y_masked_gram(e, ys, ov.sigma_gram))
-    s_acy_direct = von_neumann_entropy(gram_matrix(e, d))
+    # Direct path: every component's raw block, from the raw items, the
+    # label -> y map and the overlap matrices; no weight or renormalisation
+    # shared with the block path.
+    s_cy_direct, s_acy_direct = _direct_entropies(ov, groups)
 
     faults = [
         f"{name} disagrees between block ({block!r}) and direct ({direct!r}) evaluation"
@@ -229,8 +300,9 @@ def optimal_rates(src) -> RatePoint:
     )
 
 
-def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoint:
-    """point, unless it disagrees with the general formula.
+def _check_against_general(q: float, ee: float, a: Analysis, kind: str):
+    """Raise unless the special rates (q, ee) agree with the general formula.
+    It runs before the RatePoint is built, which refuses a negative q.
 
     A disagreement is a bug when the source is blind (visible) and no
     joint overlap above the strict default tolerance joins two of its
@@ -240,17 +312,17 @@ def _check_against_general(point: RatePoint, a: Analysis, kind: str) -> RatePoin
     such.
     """
     general = optimal_rates(a)
-    if abs(point.q - general.q) <= CROSS_CHECK_ATOL and abs(point.e - general.e) <= CROSS_CHECK_ATOL:
-        return point
+    if abs(q - general.q) <= CROSS_CHECK_ATOL and abs(ee - general.e) <= CROSS_CHECK_ATOL:
+        return
     e = a.source
     strict = e.is_blind() if kind == "blind" else e.is_visible()
     if strict and not overlaps_across_components(e, a.decomposition):
         raise ConsistencyError(
-            f"{kind} specialization (Q={point.q!r}, E={point.e!r}) disagrees with "
+            f"{kind} specialization (Q={q!r}, E={ee!r}) disagrees with "
             f"general formula (Q={general.q!r}, E={general.e!r})"
         )
     raise EacompError(
-        f"{kind} rates (Q={point.q!r}, E={point.e!r}) differ from the general ones "
+        f"{kind} rates (Q={q!r}, E={ee!r}) differ from the general ones "
         f"(Q={general.q!r}, E={general.e!r}): the overlap tolerance {a.decomposition.tolerance} "
         f"(--tol) treats distinct side information as one state or overlapping signals as "
         f"separate components; use a smaller --tol"
@@ -270,8 +342,9 @@ def blind_rates(src) -> RatePoint:
     if not a.blind:
         raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
     p = a.profile
-    point = RatePoint(q=p.s_a - 0.5 * p.s_y, e=0.5 * p.s_y, note="blind specialization")
-    return _check_against_general(point, a, "blind")
+    q, ee = p.s_a - 0.5 * p.s_y, 0.5 * p.s_y
+    _check_against_general(q, ee, a, "blind")
+    return RatePoint(q=q, e=ee, note="blind specialization")
 
 
 def visible_rates(src) -> RatePoint:
@@ -286,8 +359,9 @@ def visible_rates(src) -> RatePoint:
     if not a.visible:
         raise EacompError("side information does not identify the signal; visible formulas do not apply")
     p = a.profile
-    point = RatePoint(q=0.5 * p.s_a, e=0.5 * p.s_a, note="visible specialization")
-    return _check_against_general(point, a, "visible")
+    q = ee = 0.5 * p.s_a
+    _check_against_general(q, ee, a, "visible")
+    return RatePoint(q=q, e=ee, note="visible specialization")
 
 
 def classical_entanglement_corner(src) -> RatePoint:

@@ -176,8 +176,11 @@ def partial_trace(m: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(sub, out, check=False)
 
 
-def _clamped_spectrum(m: DensityMatrix) -> np.ndarray:
-    evs = np.linalg.eigvalsh(m.entries)
+def clamped_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a
+    stack of them (one batched eigvalsh), clamped to [0, 1] after the
+    negativity check."""
+    evs = np.linalg.eigvalsh(m)
     lo = float(evs.min()) if evs.size else 0.0
     if lo < EIGENVALUE_FLOOR:
         raise NotAStateError(f"negative eigenvalue {lo!r} below tolerance {EIGENVALUE_FLOOR}")
@@ -205,9 +208,19 @@ def entropy_from_probs(p: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum()) + 0.0 if nz.size else 0.0
 
 
+def row_entropies(p: np.ndarray) -> np.ndarray:
+    """entropy_from_probs of each row of a 2-D array, with the same sums:
+    a row with an entry at or below zero is passed to it on its own."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -(p * np.log2(p)).sum(axis=1) + 0.0
+    for i in np.flatnonzero((p <= 0.0).any(axis=1)):
+        out[i] = entropy_from_probs(p[i])
+    return out
+
+
 def von_neumann_entropy(m: DensityMatrix) -> float:
     """S(m) in bits."""
-    return entropy_from_probs(_clamped_spectrum(m))
+    return entropy_from_probs(clamped_spectra(m.entries))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

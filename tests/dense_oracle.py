@@ -1,16 +1,21 @@
 """Dense reference computations for the tests.
 
-Everything here works on full density matrices built item by item, with
-no overlap matrices and no Gram spectra, so it shares no arithmetic with
-the package's analysis.
+Everything above the Gram section works on full density matrices built
+item by item, with no overlap matrices and no Gram spectra, so it shares
+no arithmetic with the package's analysis. The Gram section keeps the
+support-sized forms the analysis once used, as oracles for its
+per-component spectra: the [y = y']-masked N x N Gram matrix and the
+renormalised rows of one component.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from eacomp.decomposition import Decomposition
-from eacomp.ensemble import Ensemble
+from eacomp.ensemble import Ensemble, Overlaps
 from eacomp.errors import LabelError
-from eacomp.states import DensityMatrix, SubsystemLayout, partial_trace
+from eacomp.states import DensityMatrix, SubsystemLayout, partial_trace, single
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -79,3 +84,32 @@ def components(e: Ensemble, tol: float) -> list[set[str]]:
     for i in sup:
         groups.setdefault(root(i), set()).add(e.labels[i])
     return sorted(groups.values(), key=min)
+
+
+# ---------------------------------------------------------------------------
+# Gram section
+
+
+def y_masked_gram(e: Ensemble, ys: np.ndarray, *overlaps: np.ndarray) -> DensityMatrix:
+    """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
+    row per support item of e, whose component indices are ys (layout "X")."""
+    amp = np.sqrt(e.overlaps.probs)
+    gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
+    return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
+
+
+def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
+    """Gram matrix of the Y-extended signals sqrt(p_x) |psi_x sigma_x y(x)>,
+    one row per support item (layout "X").
+
+    Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
+    cross-component overlaps at or below the decomposition tolerance.
+    """
+    return y_masked_gram(e, d.support_ys(e), e.overlaps.psi_gram, e.overlaps.sigma_gram)
+
+
+def given(ov: Overlaps, rows, weight: float) -> Overlaps:
+    """The items at rows, a boolean mask over the support, with their
+    probabilities divided by weight: one component, renormalised."""
+    return Overlaps(tuple(k for k, keep in zip(ov.support, rows) if keep), ov.probs[rows] / weight,
+                    ov.psi[rows], ov.sigma[rows])

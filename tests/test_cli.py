@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from eacomp import (
+    Ensemble,
     __version__,
     analyze,
     apply_product_unitary,
@@ -163,6 +164,38 @@ class TestTolerance:
         with pytest.raises(EacompError) as exc:
             blind_rates(analyze(load_ensemble(path), float(tol)))
         assert not isinstance(exc.value, ConsistencyError)
+
+    @staticmethod
+    def rotated_two_sectors():
+        """Three close signals in each of the sectors {|0>,|1>} and {|2>,|3>}
+        of A = C^4, distinct side information on C = C^4, rotated by a
+        seeded U_A (x) U_C. At tol 2 each signal is its own component and
+        the sigmas count as one state, so the blind Q = S(A) - S(Y)/2 is
+        1.058 - 1.292 < 0."""
+        rng = np.random.default_rng(5)
+        psi = []
+        for sector in (0, 2):
+            for t in (0.0, 0.1, 0.2):
+                v = np.zeros(4)
+                v[sector], v[sector + 1] = np.cos(t), np.sin(t)
+                psi.append(v)
+        sigma = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        ua, uc = (np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+                  for _ in range(2))
+        labels = [f"{s}{k}" for s in "ab" for k in range(3)]
+        return Ensemble(labels, np.full(6, 1 / 6), np.array(psi) @ ua.T, sigma @ uc.T)
+
+    @pytest.mark.parametrize("command", [["rates"], ["region", "--kind", "CE"]], ids=["rates", "region-CE"])
+    def test_loose_tolerance_with_negative_blind_q(self, tmp_path, capsys, command):
+        # the comparison with the general rates must come before the
+        # RatePoint is built, since that refuses the negative Q first
+        path = tmp_path / "sectors.json"
+        save_ensemble(self.rotated_two_sectors(), path)
+        code, out, err = run([command[0], str(path), *command[1:], "--tol", "2",
+                              "-o", str(tmp_path / "out")], capsys)
+        assert code == 1 and out == ""
+        assert "--tol" in err and "is negative" not in err and "Traceback" not in err
 
     def test_strict_disagreement_is_consistency_error(self, monkeypatch, capsys):
         from eacomp import rates

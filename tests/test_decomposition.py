@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_oracle import extend_with_y
+from dense_oracle import extend_with_y, given
 from eacomp.decomposition import (
     irreducible_components,
     is_irreducible,
@@ -92,7 +92,7 @@ class TestComponents:
         e = two_sector_blind()
         d = irreducible_components(e)
         c = d.components[0]
-        sub = e.overlaps.given(d.support_ys(e) == c.y, c.weight)
+        sub = given(e.overlaps, d.support_ys(e) == c.y, c.weight)
         np.testing.assert_allclose(sub.probs, [0.5, 0.5], atol=1e-12)
         assert abs(sum(sub.probs) - 1) < 1e-12
 

@@ -2,10 +2,12 @@ import contextlib
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eacomp import ensemble as ensemble_mod
 from eacomp import limits
 from eacomp.ensemble import (
     Ensemble,
@@ -478,3 +480,117 @@ class TestJson:
         assert "sigma" not in d["states"][0]
         d = ensemble_to_json(sideinfo_triple())
         assert "sigma" in d["states"][0]
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def per_amplitude(monkeypatch):
+    """Turn off _vector's whole-row conversion, leaving its per-amplitude loop."""
+    monkeypatch.setattr(ensemble_mod, "_whole_vector", lambda raw: None)
+
+
+def random_rows(rng, count):
+    """Amplitude rows in every accepted form: [re, im] pairs and bare reals,
+    as floats, ints, signed zeros, infinities, NaN and ints near and past
+    the float range."""
+    specials = [0, 1, -1, -0.0, 2**53 + 1, 2**63 + 1, -(2**64) - 3, 2**1023, 2**1024 - 1,
+                10**400, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+    for _ in range(count):
+        dim = int(rng.integers(1, 7))
+
+        def real():
+            r = rng.random()
+            if r < 0.2:
+                return specials[int(rng.integers(len(specials)))]
+            if r < 0.4:
+                return int(rng.integers(-5, 6))
+            return float(rng.standard_normal())
+
+        if rng.random() < 0.5:
+            yield [[real(), real()] for _ in range(dim)]
+        else:
+            yield [real() for _ in range(dim)]
+
+
+class TestWholeRowParsing:
+    """The whole-row conversion in _vector gives the rows, and the error
+    lines, of the per-amplitude loop it short-cuts."""
+
+    @staticmethod
+    def parse_both(monkeypatch, raw, dim):
+        fast_problems, slow_problems = [], []
+        fast = ensemble_mod._vector(raw, dim, "row", fast_problems)
+        with monkeypatch.context() as m:
+            per_amplitude(m)
+            slow = ensemble_mod._vector(raw, dim, "row", slow_problems)
+        return fast, fast_problems, slow, slow_problems
+
+    def test_rows_of_the_data_files(self, monkeypatch):
+        for path in sorted(DATA.glob("*.json")):
+            doc = json.loads(path.read_text())
+            for state in doc["states"]:
+                for key, dim in (("psi", doc["dimA"]), ("sigma", doc.get("dimC", 1))):
+                    if key in state:
+                        assert ensemble_mod._whole_vector(state[key]) is not None
+                        fast, _, slow, _ = self.parse_both(monkeypatch, state[key], dim)
+                        assert fast.tobytes() == slow.tobytes(), (path.name, key)
+
+    def test_seeded_random_rows(self, monkeypatch):
+        rng = np.random.default_rng(1402)
+        for raw in random_rows(rng, 400):
+            fast, fast_problems, slow, slow_problems = self.parse_both(monkeypatch, raw, len(raw))
+            assert fast_problems == slow_problems == []
+            assert fast.dtype == slow.dtype == np.complex128
+            assert fast.tobytes() == slow.tobytes(), raw
+
+    def test_seeded_random_files(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(1403)
+        for k in range(20):
+            e = rand_source(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+            doc = ensemble_to_json(e)
+            if k % 2:  # bare reals where the amplitude is real
+                for state in doc["states"]:
+                    state["psi"] = [re if im == 0.0 else [re, im] for re, im in state["psi"]]
+            path = tmp_path / "e.json"
+            path.write_text(json.dumps(doc))
+            fast = load_ensemble(path)
+            with monkeypatch.context() as m:
+                per_amplitude(m)
+                slow = load_ensemble(path)
+            for name in ("probs", "psi", "sigma"):
+                assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+
+    @pytest.mark.parametrize("psi", [
+        [True, 0],
+        [[1, False], [0, 0]],
+        ["1", 0],
+        [["0.5", 0], [0.5, 0]],
+        [1, 10**400],
+        [[10**400, 0], [0, -(2**1024)]],
+        [math.nan, 1],
+        [[math.inf, 0], [0, -math.inf]],
+        [1],
+        [1, 0, 0],
+        [[1, 0, 0], [0, 0, 0]],
+        [[1], [0]],
+        [[1, 0], [0]],
+        [[1, 0], 0],
+        [0.6, [0.8, 0]],
+        [[1, [0]], [0, 0]],
+        [None, 1],
+        "10",
+    ], ids=lambda psi: repr(psi)[:40])
+    def test_same_error_lines(self, monkeypatch, psi):
+        doc = {"dimA": 2, "states": [{"label": "a", "prob": 1.0, "psi": psi}]}
+        outcomes = []
+        for whole in (True, False):
+            with monkeypatch.context() as m:
+                if not whole:
+                    per_amplitude(m)
+                try:
+                    e = ensemble_from_json(doc)
+                    outcomes.append(e.psi.tobytes())
+                except EnsembleFormatError as exc:
+                    outcomes.append(exc.violations)
+        assert outcomes[0] == outcomes[1]

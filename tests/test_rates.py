@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eacomp.rates as rates_mod
+from dense_oracle import dense_profile, gram_matrix
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
-from eacomp.ensemble import Ensemble, Overlaps, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
 from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
 from eacomp.rates import (
@@ -16,7 +18,6 @@ from eacomp.rates import (
     blind_rates,
     classical_entanglement_corner,
     entropy_profile,
-    gram_matrix,
     optimal_rates,
     resource_convert,
     visible_rates,
@@ -292,6 +293,70 @@ class TestGramPath:
         self.assert_same_spectrum(e, d)
 
 
+def sectors_source(rng, sizes, zero_probability=0):
+    """One component per entry of sizes, with that many signals: component s
+    lives in {|2s>, |2s+1>} of A = C^(2 len(sizes)), with generic qubit side
+    information, so every pair inside it overlaps. zero_probability more
+    signals get p = 0. Rotated by a random U_A (x) U_C."""
+    dim_a = 2 * len(sizes)
+    owners = [s for s, k in enumerate(sizes) for _ in range(k)]
+    owners += [int(rng.integers(len(sizes))) for _ in range(zero_probability)]
+    psi = np.zeros((len(owners), dim_a), dtype=complex)
+    for i, s in enumerate(owners):
+        psi[i, 2 * s:2 * s + 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    sigma = rng.standard_normal((len(owners), 2)) + 1j * rng.standard_normal((len(owners), 2))
+    probs = np.concatenate([rng.dirichlet(np.ones(sum(sizes))), np.zeros(zero_probability)])
+    ua, uc = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+              for d in (dim_a, 2))
+    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True) @ ua.T
+    sigma = sigma / np.linalg.norm(sigma, axis=1, keepdims=True) @ uc.T
+    return Ensemble([f"{s}.{i}" for i, s in enumerate(owners)], probs, psi, sigma)
+
+
+class TestComponentSpectra:
+    def test_eigvalsh_sides_stay_per_component(self, monkeypatch):
+        # 64 states: visible (k_y = 1) and one component (k = 64 > dA dC =
+        # 16). No spectrum may be wider than max(dA, max_y min(k_y, dA dC)).
+        rng = np.random.default_rng(1404)
+        psi = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        sigma = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        probs = rng.dirichlet(np.ones(64))
+        labels = [str(i) for i in range(64)]
+        sides = []
+
+        def recorded(real):
+            def call(m, *args, **kwargs):
+                sides.append(m.shape[-1])
+                return real(m, *args, **kwargs)
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+        for e, bound in ((make_visible(psi, probs, labels), 4), (Ensemble(labels, probs, psi, sigma), 16)):
+            sides.clear()
+            d = irreducible_components(e)
+            sizes = [len(c.labels) for c in d.components]
+            assert bound == max(e.dim_a, max(min(k, e.dim_a * e.dim_c) for k in sizes))
+            entropy_profile(e, d)
+            assert sides and max(sides) <= bound, sides
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3), (12, 13, 1), (2, 12, 5), (13, 3, 2), (1, 1, 1)])
+    def test_direct_entropies_match_dense(self, sizes):
+        # C has side 2 and A (x) C side 12: the components fall below, on
+        # and above both, and the zero-probability signals leave the support
+        rng = np.random.default_rng(1405 + sum(sizes))
+        for trial in range(3):
+            e = sectors_source(rng, sizes, zero_probability=trial)
+            d = irreducible_components(e)
+            assert sorted(len(c.labels) for c in d.components) == sorted(sizes)
+            dense = dense_profile(e, d)
+            s_cy, s_acy = rates_mod._direct_entropies(e.overlaps, rates_mod._groups(d.support_ys(e)))
+            assert abs(s_cy - dense["S_CY"]) <= 1e-12
+            assert abs(s_acy - dense["S_ACY"]) <= 1e-12
+
+
 class TestAnalyze:
     def test_bundles_one_profile(self):
         e = make_blind([[1, 0], [0, 1]], [0.5, 0.5])
@@ -339,29 +404,17 @@ class TestAnalyze:
 
 class TestConsistencyGuard:
     def test_block_vs_direct_disagreement_raises(self, monkeypatch):
-        import eacomp.rates as rates_mod
-
-        # poison the direct S(ACY) path only; the guard must notice. Block
-        # Gram matrices share its "X" layout, so the poisoned matrix is
-        # recognised as the one gram_matrix returned.
-        real = rates_mod.von_neumann_entropy
-        real_gram = rates_mod.gram_matrix
-        direct = []
+        # poison the direct S(ACY) path only; the guard must notice. The
+        # direct S(CY) comes from the same call and is left as it is.
+        real = rates_mod._direct_entropies
         calls = {"n": 0}
 
-        def recorded(e, d):
-            direct.append(real_gram(e, d))
-            return direct[-1]
+        def crooked(ov, groups):
+            s_cy, s_acy = real(ov, groups)
+            calls["n"] += 1
+            return s_cy, s_acy + 1e-3
 
-        def crooked(m):
-            v = real(m)
-            if any(m is g for g in direct):
-                calls["n"] += 1
-                return v + 1e-3
-            return v
-
-        monkeypatch.setattr(rates_mod, "gram_matrix", recorded)
-        monkeypatch.setattr(rates_mod, "von_neumann_entropy", crooked)
+        monkeypatch.setattr(rates_mod, "_direct_entropies", crooked)
         with pytest.raises(ConsistencyError, match=r"S\(ACY\)") as exc:
             entropy_profile(sideinfo_triple(0.05))
         assert "S(CY)" not in str(exc.value)
@@ -371,8 +424,6 @@ class TestConsistencyGuard:
     def mutate_first_component(monkeypatch, mutate):
         """Make the decomposition entropy_profile computes hand back its
         first component rewritten by mutate(component)."""
-        import eacomp.rates as rates_mod
-
         real = rates_mod.irreducible_components
 
         def mutated(e, tol):
@@ -390,16 +441,14 @@ class TestConsistencyGuard:
 
     @pytest.mark.parametrize("source", ["two_sectors", "triple", "visible"])
     def test_wrong_renormalisation_raises_both(self, monkeypatch, source):
-        real = Overlaps.given
-        calls = []
+        real = rates_mod._conditional
 
-        def unnormalised(ov, rows, weight):
+        def unnormalised(probs, ys, d):
             # the first component's conditional probabilities sum to 0.9, not 1
-            sub = real(ov, rows, weight)
-            calls.append(rows)
-            return sub if len(calls) > 1 else replace(sub, probs=sub.probs * 0.9)
+            cond = real(probs, ys, d)
+            return np.where(ys == d.components[0].y, 0.9 * cond, cond)
 
-        monkeypatch.setattr(Overlaps, "given", unnormalised)
+        monkeypatch.setattr(rates_mod, "_conditional", unnormalised)
         with pytest.raises(ConsistencyError) as exc:
             entropy_profile(GUARD_SOURCES[source]())
         assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
