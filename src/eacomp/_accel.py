@@ -2,7 +2,9 @@
 
 Kernels:
   block_fidelity     expected decoding fidelity of a projective code,
-                     enumerated exactly over classical sequences
+                     enumerated exactly over classical sequences, with
+                     the pass probabilities of all of them from one
+                     matrix product over code rows split at n/2
   unitary_objective  mutual information and average fidelity of the
                      channel of an isometry V (W-major output ordering,
                      environment first), and their gradients in V. One product V phi_x per signal; both
@@ -31,47 +33,68 @@ def active_backend() -> str:
 # table, sel (rank, n) per-copy eigenvector indices of the retained product
 # basis. Row 0 of sel is the single largest-weight product vector, onto which
 # every failed measurement collapses. No n-copy vectors are ever formed.
+#
+# p_pass(x^n) = sum_k prod_i g[x_i, sel[k, i]] splits at h = n // 2: each
+# code row is a head sel[k, :h] and a tail sel[k, h:], and with C[p, q] the
+# number of rows with distinct head p and distinct tail q,
+#
+#     p_pass(x^n) = sum_{p, q} U[p, x_1..x_h] C[p, q] V[q, x_h+1..x_n],
+#
+# where U (P x ns^h) and V (Q x ns^(n-h)) hold each distinct head's and
+# tail's product over every half sequence. A duplicated code row counts
+# twice, as it does in the sum over k: C counts rows, not distinct pairs.
+# The whole table is one matrix product U^T (C V), in C order of x^n. No
+# table is wider than ns^n, and P * Q <= dimA^n (at most CODE_DIM_CAP for a
+# code of schumacher's), since heads and tails are distinct; the same bound
+# keeps the integer keys that find them far from overflow.
 
 
 def _sequence_table(cols) -> np.ndarray:
     """prod_i cols[i][x_i] for every sequence x, flattened in C order."""
-    out = cols[0]
-    for c in cols[1:]:
+    out = np.ones(1)
+    for c in cols:
         out = np.multiply.outer(out, c).ravel()
     return out
+
+
+def _products(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """prod_i g[x_i, rows[r, i]] for each row r and every sequence x over
+    its columns, flattened in C order: shape (len(rows), ns**width)."""
+    table = np.ones((len(rows), 1))
+    for col in rows.T:
+        table = (table[:, :, None] * g[:, col].T[:, None, :]).reshape(len(rows), -1)
+    return table
+
+
+def _distinct(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, and the position of each row among them, found
+    on one mixed-radix integer key per row (entries in [0, base))."""
+    keys = rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
 
 
 def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     sel = np.ascontiguousarray(sel, dtype=np.int64)
-    rank, n = sel.shape
+    n = sel.shape[1]
+    h = n // 2
 
-    # p_pass(x^n) = sum_k prod_i g[x_i, sel[k, i]] as a prefix-tree
-    # contraction: with the rows sorted, the rows below each code prefix
-    # of length m are contiguous, and that prefix holds the sum of their
-    # suffix products as a table over x_{m+1..n}. Stepping from m + 1 to
-    # m multiplies each node by g[:, its last index] and adds siblings.
-    rows = sel[np.lexsort(sel.T[::-1])]
-    heads = np.arange(rank)  # first row of each node at the current depth
-    table = np.ones((rank, 1))
-    for m in range(n - 1, -1, -1):
-        last = g[:, rows[heads, m]].T
-        table = (last[:, :, None] * table[:, None, :]).reshape(len(heads), -1)
-        prefixes = rows[heads, :m]
-        first = np.ones(len(heads), dtype=bool)
-        first[1:] = (prefixes[1:] != prefixes[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        table = np.add.reduceat(table, starts, axis=0)
-        heads = heads[starts]
-    ppass = table[0]
+    heads, head_of = _distinct(sel[:, :h], g.shape[1])
+    tails, tail_of = _distinct(sel[:, h:], g.shape[1])
+    counts = np.zeros((len(heads), len(tails)))
+    np.add.at(counts, (head_of, tail_of), 1.0)
+    u, v = _products(g, heads), _products(g, tails)
+    ppass = (u.T @ (counts @ v)).ravel()
 
-    fail = _sequence_table([g[:, k] for k in sel[0]])
-    pseq = _sequence_table([probs] * n)
+    # row 0's head and tail products are rows of u and v already
+    fail = np.multiply.outer(u[head_of[0]], v[tail_of[0]]).ravel()
+    pseq = np.multiply.outer(_sequence_table([probs] * h), _sequence_table([probs] * (n - h))).ravel()
     np.clip(ppass, 0.0, 1.0, out=ppass)
     fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
     np.clip(fv, 0.0, 1.0, out=fv)
-    total = math.fsum((pseq * fv).tolist())
+    total = math.fsum(memoryview(pseq * fv))
     return min(max(total, 0.0), 1.0)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,30 +235,51 @@ def validate(e: Ensemble) -> list[str]:
     One line per fault: a non-finite probability or amplitude is not also
     reported as a bad probability sum or norm.
     """
+    # One array pass finds the rows that may have a fault; only those go
+    # through the per-row checks that word the lines. The screen's norms
+    # sum in another order than the per-row ones and differ by a few ulps,
+    # so it also passes on every row within _NORM_SCREEN of the threshold.
+    faulty = ~np.isfinite(e.probs) | (e.probs < -PROB_ATOL)
+    for rows in (e.psi, e.sigma):
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf flags the row
+            dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
+        faulty |= ~(dev <= _NORM_ATOL - _NORM_SCREEN)
     out = []
-    probs = e.probs.tolist()
-    for i, (label, prob) in enumerate(zip(e.labels, probs)):
-        where = f"item {i} ({label!r})"
-        if not math.isfinite(prob):
-            out.append(f"{where}: probability {prob!r} is not finite")
-        elif prob < -PROB_ATOL:
-            out.append(f"{where}: negative probability {prob!r}")
-        for name, amps in (("psi", e.psi[i]), ("sigma", e.sigma[i])):
-            bad = np.flatnonzero(~np.isfinite(amps))
-            for k in bad:
-                out.append(f"{where}: {name} has non-finite amplitudes: "
-                           f"amplitude {k} = {amps[k]} is not finite")
-            if bad.size:
-                continue
-            nrm = float(np.linalg.norm(amps))
-            if abs(nrm - 1.0) > 1e-9:
-                out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-    if all(map(math.isfinite, probs)):
-        total = float(sum(probs))
+    for i in np.flatnonzero(faulty).tolist():
+        out.extend(_row_faults(e, i))
+    if np.isfinite(e.probs).all():
+        total = float(sum(e.probs.tolist()))
         if not abs(total - 1.0) <= PROB_ATOL:
             out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
-    for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
+    for lbl in sorted(l for l, count in Counter(e.labels).items() if count > 1):
         out.append(f"duplicate label {lbl!r}")
+    return out
+
+
+# the norm deviation validate reports, and the margin of its array screen
+_NORM_ATOL = 1e-9
+_NORM_SCREEN = 1e-10
+
+
+def _row_faults(e: Ensemble, i: int) -> list[str]:
+    """validate's lines for row i."""
+    out = []
+    label, prob = e.labels[i], float(e.probs[i])
+    where = f"item {i} ({label!r})"
+    if not math.isfinite(prob):
+        out.append(f"{where}: probability {prob!r} is not finite")
+    elif prob < -PROB_ATOL:
+        out.append(f"{where}: negative probability {prob!r}")
+    for name, amps in (("psi", e.psi[i]), ("sigma", e.sigma[i])):
+        bad = np.flatnonzero(~np.isfinite(amps))
+        for k in bad:
+            out.append(f"{where}: {name} has non-finite amplitudes: "
+                       f"amplitude {k} = {amps[k]} is not finite")
+        if bad.size:
+            continue
+        nrm = float(np.linalg.norm(amps))
+        if abs(nrm - 1.0) > _NORM_ATOL:
+            out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     return out
 
 

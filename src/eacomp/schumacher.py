@@ -79,6 +79,13 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     Only defined for sources without usable side information (the encoder
     acts on A alone).
     """
+    return _code_space(e, n, rate_q, None)
+
+
+def _code_space(e: Ensemble, n: int, rate_q: float, spectrum: tuple | None) -> CodeSpace:
+    """build_code_space, with the eigendecomposition (weights, vectors) of
+    the average signal state given, or taken here when spectrum is None.
+    The checks run in the same order either way."""
     if not e.is_blind():
         raise EacompError("block simulation works on the A register; side information must be trivial")
     if n < 1:
@@ -87,7 +94,7 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
         raise ValueError(f"qubit rate must be >= 0, got {rate_q}")
     da = e.dim_a
     rank = code_rank(n, rate_q, da)
-    weights, vectors = eig_hermitian(reduced(e, {"A"}))
+    weights, vectors = eig_hermitian(reduced(e, {"A"})) if spectrum is None else spectrum
 
     # Every index tuple in lexicographic order, one row per copy: row i
     # runs through 0..da-1 once per period, holding each index for
@@ -147,9 +154,11 @@ def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
     """Fidelity at one rate across block lengths, skipping capped sizes."""
     points = []
     warnings = []
+    spectrum = None  # the average state's, from the first code built
     for n in ns:
         try:
-            code = build_code_space(e, int(n), rate_q)
+            code = _code_space(e, int(n), rate_q, spectrum)
+            spectrum = code.eigen_weights, code.eigen_vectors
             points.append((int(n), simulate_fidelity(e, code)))
         except DimensionLimitError as exc:
             warnings.append(f"n={n}: {exc}")

@@ -5,15 +5,18 @@ item by item, with no overlap matrices and no Gram spectra, so it shares
 no arithmetic with the package's analysis. The Gram section keeps the
 support-sized forms the analysis once used, as oracles for its
 per-component spectra: the [y = y']-masked N x N Gram matrix and the
-renormalised rows of one component.
+renormalised rows of one component. The last section keeps earlier
+per-row and prefix-tree forms of two package routines, as oracles for
+their array forms.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
 
 from eacomp.decomposition import Decomposition
-from eacomp.ensemble import Ensemble, Overlaps
+from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps
 from eacomp.errors import LabelError
 from eacomp.states import DensityMatrix, SubsystemLayout, partial_trace, single
 
@@ -113,3 +116,79 @@ def given(ov: Overlaps, rows, weight: float) -> Overlaps:
     probabilities divided by weight: one component, renormalised."""
     return Overlaps(tuple(k for k, keep in zip(ov.support, rows) if keep), ov.probs[rows] / weight,
                     ov.psi[rows], ov.sigma[rows])
+
+
+# ---------------------------------------------------------------------------
+# Earlier forms
+
+
+def validate_per_row(e: Ensemble) -> list[str]:
+    """ensemble.validate as one loop over the rows: a line per fault, a
+    non-finite probability or amplitude not also reported as a bad
+    probability sum or norm."""
+    out = []
+    probs = e.probs.tolist()
+    for i, (label, prob) in enumerate(zip(e.labels, probs)):
+        where = f"item {i} ({label!r})"
+        if not math.isfinite(prob):
+            out.append(f"{where}: probability {prob!r} is not finite")
+        elif prob < -PROB_ATOL:
+            out.append(f"{where}: negative probability {prob!r}")
+        for name, amps in (("psi", e.psi[i]), ("sigma", e.sigma[i])):
+            bad = np.flatnonzero(~np.isfinite(amps))
+            for k in bad:
+                out.append(f"{where}: {name} has non-finite amplitudes: "
+                           f"amplitude {k} = {amps[k]} is not finite")
+            if bad.size:
+                continue
+            nrm = float(np.linalg.norm(amps))
+            if abs(nrm - 1.0) > 1e-9:
+                out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+    if all(map(math.isfinite, probs)):
+        total = float(sum(probs))
+        if not abs(total - 1.0) <= PROB_ATOL:
+            out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
+    for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
+        out.append(f"duplicate label {lbl!r}")
+    return out
+
+
+def _sequence_table(cols) -> np.ndarray:
+    """prod_i cols[i][x_i] for every sequence x, flattened in C order."""
+    out = cols[0]
+    for c in cols[1:]:
+        out = np.multiply.outer(out, c).ravel()
+    return out
+
+
+def prefix_tree_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
+    """_accel.block_fidelity with p_pass(x^n) = sum_k prod_i g[x_i, sel[k, i]]
+    as a prefix-tree contraction: with the rows sorted, the rows below each
+    code prefix of length m are contiguous, and that prefix holds the sum of
+    their suffix products as a table over x_{m+1..n}. Stepping from m + 1 to
+    m multiplies each node by g[:, its last index] and adds siblings."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    sel = np.ascontiguousarray(sel, dtype=np.int64)
+    rank, n = sel.shape
+    rows = sel[np.lexsort(sel.T[::-1])]
+    heads = np.arange(rank)  # first row of each node at the current depth
+    table = np.ones((rank, 1))
+    for m in range(n - 1, -1, -1):
+        last = g[:, rows[heads, m]].T
+        table = (last[:, :, None] * table[:, None, :]).reshape(len(heads), -1)
+        prefixes = rows[heads, :m]
+        first = np.ones(len(heads), dtype=bool)
+        first[1:] = (prefixes[1:] != prefixes[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        table = np.add.reduceat(table, starts, axis=0)
+        heads = heads[starts]
+    ppass = table[0]
+
+    fail = _sequence_table([g[:, k] for k in sel[0]])
+    pseq = _sequence_table([probs] * n)
+    np.clip(ppass, 0.0, 1.0, out=ppass)
+    fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
+    np.clip(fv, 0.0, 1.0, out=fv)
+    total = math.fsum((pseq * fv).tolist())
+    return min(max(total, 0.0), 1.0)

@@ -2,8 +2,12 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
+from dense_oracle import prefix_tree_block_fidelity
 from eacomp._accel import block_fidelity, unitary_objective
+from eacomp.ensemble import make_blind
+from eacomp.schumacher import build_code_space
 
 
 def rand_block_inputs(rng, ns=3, d=3, n=4, rank=7):
@@ -55,6 +59,53 @@ class TestBlockFidelityAgreement:
         for _ in range(5):
             probs, g, sel = rand_block_inputs(rng)
             assert 0.0 <= block_fidelity(probs, g, sel) <= 1.0
+
+
+class TestBlockFidelityOracle:
+    """The head/tail kernel against the prefix-tree kernel it replaced."""
+
+    def assert_agrees(self, probs, g, sel):
+        assert abs(block_fidelity(probs, g, sel) - prefix_tree_block_fidelity(probs, g, sel)) <= 1e-14
+
+    def test_random_codes(self):
+        rng = np.random.default_rng(104)
+        for _ in range(300):
+            ns, d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            probs, g, sel = rand_block_inputs(rng, ns=ns, d=d, n=n, rank=int(rng.integers(1, 40)))
+            sel[0] = rng.integers(0, d, size=n)  # unsorted rows, any failure row
+            dups = rng.integers(0, len(sel), size=int(rng.integers(0, 4)))
+            sel = np.concatenate([sel, sel[dups]])  # a duplicated row counts twice
+            if ns > 1 and rng.random() < 0.3:
+                probs[rng.integers(ns)] = 0.0
+                probs /= probs.sum()
+            self.assert_agrees(probs, g, sel)
+
+    @pytest.mark.parametrize("ns,d,n", [(3, 3, 1), (3, 1, 6), (1, 3, 5), (1, 1, 1), (2, 2, 1)])
+    def test_degenerate_sizes(self, ns, d, n):
+        rng = np.random.default_rng(105)
+        for rank in (1, 2, 5):
+            probs, g, sel = rand_block_inputs(rng, ns=ns, d=d, n=n, rank=rank)
+            self.assert_agrees(probs, g, sel)
+
+    @pytest.mark.parametrize("ns,d,n", [(2, 2, 7), (3, 3, 4), (3, 2, 5)])
+    def test_full_code(self, ns, d, n):
+        rng = np.random.default_rng(106)
+        probs, g, _ = rand_block_inputs(rng, ns=ns, d=d, n=n)
+        sel = np.array(list(itertools.product(range(d), repeat=n)))
+        rng.shuffle(sel)
+        assert abs(block_fidelity(probs, g, sel) - 1.0) <= 1e-14
+        self.assert_agrees(probs, g, sel)
+
+    def test_codes_of_random_sources(self):
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            ns, da = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+            states = rng.standard_normal((ns, da)) + 1j * rng.standard_normal((ns, da))
+            states /= np.linalg.norm(states, axis=1)[:, None]
+            e = make_blind(states, rng.dirichlet(np.ones(ns)))
+            code = build_code_space(e, int(rng.integers(1, 8)), float(rng.uniform(0.2, 1.4)))
+            g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
+            self.assert_agrees(e.overlaps.probs, g, code.selected)
 
 
 class TestObjectiveAgreement:

@@ -620,3 +620,19 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert cli.main(["rates", str(DATA / name), "-o", str(tmp_path / "in_process.json")]) == 0
         assert (tmp_path / "process.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["blind_pair.json", "blind_two_sectors.json"])
+    def test_simulate_same_under_one_and_two_blas_threads(self, name):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "eacomp.cli", "simulate", str(DATA / name),
+                 "--rate", "0.7", "--n", ",".join(map(str, range(1, 15)))],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("\n") > 1

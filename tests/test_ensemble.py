@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_oracle import validate_per_row
 from eacomp import ensemble as ensemble_mod
 from eacomp import limits
 from eacomp.ensemble import (
@@ -142,6 +143,38 @@ class TestValidate:
 
     def test_clean(self):
         assert validate(sideinfo_triple()) == []
+
+    def test_matches_per_row_loop(self):
+        # fuzzed rows: non-finite amplitudes and probabilities, norms a hair
+        # either side of the 1e-9 threshold, negative probabilities around
+        # -1e-9, and duplicate labels
+        rng = np.random.default_rng(108)
+        kinds, near = set(), []
+        for _ in range(400):
+            n = int(rng.integers(1, 7))
+            probs = rng.dirichlet(np.ones(n))
+            psi = np.array([rand_unit(rng, 3) for _ in range(n)])
+            sigma = np.array([rand_unit(rng, 2) for _ in range(n)])
+            for i in range(n):
+                rows = psi if rng.random() < 0.5 else sigma
+                fault = rng.integers(0, 6)
+                if fault == 0:
+                    rows[i] *= 1.0 + rng.choice([1.0, -1.0]) * 1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6))
+                    near.append(abs(np.linalg.norm(rows[i]) - 1.0) > 1e-9)
+                elif fault == 1:
+                    k, bad = rng.integers(rows.shape[1]), rng.choice([np.nan, np.inf, -np.inf])
+                    rows[i, k] = complex(bad, rows[i, k].imag) if rng.random() < 0.5 else complex(rows[i, k].real, bad)
+                elif fault == 2:
+                    probs[i] = rng.choice([np.nan, np.inf, -np.inf, -0.1, -1e-9 * (1.0 + rng.uniform(-1e-6, 1e-6))])
+                elif fault == 3:
+                    rows[i] *= 1.0 + rng.uniform(-3e-9, 3e-9)
+            labels = [str(rng.integers(0, n + 2)) for _ in range(n)]
+            e = Ensemble(labels, probs, psi, sigma)
+            lines = validate(e)
+            assert lines == validate_per_row(e)
+            kinds |= {line.split(": ", 1)[-1].split(" ")[0] for line in lines}
+        assert {"probability", "negative", "psi", "sigma", "duplicate"} <= kinds
+        assert any(near) and not all(near)  # norms just past and just inside the threshold
 
 
 class TestReduced:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eacomp import limits
+from eacomp import limits, schumacher
 from eacomp.ensemble import make_blind, make_visible, reduced
 from eacomp.errors import DimensionLimitError, EacompError
 from eacomp.schumacher import build_code_space, code_rank, fidelity_curve, simulate_fidelity
@@ -250,6 +250,20 @@ class TestCurve:
         assert lines[1].startswith("1,0.700000,")
         for (n, f), line in zip(curve.points, lines[1:]):
             assert line == f"{n},0.700000,{f:.10f}"
+
+    def test_one_eigendecomposition_per_curve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schumacher, "reduced", lambda e, keep: calls.append(keep) or reduced(e, keep))
+        e = blind_qutrit()
+        curve = fidelity_curve(e, [1, 2, 3, 4], 0.9)
+        assert len(calls) == 1
+        for n, f in curve.points:
+            assert f == simulate_fidelity(e, build_code_space(e, n, 0.9))
+
+    def test_refuses_side_information_first(self):
+        e = make_visible([[1, 0], PLUS], [0.5, 0.5])
+        with pytest.raises(EacompError, match="side information"):
+            fidelity_curve(e, [0], -1.0)
 
     def test_capped_sizes_skipped_with_warning(self):
         old = limits.CODE_DIM_CAP
