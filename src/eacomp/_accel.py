@@ -4,7 +4,11 @@ Kernels:
   block_fidelity     expected decoding fidelity of a projective code,
                      enumerated exactly over classical sequences, with
                      the pass probabilities of all of them from one
-                     matrix product over code rows split at n/2
+                     matrix product over code rows split at n/2, the
+                     fidelity terms formed in place, and their sum
+                     rounded once by error-free extraction passes; given
+                     the code's eigenvalue weights, it checks its tables
+                     against them
   unitary_objective  mutual information and average fidelity of the
                      channel of an isometry V (W-major output ordering,
                      environment first), and their gradients in V. One product V phi_x per signal; both
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ConsistencyError
 
 # There is one backend. These two names stay because callers report it:
 # the benchmark's environment line and the `iepsilon` JSON report.
@@ -74,7 +80,76 @@ def _distinct(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
+# Two exact facts tie the tables to the code's weights by the eigenvalue
+# route, prod_i lambda_{sel[k, i]}, since sum_x p_x g[x, k] = lambda_k for g
+# taken in the eigenbasis of the average state: the sequence average of
+# p_pass is Tr(Pi rho^n), the sum of the weights, and that of f_fail is the
+# weight of row 0. Also F >= Tr(Pi rho^n), as sqrt(p^2 + (1 - p) f) >= p
+# (Jozsa & Schumacher, J. Mod. Opt. 41, 2343, 1994). Each side sums at most
+# SEQUENCE_CAP nonnegative terms, or rank products of n eigenvalues, to at
+# most 1, so rounding moves it by well under 1e-10 (6e-15 at most on the
+# data files and random sources); a wrong table or weight moves it by the
+# size of a weight.
+TABLE_ATOL = 1e-9
+
+
+def _check_tables(mean_pass: float, mean_fail: float, fidelity: float, weights: np.ndarray) -> None:
+    trace = float(np.sum(weights))  # Tr(Pi rho^n)
+    for what, got, want in (("pass probability", mean_pass, trace), ("failure overlap", mean_fail, weights[0])):
+        if not abs(got - want) <= TABLE_ATOL:
+            raise ConsistencyError(
+                f"mean {what} {got} over the sequences disagrees with {want} from the eigenvalues"
+            )
+    if not fidelity >= trace - TABLE_ATOL:
+        raise ConsistencyError(f"fidelity {fidelity} is below Tr(Pi rho^n) = {trace}")
+
+
+def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
+    """sum(r) rounded once to the nearest double, ties to even: the value
+    math.fsum returns. r holds finite nonnegative terms and is overwritten
+    by residuals; q is scratch of r's shape.
+
+    Each pass takes the largest residual m < 2^e and N + 1 <= 2^k, sets
+    sigma = 2^(e+k) and splits every residual exactly into
+    q = (sigma + r) - sigma and r - q (Rump, Ogita & Oishi, "Accurate
+    floating-point summation", SIAM J. Sci. Comput. 31, 2008, Lemma 3.3):
+    each q is a multiple of 2^(e+k-53) with |q| <= 2^e, so every partial
+    sum of the q's is such a multiple below sigma in size, and q.sum() is
+    exact in any order; the parts are these exact sums. The new residuals
+    are rounding errors of sigma + r, at most 2^(e+k-53) <= m * 2^(k-52),
+    and B = max|r| * 2^k bounds |sum(r)| exactly. Once sum(parts) - B and
+    sum(parts) + B round to one double, so does the true sum between them.
+    Residuals are multiples of 2^-1074 that shrink by 2^(52-k) or more a
+    pass, so at most about 2100 / (52 - k) passes reach all zeros, where
+    B = 0 ends the loop.
+    """
+    lo, hi = float(r.min()), float(r.max())
+    if not (lo >= 0.0 and hi < math.inf):
+        raise ValueError(f"terms must be finite and nonnegative, got range [{lo}, {hi}]")
+    k = r.size.bit_length()
+    if k > 50:
+        raise ValueError(f"{r.size} terms are too many to sum exactly")
+    parts = []
+    while True:
+        e = math.frexp(hi)[1]
+        if e + k > 1023:
+            raise OverflowError(f"terms up to {hi} overflow an exact sum of {r.size}")
+        sigma = math.ldexp(1.0, e + k)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        parts.append(float(q.sum()))
+        hi = max(float(r.max()), -float(r.min()))
+        bound = math.ldexp(hi, k)
+        if math.fsum(parts + [bound]) == math.fsum(parts + [-bound]):
+            return math.fsum(parts)
+
+
+def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray,
+                   weights: np.ndarray | None = None) -> float:
+    """Expected fidelity of the code sel; with weights, the code rows'
+    prod_i lambda_{sel[k, i]} by the eigenvalue route, the tables and the
+    result are checked against them (see _check_tables)."""
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     sel = np.ascontiguousarray(sel, dtype=np.int64)
@@ -86,16 +161,30 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
     counts = np.zeros((len(heads), len(tails)))
     np.add.at(counts, (head_of, tail_of), 1.0)
     u, v = _products(g, heads), _products(g, tails)
-    ppass = (u.T @ (counts @ v)).ravel()
+    ppass = u.T @ (counts @ v)  # (ns^h, ns^(n-h)), sequences in C order
 
     # row 0's head and tail products are rows of u and v already
-    fail = np.multiply.outer(u[head_of[0]], v[tail_of[0]]).ravel()
-    pseq = np.multiply.outer(_sequence_table([probs] * h), _sequence_table([probs] * (n - h))).ravel()
+    u0, v0 = u[head_of[0]], v[tail_of[0]]
+    ph, pt = _sequence_table([probs] * h), _sequence_table([probs] * (n - h))
+    if weights is not None:  # the sequence means, before any clipping
+        means = ph @ ppass @ pt, (ph @ u0) * (v0 @ pt)
+
+    # The terms pseq * sqrt(p^2 + (1 - p) f), clipped as before, in two
+    # buffers; each step is the same float operation as the fresh-array
+    # form, operands at most swapped, so every term is bit-identical.
     np.clip(ppass, 0.0, 1.0, out=ppass)
-    fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
+    fv = np.multiply.outer(u0, v0, out=np.empty_like(ppass))
+    tmp = np.subtract(1.0, ppass, out=np.empty_like(ppass))
+    tmp *= fv
+    np.multiply(ppass, ppass, out=fv)
+    fv += tmp
+    np.sqrt(fv, out=fv)
     np.clip(fv, 0.0, 1.0, out=fv)
-    total = math.fsum(memoryview(pseq * fv))
-    return min(max(total, 0.0), 1.0)
+    fv *= np.multiply.outer(ph, pt, out=tmp)
+    total = min(max(_exact_sum(fv, tmp), 0.0), 1.0)
+    if weights is not None:
+        _check_tables(*means, total, weights)
+    return total
 
 
 # ---------------------------------------------------------------------------

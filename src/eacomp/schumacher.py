@@ -79,22 +79,34 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     Only defined for sources without usable side information (the encoder
     acts on A alone).
     """
-    return _code_space(e, n, rate_q, None)
+    rank = _checked_rank(e, n, rate_q)
+    return _code_space(e, n, rate_q, rank, eig_hermitian(reduced(e, {"A"})))
 
 
-def _code_space(e: Ensemble, n: int, rate_q: float, spectrum: tuple | None) -> CodeSpace:
-    """build_code_space, with the eigendecomposition (weights, vectors) of
-    the average signal state given, or taken here when spectrum is None.
-    The checks run in the same order either way."""
+def _checked_rank(e: Ensemble, n: int, rate_q: float) -> int:
+    """code_rank for the A register of e, after the checks on e, n and
+    rate_q, in the order every code build runs them."""
     if not e.is_blind():
         raise EacompError("block simulation works on the A register; side information must be trivial")
     if n < 1:
         raise ValueError(f"block length must be >= 1, got {n}")
     if rate_q < 0:
         raise ValueError(f"qubit rate must be >= 0, got {rate_q}")
+    return code_rank(n, rate_q, e.dim_a)
+
+
+def _check_sequences(e: Ensemble, n: int) -> None:
+    ns = len(e.overlaps.probs)
+    # ns**n is formed only once n is small: n passed code_rank's caps
+    if ns ** n > limits.SEQUENCE_CAP:
+        raise DimensionLimitError(f"{ns}^{n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n")
+
+
+def _code_space(e: Ensemble, n: int, rate_q: float, rank: int, spectrum: tuple) -> CodeSpace:
+    """The code of the given rank on n copies of the average signal state,
+    whose eigendecomposition (weights, vectors) is spectrum."""
     da = e.dim_a
-    rank = code_rank(n, rate_q, da)
-    weights, vectors = eig_hermitian(reduced(e, {"A"})) if spectrum is None else spectrum
+    weights, vectors = spectrum
 
     # Every index tuple in lexicographic order, one row per copy: row i
     # runs through 0..da-1 once per period, holding each index for
@@ -130,12 +142,9 @@ def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
         raise EacompError(
             f"code built for dimension {code.eigen_vectors.shape[0]}, ensemble has {e.dim_a}"
         )
-    if len(ov.probs) ** code.n > limits.SEQUENCE_CAP:
-        raise DimensionLimitError(
-            f"{len(ov.probs)}^{code.n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n"
-        )
+    _check_sequences(e, code.n)
     g = np.abs(ov.psi @ code.eigen_vectors.conj()) ** 2
-    return block_fidelity(ov.probs, g, code.selected)
+    return block_fidelity(ov.probs, g, code.selected, weights=code.selected_weights)
 
 
 @dataclass(frozen=True)
@@ -151,14 +160,18 @@ class FidelityCurve:
 
 
 def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
-    """Fidelity at one rate across block lengths, skipping capped sizes."""
+    """Fidelity at one rate across block lengths, skipping capped sizes.
+    A size is refused on its caps before its code is built."""
     points = []
     warnings = []
-    spectrum = None  # the average state's, from the first code built
+    spectrum = None  # the average state's, taken for the first code built
     for n in ns:
         try:
-            code = _code_space(e, int(n), rate_q, spectrum)
-            spectrum = code.eigen_weights, code.eigen_vectors
+            rank = _checked_rank(e, int(n), rate_q)
+            _check_sequences(e, int(n))
+            if spectrum is None:
+                spectrum = eig_hermitian(reduced(e, {"A"}))
+            code = _code_space(e, int(n), rate_q, rank, spectrum)
             points.append((int(n), simulate_fidelity(e, code)))
         except DimensionLimitError as exc:
             warnings.append(f"n={n}: {exc}")

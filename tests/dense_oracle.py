@@ -6,7 +6,7 @@ no arithmetic with the package's analysis. The Gram section keeps the
 support-sized forms the analysis once used, as oracles for its
 per-component spectra: the [y = y']-masked N x N Gram matrix and the
 renormalised rows of one component. The last section keeps earlier
-per-row and prefix-tree forms of two package routines, as oracles for
+per-row, prefix-tree and fsum forms of package routines, as oracles for
 their array forms.
 """
 
@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from eacomp._accel import _distinct, _products
 from eacomp.decomposition import Decomposition
 from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps
 from eacomp.errors import LabelError
@@ -155,8 +156,8 @@ def validate_per_row(e: Ensemble) -> list[str]:
 
 def _sequence_table(cols) -> np.ndarray:
     """prod_i cols[i][x_i] for every sequence x, flattened in C order."""
-    out = cols[0]
-    for c in cols[1:]:
+    out = np.ones(1)
+    for c in cols:
         out = np.multiply.outer(out, c).ravel()
     return out
 
@@ -191,4 +192,30 @@ def prefix_tree_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray
     fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
     np.clip(fv, 0.0, 1.0, out=fv)
     total = math.fsum((pseq * fv).tolist())
+    return min(max(total, 0.0), 1.0)
+
+
+def fsum_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:
+    """_accel.block_fidelity with a fresh array for every elementwise step
+    and math.fsum over the ns^n terms: the kernel's bit-for-bit oracle."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    sel = np.ascontiguousarray(sel, dtype=np.int64)
+    n = sel.shape[1]
+    h = n // 2
+
+    heads, head_of = _distinct(sel[:, :h], g.shape[1])
+    tails, tail_of = _distinct(sel[:, h:], g.shape[1])
+    counts = np.zeros((len(heads), len(tails)))
+    np.add.at(counts, (head_of, tail_of), 1.0)
+    u, v = _products(g, heads), _products(g, tails)
+    ppass = (u.T @ (counts @ v)).ravel()
+
+    # row 0's head and tail products are rows of u and v already
+    fail = np.multiply.outer(u[head_of[0]], v[tail_of[0]]).ravel()
+    pseq = np.multiply.outer(_sequence_table([probs] * h), _sequence_table([probs] * (n - h))).ravel()
+    np.clip(ppass, 0.0, 1.0, out=ppass)
+    fv = np.sqrt(ppass * ppass + (1.0 - ppass) * fail)
+    np.clip(fv, 0.0, 1.0, out=fv)
+    total = math.fsum(memoryview(pseq * fv))
     return min(max(total, 0.0), 1.0)

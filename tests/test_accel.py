@@ -1,13 +1,22 @@
 import itertools
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dense_oracle import prefix_tree_block_fidelity
-from eacomp._accel import block_fidelity, unitary_objective
-from eacomp.ensemble import make_blind
-from eacomp.schumacher import build_code_space
+from dense_oracle import fsum_block_fidelity, prefix_tree_block_fidelity
+from eacomp import _accel, limits, schumacher
+from eacomp._accel import _exact_sum, block_fidelity, unitary_objective
+from eacomp.ensemble import load_ensemble, make_blind
+from eacomp.errors import ConsistencyError, EacompError
+from eacomp.schumacher import build_code_space, fidelity_curve, simulate_fidelity
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def rand_block_inputs(rng, ns=3, d=3, n=4, rank=7):
@@ -65,7 +74,9 @@ class TestBlockFidelityOracle:
     """The head/tail kernel against the prefix-tree kernel it replaced."""
 
     def assert_agrees(self, probs, g, sel):
-        assert abs(block_fidelity(probs, g, sel) - prefix_tree_block_fidelity(probs, g, sel)) <= 1e-14
+        got = block_fidelity(probs, g, sel)
+        assert got == fsum_block_fidelity(probs, g, sel)
+        assert abs(got - prefix_tree_block_fidelity(probs, g, sel)) <= 1e-14
 
     def test_random_codes(self):
         rng = np.random.default_rng(104)
@@ -106,6 +117,161 @@ class TestBlockFidelityOracle:
             code = build_code_space(e, int(rng.integers(1, 8)), float(rng.uniform(0.2, 1.4)))
             g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
             self.assert_agrees(e.overlaps.probs, g, code.selected)
+
+
+def code_inputs(e, code):
+    g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
+    return e.overlaps.probs, g, code.selected
+
+
+BLIND_FILES = sorted(p.stem for p in DATA.glob("*.json") if load_ensemble(str(p)).is_blind())
+
+
+class TestBlockFidelityBitIdentity:
+    """The in-place kernel against the fresh-array fsum kernel it replaced,
+    with ==: every term and the exactly rounded sum are unchanged."""
+
+    def test_random_codes(self):
+        rng = np.random.default_rng(108)
+        for trial in range(150):
+            ns, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            n = int(rng.integers(1, 13 if ns < 3 else 11))
+            probs = rng.dirichlet(np.ones(ns))
+            g = rng.dirichlet(np.ones(d), size=ns)
+            if trial % 5 == 0 and d**n <= 4096:
+                sel = np.array(list(itertools.product(range(d), repeat=n)))  # full rank
+                rng.shuffle(sel)
+            else:
+                rank = 1 if trial % 5 == 1 else int(rng.integers(1, min(d**n, 300) + 1))
+                sel = rng.integers(0, d, size=(rank, n))
+                dups = rng.integers(0, rank, size=int(rng.integers(0, 4)))
+                sel = np.concatenate([sel, sel[dups]])  # a duplicated row counts twice
+            assert block_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel), trial
+
+    def test_longest_blocks(self):
+        rng = np.random.default_rng(109)
+        for ns, d, n in ((3, 2, 12), (3, 4, 11), (2, 3, 12)):
+            probs, g, sel = rand_block_inputs(rng, ns=ns, d=d, n=n, rank=200)
+            assert block_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel)
+
+    @pytest.mark.parametrize("name", BLIND_FILES)
+    def test_codes_of_the_data_files(self, name):
+        e = load_ensemble(str(DATA / f"{name}.json"))
+        for rate in (0.3, 0.5, 0.8, 1.2, 2.0):
+            for n in range(1, 13):
+                try:
+                    code = build_code_space(e, n, rate)
+                except EacompError:
+                    continue
+                probs, g, sel = code_inputs(e, code)
+                want = fsum_block_fidelity(probs, g, sel)
+                assert block_fidelity(probs, g, sel) == want
+                assert block_fidelity(probs, g, sel, weights=code.selected_weights) == want
+
+    @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors"])
+    def test_curves_keep_their_bits(self, name):
+        goldens = json.loads((Path(__file__).parent / "fidelity_goldens.json").read_text())[name]
+        e = load_ensemble(str(DATA / f"{name}.json"))
+        for rate, want in goldens.items():
+            curve = fidelity_curve(e, range(1, 13), float(rate))
+            assert [f"{n} {f.hex()}" for n, f in curve.points] == want["points"]
+            assert list(curve.warnings) == want["warnings"]
+
+
+class TestTableCheck:
+    """The eigenvalue route against the kernel's tables: mean p_pass is
+    Tr(Pi rho^n), mean f_fail the weight of row 0, and F >= Tr(Pi rho^n)."""
+
+    def test_corrupted_weights_raise(self):
+        e = load_ensemble(str(DATA / "blind_pair.json"))
+        code = build_code_space(e, 4, 0.8)
+        scaled = replace(code, selected_weights=code.selected_weights * 1.001)
+        with pytest.raises(ConsistencyError, match="pass probability"):
+            simulate_fidelity(e, scaled)
+        # the same total, another row 0
+        reordered = replace(code, selected_weights=code.selected_weights[::-1].copy())
+        with pytest.raises(ConsistencyError, match="failure overlap"):
+            simulate_fidelity(e, reordered)
+
+    def test_corrupted_overlap_table_raises(self, monkeypatch):
+        e = load_ensemble(str(DATA / "blind_two_sectors.json"))
+        code = build_code_space(e, 3, 0.8)
+        assert simulate_fidelity(e, code) > 0.0
+        kernel = schumacher.block_fidelity
+        monkeypatch.setattr(schumacher, "block_fidelity",
+                            lambda probs, g, sel, weights: kernel(probs, g * 1.0001, sel, weights=weights))
+        with pytest.raises(ConsistencyError, match="pass probability"):
+            simulate_fidelity(e, code)
+
+    def test_fidelity_below_pass_probability_raises(self, monkeypatch):
+        e = load_ensemble(str(DATA / "blind_pair.json"))
+        code = build_code_space(e, 3, 0.5)
+        monkeypatch.setattr(_accel, "_exact_sum", lambda r, q: 0.0)
+        with pytest.raises(ConsistencyError, match="below"):
+            simulate_fidelity(e, code)
+
+    def test_quiet_on_random_sources(self):
+        rng = np.random.default_rng(110)
+        for _ in range(20):
+            ns, da = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            states = rng.standard_normal((ns, da)) + 1j * rng.standard_normal((ns, da))
+            states /= np.linalg.norm(states, axis=1)[:, None]
+            e = make_blind(states, rng.dirichlet(np.ones(ns)))
+            for point in fidelity_curve(e, range(1, 9), float(rng.uniform(0.0, 2.5))).points:
+                assert 0.0 <= point[1] <= 1.0
+
+
+def exact_sum(xs):
+    r = np.array(xs, dtype=np.float64)
+    return _exact_sum(r, np.empty_like(r))
+
+
+def assert_as_fsum(xs):
+    assert exact_sum(xs).hex() == math.fsum(xs).hex()
+
+
+# below 2^1000 no sum of fewer than 2^23 terms can leave the double range
+terms = st.floats(min_value=0.0, max_value=2.0**1000, allow_nan=False, allow_infinity=False)
+scaled = st.builds(math.ldexp, st.integers(0, 2**53 - 1).map(float), st.integers(-1126, 900))
+
+
+class TestExactSum:
+    @given(st.lists(terms, min_size=1, max_size=300))
+    def test_any_terms(self, xs):
+        assert_as_fsum(xs)
+
+    @given(st.lists(scaled, min_size=1, max_size=300))
+    def test_terms_across_every_binade(self, xs):
+        assert_as_fsum(xs)
+
+    @given(st.lists(st.sampled_from([1.0, 2.0**-53, 2.0**-52, 3 * 2.0**-54, 2.0**-200, 1e-300, 5e-324, 0.0]),
+                    min_size=1, max_size=60))
+    def test_ties_and_sticky_bits(self, xs):
+        assert_as_fsum(xs)
+
+    @pytest.mark.parametrize("xs", [
+        [0.0], [0.0] * 7, [-0.0], [-0.0, 0.0], [0.7], [5e-324], [5e-324] * 1000,
+        [2.0**-1022, 5e-324, 2.0**-1060], [1.0] + [1e-300] * 999, [1e-300] * 999 + [1.0],
+        [1.0, 2.0**-53], [1.0, 2.0**-53, 2.0**-200], [1.0, 2.0**-53, 5e-324], [1.0, 3 * 2.0**-53],
+        [2.0**1000, 2.0**947, 5e-324], [1.0, 1.0, 2.0**-52],
+    ])
+    def test_chosen_cases(self, xs):
+        assert_as_fsum(xs)
+
+    def test_sequence_cap_terms(self):
+        rng = np.random.default_rng(111)
+        for xs in (rng.random(limits.SEQUENCE_CAP), np.exp(-700 * rng.random(limits.SEQUENCE_CAP))):
+            assert exact_sum(xs).hex() == math.fsum(xs.tolist()).hex()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_invalid_terms_raise(self, bad):
+        for xs in ([bad], [0.5, bad, 0.25], [1.0] * 1000 + [bad]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                exact_sum(xs)
+
+    def test_overflowing_terms_raise(self):
+        with pytest.raises(OverflowError):
+            exact_sum([1e308] * 4)
 
 
 class TestObjectiveAgreement:

@@ -30,6 +30,7 @@ from eacomp import (
     make_visible,
     optimal_rates,
     save_ensemble,
+    schumacher,
 )
 from eacomp.errors import ConsistencyError, EacompError
 from eacomp.region import MAX_SAMPLES
@@ -549,6 +550,35 @@ class TestSimulate:
         assert "skipped" in err
         rows = [ln for ln in out.splitlines()[1:] if ln]
         assert len(rows) == 1 and rows[0].startswith("2,")
+
+    @pytest.mark.parametrize("flags,built,out,err", [
+        (["--n", "10,11,12,13,14,15"], 2,
+         "n,Q,fidelity\n10,0.750000,0.9007555804\n11,0.750000,0.8839986399\n",
+         "skipped n=12: 3^12 sequences exceed cap 200000; lower n\n"
+         "skipped n=13: 3^13 sequences exceed cap 200000; lower n\n"
+         "skipped n=14: 3^14 sequences exceed cap 200000; lower n\n"
+         "skipped n=15: block dimension 2^15 exceeds cap 16384; lower n\n"),
+        (["--n", "2,12,3", "--sequence-cap", "1000"], 2,
+         "n,Q,fidelity\n2,0.750000,0.8810165574\n3,0.750000,0.9287534248\n",
+         "skipped n=12: 3^12 sequences exceed cap 1000; lower n\n"),
+        (["--n", "9,15", "--code-dim-cap", "256"], 0, "n,Q,fidelity\n",
+         "skipped n=9: block dimension 2^9 exceeds cap 256; lower n\n"
+         "skipped n=15: block dimension 2^15 exceeds cap 256; lower n\n"),
+    ])
+    def test_capped_sizes_build_no_code(self, tmp_path, capsys, monkeypatch, flags, built, out, err):
+        # three qubit signals: from n = 12 the sequences pass their cap while
+        # the code would still fit, and the dimension message wins at n = 15
+        r = 0.7071067811865476
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"dimA": 2, "dimC": 1, "states": [
+            {"label": "zero", "prob": 0.5, "psi": [[1.0, 0.0], [0.0, 0.0]]},
+            {"label": "plus", "prob": 0.3, "psi": [[r, 0.0], [r, 0.0]]},
+            {"label": "turn", "prob": 0.2, "psi": [[r, 0.0], [0.0, r]]}]}))
+        builds = []
+        real = schumacher._code_space
+        monkeypatch.setattr(schumacher, "_code_space", lambda e, n, *rest: builds.append(n) or real(e, n, *rest))
+        assert run(["simulate", str(path), "--rate", "0.75", *flags], capsys) == (0, out, err)
+        assert len(builds) == built
 
     def test_blind_required_exit_1(self, capsys):
         code, _, err = run(["simulate", TRIPLE, "--rate", "0.9", "--n", "1,2"], capsys)

@@ -15,6 +15,7 @@ import dense_oracle
 from eacomp.ensemble import Ensemble
 from eacomp.rates import analyze, optimal_rates
 from eacomp.region import eq_region
+from eacomp.schumacher import fidelity_curve
 
 TOL = 1e-6
 LEAK = 1e-9
@@ -126,3 +127,12 @@ def test_rate_bounds(e):
 def test_assisted_optimum_below_unassisted_cost(e):
     spec = eq_region(analyze(e, TOL))
     assert spec.q_min <= spec.sum_min + 1e-12
+
+
+@given(e=sources(), rate=st.floats(0.0, 3.0))
+def test_simulator_tables_match_the_eigenvalues(e, rate):
+    # the blind source on e's signals; each point has passed the kernel's
+    # check of its tables against the code's eigenvalue weights
+    blind = Ensemble(e.labels, e.probs, e.psi, np.ones((e.size, 1)))
+    for _, f in fidelity_curve(blind, range(1, 6), rate).points:
+        assert 0.0 <= f <= 1.0
