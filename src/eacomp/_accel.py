@@ -6,9 +6,9 @@ Kernels:
                      the pass probabilities of all of them from one
                      matrix product over code rows split at n/2, the
                      fidelity terms formed in place, and their sum
-                     rounded once by error-free extraction passes; given
-                     the code's eigenvalue weights, it checks its tables
-                     against them
+                     rounded once by error-free extraction passes; it
+                     also returns the sequence means that schumacher
+                     checks against the code's eigenvalue weights
   unitary_objective  mutual information and average fidelity of the
                      channel of an isometry V (W-major output ordering,
                      environment first), and their gradients in V. One product V phi_x per signal; both
@@ -20,10 +20,9 @@ Kernels:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
-
-from .errors import ConsistencyError
 
 # There is one backend. These two names stay because callers report it:
 # the benchmark's environment line and the `iepsilon` JSON report.
@@ -80,30 +79,6 @@ def _distinct(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-# Two exact facts tie the tables to the code's weights by the eigenvalue
-# route, prod_i lambda_{sel[k, i]}, since sum_x p_x g[x, k] = lambda_k for g
-# taken in the eigenbasis of the average state: the sequence average of
-# p_pass is Tr(Pi rho^n), the sum of the weights, and that of f_fail is the
-# weight of row 0. Also F >= Tr(Pi rho^n), as sqrt(p^2 + (1 - p) f) >= p
-# (Jozsa & Schumacher, J. Mod. Opt. 41, 2343, 1994). Each side sums at most
-# SEQUENCE_CAP nonnegative terms, or rank products of n eigenvalues, to at
-# most 1, so rounding moves it by well under 1e-10 (6e-15 at most on the
-# data files and random sources); a wrong table or weight moves it by the
-# size of a weight.
-TABLE_ATOL = 1e-9
-
-
-def _check_tables(mean_pass: float, mean_fail: float, fidelity: float, weights: np.ndarray) -> None:
-    trace = float(np.sum(weights))  # Tr(Pi rho^n)
-    for what, got, want in (("pass probability", mean_pass, trace), ("failure overlap", mean_fail, weights[0])):
-        if not abs(got - want) <= TABLE_ATOL:
-            raise ConsistencyError(
-                f"mean {what} {got} over the sequences disagrees with {want} from the eigenvalues"
-            )
-    if not fidelity >= trace - TABLE_ATOL:
-        raise ConsistencyError(f"fidelity {fidelity} is below Tr(Pi rho^n) = {trace}")
-
-
 def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
     """sum(r) rounded once to the nearest double, ties to even: the value
     math.fsum returns. r holds finite nonnegative terms and is overwritten
@@ -145,11 +120,18 @@ def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
             return math.fsum(parts)
 
 
-def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray,
-                   weights: np.ndarray | None = None) -> float:
-    """Expected fidelity of the code sel; with weights, the code rows'
-    prod_i lambda_{sel[k, i]} by the eigenvalue route, the tables and the
-    result are checked against them (see _check_tables)."""
+class BlockFidelity(NamedTuple):
+    """block_fidelity's result: the expected fidelity, and the sequence
+    means that schumacher checks against the code's eigenvalue weights."""
+
+    fidelity: float
+    mean_pass: float  # sum_x p(x^n) p_pass(x^n), before any clipping
+    mean_fail: float  # sum_x p(x^n) f_fail(x^n)
+    mean_clipped_pass: float  # sum_x p(x^n) min(p_pass(x^n), 1), a floor under F
+
+
+def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> BlockFidelity:
+    """Expected fidelity of the code sel, with its sequence means."""
     probs = np.ascontiguousarray(probs, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     sel = np.ascontiguousarray(sel, dtype=np.int64)
@@ -166,13 +148,14 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray,
     # row 0's head and tail products are rows of u and v already
     u0, v0 = u[head_of[0]], v[tail_of[0]]
     ph, pt = _sequence_table([probs] * h), _sequence_table([probs] * (n - h))
-    if weights is not None:  # the sequence means, before any clipping
-        means = ph @ ppass @ pt, (ph @ u0) * (v0 @ pt)
+    mean_pass = float(ph @ ppass @ pt)
+    mean_fail = float((ph @ u0) * (v0 @ pt))
 
     # The terms pseq * sqrt(p^2 + (1 - p) f), clipped as before, in two
     # buffers; each step is the same float operation as the fresh-array
     # form, operands at most swapped, so every term is bit-identical.
     np.clip(ppass, 0.0, 1.0, out=ppass)
+    mean_clipped_pass = float(ph @ ppass @ pt)
     fv = np.multiply.outer(u0, v0, out=np.empty_like(ppass))
     tmp = np.subtract(1.0, ppass, out=np.empty_like(ppass))
     tmp *= fv
@@ -181,10 +164,8 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray,
     np.sqrt(fv, out=fv)
     np.clip(fv, 0.0, 1.0, out=fv)
     fv *= np.multiply.outer(ph, pt, out=tmp)
-    total = min(max(_exact_sum(fv, tmp), 0.0), 1.0)
-    if weights is not None:
-        _check_tables(*means, total, weights)
-    return total
+    fidelity = min(max(_exact_sum(fv, tmp), 0.0), 1.0)
+    return BlockFidelity(fidelity, mean_pass, mean_fail, mean_clipped_pass)
 
 
 # ---------------------------------------------------------------------------

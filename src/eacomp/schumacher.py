@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
-from ._accel import block_fidelity
+from ._accel import BlockFidelity, block_fidelity
 from .ensemble import Ensemble, reduced
-from .errors import DimensionLimitError, EacompError
+from .errors import ConsistencyError, DimensionLimitError, EacompError
 from .region import csv_number
 from .states import eig_hermitian
 
@@ -144,7 +144,47 @@ def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
         )
     _check_sequences(e, code.n)
     g = np.abs(ov.psi @ code.eigen_vectors.conj()) ** 2
-    return block_fidelity(ov.probs, g, code.selected, weights=code.selected_weights)
+    result = block_fidelity(ov.probs, g, code.selected)
+    _check_tables(e, code, result)
+    return result.fidelity
+
+
+# Two exact facts tie the kernel's tables to the code's weights by the
+# eigenvalue route, prod_i lambda_{sel[k, i]}, since sum_x p_x g[x, k] =
+# lambda_k for g taken in the eigenbasis of the average state: the sequence
+# mean of p_pass is Tr(Pi rho^n), the sum of the weights, and that of f_fail
+# is the weight of row 0. Also sqrt(p^2 + (1 - p) f) >= p for p in [0, 1]
+# (Jozsa & Schumacher, J. Mod. Opt. 41, 2343, 1994), so F is at least the
+# mean of min(p_pass, 1), capped at 1 as F is; that floor is Tr(Pi rho^n)
+# on a normalised source, where p_pass <= 1. Each side sums at most
+# SEQUENCE_CAP nonnegative terms, or rank products of n eigenvalues, to at
+# most about 1, so rounding moves it by well under TABLE_ATOL (6e-15 at most
+# on the data files and random sources); a wrong table or weight moves it by
+# the size of a weight.
+#
+# eig_hermitian clamps eigenvalues to [0, 1], and validate leaves Tr rho a
+# little above 1 (probabilities and norms within 1e-9 of 1, and negative
+# probabilities down to -1e-9 left out of the support). Then the top
+# eigenvalue is clamped to 1 and each copy's factor of a weight may fall
+# short of the table's by the trace lost to the clamp, d: the means may
+# exceed their weights by a factor up to (1 + d)^n, which widens the check.
+TABLE_ATOL = 1e-9
+
+
+def _check_tables(e: Ensemble, code: CodeSpace, result: BlockFidelity) -> None:
+    ov = e.overlaps
+    lost = abs(float(ov.probs @ np.sum(np.abs(ov.psi) ** 2, axis=1)) - float(np.sum(code.eigen_weights)))
+    growth = math.expm1(code.n * math.log1p(lost))
+    trace = float(np.sum(code.selected_weights))  # Tr(Pi rho^n)
+    for what, got, want in (("pass probability", result.mean_pass, trace),
+                            ("failure overlap", result.mean_fail, float(code.selected_weights[0]))):
+        if not abs(got - want) <= TABLE_ATOL + want * growth:
+            raise ConsistencyError(
+                f"mean {what} {got} over the sequences disagrees with {want} from the eigenvalues"
+            )
+    floor = min(result.mean_clipped_pass, 1.0)
+    if not result.fidelity >= floor - TABLE_ATOL:
+        raise ConsistencyError(f"fidelity {result.fidelity} is below its floor {floor}, the mean capped p_pass")
 
 
 @dataclass(frozen=True)
@@ -168,6 +208,8 @@ def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
     for n in ns:
         try:
             rank = _checked_rank(e, int(n), rate_q)
+            # simulate_fidelity checks this too, but only once the code is
+            # built, and _code_space sorts all dA^n index tuples
             _check_sequences(e, int(n))
             if spectrum is None:
                 spectrum = eig_hermitian(reduced(e, {"A"}))

@@ -61,20 +61,20 @@ class TestBlockFidelityAgreement:
             )
             if len(sel) > 2:
                 sel[-1] = sel[1]  # a duplicated row counts twice
-            assert abs(block_fidelity(probs, g, sel) - enumerated_fidelity(probs, g, sel)) <= 1e-12, trial
+            assert abs(block_fidelity(probs, g, sel).fidelity - enumerated_fidelity(probs, g, sel)) <= 1e-12, trial
 
     def test_range(self):
         rng = np.random.default_rng(100)
         for _ in range(5):
             probs, g, sel = rand_block_inputs(rng)
-            assert 0.0 <= block_fidelity(probs, g, sel) <= 1.0
+            assert 0.0 <= block_fidelity(probs, g, sel).fidelity <= 1.0
 
 
 class TestBlockFidelityOracle:
     """The head/tail kernel against the prefix-tree kernel it replaced."""
 
     def assert_agrees(self, probs, g, sel):
-        got = block_fidelity(probs, g, sel)
+        got = block_fidelity(probs, g, sel).fidelity
         assert got == fsum_block_fidelity(probs, g, sel)
         assert abs(got - prefix_tree_block_fidelity(probs, g, sel)) <= 1e-14
 
@@ -104,7 +104,7 @@ class TestBlockFidelityOracle:
         probs, g, _ = rand_block_inputs(rng, ns=ns, d=d, n=n)
         sel = np.array(list(itertools.product(range(d), repeat=n)))
         rng.shuffle(sel)
-        assert abs(block_fidelity(probs, g, sel) - 1.0) <= 1e-14
+        assert abs(block_fidelity(probs, g, sel).fidelity - 1.0) <= 1e-14
         self.assert_agrees(probs, g, sel)
 
     def test_codes_of_random_sources(self):
@@ -146,13 +146,13 @@ class TestBlockFidelityBitIdentity:
                 sel = rng.integers(0, d, size=(rank, n))
                 dups = rng.integers(0, rank, size=int(rng.integers(0, 4)))
                 sel = np.concatenate([sel, sel[dups]])  # a duplicated row counts twice
-            assert block_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel), trial
+            assert block_fidelity(probs, g, sel).fidelity == fsum_block_fidelity(probs, g, sel), trial
 
     def test_longest_blocks(self):
         rng = np.random.default_rng(109)
         for ns, d, n in ((3, 2, 12), (3, 4, 11), (2, 3, 12)):
             probs, g, sel = rand_block_inputs(rng, ns=ns, d=d, n=n, rank=200)
-            assert block_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel)
+            assert block_fidelity(probs, g, sel).fidelity == fsum_block_fidelity(probs, g, sel)
 
     @pytest.mark.parametrize("name", BLIND_FILES)
     def test_codes_of_the_data_files(self, name):
@@ -165,8 +165,8 @@ class TestBlockFidelityBitIdentity:
                     continue
                 probs, g, sel = code_inputs(e, code)
                 want = fsum_block_fidelity(probs, g, sel)
-                assert block_fidelity(probs, g, sel) == want
-                assert block_fidelity(probs, g, sel, weights=code.selected_weights) == want
+                assert block_fidelity(probs, g, sel).fidelity == want
+                assert simulate_fidelity(e, code) == want
 
     @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors"])
     def test_curves_keep_their_bits(self, name):
@@ -199,7 +199,7 @@ class TestTableCheck:
         assert simulate_fidelity(e, code) > 0.0
         kernel = schumacher.block_fidelity
         monkeypatch.setattr(schumacher, "block_fidelity",
-                            lambda probs, g, sel, weights: kernel(probs, g * 1.0001, sel, weights=weights))
+                            lambda probs, g, sel: kernel(probs, g * 1.0001, sel))
         with pytest.raises(ConsistencyError, match="pass probability"):
             simulate_fidelity(e, code)
 

@@ -580,6 +580,27 @@ class TestSimulate:
         assert run(["simulate", str(path), "--rate", "0.75", *flags], capsys) == (0, out, err)
         assert len(builds) == built
 
+    qubits = range(1, 15)
+
+    @pytest.mark.parametrize("dim_a,states,ns", [
+        # a norm and a probability sum just inside validate's 1e-9
+        (2, [("a", 0.5, [[1.0000000009, 0.0], [0.0, 0.0]]), ("b", 0.5, [[0.0, 0.0], [1.0, 0.0]])], qubits),
+        (2, [("a", 1.0000000005, [[1.0, 0.0], [0.0, 0.0]])], qubits),
+        (1, [("a", 1.0000000009, [[1.0, 0.0]])], (1, 3, 100, 16384)),
+        # negative probabilities drop out of the support, leaving Tr rho = 1 + 1e-7
+        (2, [("a", 1.0 + 1e-7, [[1.0, 0.0], [0.0, 0.0]])]
+         + [(f"n{i}", -1e-9, [[0.0, 0.0], [1.0, 0.0]]) for i in range(100)], qubits),
+    ])
+    def test_sources_at_the_validation_tolerances(self, tmp_path, capsys, dim_a, states, ns):
+        # the full code at every n: the table check must allow for a trace
+        # above 1, and for the top eigenvalue clamped to 1 under it
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dimA": dim_a, "dimC": 1, "states": [
+            {"label": label, "prob": prob, "psi": psi} for label, prob, psi in states]}))
+        out = "n,Q,fidelity\n" + "".join(f"{n},1.200000,1.0000000000\n" for n in ns)
+        flags = ["--rate", "1.2", "--n", ",".join(map(str, ns))]
+        assert run(["simulate", str(path), *flags], capsys) == (0, out, "")
+
     def test_blind_required_exit_1(self, capsys):
         code, _, err = run(["simulate", TRIPLE, "--rate", "0.9", "--n", "1,2"], capsys)
         assert code == 1
