@@ -85,7 +85,6 @@ from .states import (
     SubsystemLayout,
     eig_hermitian,
     entropy_from_probs,
-    fidelity,
     partial_trace,
     pure_fidelity,
     single,

@@ -4,9 +4,11 @@ Two signals belong to the same piece when their joint states on A (x) C
 overlap, directly or through a chain of overlapping signals: the graph
 is |<psi_x|psi_x'>| |<sigma_x|sigma_x'>| > tol on the two overlap
 matrices (`Ensemble.overlaps`), split by propagating the least index
-along its edges until every part carries one label. The rate
-formulas condition on the resulting component index Y, which is the
-finest classical information any protocol can extract for free.
+along its edges until every part carries one label. The labels are
+computed once per source and tolerance and kept on `Overlaps.roots`;
+the decomposition and its checks read them. The rate formulas
+condition on the resulting component index Y, which is the finest
+classical information any protocol can extract for free.
 
 Zero-probability items are ignored throughout: they contribute nothing
 to any rate and their conditional ensembles would be ill defined.
@@ -32,11 +34,8 @@ def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
 
 
 def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
-    """Boolean adjacency over items; edge iff |<joint_i|joint_j>| > tol.
-
-    Rows and columns of zero-probability items are all False, as is the
-    diagonal.
-    """
+    """Boolean adjacency over items, edge iff |<joint_i|joint_j>| > tol; the
+    diagonal and the rows and columns of zero-probability items are False."""
     sup = list(e.overlaps.support)
     adj = np.zeros((e.size, e.size), dtype=bool)
     adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
@@ -57,10 +56,12 @@ def _part_labels(link: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _connected_parts(link: np.ndarray) -> list[np.ndarray]:
-    """Connected parts of a symmetric adjacency, each as ascending indices."""
-    labels = _part_labels(link)
-    return [np.flatnonzero(labels == r) for r in np.flatnonzero(labels == np.arange(len(labels)))]
+def _roots(ov: Overlaps, tol: float) -> np.ndarray:
+    """The least support index in each support item's part of the overlap
+    graph at tol, computed once and kept on ov."""
+    if tol not in ov.roots:
+        ov.roots[tol] = _part_labels(_support_graph(ov, tol))
+    return ov.roots[tol]
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,11 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     does not depend on item order quirks.
     """
     ov = e.overlaps
-    groups = [[ov.support[k] for k in part] for part in _connected_parts(_support_graph(ov, tol))]
+    roots = _roots(ov, tol)
+    order = np.argsort(roots, kind="stable")
+    # ascending within each part, so each part starts at its root
+    parts = np.split(order, np.flatnonzero(roots[order] == order))[1:]
+    groups = [[ov.support[k] for k in part] for part in parts]
     groups.sort(key=lambda g: min(e.labels[i] for i in g))
 
     comps = [Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
@@ -128,36 +133,30 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     return Decomposition(tuple(comps), tol)
 
 
-def _links(e: Ensemble, d: Decomposition, tol: float):
-    """The component index of each support item of e, the overlap graph
-    at tol over them, and the edges of that graph that join two of d's
-    components."""
-    ys = d.support_ys(e)
-    link = _support_graph(e.overlaps, tol)
-    return ys, link, link & (ys[:, None] != ys[None, :])
-
-
 def overlaps_across_components(e: Ensemble, d: Decomposition) -> bool:
     """True when a joint overlap above the strict default tolerance joins
     two of d's components."""
-    return bool(_links(e, d, DEFAULT_OVERLAP_TOL)[2].any())
+    ys = d.support_ys(e)
+    return bool((ys != ys[_roots(e.overlaps, DEFAULT_OVERLAP_TOL)]).any())
 
 
 def check_components(e: Ensemble, d: Decomposition):
     """Raise ConsistencyError unless d is the component structure of e's
     overlap graph at d's tolerance: no edge joins two components, and
-    each component is one connected part."""
+    each component is one connected part. Only a failing check builds
+    the graph again, to name the first edge across components."""
     ov = e.overlaps
-    ys, link, cross = _links(e, d, d.tolerance)
-    if cross.any():
+    ys = d.support_ys(e)
+    roots = _roots(ov, d.tolerance)
+    if (ys != ys[roots]).any():  # some part spans two components
+        cross = _support_graph(ov, d.tolerance) & (ys[:, None] != ys[None, :])
         i, j = np.argwhere(cross)[0]
         raise ConsistencyError(
             f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
             f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "
             f"tolerance {d.tolerance} across components"
         )
-    labels = _part_labels(link)
-    parts = Counter(ys[labels == np.arange(len(ys))].tolist())  # one root per part
+    parts = Counter(ys[roots == np.arange(len(ys))].tolist())  # one root per part
     for c in d.components:
         if parts[c.y] != 1:
             raise ConsistencyError(

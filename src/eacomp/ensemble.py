@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -130,12 +130,16 @@ class Overlaps:
     sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
     Every rate quantity is invariant under U_A (x) U_C, so it depends on
     the source only through p and these two matrices. Each is built on
-    first read, and refused above MATRIX_CAP before it is formed."""
+    first read, and refused above MATRIX_CAP before it is formed. The
+    parts of the overlap graph are derived once per tolerance too: `roots`
+    keeps, for each tolerance, the least support index of each item's part
+    (see decomposition), and not the graph itself."""
 
     support: tuple[int, ...]
     probs: np.ndarray
     psi: np.ndarray
     sigma: np.ndarray
+    roots: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def psi_gram(self) -> np.ndarray:
@@ -233,7 +237,10 @@ def validate(e: Ensemble) -> list[str]:
     """Value diagnostics; empty list means the ensemble is well formed.
 
     One line per fault: a non-finite probability or amplitude is not also
-    reported as a bad probability sum or norm.
+    reported as a bad probability sum or norm. The support (the positive
+    probabilities) must sum to 1 as well, so that probabilities within
+    PROB_ATOL below 0, which it leaves out, cannot offset an excess; that
+    line is left out when the whole sum is already reported.
     """
     # One array pass finds the rows that may have a fault; only those go
     # through the per-row checks that word the lines. The screen's norms
@@ -249,8 +256,11 @@ def validate(e: Ensemble) -> list[str]:
         out.extend(_row_faults(e, i))
     if np.isfinite(e.probs).all():
         total = float(sum(e.probs.tolist()))
+        support = float(sum(e.probs[e.probs > 0.0].tolist()))
         if not abs(total - 1.0) <= PROB_ATOL:
             out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
+        elif not abs(support - 1.0) <= PROB_ATOL:
+            out.append(f"probability sum over the support deviates from 1 by {abs(support - 1.0):.3e}")
     for lbl in sorted(l for l, count in Counter(e.labels).items() if count > 1):
         out.append(f"duplicate label {lbl!r}")
     return out

@@ -163,8 +163,8 @@ def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
 # the size of a weight.
 #
 # eig_hermitian clamps eigenvalues to [0, 1], and validate leaves Tr rho a
-# little above 1 (probabilities and norms within 1e-9 of 1, and negative
-# probabilities down to -1e-9 left out of the support). Then the top
+# little above 1 (the support's probabilities sum to within 1e-9 of 1, and
+# each norm is within 1e-9 of 1, so by about 3e-9 at most). Then the top
 # eigenvalue is clamped to 1 and each copy's factor of a weight may fall
 # short of the table's by the trace lost to the clamp, d: the means may
 # exceed their weights by a factor up to (1 + d)^n, which widens the check.

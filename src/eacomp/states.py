@@ -223,17 +223,6 @@ def von_neumann_entropy(m: DensityMatrix) -> float:
     return entropy_from_probs(clamped_spectra(m.entries))
 
 
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity, trace-norm convention (1 for identical states)."""
-    _require_same_layout(a.layout, b.layout)
-    evs, vecs = eig_hermitian(a)
-    sqrt_a = (vecs * np.sqrt(evs)) @ vecs.conj().T
-    inner = sqrt_a @ b.entries @ sqrt_a
-    w = np.linalg.eigvalsh(inner)
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return min(max(f, 0.0), 1.0)
-
-
 def pure_fidelity(psi: PureStateVector, m: DensityMatrix) -> float:
     """F(|psi><psi|, m) = sqrt(<psi|m|psi>), cheaper than the general form."""
     _require_same_layout(psi.layout, m.layout)

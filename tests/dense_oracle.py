@@ -6,20 +6,29 @@ no arithmetic with the package's analysis. The Gram section keeps the
 support-sized forms the analysis once used, as oracles for its
 per-component spectra: the [y = y']-masked N x N Gram matrix and the
 renormalised rows of one component. The last section keeps earlier
-per-row, prefix-tree and fsum forms of package routines, as oracles for
-their array forms.
+per-row, graph-rebuilding, prefix-tree and fsum forms of package
+routines, as oracles for their array forms.
 """
 
 import math
+from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 
 from eacomp._accel import _distinct, _products
-from eacomp.decomposition import Decomposition
+from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition, _part_labels, _support_graph
 from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps
-from eacomp.errors import LabelError
-from eacomp.states import DensityMatrix, SubsystemLayout, partial_trace, single
+from eacomp.errors import ConsistencyError, EacompError, LabelError
+from eacomp.states import (
+    DensityMatrix,
+    SubsystemLayout,
+    _require_same_layout,
+    eig_hermitian,
+    partial_trace,
+    single,
+)
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -45,6 +54,17 @@ def entropy(m: DensityMatrix) -> float:
     evs = np.clip(np.linalg.eigvalsh(m.entries), 0.0, None)
     evs = evs[evs > 1e-300]
     return float(-(evs * np.log2(evs)).sum())
+
+
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity, trace-norm convention (1 for identical states)."""
+    _require_same_layout(a.layout, b.layout)
+    evs, vecs = eig_hermitian(a)
+    sqrt_a = (vecs * np.sqrt(evs)) @ vecs.conj().T
+    inner = sqrt_a @ b.entries @ sqrt_a
+    w = np.linalg.eigvalsh(inner)
+    f = float(np.sqrt(np.clip(w, 0.0, None)).sum())
+    return min(max(f, 0.0), 1.0)
 
 
 def dense_profile(e: Ensemble, d: Decomposition) -> dict:
@@ -126,7 +146,8 @@ def given(ov: Overlaps, rows, weight: float) -> Overlaps:
 def validate_per_row(e: Ensemble) -> list[str]:
     """ensemble.validate as one loop over the rows: a line per fault, a
     non-finite probability or amplitude not also reported as a bad
-    probability sum or norm."""
+    probability sum or norm, and the support's sum only when the whole
+    sum is within tolerance."""
     out = []
     probs = e.probs.tolist()
     for i, (label, prob) in enumerate(zip(e.labels, probs)):
@@ -147,10 +168,82 @@ def validate_per_row(e: Ensemble) -> list[str]:
                 out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     if all(map(math.isfinite, probs)):
         total = float(sum(probs))
+        support = float(sum(p for p in probs if p > 0.0))
         if not abs(total - 1.0) <= PROB_ATOL:
             out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
+        elif not abs(support - 1.0) <= PROB_ATOL:
+            out.append(f"probability sum over the support deviates from 1 by {abs(support - 1.0):.3e}")
     for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
+    return out
+
+
+def _links(e: Ensemble, d: Decomposition, tol: float):
+    """The component index of each support item of e, the overlap graph
+    at tol over them, and the edges of that graph that join two of d's
+    components."""
+    ys = d.support_ys(e)
+    link = _support_graph(e.overlaps, tol)
+    return ys, link, link & (ys[:, None] != ys[None, :])
+
+
+def overlaps_across_components(e: Ensemble, d: Decomposition) -> bool:
+    """decomposition.overlaps_across_components from a fresh overlap graph:
+    True when a joint overlap above the strict default tolerance joins two
+    of d's components."""
+    return bool(_links(e, d, DEFAULT_OVERLAP_TOL)[2].any())
+
+
+def check_components(e: Ensemble, d: Decomposition):
+    """decomposition.check_components from a fresh overlap graph: raise
+    ConsistencyError unless d is the component structure of e's overlap
+    graph at d's tolerance: no edge joins two components, and each
+    component is one connected part."""
+    ov = e.overlaps
+    ys, link, cross = _links(e, d, d.tolerance)
+    if cross.any():
+        i, j = np.argwhere(cross)[0]
+        raise ConsistencyError(
+            f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
+            f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "
+            f"tolerance {d.tolerance} across components"
+        )
+    labels = _part_labels(link)
+    parts = Counter(ys[labels == np.arange(len(ys))].tolist())  # one root per part
+    for c in d.components:
+        if parts[c.y] != 1:
+            raise ConsistencyError(
+                f"decomposition does not match the overlap graph: component y={c.y} "
+                f"covers {parts[c.y]} connected parts of it, not one"
+            )
+
+
+def mutated(e: Ensemble, d: Decomposition) -> list[Decomposition]:
+    """d, and d with its components merged into one, its first component
+    of several labels split in two, its indices y moved off 0..k-1, and an
+    extra component over e's zero-probability labels, where those exist."""
+    comps = d.components
+    out = [d, replace(d, components=(Component(0, sum((c.labels for c in comps), ()), 1.0),)),
+           replace(d, components=tuple(replace(c, y=2 * c.y + 3) for c in comps))]
+    big = next((c for c in comps if len(c.labels) > 1), None)
+    if big is not None:
+        halves = (replace(big, labels=big.labels[:1]), Component(len(comps), big.labels[1:], 0.0))
+        out.append(replace(d, components=tuple(c for c in comps if c is not big) + halves))
+    zero = tuple(lbl for lbl, p in zip(e.labels, e.probs.tolist()) if not p > 0.0)
+    if zero:
+        out.append(replace(d, components=comps + (Component(len(comps), zero, 0.0),)))
+    return out
+
+
+def outcomes(module, e: Ensemble, d: Decomposition) -> list:
+    """What module's check_components and overlaps_across_components make
+    of d: each one's result, or the type and message of what it raised."""
+    out = []
+    for check in (module.check_components, module.overlaps_across_components):
+        try:
+            out.append(check(e, d))
+        except EacompError as exc:
+            out.append((type(exc), str(exc)))
     return out
 
 

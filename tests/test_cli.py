@@ -83,6 +83,18 @@ class TestValidate:
         lines = [ln for ln in err.splitlines() if ln.strip()]
         assert len(lines) >= 2  # one violation per line
 
+    def test_negative_probabilities_cannot_offset_an_excess(self, tmp_path, capsys):
+        # 100 probabilities at -1e-9, each within tolerance, bring the sum
+        # back to 1; the support they drop out of sums to 1 + 1e-7
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps({"dimA": 2, "dimC": 1, "states": [
+            {"label": "a", "prob": 1.0 + 1e-7, "psi": [[1.0, 0.0], [0.0, 0.0]]}]
+            + [{"label": f"n{i}", "prob": -1e-9, "psi": [[0.0, 0.0], [1.0, 0.0]]} for i in range(100)]}))
+        code, out, err = run(["validate", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "probability sum over the support deviates from 1 by 1.000e-07\n"
+        assert run(["simulate", str(path), "--rate", "1.2", "--n", "1,2"], capsys) == (1, "", err)
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -587,9 +599,6 @@ class TestSimulate:
         (2, [("a", 0.5, [[1.0000000009, 0.0], [0.0, 0.0]]), ("b", 0.5, [[0.0, 0.0], [1.0, 0.0]])], qubits),
         (2, [("a", 1.0000000005, [[1.0, 0.0], [0.0, 0.0]])], qubits),
         (1, [("a", 1.0000000009, [[1.0, 0.0]])], (1, 3, 100, 16384)),
-        # negative probabilities drop out of the support, leaving Tr rho = 1 + 1e-7
-        (2, [("a", 1.0 + 1e-7, [[1.0, 0.0], [0.0, 0.0]])]
-         + [(f"n{i}", -1e-9, [[0.0, 0.0], [1.0, 0.0]]) for i in range(100)], qubits),
     ])
     def test_sources_at_the_validation_tolerances(self, tmp_path, capsys, dim_a, states, ns):
         # the full code at every n: the table check must allow for a trace

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+import dense_oracle
 from dense_oracle import extend_with_y, given
+from eacomp import decomposition
 from eacomp.decomposition import (
+    DEFAULT_OVERLAP_TOL,
+    Component,
+    Decomposition,
+    check_components,
     irreducible_components,
     is_irreducible,
     overlap_graph,
+    overlaps_across_components,
 )
 from eacomp.ensemble import Ensemble, make_blind, make_visible
-from eacomp.errors import LabelError
+from eacomp.errors import ConsistencyError, LabelError
 from eacomp.rates import analyze, entropy_profile, optimal_rates
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -156,3 +163,82 @@ class TestVisibleDecomposition:
         d = irreducible_components(e)
         assert d.size == 3
         assert all(len(c.labels) == 1 for c in d.components)
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def near_threshold(tol):
+    # on C^3: items 0 and 1 overlap at tol (1 + 1e-6), just above it, and
+    # item 2 overlaps item 0 at tol (1 - 1e-6) and item 1 at about tol^2
+    hi, lo = tol * (1 + 1e-6), tol * (1 - 1e-6)
+    states = [[1, 0, 0], [hi, np.sqrt(1 - hi * hi), 0], [lo, 0, np.sqrt(1 - lo * lo)]]
+    return make_blind(states, [0.5, 0.3, 0.2], labels=["p", "q", "r"])
+
+
+class TestOnePartition:
+    """The parts of the overlap graph are computed once per source and
+    tolerance; the checks read them and agree with the forms that rebuild
+    the graph."""
+
+    def assert_checks_match_oracles(self, e, tol):
+        d = irreducible_components(e, tol)
+        for m in dense_oracle.mutated(e, d):
+            assert dense_oracle.outcomes(decomposition, e, m) == dense_oracle.outcomes(dense_oracle, e, m)
+        return d
+
+    def test_rotated_orthogonal_sectors(self):
+        # U_A (x) U_C leaves the cross-sector overlaps at rounding level
+        rng = np.random.default_rng(1808)
+        e = two_sector_blind()
+        for sigma in (e.sigma, np.array([[1, 0], [1, 0], PLUS, PLUS])):
+            u_a, u_c = haar_unitary(rng, 4), haar_unitary(rng, sigma.shape[1])
+            rotated = Ensemble(e.labels, e.probs, e.psi @ u_a.T, sigma @ u_c.T)
+            # at tol 0 the rounding merges the sectors, in both forms alike
+            assert self.assert_checks_match_oracles(rotated, 0.0).size == 1
+            for tol in (DEFAULT_OVERLAP_TOL, 0.5):
+                d = self.assert_checks_match_oracles(rotated, tol)
+                assert [c.labels for c in d.components] == [("a0", "a1"), ("b0", "b1")]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+    def test_near_threshold(self, tol):
+        d = self.assert_checks_match_oracles(near_threshold(tol), tol)
+        assert [c.labels for c in d.components] == [("p", "q"), ("r",)]
+
+    def test_mutated_decompositions(self):
+        e = make_blind([[1, 0, 0], PLUS.tolist() + [0], [0, 1, 0], [0, 0, 1]], [0.4, 0.3, 0.3, 0.0],
+                       labels=["a", "b", "c", "z"])
+        d = self.assert_checks_match_oracles(e, DEFAULT_OVERLAP_TOL)
+        assert [c.labels for c in d.components] == [("a", "b", "c")]
+        got = [dense_oracle.outcomes(decomposition, e, m) for m in dense_oracle.mutated(e, d)]
+        covers = "decomposition does not match the overlap graph: component y=1 covers 0 connected parts of it, not one"
+        assert got == [
+            [None, False],  # d
+            [None, False],  # merged: d is one component already
+            [None, False],  # y = 3: any indices will do
+            [(ConsistencyError, "decomposition does not match the overlap graph: items 'a' (y=0) and "
+              "'b' (y=1) overlap above the tolerance 1e-10 across components"), True],  # split
+            [(ConsistencyError, covers), False],  # a component over 'z' alone
+        ]
+
+    def test_one_graph_per_tolerance(self, monkeypatch):
+        builds = []
+        real = decomposition._support_graph
+        monkeypatch.setattr(decomposition, "_support_graph", lambda ov, tol: builds.append(tol) or real(ov, tol))
+        e = two_sector_blind()
+        a = analyze(e)
+        assert builds == [DEFAULT_OVERLAP_TOL]
+        entropy_profile(e)
+        assert not overlaps_across_components(e, a.decomposition)
+        check_components(e, a.decomposition)
+        assert builds == [DEFAULT_OVERLAP_TOL]
+        analyze(e, 0.5)
+        assert builds == [DEFAULT_OVERLAP_TOL, 0.5]
+        # only a failing check builds the graph again, to name the overlap
+        _, b = a.decomposition.components
+        split = Decomposition((Component(0, ("a0",), 0.3), b, Component(2, ("a1",), 0.3)), DEFAULT_OVERLAP_TOL)
+        with pytest.raises(ConsistencyError, match=r"'a0' \(y=0\) and 'a1' \(y=2\) overlap"):
+            check_components(e, split)
+        assert builds == [DEFAULT_OVERLAP_TOL, 0.5, DEFAULT_OVERLAP_TOL]

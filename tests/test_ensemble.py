@@ -144,6 +144,16 @@ class TestValidate:
     def test_clean(self):
         assert validate(sideinfo_triple()) == []
 
+    def test_support_sum(self):
+        # probabilities at -1e-9 may not offset an excess on the support;
+        # the support's line is left out when the whole sum is off too
+        for probs, want in (([0.5 + 3e-9, 0.5, -1e-9, -1e-9, -1e-9],
+                             ["probability sum over the support deviates from 1 by 3.000e-09"]),
+                            ([0.5 + 3e-9, 0.5, -1e-9, 0.0, 0.0], ["probability sum deviates from 1 by 2.000e-09"]),
+                            ([0.5, 0.5, -5e-10, 0.0, 0.0], [])):
+            e = Ensemble(tuple("abcde"), probs, [[1, 0]] * 5, [[1]] * 5)
+            assert validate(e) == want == validate_per_row(e)
+
     def test_matches_per_row_loop(self):
         # fuzzed rows: non-finite amplitudes and probabilities, norms a hair
         # either side of the 1e-9 threshold, negative probabilities around

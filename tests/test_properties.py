@@ -12,7 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dense_oracle
-from eacomp.ensemble import Ensemble
+from eacomp import decomposition
+from eacomp.decomposition import DEFAULT_OVERLAP_TOL, irreducible_components
+from eacomp.ensemble import Ensemble, tensor_power
 from eacomp.rates import analyze, optimal_rates
 from eacomp.region import eq_region
 from eacomp.schumacher import fidelity_curve
@@ -88,6 +90,28 @@ def test_profile_matches_dense_oracle(e):
     for name, value in got.items():
         assert value == pytest.approx(want[name], abs=1e-10), name
     assert p.s_acy_direct == pytest.approx(want["S_ACY"], abs=1e-10)
+
+
+@given(sources())
+def test_component_checks_match_their_graph_oracles(e):
+    # the decomposition, merged, split, with y off 0..k-1 and with a
+    # component over the zero-probability labels
+    for tol in (DEFAULT_OVERLAP_TOL, TOL, 0.5):
+        for d in dense_oracle.mutated(e, irreducible_components(e, tol)):
+            assert dense_oracle.outcomes(decomposition, e, d) == dense_oracle.outcomes(dense_oracle, e, d)
+
+
+@given(sources())
+def test_single_letter_additivity(e):
+    # two independent copies: every overlap of a pair is a product of two,
+    # so the components of the pair are the pairs of components, and Q, E
+    # and S(Y) double
+    one, two = analyze(e, TOL), analyze(tensor_power(e, 2), TOL)
+    assert two.decomposition.size == one.decomposition.size ** 2
+    assert two.profile.s_y == pytest.approx(2 * one.profile.s_y, abs=1e-9)
+    r1, r2 = optimal_rates(one), optimal_rates(two)
+    assert r2.q == pytest.approx(2 * r1.q, abs=1e-9)
+    assert r2.e == pytest.approx(2 * r1.e, abs=1e-9)
 
 
 def moved(e, rng, how):

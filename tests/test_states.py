@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import fidelity
 from eacomp import limits
 from eacomp.errors import (
     DimensionLimitError,
@@ -16,7 +17,6 @@ from eacomp.states import (
     SubsystemLayout,
     eig_hermitian,
     entropy_from_probs,
-    fidelity,
     partial_trace,
     pure_fidelity,
     single,
