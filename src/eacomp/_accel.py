@@ -10,8 +10,9 @@ Kernels:
                      also returns the sequence means that schumacher
                      checks against the code's eigenvalue weights
   unitary_objective  mutual information and average fidelity of the
-                     channel of an isometry V (W-major output ordering,
-                     environment first), and their gradients in V. One product V phi_x per signal; both
+                     channels of a stack of isometries V (W-major output
+                     ordering, environment first), and their gradients
+                     in V. One product V phi_x per signal; both
                      entropies come from the spectra of small Gram
                      matrices, never from the C W marginals themselves,
                      and the entropy gradients from their eigenvectors.
@@ -169,12 +170,16 @@ def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> BlockFi
 
 
 # ---------------------------------------------------------------------------
-# unitary_objective: v is a (dw * da * dc, da * dc) isometry mapping the
-# joint input onto environment-major output indices w * (da * dc) +
-# a * dc + c; phis holds the joint input vectors, one row per
-# positive-probability signal. Returns (I(X : C W') in bits, average
-# fidelity on A C, and their Euclidean gradients G in V,
-# d(value) = Re Tr(G^dagger dV), valid off the isometries too).
+# unitary_objective: v is a stack (B, dw * da * dc, da * dc) of isometries,
+# each mapping the joint input onto environment-major output indices
+# w * (da * dc) + a * dc + c; phis holds the joint input vectors, one row
+# per positive-probability signal. Returns, for each isometry, I(X : C W')
+# in bits, the average fidelity on A C, and their Euclidean gradients G in
+# V, d(value) = Re Tr(G^dagger dV), valid off the isometries too. Every
+# step acts on each slice alone (stacked matmul, eigh and einsum, and one
+# vector dot product per slice), so a slice's results are those of a stack
+# of one; no array is larger than B * max(signals, da * dc) * dw * da * dc
+# entries.
 
 
 def _entropy_pull(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,32 +197,34 @@ def _entropy_pull(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_objective(v, phis, probs, da: int, dc: int, dw: int):
+    nb = v.shape[0]
     nx, d_in = phis.shape
     dcw = dw * dc
-    xis = phis @ v.T  # row x is V phi_x
+    xis = phis @ v.swapaxes(-1, -2)  # row x of slice i is V_i phi_x
 
-    # b[x] is the (C W) x A matrix of signal x's output; its C W marginal
-    # is b b^dagger, and the mixture's is B B^dagger for the columns
-    # B = [sqrt(p_x) b[x]] stacked side by side.
+    # b[i, x] is the (C W) x A matrix of signal x's output; its C W
+    # marginal is b b^dagger, and the mixture's is B B^dagger for the
+    # columns B = [sqrt(p_x) b[i, x]] stacked side by side.
     roots = np.sqrt(probs)
-    b = xis.reshape(nx, dw, da, dc).transpose(0, 1, 3, 2).reshape(nx, dcw, da)
-    stacked = (roots[:, None, None] * b).transpose(1, 0, 2).reshape(dcw, nx * da)
+    b = xis.reshape(nb, nx, dw, da, dc).transpose(0, 1, 2, 4, 3).reshape(nb, nx, dcw, da)
+    stacked = (roots[:, None, None] * b).transpose(0, 2, 1, 3).reshape(nb, dcw, nx * da)
 
     s_x, pull_x = _entropy_pull(b)
     s_mix, pull = _entropy_pull(stacked)
-    mi = float(s_mix) - float(probs @ s_x)
-    ov = np.einsum("xk,xwk->xw", phis.conj(), xis.reshape(nx, dw, d_in))
-    f = (np.abs(ov) ** 2).sum(axis=1)
-    fid = float(probs @ np.sqrt(np.clip(f, 0.0, 1.0)))
+    mi = s_mix - np.array([probs @ s for s in s_x])
+    ov = np.einsum("xk,bxwk->bxw", phis.conj(), xis.reshape(nb, nx, dw, d_in))
+    f = (np.abs(ov) ** 2).sum(axis=-1)
+    fid = np.array([probs @ r for r in np.sqrt(np.clip(f, 0.0, 1.0))])
 
     # dS(m m^dagger) = -2 Re Tr[((log2(m m^dagger) + 1/ln 2) m)^dagger dm],
     # and the 1/ln 2 terms of S(B B^dagger) and sum_x p_x S(b b^dagger)
     # cancel: dI/db[x] = 2 p_x (log2(b b^dagger) - log2(B B^dagger)) b[x]
-    pull = pull.reshape(dcw, nx, da).transpose(1, 0, 2)  # sqrt(p_x) log2(B B^dagger) b[x]
+    pull = pull.reshape(nb, dcw, nx, da).transpose(0, 2, 1, 3)  # sqrt(p_x) log2(B B^dagger) b[x]
     g_b = 2.0 * (probs[:, None, None] * pull_x - roots[:, None, None] * pull)
-    g_xis = g_b.reshape(nx, dw, dc, da).transpose(0, 1, 3, 2).reshape(nx, -1)
+    g_xis = g_b.reshape(nb, nx, dw, dc, da).transpose(0, 1, 2, 4, 3).reshape(nb, nx, -1)
 
     # F = sum_x p_x sqrt(f_x), f_x = sum_w |<phi_x| V_w |phi_x>|^2
     weight = np.divide(probs, np.sqrt(f), out=np.zeros_like(f), where=f > 0.0)
-    g_ov = (weight[:, None] * ov)[:, :, None] * phis[:, None, :]
-    return mi, fid, g_xis.T @ phis.conj(), g_ov.reshape(nx, -1).T @ phis.conj()
+    g_ov = (weight[..., None] * ov)[..., None] * phis[:, None, :]
+    conj = phis.conj()
+    return mi, fid, g_xis.swapaxes(-1, -2) @ conj, g_ov.reshape(nb, nx, -1).swapaxes(-1, -2) @ conj

@@ -27,13 +27,23 @@ the reversible extraction of the component index Y, V = sum_y P_y (x)
 |y>_W with P_y the projector onto the A(x)C span of component y, which
 keeps every signal intact and extracts S(CY) (a coarse-graining of Y
 when there are more components than |W|); the warm starts, less copies
-of earlier starts; random isometries. Every start is scored before any
-is walked. A start where the gradient vanishes (the identity on a blind
-source, where I = 0 is a minimum) is left by a step along a random
-tangent direction.
+of earlier starts; random isometries. A start where the gradient
+vanishes (the identity on a blind source, where I = 0 is a minimum) is
+left by a step along a random tangent direction.
 The search ends as soon as a feasible candidate reaches a proven
 ceiling, less 1e-9: S(CY) at eps = 0, which no lossless extraction can
 beat, and H(X) above it, since I(X : C W') <= H(X) always.
+
+The starts are scored in one kernel call, and their walks run in
+lockstep: each round takes one step of every walk still running, with
+one stacked QR retraction and one kernel call for all of them, in runs
+of at most STACK_ENTRIES entries per stacked array. Every slice of a
+stack is computed on its own, and the ceiling ends the search as if
+the starts were scored, and then walked, one at a time: the first start
+on the ceiling ends the scoring, and a walk that reaches the ceiling
+counts only if no walk before it does. So the estimate, the restart
+values, the evaluation count and the isometry are those of the one-by-one
+search.
 
 The two routes share no step: the search kernel forms V phi_x for each
 signal and takes entropies from small Gram spectra, while the dense
@@ -64,8 +74,11 @@ FEASIBILITY_SLACK = 1e-9
 VERIFY_ATOL = 1e-8
 # a shortfall of FEASIBILITY_SLACK costs a whole bit at this penalty
 MAX_PENALTY = 1e18
-# every random start is built before any is scored, so this bounds memory
+# every start and its gradient are held until its walk ends, so this
+# bounds memory; the stacks of the kernel and the retraction are cut to at
+# most STACK_ENTRIES entries whatever the number of walks
 MAX_RESTARTS = 1000
+STACK_ENTRIES = 1 << 16
 # a step is accepted once it gains this share of its first-order gain
 ARMIJO = 1e-4
 # Frobenius length of the step that leaves a stationary start
@@ -83,7 +96,8 @@ class IsometrySearchConfig:
     most max_iters Riemannian gradient steps and ends once an accepted
     step gains less than conv_tol, or no step that could gain conv_tol
     is accepted. env_dim pins |W|; left unset it defaults to
-    min((dimA*dimC)^2, env_cap). restarts is at most MAX_RESTARTS.
+    min((dimA*dimC)^2, env_cap). restarts is at most MAX_RESTARTS, and
+    seed, which seeds the random starts and kicks, is nonnegative.
     """
 
     restarts: int = 4
@@ -107,6 +121,8 @@ class IsometrySearchConfig:
             raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol}")
         if self.env_cap < 1:
             raise ValueError(f"env_cap must be >= 1, got {self.env_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_env_dim(self, dim_a: int, dim_c: int) -> int:
         bound = (dim_a * dim_c) ** 2
@@ -201,10 +217,14 @@ class IEpsilonEstimate:
 
 def penalised_objective(v, phis, probs, dims: tuple[int, int, int], need: float, penalty: float):
     """(I, fidelity, I - penalty * max(0, need - fidelity)^2, its Euclidean
-    gradient in V) for the isometry v; dims = (dimA, dimC, |W|)."""
-    mi, fid, g_mi, g_fid = unitary_objective(v, phis, probs, *dims)
-    short = max(0.0, need - fid)
-    return mi, fid, mi - penalty * short**2, g_mi + (2.0 * penalty * short) * g_fid
+    gradient in V) for each isometry of the stack v, in one kernel call;
+    dims = (dimA, dimC, |W|)."""
+    mis, fids, g_mis, g_fids = unitary_objective(v, phis, probs, *dims)
+    out = []
+    for mi, fid, g_mi, g_fid in zip(mis.tolist(), fids.tolist(), g_mis, g_fids):
+        short = max(0.0, need - fid)
+        out.append((mi, fid, mi - penalty * short**2, g_mi + (2.0 * penalty * short) * g_fid))
+    return out
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -214,11 +234,12 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _retract(m: np.ndarray) -> np.ndarray:
-    """The isometry Q of m = QR with R's diagonal positive; m = V + tZ for
-    a tangent Z has full column rank, (V + tZ)^dagger (V + tZ) >= 1."""
+    """For each matrix of the stack m, the isometry Q of m = QR with R's
+    diagonal positive; m = V + tZ for a tangent Z has full column rank,
+    (V + tZ)^dagger (V + tZ) >= 1."""
     q, r = np.linalg.qr(m)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -280,6 +301,42 @@ def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
     return v
 
 
+def _walk(r: int, v: np.ndarray, cur: tuple, config: IsometrySearchConfig, keep):
+    """Riemannian gradient ascent of the penalised objective from start r,
+    whose score is cur, with Armijo backtracking. A generator: it yields
+    each step before retraction and is sent the retracted candidate with
+    its score; it returns True once keep(r, candidate, I, fidelity) says
+    a candidate reached the ceiling."""
+    _, _, pen, g = cur
+    step = 1.0
+    for it in range(config.max_iters):
+        z = _tangent(v, g)
+        slope = float(np.vdot(z, z).real)
+        if it == 0 and slope < config.conv_tol:
+            # a stationary start (the identity on a blind source):
+            # leave it along a random tangent direction
+            z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
+            v, (mi, fid, pen, g) = yield v + (KICK / np.linalg.norm(z)) * z
+            if keep(r, v, mi, fid):
+                return True
+            continue
+        while True:
+            cand, (mi, fid, cand_pen, g) = yield v + step * z
+            if keep(r, cand, mi, fid):
+                return True
+            if cand_pen >= pen + ARMIJO * step * slope:
+                break
+            step /= 2.0
+            if step * slope < config.conv_tol:  # no step left to gain conv_tol
+                return False
+        gain = cand_pen - pen
+        v, pen = cand, cand_pen
+        if gain < config.conv_tol:
+            break
+        step *= 2.0
+    return False
+
+
 def estimate_i_epsilon(
     src,
     eps: float,
@@ -310,14 +367,22 @@ def _search(
 
     need = 1.0 - eps
     ceiling = t.s_cy if eps == 0 else t.h_x
+    identity = identity_isometry(d_in, env_dim)
+    # isometries stacked per kernel call or QR: no array of either exceeds
+    # STACK_ENTRIES (the kernel's largest holds max(signals, dimA dimC)
+    # entries per output dimension of each isometry), unless one
+    # isometry alone does
+    width = max(1, STACK_ENTRIES // (max(len(probs), d_in) * identity.shape[0]))
     evaluations = 0
     # per start: (I, fidelity, isometry) of its best feasible candidate
     bests: list[tuple[float, float, np.ndarray | None]] = []
 
-    def score(v):
-        nonlocal evaluations
-        evaluations += 1
-        return penalised_objective(v, phis, probs, dims, need, config.penalty)
+    def runs(items):
+        """items in runs of at most width, each for one stacked call."""
+        return (items[i:i + width] for i in range(0, len(items), width))
+
+    def score(vs: np.ndarray) -> list:
+        return penalised_objective(vs, phis, probs, dims, need, config.penalty)
 
     def keep(r, v, mi, fid) -> bool:
         """Record a candidate of start r; True once it reaches the ceiling."""
@@ -327,41 +392,6 @@ def _search(
             bests[r] = (mi, fid, v)
         return mi >= ceiling - FEASIBILITY_SLACK
 
-    def walk(r, v, cur) -> bool:
-        """Riemannian gradient ascent of the penalised objective from start
-        r, with Armijo backtracking; True once it reaches the ceiling."""
-        _, _, pen, g = cur
-        step = 1.0
-        for it in range(config.max_iters):
-            z = _tangent(v, g)
-            slope = float(np.vdot(z, z).real)
-            if it == 0 and slope < config.conv_tol:
-                # a stationary start (the identity on a blind source):
-                # leave it along a random tangent direction
-                z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
-                v = _retract(v + (KICK / np.linalg.norm(z)) * z)
-                mi, fid, pen, g = score(v)
-                if keep(r, v, mi, fid):
-                    return True
-                continue
-            while True:
-                cand = _retract(v + step * z)
-                mi, fid, cand_pen, g = score(cand)
-                if keep(r, cand, mi, fid):
-                    return True
-                if cand_pen >= pen + ARMIJO * step * slope:
-                    break
-                step /= 2.0
-                if step * slope < config.conv_tol:  # no step left to gain conv_tol
-                    return False
-            gain = cand_pen - pen
-            v, pen = cand, cand_pen
-            if gain < config.conv_tol:
-                break
-            step *= 2.0
-        return False
-
-    identity = identity_isometry(d_in, env_dim)
     starts = [identity]
     witness = _witness(t, env_dim)
     if witness is not None:
@@ -373,21 +403,46 @@ def _search(
         if not any(np.array_equal(w, s) for s in starts):
             starts.append(np.asarray(w, dtype=np.complex128))
             warm += 1
-    for r in range(config.restarts - 1 - warm):
-        rng = np.random.default_rng([config.seed, 1000 + r])
-        starts.append(_retract(_gaussian(rng, identity.shape)))
+    for run in runs(range(config.restarts - 1 - warm)):
+        rngs = [np.random.default_rng([config.seed, 1000 + r]) for r in run]
+        starts.extend(_retract(np.stack([_gaussian(rng, identity.shape) for rng in rngs])))
 
+    # a start on the ceiling ends the search as if the starts were scored
+    # one at a time: the starts after it count for nothing
     scored = []
-    for v0 in starts:
+    for v0, cur in (pair for run in runs(starts) for pair in zip(run, score(np.stack(run)))):
         bests.append((-np.inf, 0.0, None))
-        cur = score(v0)
+        evaluations += 1
         scored.append((v0, cur))
         if keep(len(bests) - 1, v0, cur[0], cur[1]):
             break
-    else:  # no start at the ceiling
-        for r, (v0, cur) in enumerate(scored):
-            if walk(r, v0, cur):
-                break
+    else:  # no start at the ceiling: every walk advances a step per round
+        walks = [_walk(r, v0, cur, config, keep) for r, (v0, cur) in enumerate(scored)]
+        start_bests = list(bests)
+        counts = [0] * len(walks)
+        # Walks end as if run one after another: once walk r reaches the
+        # ceiling, the walks after it are dropped and count for nothing,
+        # while the walks before it go on, since one of them may reach it
+        # first in start order.
+        hit = len(walks)
+        sent = dict.fromkeys(range(len(walks)))  # None starts a walk
+        while sent:
+            steps = {}
+            for r, result in sent.items():
+                try:
+                    steps[r] = walks[r].send(result)
+                except StopIteration as stop:
+                    if stop.value:
+                        hit = r
+                        break
+            sent = {}
+            for run in runs(list(steps)):
+                cands = _retract(np.stack([steps[r] for r in run]))
+                for r, cand, cur in zip(run, cands, score(cands)):
+                    sent[r] = (cand.copy(), cur)  # a kept candidate holds no stack alive
+                    counts[r] += 1
+        evaluations += sum(counts[:hit + 1])
+        bests[hit + 1:] = start_bests[hit + 1:]
 
     # the first start with the largest value, as a sequential search would keep
     best_mi, best_fid, best_v = max(bests, key=lambda b: b[0])

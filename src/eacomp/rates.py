@@ -30,11 +30,15 @@ of its Gram matrix sqrt(p_x p_x') <psi_x|psi_x'> <sigma_x|sigma_x'>
 only come from a bug. Each block comes from the smaller of its Gram
 matrix and its marginal, and equal-size blocks share one batched
 eigvalsh, so the cost is sum_y min(k_y, dA dC)^3 over components of
-k_y states; MATRIX_CAP bounds the support size.
+k_y states; MATRIX_CAP bounds the support size. S(A) has one route
+only; it and the rest of the profile must meet the entropy
+inequalities in _bound_faults, within the same 1e-6, or the profile
+raises ConsistencyError as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -211,10 +215,7 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> 
         for name, block, direct in (("S(CY)", s_cy, s_cy_direct), ("S(ACY)", s_acy, s_acy_direct))
         if not abs(block - direct) <= CONSISTENCY_ATOL
     ]
-    if faults:
-        raise ConsistencyError("; ".join(faults))
-
-    return EntropyProfile(
+    profile = EntropyProfile(
         s_a=s_a,
         s_y=s_y,
         s_cy=s_cy,
@@ -226,6 +227,30 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> 
         num_components=d.size,
         component_weights=tuple(float(w) for w in q),
     )
+    faults += _bound_faults(profile, e.dim_a, e.dim_c)
+    if faults:
+        raise ConsistencyError("; ".join(faults))
+    return profile
+
+
+def _bound_faults(p: EntropyProfile, dim_a: int, dim_c: int) -> list[str]:
+    """The entropy inequalities every profile meets, each one that fails
+    beyond CONSISTENCY_ATOL as a message: Araki-Lieb and subadditivity
+    on A and CY, S(Y) <= S(CY) <= S(Y) + log2 dC for the classical Y,
+    and S(A) <= min(H(X), log2 dA) for a mixture of pure signals."""
+    bounds = (
+        ("|S(A) - S(CY)| <= S(ACY)", abs(p.s_a - p.s_cy), p.s_acy),
+        ("S(ACY) <= S(A) + S(CY)", p.s_acy, p.s_a + p.s_cy),
+        ("S(Y) <= S(CY)", p.s_y, p.s_cy),
+        ("S(CY) <= S(Y) + log2 dC", p.s_cy, p.s_y + math.log2(dim_c)),
+        ("S(A) <= H(X)", p.s_a, p.h_x),
+        ("S(A) <= log2 dA", p.s_a, math.log2(dim_a)),
+    )
+    return [
+        f"entropy bound {name} fails: {float(lo)!r} > {float(hi)!r}"
+        for name, lo, hi in bounds
+        if not lo <= hi + CONSISTENCY_ATOL
+    ]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ support-sized forms the analysis once used, as oracles for its
 per-component spectra: the [y = y']-masked N x N Gram matrix and the
 renormalised rows of one component. The last section keeps earlier
 per-row, graph-rebuilding, prefix-tree and fsum forms of package
-routines, as oracles for their array forms.
+routines, as oracles for their array forms, and the one-isometry
+kernel and the one-walk-at-a-time isometry search, as oracles for the
+stacked kernel and the lockstep search.
 """
 
 import math
@@ -17,10 +19,24 @@ from functools import reduce
 
 import numpy as np
 
-from eacomp._accel import _distinct, _products
+from eacomp._accel import _distinct, _entropy_pull, _products
 from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition, _part_labels, _support_graph
-from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps
+from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, reduced
 from eacomp.errors import ConsistencyError, EacompError, LabelError
+from eacomp.iepsilon import (
+    ARMIJO,
+    FEASIBILITY_SLACK,
+    KICK,
+    VERIFY_ATOL,
+    IEpsilonEstimate,
+    IsometrySearchConfig,
+    _gaussian,
+    _tangent,
+    _Target,
+    _witness,
+    identity_isometry,
+    objective,
+)
 from eacomp.states import (
     DensityMatrix,
     SubsystemLayout,
@@ -28,6 +44,7 @@ from eacomp.states import (
     eig_hermitian,
     partial_trace,
     single,
+    von_neumann_entropy,
 )
 
 
@@ -312,3 +329,174 @@ def fsum_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> fl
     np.clip(fv, 0.0, 1.0, out=fv)
     total = math.fsum(memoryview(pseq * fv))
     return min(max(total, 0.0), 1.0)
+
+
+def single_unitary_objective(v, phis, probs, da: int, dc: int, dw: int):
+    """_accel.unitary_objective for one isometry v: the stacked kernel's
+    bit-for-bit oracle, slice by slice."""
+    nx, d_in = phis.shape
+    dcw = dw * dc
+    xis = phis @ v.T  # row x is V phi_x
+
+    # b[x] is the (C W) x A matrix of signal x's output; its C W marginal
+    # is b b^dagger, and the mixture's is B B^dagger for the columns
+    # B = [sqrt(p_x) b[x]] stacked side by side.
+    roots = np.sqrt(probs)
+    b = xis.reshape(nx, dw, da, dc).transpose(0, 1, 3, 2).reshape(nx, dcw, da)
+    stacked = (roots[:, None, None] * b).transpose(1, 0, 2).reshape(dcw, nx * da)
+
+    s_x, pull_x = _entropy_pull(b)
+    s_mix, pull = _entropy_pull(stacked)
+    mi = float(s_mix) - float(probs @ s_x)
+    ov = np.einsum("xk,xwk->xw", phis.conj(), xis.reshape(nx, dw, d_in))
+    f = (np.abs(ov) ** 2).sum(axis=1)
+    fid = float(probs @ np.sqrt(np.clip(f, 0.0, 1.0)))
+
+    # dS(m m^dagger) = -2 Re Tr[((log2(m m^dagger) + 1/ln 2) m)^dagger dm],
+    # and the 1/ln 2 terms of S(B B^dagger) and sum_x p_x S(b b^dagger)
+    # cancel: dI/db[x] = 2 p_x (log2(b b^dagger) - log2(B B^dagger)) b[x]
+    pull = pull.reshape(dcw, nx, da).transpose(1, 0, 2)  # sqrt(p_x) log2(B B^dagger) b[x]
+    g_b = 2.0 * (probs[:, None, None] * pull_x - roots[:, None, None] * pull)
+    g_xis = g_b.reshape(nx, dw, dc, da).transpose(0, 1, 3, 2).reshape(nx, -1)
+
+    # F = sum_x p_x sqrt(f_x), f_x = sum_w |<phi_x| V_w |phi_x>|^2
+    weight = np.divide(probs, np.sqrt(f), out=np.zeros_like(f), where=f > 0.0)
+    g_ov = (weight[:, None] * ov)[:, :, None] * phis[:, None, :]
+    return mi, fid, g_xis.T @ phis.conj(), g_ov.reshape(nx, -1).T @ phis.conj()
+
+
+def single_penalised_objective(v, phis, probs, dims: tuple[int, int, int], need: float, penalty: float):
+    """(I, fidelity, I - penalty * max(0, need - fidelity)^2, its Euclidean
+    gradient in V) for the isometry v; dims = (dimA, dimC, |W|)."""
+    mi, fid, g_mi, g_fid = single_unitary_objective(v, phis, probs, *dims)
+    short = max(0.0, need - fid)
+    return mi, fid, mi - penalty * short**2, g_mi + (2.0 * penalty * short) * g_fid
+
+
+def single_retract(m: np.ndarray) -> np.ndarray:
+    """The isometry Q of m = QR with R's diagonal positive; m = V + tZ for
+    a tangent Z has full column rank, (V + tZ)^dagger (V + tZ) >= 1."""
+    q, r = np.linalg.qr(m)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def sequential_search(
+    t: _Target, eps: float, config: IsometrySearchConfig, warm_starts: tuple[np.ndarray, ...] = ()
+) -> IEpsilonEstimate:
+    """iepsilon._search as it was before its walks ran in lockstep: every
+    start scored one at a time, then each walk run to its end before the
+    next begins. The lockstep search must return exactly this."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    e = t.source
+    probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+    d_in = e.dim_a * e.dim_c
+    env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
+    dims = (e.dim_a, e.dim_c, env_dim)
+
+    need = 1.0 - eps
+    ceiling = t.s_cy if eps == 0 else t.h_x
+    evaluations = 0
+    # per start: (I, fidelity, isometry) of its best feasible candidate
+    bests: list[tuple[float, float, np.ndarray | None]] = []
+
+    def score(v):
+        nonlocal evaluations
+        evaluations += 1
+        return single_penalised_objective(v, phis, probs, dims, need, config.penalty)
+
+    def keep(r, v, mi, fid) -> bool:
+        """Record a candidate of start r; True once it reaches the ceiling."""
+        if fid < need - FEASIBILITY_SLACK:
+            return False
+        if mi > bests[r][0]:
+            bests[r] = (mi, fid, v)
+        return mi >= ceiling - FEASIBILITY_SLACK
+
+    def walk(r, v, cur) -> bool:
+        """Riemannian gradient ascent of the penalised objective from start
+        r, with Armijo backtracking; True once it reaches the ceiling."""
+        _, _, pen, g = cur
+        step = 1.0
+        for it in range(config.max_iters):
+            z = _tangent(v, g)
+            slope = float(np.vdot(z, z).real)
+            if it == 0 and slope < config.conv_tol:
+                # a stationary start (the identity on a blind source):
+                # leave it along a random tangent direction
+                z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
+                v = single_retract(v + (KICK / np.linalg.norm(z)) * z)
+                mi, fid, pen, g = score(v)
+                if keep(r, v, mi, fid):
+                    return True
+                continue
+            while True:
+                cand = single_retract(v + step * z)
+                mi, fid, cand_pen, g = score(cand)
+                if keep(r, cand, mi, fid):
+                    return True
+                if cand_pen >= pen + ARMIJO * step * slope:
+                    break
+                step /= 2.0
+                if step * slope < config.conv_tol:  # no step left to gain conv_tol
+                    return False
+            gain = cand_pen - pen
+            v, pen = cand, cand_pen
+            if gain < config.conv_tol:
+                break
+            step *= 2.0
+        return False
+
+    identity = identity_isometry(d_in, env_dim)
+    starts = [identity]
+    witness = _witness(t, env_dim)
+    if witness is not None:
+        starts.append(witness)
+    # estimate_grid passes the previous optimum back, often the identity
+    # or the witness itself
+    warm = 0
+    for w in warm_starts:
+        if not any(np.array_equal(w, s) for s in starts):
+            starts.append(np.asarray(w, dtype=np.complex128))
+            warm += 1
+    for r in range(config.restarts - 1 - warm):
+        rng = np.random.default_rng([config.seed, 1000 + r])
+        starts.append(single_retract(_gaussian(rng, identity.shape)))
+
+    scored = []
+    for v0 in starts:
+        bests.append((-np.inf, 0.0, None))
+        cur = score(v0)
+        scored.append((v0, cur))
+        if keep(len(bests) - 1, v0, cur[0], cur[1]):
+            break
+    else:  # no start at the ceiling
+        for r, (v0, cur) in enumerate(scored):
+            if walk(r, v0, cur):
+                break
+
+    # the first start with the largest value, as a sequential search would keep
+    best_mi, best_fid, best_v = max(bests, key=lambda b: b[0])
+    if best_v is None:
+        # Cannot happen for eps >= 0: the identity start is feasible.
+        raise ConsistencyError("no feasible candidate found, identity start included")
+
+    ref_mi, ref_fid = objective(e, best_v)
+    if abs(ref_mi - best_mi) > VERIFY_ATOL or abs(ref_fid - best_fid) > VERIFY_ATOL:
+        raise ConsistencyError(
+            f"search kernel ({best_mi!r}, {best_fid!r}) and dense evaluation "
+            f"({ref_mi!r}, {ref_fid!r}) disagree beyond {VERIFY_ATOL}"
+        )
+    floor = von_neumann_entropy(reduced(e, {"C"}))
+    return IEpsilonEstimate(
+        eps=float(eps),
+        value=ref_mi,
+        fidelity=ref_fid,
+        isometry=best_v,
+        env_dim=env_dim,
+        identity_floor=floor,
+        restart_values=tuple(float(b[0]) for b in bests),
+        evaluations=evaluations,
+        fallback_identity=best_v is identity,
+    )

@@ -232,6 +232,8 @@ class TestNumericOptions:
         ["iepsilon", BLIND, "--eps", "0", "--penalty", "-1"],
         ["iepsilon", BLIND, "--eps", "0", "--max-iters", "-3"],
         ["iepsilon", BLIND, "--eps", "0", "--env-cap", "0"],
+        ["iepsilon", BLIND, "--eps", "0", "--seed", "-1"],
+        ["iepsilon", TRIPLE, "--eps", "0.1", "--restarts", "1", "--seed", "-1"],
         ["region", BLIND, "--kind", "EQ", "--lo", "nan"],
         ["region", BLIND, "--kind", "EQ", "--hi", "inf"],
         ["region", BLIND, "--kind", "EQ", "--samples", "1"],
@@ -643,6 +645,14 @@ class TestIEpsilon:
         code, _, err = run(["iepsilon", BLIND, "--eps", ","], capsys)
         assert code == 2
         assert "--eps" in err
+
+    @pytest.mark.parametrize("restarts", ["1", "4"])
+    def test_negative_seed_is_refused_before_the_analysis(self, monkeypatch, capsys, restarts):
+        # restarts = 1 on sideinfo_triple draws no random start or kick,
+        # so a negative seed used to run and be echoed into the report
+        monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analysed"))
+        argv = ["iepsilon", TRIPLE, "--eps", "0.1", "--restarts", restarts, "--seed", "-1"]
+        assert run(argv, capsys) == (2, "", "seed must be >= 0, got -1\n")
 
     def test_check_lemma_section(self, capsys):
         code, out, _ = run(

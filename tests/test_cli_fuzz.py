@@ -5,8 +5,9 @@ ones of the wrong type or shape, numbers replaced by NaN or +-Infinity
 literals, list items duplicated, the text truncated. A second strategy
 keeps the files intact and replaces one numeric option with NaN, +-inf,
 a negative or a huge value. Every command must exit 0, 1 or 2 without
-an uncaught exception, and never exit 0 with a non-finite number in its
-output or a CSV number longer than MAX_CSV_FIELD.
+an uncaught exception or a failed entropy bound, and never exit 0 with
+a non-finite number in its output or a CSV number longer than
+MAX_CSV_FIELD.
 """
 
 import contextlib
@@ -140,6 +141,7 @@ def assert_clean_run(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    assert "entropy bound" not in err.getvalue()  # the profile's inequalities hold on any source
     if code == 0:
         assert_finite_output(argv[0], out.getvalue())
     return code, out.getvalue(), err.getvalue()

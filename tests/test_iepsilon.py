@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from eacomp import cli, iepsilon
+from test_properties import sources
 from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, IsometryError
 from eacomp.iepsilon import (
+    FEASIBILITY_SLACK,
     MAX_RESTARTS,
+    STACK_ENTRIES,
     IsometrySearchConfig,
+    _retract,
+    _search,
+    _target,
     check_lemma_properties,
     estimate_grid,
     estimate_i_epsilon,
@@ -93,6 +101,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 IsometrySearchConfig(**bad)
 
+    def test_negative_seed_is_refused(self):
+        # numpy's own refusal came only once a random start or kick was
+        # drawn, and restarts = 1 on a non-blind source draws neither
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            IsometrySearchConfig(seed=-1)
+        assert IsometrySearchConfig(seed=0).seed == 0
+
 
 class TestObjective:
     def test_identity_extracts_i_x_c(self):
@@ -146,7 +161,7 @@ class TestObjective:
                 for trial in range(4):
                     v = rand_isometry(rng, dw * d_in, d_in)
                     mi_r, fid_r = objective(e, v)
-                    mi, fid = unitary_objective(v, phis, probs, da, dc, dw)[:2]
+                    mi, fid = (x[0] for x in unitary_objective(v[None], phis, probs, da, dc, dw)[:2])
                     case = (da, dc, nx, dw, trial)
                     assert abs(mi - mi_r) < 1e-10, case
                     assert abs(fid - fid_r) < 1e-10, case
@@ -164,12 +179,12 @@ class TestObjective:
             for dw in sorted({2, d_in**2, 16}):
                 dims = (da, dc, dw)
                 v = rand_isometry(rng, dw * d_in, d_in)
-                mi, fid, pen, g_pen = penalised_objective(v, phis, probs, dims, need, 64.0)
+                (mi, fid, pen, g_pen), = penalised_objective(v[None], phis, probs, dims, need, 64.0)
                 assert (pen < mi) == (need > fid)
-                _, _, g_mi, g_fid = unitary_objective(v, phis, probs, *dims)
+                _, _, (g_mi,), (g_fid,) = unitary_objective(v[None], phis, probs, *dims)
 
                 def values(w):
-                    return np.array(penalised_objective(w, phis, probs, dims, need, 64.0)[:3])
+                    return np.array(penalised_objective(w[None], phis, probs, dims, need, 64.0)[0][:3])
 
                 for g, k in ((g_mi, 0), (g_fid, 1), (g_pen, 2)):
                     scale = np.linalg.norm(g)
@@ -271,6 +286,12 @@ def multi_sector_sources(draw):
         psis.append(psi)
         sigmas.append(sigma / np.linalg.norm(sigma))
     return Ensemble([f"s{x}" for x in range(n)], probs, psis, sigmas)
+
+
+@st.composite
+def random_sources(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_source(rng, draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 4)))
 
 
 class TestCeilingsAndWitness:
@@ -410,3 +431,191 @@ class TestLemmaReport:
         assert rep.floor_ok
         assert rep.ceiling_at_zero_ok
         assert rep.continuity_gap >= 0.0
+
+
+def assert_same_estimate(got, want):
+    assert (got.value, got.fidelity, got.restart_values, got.evaluations, got.fallback_identity) == (
+        want.value, want.fidelity, want.restart_values, want.evaluations, want.fallback_identity)
+    assert np.array_equal(got.isometry, want.isometry)
+
+
+def file_target(name):
+    return _target(analyze(load_ensemble(DATA / f"{name}.json")))
+
+
+class TestLockstep:
+    """The lockstep search against the one-walk-at-a-time search it
+    replaced (tests/dense_oracle.py): the same estimate to the bit."""
+
+    def test_stacked_kernel_and_retraction_equal_their_slices(self):
+        rng = np.random.default_rng(19)
+        for da, dc, nx in KERNEL_DIMS:
+            e = random_source(rng, da, dc, nx)
+            d_in = da * dc
+            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            for dw in sorted({2, d_in**2, 16}):
+                for nb in range(1, 6):
+                    v = np.stack([rand_isometry(rng, dw * d_in, d_in) for _ in range(nb)])
+                    v[nb // 2] = identity_isometry(d_in, dw)
+                    stacked = unitary_objective(v, phis, probs, da, dc, dw)
+                    m = v + 0.3 * np.stack([rand_isometry(rng, dw * d_in, d_in) for _ in range(nb)])
+                    q = _retract(m)
+                    for i in range(nb):
+                        case = (da, dc, nx, dw, nb, i)
+                        single = dense_oracle.single_unitary_objective(v[i], phis, probs, da, dc, dw)
+                        alone = unitary_objective(v[i:i + 1], phis, probs, da, dc, dw)
+                        for k in range(4):
+                            assert np.array_equal(stacked[k][i], single[k]), case
+                            assert np.array_equal(stacked[k][i], alone[k][0]), case
+                        assert np.array_equal(q[i], dense_oracle.single_retract(m[i])), case
+                        assert np.array_equal(q[i], _retract(m[i:i + 1])[0]), case
+
+    @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors", "sideinfo_triple", "visible_pair"])
+    def test_data_files_equal_sequential_search(self, name):
+        t = file_target(name)
+        for restarts, seed in ((1, 0), (4, 0), (6, 3)):
+            cfg = IsometrySearchConfig(restarts=restarts, seed=seed)
+            warm = ()
+            for eps in (0.0, 0.05, 0.1, 0.2, 1.0):
+                got = _search(t, eps, cfg, warm)
+                assert_same_estimate(got, dense_oracle.sequential_search(t, eps, cfg, warm))
+                warm = (got.isometry,)
+
+    @settings(max_examples=80)
+    @given(st.one_of(random_sources(), multi_sector_sources(), sources()),
+           st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.0]), st.integers(1, 6), st.integers(0, 2**16),
+           st.sampled_from([0, 3, 30, 200]), st.sampled_from([1, 2, 4]))
+    def test_equals_sequential_search(self, e, eps, restarts, seed, max_iters, env_cap):
+        t = _target(analyze(e))
+        cfg = IsometrySearchConfig(restarts=restarts, seed=seed, max_iters=max_iters, env_cap=env_cap)
+        assert_same_estimate(_search(t, eps, cfg), dense_oracle.sequential_search(t, eps, cfg))
+
+    def test_start_on_the_ceiling_ends_the_scoring(self):
+        # at eps = 1 every start is feasible; a ceiling at the value of
+        # start k stops the scoring there, before any walk
+        t = file_target("sideinfo_triple")
+        cfg = IsometrySearchConfig(restarts=6)
+        values = dense_oracle.sequential_search(t, 1.0, replace(cfg, max_iters=0)).restart_values
+        k = next(k for k in range(1, len(values) - 1) if values[k] > max(values[:k]) + 1e-6)
+        lowered = replace(t, h_x=values[k] + FEASIBILITY_SLACK / 2)
+        got = _search(lowered, 1.0, cfg)
+        assert got.evaluations == len(got.restart_values) == k + 1
+        assert_same_estimate(got, dense_oracle.sequential_search(lowered, 1.0, cfg))
+
+    def test_walks_end_as_if_run_one_after_another(self, monkeypatch):
+        # Record every walk's candidates with no ceiling in reach, then
+        # lower the ceiling so that a later walk reaches it in an earlier
+        # round than the first walk, in start order, that reaches it: the
+        # later walk's result must not count.
+        t, eps = file_target("sideinfo_triple"), 0.1
+        cfg = IsometrySearchConfig(restarts=6)
+        log = {}
+        walk = iepsilon._walk
+
+        def recorded(r, v, cur, config, keep):
+            log[r] = []
+
+            def logged(r, v, mi, fid):
+                log[r].append((mi, fid))
+                return keep(r, v, mi, fid)
+
+            return walk(r, v, cur, config, logged)
+
+        with monkeypatch.context() as m:
+            m.setattr(iepsilon, "_walk", recorded)
+            _search(replace(t, h_x=np.inf), eps, cfg)
+        start_top = dense_oracle.sequential_search(t, eps, replace(cfg, max_iters=0)).restart_values[0]
+        need = 1.0 - eps
+
+        def hit_rounds(ceiling):
+            """The round in which each walk would reach the ceiling."""
+            hits = {}
+            for r, seen in log.items():
+                for j, (mi, fid) in enumerate(seen):
+                    if fid >= need - FEASIBILITY_SLACK and mi >= ceiling - FEASIBILITY_SLACK:
+                        hits[r] = j + 1
+                        break
+            return hits
+
+        ceilings = []
+        for ceiling in sorted({mi for seen in log.values() for mi, _ in seen}):
+            hits = hit_rounds(ceiling)
+            if ceiling - FEASIBILITY_SLACK > start_top and hits and min(hits) > 0 and any(
+                hits[r] < hits[min(hits)] for r in hits if r > min(hits)
+            ):
+                ceilings.append(ceiling)
+        assert len(ceilings) >= 3
+        for ceiling in (ceilings[0], ceilings[len(ceilings) // 2], ceilings[-1], np.inf):
+            lowered = replace(t, h_x=ceiling)
+            assert_same_estimate(_search(lowered, eps, cfg), dense_oracle.sequential_search(lowered, eps, cfg))
+
+    @pytest.mark.parametrize("budget", [1, 160])
+    def test_narrower_runs_change_no_bit(self, monkeypatch, budget):
+        # budget 1 scores and retracts one isometry per call; 160 cuts the
+        # blind pair's 31 walks (16 entries per isometry) into runs of 10
+        e = blind_pair()
+        cfg = IsometrySearchConfig(restarts=30, max_iters=20)
+        want = estimate_grid(e, [0.0, 0.1, 0.3], cfg)
+        monkeypatch.setattr(iepsilon, "STACK_ENTRIES", budget)
+        for got, ref in zip(estimate_grid(e, [0.0, 0.1, 0.3], cfg), want):
+            assert_same_estimate(got, ref)
+
+    def test_stacks_stay_within_the_budget_at_most_restarts(self, monkeypatch, capsys):
+        # 1000 starts on a source whose walks would stack 256000 entries
+        # in one round: every stacked array (the kernel's inputs, the
+        # Gram matrices it diagonalises, the QR inputs) stays in budget
+        sizes = {"kernel": [], "eigh": [], "qr": []}
+        kernel, eigh, qr = iepsilon.unitary_objective, np.linalg.eigh, np.linalg.qr
+
+        def kernel_sizes(v, phis, *args):
+            sizes["kernel"].append((len(v), v.shape[0] * max(phis.shape) * v.shape[1]))
+            return kernel(v, phis, *args)
+
+        def record(name, fn):
+            def wrapped(a, *args, **kwargs):
+                sizes[name].append(a.size)
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(iepsilon, "unitary_objective", kernel_sizes)
+        monkeypatch.setattr(np.linalg, "eigh", record("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "qr", record("qr", qr))
+        argv = ["iepsilon", str(DATA / "sideinfo_triple.json"), "--eps", "0.1", "--restarts", "1000",
+                "--max-iters", "2"]
+        assert cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["estimates"][0]["restart_values"]) == 1000
+        widths = [b for b, _ in sizes["kernel"]]
+        assert max(widths) == STACK_ENTRIES // (4 * 64) < 1000  # a round was cut into runs
+        assert max(n for _, n in sizes["kernel"]) <= STACK_ENTRIES
+        assert max(sizes["eigh"]) <= STACK_ENTRIES
+        assert max(sizes["qr"]) <= STACK_ENTRIES
+
+
+GOLDENS = json.loads((Path(__file__).parent / "iepsilon_goldens.json").read_text())
+
+
+def hexed(obj):
+    """obj with every float as float.hex, so a comparison is bit for bit."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [hexed(v) for v in obj]
+    return obj
+
+
+class TestGoldenReports:
+    """tests/iepsilon_goldens.json holds the iepsilon report of each data
+    file (less its input path) at --eps 0,0.05,0.1,0.2, plain and with
+    --check-lemma, every float as float.hex, as recorded before the
+    walks ran in lockstep."""
+
+    @pytest.mark.parametrize("mode", ["plain", "check_lemma"])
+    @pytest.mark.parametrize("name", sorted(GOLDENS))
+    def test_report_keeps_its_bits(self, name, mode, capsys):
+        flags = ["--check-lemma"] if mode == "check_lemma" else []
+        assert cli.main(["iepsilon", str(DATA / f"{name}.json"), "--eps", "0,0.05,0.1,0.2", *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["input"]
+        assert hexed(report) == GOLDENS[name][mode]

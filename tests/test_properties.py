@@ -160,3 +160,14 @@ def test_simulator_tables_match_the_eigenvalues(e, rate):
     blind = Ensemble(e.labels, e.probs, e.psi, np.ones((e.size, 1)))
     for _, f in fidelity_curve(blind, range(1, 6), rate).points:
         assert 0.0 <= f <= 1.0
+
+
+@given(sources())
+def test_entropy_bounds_hold(e):
+    # the inequalities entropy_profile checks at 1e-6, here at 1e-9
+    p = analyze(e, TOL).profile
+    atol = 1e-9
+    assert abs(p.s_a - p.s_cy) <= p.s_acy + atol
+    assert p.s_acy <= p.s_a + p.s_cy + atol
+    assert p.s_y <= p.s_cy + atol and p.s_cy <= p.s_y + np.log2(e.dim_c) + atol
+    assert p.s_a <= min(p.h_x, np.log2(e.dim_a)) + atol

@@ -478,6 +478,28 @@ class TestConsistencyGuard:
         for make in GUARD_SOURCES.values():
             entropy_profile(make())
 
+    @pytest.mark.parametrize("name, field, value, bound", [
+        ("sideinfo_triple", "s_acy", 0.5, "|S(A) - S(CY)| <= S(ACY)"),
+        ("sideinfo_triple", "s_acy", 1.3, "S(ACY) <= S(A) + S(CY)"),
+        ("sideinfo_triple", "s_y", 0.3, "S(Y) <= S(CY)"),
+        ("blind_pair", "s_cy", 0.1, "S(CY) <= S(Y) + log2 dC"),
+        ("blind_two_sectors", "s_a", 1.99, "S(A) <= H(X)"),
+        ("sideinfo_triple", "s_a", 1.2, "S(A) <= log2 dA"),
+    ])
+    def test_each_entropy_bound_fires(self, monkeypatch, name, field, value, bound):
+        # one entropy of the profile falsified, so that this bound alone fails
+        real = rates_mod.EntropyProfile
+        monkeypatch.setattr(rates_mod, "EntropyProfile", lambda **kw: real(**{**kw, field: value}))
+        with pytest.raises(ConsistencyError) as exc:
+            entropy_profile(load_ensemble(DATA / f"{name}.json"))
+        assert str(exc.value).startswith(f"entropy bound {bound} fails: ")
+        assert str(exc.value).count("entropy bound") == 1
+
+    @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors", "sideinfo_triple", "visible_pair"])
+    def test_data_files_meet_the_entropy_bounds(self, name):
+        e = load_ensemble(DATA / f"{name}.json")
+        assert rates_mod._bound_faults(entropy_profile(e), e.dim_a, e.dim_c) == []
+
 
 def two_sectors_with_side_information():
     # sectors {|0>,|1>} and {|2>,|3>} on A, random qubit side information
