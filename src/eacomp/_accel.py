@@ -8,7 +8,11 @@ Kernels:
                      fidelity terms formed in place, and their sum
                      rounded once by error-free extraction passes; it
                      also returns the sequence means that schumacher
-                     checks against the code's eigenvalue weights
+                     checks against the code's eigenvalue weights. The
+                     per-copy tables it reads (SequenceTables) are built
+                     once per source and kept across the codes of a
+                     curve: half-sequence probabilities, and the product
+                     of every head or tail key of each width
   unitary_objective  mutual information and average fidelity of the
                      channels of a stack of isometries V (W-major output
                      ordering, environment first), and their gradients
@@ -25,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import limits
+
 # There is one backend. These two names stay because callers report it:
 # the benchmark's environment line and the `iepsilon` JSON report.
 NUMBA_AVAILABLE = False
@@ -35,10 +41,11 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# block_fidelity: probs (ns,), g[x, k] = |<e_k|psi_x>|^2 single-copy overlap
-# table, sel (rank, n) per-copy eigenvector indices of the retained product
-# basis. Row 0 of sel is the single largest-weight product vector, onto which
-# every failed measurement collapses. No n-copy vectors are ever formed.
+# block_fidelity: SequenceTables on probs (ns,) and the single-copy overlap
+# table g[x, k] = |<e_k|psi_x>|^2, and sel (rank, n), the per-copy
+# eigenvector indices of the retained product basis. Row 0 of sel is the
+# single largest-weight product vector, onto which every failed measurement
+# collapses. No n-copy vectors are ever formed.
 #
 # p_pass(x^n) = sum_k prod_i g[x_i, sel[k, i]] splits at h = n // 2: each
 # code row is a head sel[k, :h] and a tail sel[k, h:], and with C[p, q] the
@@ -47,20 +54,14 @@ def active_backend() -> str:
 #     p_pass(x^n) = sum_{p, q} U[p, x_1..x_h] C[p, q] V[q, x_h+1..x_n],
 #
 # where U (P x ns^h) and V (Q x ns^(n-h)) hold each distinct head's and
-# tail's product over every half sequence. A duplicated code row counts
+# tail's product over every half sequence, rows of the tables' products of
+# that width taken in ascending key order. A duplicated code row counts
 # twice, as it does in the sum over k: C counts rows, not distinct pairs.
 # The whole table is one matrix product U^T (C V), in C order of x^n. No
 # table is wider than ns^n, and P * Q <= dimA^n (at most CODE_DIM_CAP for a
 # code of schumacher's), since heads and tails are distinct; the same bound
-# keeps the integer keys that find them far from overflow.
-
-
-def _sequence_table(cols) -> np.ndarray:
-    """prod_i cols[i][x_i] for every sequence x, flattened in C order."""
-    out = np.ones(1)
-    for c in cols:
-        out = np.multiply.outer(out, c).ravel()
-    return out
+# keeps the integer keys that find them far from overflow, and the presence
+# arrays over them (dimA^h and dimA^(n-h) entries) small.
 
 
 def _products(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -73,11 +74,53 @@ def _products(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _distinct(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, and the position of each row among them, found
-    on one mixed-radix integer key per row (entries in [0, base))."""
-    keys = rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse
+    """The distinct mixed-radix keys of the rows (entries in [0, base)) in
+    ascending order, and the position of each row's key among them, read
+    off a presence array over the base**width keys."""
+    width = rows.shape[1]
+    keys = rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    present = np.zeros(base**width, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
+class SequenceTables:
+    """The per-copy tables of one source (probs, g), built on first use and
+    kept across the codes block_fidelity is given with them: the
+    probability of each sequence of w copies, and the products of each
+    head or tail key of width w.
+
+    The product table of width w has a row for every key in [0, dA^w),
+    folded from the width w - 1 table by one more column, the step
+    _products takes, so each row is bit-identical to the one _products
+    folds for that key alone. A table is kept while dA^w * ns^w <=
+    SEQUENCE_CAP; past that, each call folds only the rows its code uses.
+    """
+
+    def __init__(self, probs: np.ndarray, g: np.ndarray):
+        self.probs = np.ascontiguousarray(probs, dtype=np.float64)
+        self.g = np.ascontiguousarray(g, dtype=np.float64)
+        self._sequences = [np.ones(1)]
+        self._products = [np.ones((1, 1))]
+
+    def sequences(self, width: int) -> np.ndarray:
+        """prod_i probs[x_i] for every sequence x of width copies, in C order."""
+        tables = self._sequences
+        while len(tables) <= width:
+            tables.append(np.multiply.outer(tables[-1], self.probs).ravel())
+        return tables[width]
+
+    def products(self, keys: np.ndarray, width: int) -> np.ndarray:
+        """prod_i g[x_i, k_i] over the base-dA digits k of each key and every
+        sequence x of width copies, in C order: (len(keys), ns**width)."""
+        ns, da = self.g.shape
+        tables = self._products
+        while len(tables) <= width and (da * ns) ** len(tables) <= limits.SEQUENCE_CAP:
+            last = tables[-1]
+            tables.append((last[:, None, :, None] * self.g.T[None, :, None, :]).reshape(len(last) * da, -1))
+        if width < len(tables):
+            return tables[width][keys]
+        return _products(self.g, keys[:, None] // da ** np.arange(width - 1, -1, -1, dtype=np.int64) % da)
 
 
 def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
@@ -131,24 +174,23 @@ class BlockFidelity(NamedTuple):
     mean_clipped_pass: float  # sum_x p(x^n) min(p_pass(x^n), 1), a floor under F
 
 
-def block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> BlockFidelity:
-    """Expected fidelity of the code sel, with its sequence means."""
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    g = np.ascontiguousarray(g, dtype=np.float64)
+def block_fidelity(tables: SequenceTables, sel: np.ndarray) -> BlockFidelity:
+    """Expected fidelity of the code sel on the source of tables, with its
+    sequence means."""
     sel = np.ascontiguousarray(sel, dtype=np.int64)
     n = sel.shape[1]
     h = n // 2
 
-    heads, head_of = _distinct(sel[:, :h], g.shape[1])
-    tails, tail_of = _distinct(sel[:, h:], g.shape[1])
-    counts = np.zeros((len(heads), len(tails)))
-    np.add.at(counts, (head_of, tail_of), 1.0)
-    u, v = _products(g, heads), _products(g, tails)
+    heads, head_of = _distinct(sel[:, :h], tables.g.shape[1])
+    tails, tail_of = _distinct(sel[:, h:], tables.g.shape[1])
+    counts = np.bincount(head_of * len(tails) + tail_of, minlength=len(heads) * len(tails))
+    counts = counts.reshape(len(heads), len(tails)).astype(np.float64)
+    u, v = tables.products(heads, h), tables.products(tails, n - h)
     ppass = u.T @ (counts @ v)  # (ns^h, ns^(n-h)), sequences in C order
 
     # row 0's head and tail products are rows of u and v already
     u0, v0 = u[head_of[0]], v[tail_of[0]]
-    ph, pt = _sequence_table([probs] * h), _sequence_table([probs] * (n - h))
+    ph, pt = tables.sequences(h), tables.sequences(n - h)
     mean_pass = float(ph @ ppass @ pt)
     mean_fail = float((ph @ u0) * (v0 @ pt))
 

@@ -13,17 +13,24 @@ lookup tables instead of 2^n-dimensional vectors:
 with g[x, k] = |<e_k|psi_x>|^2 and f_fail the k = top-product term. The
 average over sequences x^n is enumerated exhaustively (no sampling), so
 results are deterministic and permutation symmetry comes out exact.
+
+A curve shares its per-copy work across its block lengths (_Curve): the
+average state is diagonalised once, g and the kernel's sequence tables
+are built once, and the type counts of the index tuples grow one copy at
+a time from the last block length built. Each code and each point is
+bit-identical to one built alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import limits
-from ._accel import BlockFidelity, block_fidelity
+from ._accel import BlockFidelity, SequenceTables, block_fidelity
 from .ensemble import Ensemble, reduced
 from .errors import ConsistencyError, DimensionLimitError, EacompError
 from .region import csv_number
@@ -80,7 +87,7 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     acts on A alone).
     """
     rank = _checked_rank(e, n, rate_q)
-    return _code_space(e, n, rate_q, rank, eig_hermitian(reduced(e, {"A"})))
+    return _code_space(e, n, rate_q, rank, _Curve(e, eig_hermitian(reduced(e, {"A"}))))
 
 
 def _checked_rank(e: Ensemble, n: int, rate_q: float) -> int:
@@ -102,50 +109,79 @@ def _check_sequences(e: Ensemble, n: int) -> None:
         raise DimensionLimitError(f"{ns}^{n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n")
 
 
-def _code_space(e: Ensemble, n: int, rate_q: float, rank: int, spectrum: tuple) -> CodeSpace:
-    """The code of the given rank on n copies of the average signal state,
-    whose eigendecomposition (weights, vectors) is spectrum."""
-    da = e.dim_a
-    weights, vectors = spectrum
+class _Curve:
+    """What the codes of one curve share: the eigendecomposition (weights,
+    vectors) of the average signal state, the type counts of the index
+    tuples at the last block length built, and, on first use, the kernel's
+    tables on g and the trace that eig_hermitian's clamp took off."""
 
-    # Every index tuple in lexicographic order, one row per copy: row i
-    # runs through 0..da-1 once per period, holding each index for
-    # da**(n-1-i) tuples. (np.indices gives the same but needs n + 1 axes,
-    # and numpy stops at 64.)
-    indices = np.empty((n, da**n), dtype=np.int64)
-    for i, row in enumerate(indices):
-        row.reshape(da**i, da, -1)[...] = np.arange(da)[:, None]
-    # Weigh each index tuple as prod_j w_j ** count_j, the same float
-    # operations for every tuple of one type, so equal-weight products tie
-    # exactly and the stable sort keeps them in lexicographic order.
-    flat = np.ones(indices.shape[1])
-    for j, w in enumerate(weights):
-        flat *= w ** np.count_nonzero(indices == j, axis=0)
+    def __init__(self, e: Ensemble, spectrum: tuple):
+        self.e = e
+        self.weights, self.vectors = spectrum
+        self._n, self._counts = 0, np.zeros((e.dim_a, 1), dtype=np.int64)
+
+    @cached_property
+    def tables(self) -> SequenceTables:
+        ov = self.e.overlaps
+        return SequenceTables(ov.probs, np.abs(ov.psi @ self.vectors.conj()) ** 2)
+
+    @cached_property
+    def lost(self) -> float:
+        ov = self.e.overlaps
+        return abs(float(ov.probs @ np.sum(np.abs(ov.psi) ** 2, axis=1)) - float(np.sum(self.weights)))
+
+    def type_counts(self, n: int) -> np.ndarray:
+        """counts[j, t]: how many copies hold index j in the t-th of the
+        dA^n index tuples in lexicographic order. Extended one copy at a
+        time from the last block length counted, unless that was longer."""
+        da = self.e.dim_a
+        if n < self._n:
+            self._n, self._counts = 0, np.zeros((da, 1), dtype=np.int64)
+        eye = np.eye(da, dtype=np.int64)
+        for _ in range(n - self._n):  # tuple t, then index d, is tuple t * da + d
+            self._counts = (self._counts[:, :, None] + eye[:, None, :]).reshape(da, -1)
+        self._n = n
+        return self._counts
+
+
+def _code_space(e: Ensemble, n: int, rate_q: float, rank: int, curve: _Curve) -> CodeSpace:
+    """The code of the given rank on n copies of curve's average signal state."""
+    da = e.dim_a
+    # Weigh each index tuple, in lexicographic order, as prod_j w_j ** count_j,
+    # the same float operations for every tuple of one type, so equal-weight
+    # products tie exactly and the stable sort keeps them in lexicographic
+    # order.
+    flat = np.ones(da**n)
+    for w, count in zip(curve.weights, curve.type_counts(n)):
+        flat *= w ** count
     order = np.argsort(-flat, kind="stable")
     kept = order[:rank]
-    selected = np.ascontiguousarray(indices[:, kept].T, dtype=np.int64)
+    # copy i of the t-th tuple holds digit i of t in base da, most significant first
+    selected = kept[:, None] // da ** np.arange(n - 1, -1, -1, dtype=np.int64) % da
     return CodeSpace(
         n=n,
         rate_q=float(rate_q),
         rank=rank,
-        eigen_weights=weights,
-        eigen_vectors=vectors,
+        eigen_weights=curve.weights,
+        eigen_vectors=curve.vectors,
         selected=selected,
         selected_weights=flat[kept].copy(),
     )
 
 
-def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
-    """Expected decoding fidelity of the code on n iid signals."""
-    ov = e.overlaps
+def simulate_fidelity(e: Ensemble, code: CodeSpace, curve: _Curve | None = None) -> float:
+    """Expected decoding fidelity of the code on n iid signals. curve is
+    what fidelity_curve shares across its codes; without it the code's own
+    eigendecomposition starts a fresh one."""
     if e.dim_a != code.eigen_vectors.shape[0]:
         raise EacompError(
             f"code built for dimension {code.eigen_vectors.shape[0]}, ensemble has {e.dim_a}"
         )
     _check_sequences(e, code.n)
-    g = np.abs(ov.psi @ code.eigen_vectors.conj()) ** 2
-    result = block_fidelity(ov.probs, g, code.selected)
-    _check_tables(e, code, result)
+    if curve is None:
+        curve = _Curve(e, (code.eigen_weights, code.eigen_vectors))
+    result = block_fidelity(curve.tables, code.selected)
+    _check_tables(code, result, curve.lost)
     return result.fidelity
 
 
@@ -171,9 +207,7 @@ def simulate_fidelity(e: Ensemble, code: CodeSpace) -> float:
 TABLE_ATOL = 1e-9
 
 
-def _check_tables(e: Ensemble, code: CodeSpace, result: BlockFidelity) -> None:
-    ov = e.overlaps
-    lost = abs(float(ov.probs @ np.sum(np.abs(ov.psi) ** 2, axis=1)) - float(np.sum(code.eigen_weights)))
+def _check_tables(code: CodeSpace, result: BlockFidelity, lost: float) -> None:
     growth = math.expm1(code.n * math.log1p(lost))
     trace = float(np.sum(code.selected_weights))  # Tr(Pi rho^n)
     for what, got, want in (("pass probability", result.mean_pass, trace),
@@ -204,17 +238,17 @@ def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
     A size is refused on its caps before its code is built."""
     points = []
     warnings = []
-    spectrum = None  # the average state's, taken for the first code built
+    curve = None  # shared by the codes, from the first code built on
     for n in ns:
         try:
             rank = _checked_rank(e, int(n), rate_q)
             # simulate_fidelity checks this too, but only once the code is
             # built, and _code_space sorts all dA^n index tuples
             _check_sequences(e, int(n))
-            if spectrum is None:
-                spectrum = eig_hermitian(reduced(e, {"A"}))
-            code = _code_space(e, int(n), rate_q, rank, spectrum)
-            points.append((int(n), simulate_fidelity(e, code)))
+            if curve is None:
+                curve = _Curve(e, eig_hermitian(reduced(e, {"A"})))
+            code = _code_space(e, int(n), rate_q, rank, curve)
+            points.append((int(n), simulate_fidelity(e, code, curve)))
         except DimensionLimitError as exc:
             warnings.append(f"n={n}: {exc}")
     return FidelityCurve(float(rate_q), tuple(points), tuple(warnings))

@@ -7,9 +7,11 @@ support-sized forms the analysis once used, as oracles for its
 per-component spectra: the [y = y']-masked N x N Gram matrix and the
 renormalised rows of one component. The last section keeps earlier
 per-row, graph-rebuilding, prefix-tree and fsum forms of package
-routines, as oracles for their array forms, and the one-isometry
-kernel and the one-walk-at-a-time isometry search, as oracles for the
-stacked kernel and the lockstep search.
+routines, as oracles for their array forms, the per-code simulator
+(np.unique keys, products folded for each code, every index tuple
+enumerated) as the oracle for the per-curve tables, and the
+one-isometry kernel and the one-walk-at-a-time isometry search, as
+oracles for the stacked kernel and the lockstep search.
 """
 
 import math
@@ -19,10 +21,10 @@ from functools import reduce
 
 import numpy as np
 
-from eacomp._accel import _distinct, _entropy_pull, _products
+from eacomp._accel import BlockFidelity, _entropy_pull, _exact_sum
 from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition, _part_labels, _support_graph
 from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, reduced
-from eacomp.errors import ConsistencyError, EacompError, LabelError
+from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError
 from eacomp.iepsilon import (
     ARMIJO,
     FEASIBILITY_SLACK,
@@ -37,6 +39,7 @@ from eacomp.iepsilon import (
     identity_isometry,
     objective,
 )
+from eacomp.schumacher import CodeSpace, _check_sequences, _checked_rank
 from eacomp.states import (
     DensityMatrix,
     SubsystemLayout,
@@ -270,6 +273,115 @@ def _sequence_table(cols) -> np.ndarray:
     for c in cols:
         out = np.multiply.outer(out, c).ravel()
     return out
+
+
+def _products(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """prod_i g[x_i, rows[r, i]] for each row r and every sequence x over
+    its columns, flattened in C order: shape (len(rows), ns**width)."""
+    table = np.ones((len(rows), 1))
+    for col in rows.T:
+        table = (table[:, :, None] * g[:, col].T[:, None, :]).reshape(len(rows), -1)
+    return table
+
+
+def _distinct(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, and the position of each row among them, found
+    on one mixed-radix integer key per row (entries in [0, base))."""
+    keys = rows @ base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
+def per_code_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> BlockFidelity:
+    """_accel.block_fidelity with every table built for this one code: the
+    distinct heads and tails from np.unique, their products folded from
+    the code's own rows. The per-curve tables' bit-for-bit oracle."""
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    sel = np.ascontiguousarray(sel, dtype=np.int64)
+    n = sel.shape[1]
+    h = n // 2
+
+    heads, head_of = _distinct(sel[:, :h], g.shape[1])
+    tails, tail_of = _distinct(sel[:, h:], g.shape[1])
+    counts = np.zeros((len(heads), len(tails)))
+    np.add.at(counts, (head_of, tail_of), 1.0)
+    u, v = _products(g, heads), _products(g, tails)
+    ppass = u.T @ (counts @ v)  # (ns^h, ns^(n-h)), sequences in C order
+
+    # row 0's head and tail products are rows of u and v already
+    u0, v0 = u[head_of[0]], v[tail_of[0]]
+    ph, pt = _sequence_table([probs] * h), _sequence_table([probs] * (n - h))
+    mean_pass = float(ph @ ppass @ pt)
+    mean_fail = float((ph @ u0) * (v0 @ pt))
+
+    np.clip(ppass, 0.0, 1.0, out=ppass)
+    mean_clipped_pass = float(ph @ ppass @ pt)
+    fv = np.multiply.outer(u0, v0, out=np.empty_like(ppass))
+    tmp = np.subtract(1.0, ppass, out=np.empty_like(ppass))
+    tmp *= fv
+    np.multiply(ppass, ppass, out=fv)
+    fv += tmp
+    np.sqrt(fv, out=fv)
+    np.clip(fv, 0.0, 1.0, out=fv)
+    fv *= np.multiply.outer(ph, pt, out=tmp)
+    fidelity = min(max(_exact_sum(fv, tmp), 0.0), 1.0)
+    return BlockFidelity(fidelity, mean_pass, mean_fail, mean_clipped_pass)
+
+
+def enumerating_code_space(e: Ensemble, n: int, rate_q: float, rank: int, spectrum: tuple) -> CodeSpace:
+    """schumacher._code_space from every index tuple of n copies, in an
+    n x dA^n array, with the count of each index taken per tuple."""
+    da = e.dim_a
+    weights, vectors = spectrum
+
+    # Every index tuple in lexicographic order, one row per copy: row i
+    # runs through 0..da-1 once per period, holding each index for
+    # da**(n-1-i) tuples. (np.indices gives the same but needs n + 1 axes,
+    # and numpy stops at 64.)
+    indices = np.empty((n, da**n), dtype=np.int64)
+    for i, row in enumerate(indices):
+        row.reshape(da**i, da, -1)[...] = np.arange(da)[:, None]
+    # Weigh each index tuple as prod_j w_j ** count_j, the same float
+    # operations for every tuple of one type, so equal-weight products tie
+    # exactly and the stable sort keeps them in lexicographic order.
+    flat = np.ones(indices.shape[1])
+    for j, w in enumerate(weights):
+        flat *= w ** np.count_nonzero(indices == j, axis=0)
+    order = np.argsort(-flat, kind="stable")
+    kept = order[:rank]
+    selected = np.ascontiguousarray(indices[:, kept].T, dtype=np.int64)
+    return CodeSpace(
+        n=n,
+        rate_q=float(rate_q),
+        rank=rank,
+        eigen_weights=weights,
+        eigen_vectors=vectors,
+        selected=selected,
+        selected_weights=flat[kept].copy(),
+    )
+
+
+def per_code_curve(e: Ensemble, ns, rate_q: float) -> tuple[list, list, list]:
+    """schumacher.fidelity_curve's loop with a fresh code and fresh tables
+    for each block length: the codes, the kernel's results and the
+    warnings, as per_code_block_fidelity and enumerating_code_space give
+    them."""
+    codes, results, warnings = [], [], []
+    spectrum = None
+    for n in ns:
+        try:
+            rank = _checked_rank(e, int(n), rate_q)
+            _check_sequences(e, int(n))
+            if spectrum is None:
+                spectrum = eig_hermitian(reduced(e, {"A"}))
+            code = enumerating_code_space(e, int(n), rate_q, rank, spectrum)
+            g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
+            codes.append(code)
+            results.append(per_code_block_fidelity(e.overlaps.probs, g, code.selected))
+        except DimensionLimitError as exc:
+            warnings.append(f"n={n}: {exc}")
+    return codes, results, warnings
 
 
 def prefix_tree_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -> float:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dense_oracle import fsum_block_fidelity, prefix_tree_block_fidelity
+from dense_oracle import fsum_block_fidelity, per_code_curve, prefix_tree_block_fidelity
 from eacomp import _accel, limits, schumacher
-from eacomp._accel import _exact_sum, block_fidelity, unitary_objective
+from eacomp._accel import SequenceTables, _exact_sum, block_fidelity, unitary_objective
 from eacomp.ensemble import load_ensemble, make_blind
 from eacomp.errors import ConsistencyError, EacompError
 from eacomp.schumacher import build_code_space, fidelity_curve, simulate_fidelity
@@ -26,6 +26,17 @@ def rand_block_inputs(rng, ns=3, d=3, n=4, rank=7):
     sel = np.zeros((rank, n), dtype=np.int64)
     sel[1:] = rng.integers(0, d, size=(rank - 1, n))
     return probs, g, sel
+
+
+def random_blind(rng, ns, da):
+    states = rng.standard_normal((ns, da)) + 1j * rng.standard_normal((ns, da))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    return make_blind(states, rng.dirichlet(np.ones(ns)))
+
+
+def kernel_fidelity(probs, g, sel):
+    """block_fidelity's F, on fresh tables."""
+    return block_fidelity(SequenceTables(probs, g), sel).fidelity
 
 
 def enumerated_fidelity(probs, g, sel):
@@ -61,20 +72,20 @@ class TestBlockFidelityAgreement:
             )
             if len(sel) > 2:
                 sel[-1] = sel[1]  # a duplicated row counts twice
-            assert abs(block_fidelity(probs, g, sel).fidelity - enumerated_fidelity(probs, g, sel)) <= 1e-12, trial
+            assert abs(kernel_fidelity(probs, g, sel) - enumerated_fidelity(probs, g, sel)) <= 1e-12, trial
 
     def test_range(self):
         rng = np.random.default_rng(100)
         for _ in range(5):
             probs, g, sel = rand_block_inputs(rng)
-            assert 0.0 <= block_fidelity(probs, g, sel).fidelity <= 1.0
+            assert 0.0 <= kernel_fidelity(probs, g, sel) <= 1.0
 
 
 class TestBlockFidelityOracle:
     """The head/tail kernel against the prefix-tree kernel it replaced."""
 
     def assert_agrees(self, probs, g, sel):
-        got = block_fidelity(probs, g, sel).fidelity
+        got = kernel_fidelity(probs, g, sel)
         assert got == fsum_block_fidelity(probs, g, sel)
         assert abs(got - prefix_tree_block_fidelity(probs, g, sel)) <= 1e-14
 
@@ -104,16 +115,13 @@ class TestBlockFidelityOracle:
         probs, g, _ = rand_block_inputs(rng, ns=ns, d=d, n=n)
         sel = np.array(list(itertools.product(range(d), repeat=n)))
         rng.shuffle(sel)
-        assert abs(block_fidelity(probs, g, sel).fidelity - 1.0) <= 1e-14
+        assert abs(kernel_fidelity(probs, g, sel) - 1.0) <= 1e-14
         self.assert_agrees(probs, g, sel)
 
     def test_codes_of_random_sources(self):
         rng = np.random.default_rng(107)
         for _ in range(20):
-            ns, da = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            states = rng.standard_normal((ns, da)) + 1j * rng.standard_normal((ns, da))
-            states /= np.linalg.norm(states, axis=1)[:, None]
-            e = make_blind(states, rng.dirichlet(np.ones(ns)))
+            e = random_blind(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
             code = build_code_space(e, int(rng.integers(1, 8)), float(rng.uniform(0.2, 1.4)))
             g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
             self.assert_agrees(e.overlaps.probs, g, code.selected)
@@ -146,13 +154,13 @@ class TestBlockFidelityBitIdentity:
                 sel = rng.integers(0, d, size=(rank, n))
                 dups = rng.integers(0, rank, size=int(rng.integers(0, 4)))
                 sel = np.concatenate([sel, sel[dups]])  # a duplicated row counts twice
-            assert block_fidelity(probs, g, sel).fidelity == fsum_block_fidelity(probs, g, sel), trial
+            assert kernel_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel), trial
 
     def test_longest_blocks(self):
         rng = np.random.default_rng(109)
         for ns, d, n in ((3, 2, 12), (3, 4, 11), (2, 3, 12)):
             probs, g, sel = rand_block_inputs(rng, ns=ns, d=d, n=n, rank=200)
-            assert block_fidelity(probs, g, sel).fidelity == fsum_block_fidelity(probs, g, sel)
+            assert kernel_fidelity(probs, g, sel) == fsum_block_fidelity(probs, g, sel)
 
     @pytest.mark.parametrize("name", BLIND_FILES)
     def test_codes_of_the_data_files(self, name):
@@ -165,7 +173,7 @@ class TestBlockFidelityBitIdentity:
                     continue
                 probs, g, sel = code_inputs(e, code)
                 want = fsum_block_fidelity(probs, g, sel)
-                assert block_fidelity(probs, g, sel).fidelity == want
+                assert kernel_fidelity(probs, g, sel) == want
                 assert simulate_fidelity(e, code) == want
 
     @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors"])
@@ -173,9 +181,91 @@ class TestBlockFidelityBitIdentity:
         goldens = json.loads((Path(__file__).parent / "fidelity_goldens.json").read_text())[name]
         e = load_ensemble(str(DATA / f"{name}.json"))
         for rate, want in goldens.items():
-            curve = fidelity_curve(e, range(1, 13), float(rate))
+            curve = fidelity_curve(e, range(1, 15), float(rate))
             assert [f"{n} {f.hex()}" for n, f in curve.points] == want["points"]
             assert list(curve.warnings) == want["warnings"]
+
+
+class TestPerCurveTables:
+    """fidelity_curve, whose codes share one set of tables and type counts,
+    against the per-code path it replaced: every code row, weight, kernel
+    result and point bit-identical."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The codes, kernel results and tables of the curves run under it."""
+        made = {"codes": [], "results": [], "tables": []}
+
+        def recording(fn, into):
+            def wrapper(*args):
+                into.append(fn(*args))
+                return into[-1]
+            return wrapper
+
+        for name, key in (("_code_space", "codes"), ("block_fidelity", "results"), ("SequenceTables", "tables")):
+            monkeypatch.setattr(schumacher, name, recording(getattr(schumacher, name), made[key]))
+        return made
+
+    def assert_as_per_code(self, recorded, e, ns, rate):
+        for key in recorded:
+            recorded[key].clear()
+        curve = fidelity_curve(e, ns, rate)
+        codes, results, warnings = per_code_curve(e, ns, rate)
+        assert list(curve.warnings) == warnings
+        assert [f for _, f in curve.points] == [r.fidelity for r in results]
+        assert recorded["results"] == results  # all four means, with ==
+        assert len(recorded["codes"]) == len(codes)
+        for got, want in zip(recorded["codes"], codes):
+            assert got.selected.dtype == np.int64 and got.selected.flags.c_contiguous
+            assert np.array_equal(got.selected, want.selected)
+            assert np.array_equal(got.selected_weights, want.selected_weights)
+        assert len(recorded["tables"]) == (1 if codes else 0)  # one set per curve
+        return curve
+
+    def test_random_curves(self, recorded):
+        rng = np.random.default_rng(112)
+        for _ in range(40):
+            e = random_blind(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            ns = rng.integers(1, 9, size=int(rng.integers(1, 7))).tolist()  # unsorted, repeats
+            self.assert_as_per_code(recorded, e, ns, float(rng.uniform(0.0, 2.5)))
+
+    def test_capped_sizes_mid_list(self, recorded):
+        rng = np.random.default_rng(113)
+        # 3^12 sequences pass SEQUENCE_CAP; 4^8 passes CODE_DIM_CAP
+        for signals, da, ns in ((3, 2, [5, 12, 3, 12, 11, 4]), (2, 4, [3, 8, 2, 7, 8, 1])):
+            curve = self.assert_as_per_code(recorded, random_blind(rng, signals, da), ns, 0.9)
+            assert len(curve.warnings) == 2
+
+    @pytest.mark.parametrize("signals,da", [(1, 1), (1, 3), (2, 1), (3, 2)])
+    def test_smallest_sizes(self, recorded, signals, da):
+        e = random_blind(np.random.default_rng(114), signals, da)
+        for rate in (0.0, 10.0):  # rank 1 and full rank
+            self.assert_as_per_code(recorded, e, [1, 3, 1, 2], rate)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.25] * 4, [0.4, 0.3, 0.3], [0.2, 0.2, 0.3, 0.3]])
+    def test_degenerate_spectra(self, recorded, probs):
+        # orthogonal signals: the average state is diagonal with exactly the
+        # probabilities as eigenvalues, so many index tuples weigh the same
+        e = make_blind(np.eye(len(probs)), probs)
+        tied = 0
+        for rate in (0.4, 0.9, 1.3):
+            self.assert_as_per_code(recorded, e, [4, 2, 5, 3], rate)
+            for code in recorded["codes"]:
+                keys = code.selected @ len(probs) ** np.arange(code.n - 1, -1, -1)
+                ties = code.selected_weights[1:] == code.selected_weights[:-1]
+                assert (keys[1:][ties] > keys[:-1][ties]).all()  # lexicographic within a tie
+                tied += int(ties.sum())
+        assert tied > 0
+
+    def test_source_past_the_table_bound(self, recorded):
+        # 25 x 58 = 1450 products of width 1 fit the table bound, but width 2
+        # would need 625 x 3364 of them: the tails of n = 3 are folded per code
+        e = random_blind(np.random.default_rng(115), 58, 25)
+        for rate in (0.9, 2.4):
+            self.assert_as_per_code(recorded, e, [3, 1, 2, 3], rate)
+            (tables,) = recorded["tables"]
+            assert max(t.size for t in tables._products + tables._sequences) <= limits.SEQUENCE_CAP
+            assert len(tables._products) == 2
 
 
 class TestTableCheck:
@@ -199,9 +289,17 @@ class TestTableCheck:
         assert simulate_fidelity(e, code) > 0.0
         kernel = schumacher.block_fidelity
         monkeypatch.setattr(schumacher, "block_fidelity",
-                            lambda probs, g, sel: kernel(probs, g * 1.0001, sel))
+                            lambda tables, sel: kernel(SequenceTables(tables.probs, tables.g * 1.0001), sel))
         with pytest.raises(ConsistencyError, match="pass probability"):
             simulate_fidelity(e, code)
+
+    def test_corrupted_curve_tables_raise(self, monkeypatch):
+        # the tables a curve shares across its block lengths are checked too
+        e = load_ensemble(str(DATA / "blind_two_sectors.json"))
+        assert fidelity_curve(e, [3, 2], 0.8).points
+        monkeypatch.setattr(schumacher, "SequenceTables", lambda probs, g: SequenceTables(probs, g * 1.0001))
+        with pytest.raises(ConsistencyError, match="pass probability"):
+            fidelity_curve(e, [3, 2], 0.8)
 
     def test_fidelity_below_pass_probability_raises(self, monkeypatch):
         e = load_ensemble(str(DATA / "blind_pair.json"))

@@ -1,15 +1,19 @@
-"""Fuzz the command line with malformed ensemble files.
+"""Fuzz the command line with malformed and with odd but valid ensemble files.
 
-Each example mutates one of data/*.json: keys dropped, values replaced by
-ones of the wrong type or shape, numbers replaced by NaN or +-Infinity
-literals, list items duplicated, the text truncated. A second strategy
-keeps the files intact and replaces one numeric option with NaN, +-inf,
-a negative or a huge value. Every command must exit 0, 1 or 2 without
-an uncaught exception or a failed entropy bound, and never exit 0 with
-a non-finite number in its output or a CSV number longer than
-MAX_CSV_FIELD.
+Each malformed example mutates one of data/*.json: keys dropped, values
+replaced by ones of the wrong type or shape, numbers replaced by NaN or
++-Infinity literals, list items duplicated, the text truncated. A second
+strategy keeps the files intact and replaces one numeric option with NaN,
++-inf, a negative or a huge value. Every command must exit 0, 1 or 2
+without an uncaught exception or a failed entropy bound, and never exit 0
+with a non-finite number in its output or a CSV number longer than
+MAX_CSV_FIELD. A third strategy keeps the files valid (states permuted,
+rephased or relabelled, or one probability zeroed and the rest
+renormalised); there every command must exit 0, simulate's refusal of
+side information aside, and a blind source's curve must not move.
 """
 
+import cmath
 import contextlib
 import copy
 import io
@@ -22,6 +26,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from eacomp import cli
+from eacomp.ensemble import load_ensemble
+from eacomp.schumacher import fidelity_curve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FILES = {p.name: json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))}
@@ -63,7 +69,7 @@ WRONG = st.one_of(
     st.lists(st.floats(-2, 2), max_size=3),
     st.just([[1.0, 0.0]]),
     st.just([[math.nan, 0.0], [0.0, math.inf]]),
-)
+).map(copy.deepcopy)  # a fresh value each draw: later mutations change it in place
 
 
 def node_paths(node, prefix=()):
@@ -180,3 +186,66 @@ def test_huge_block_length_is_skipped(workdir):
         assert code == 0
         assert out == f"n,Q,fidelity\n2,0.900000,{fidelity}\n"
         assert err.startswith(f"skipped n={10**30}: {reason}")
+
+
+# every command, at settings that keep an example short
+VALID_COMMANDS = (
+    ["rates"],
+    ["region", "--kind", "EQ"],
+    ["simulate", "--rate", "0.8", "--n", "1,2,3"],
+    ["iepsilon", "--eps", "0,0.1", "--restarts", "2", "--max-iters", "20"],
+)
+SIM_NS = [1, 2, 3]
+
+
+def _rephased(amplitudes, phase):
+    return [[z.real, z.imag] for z in (complex(re, im) * phase for re, im in amplitudes)]
+
+
+@st.composite
+def valid_files(draw):
+    """One of data/*.json under mutations that keep it a valid source. Returns
+    the file name, the text, and whether the source is the same up to the
+    order of its states, their global phases and their labels."""
+    name = draw(st.sampled_from(sorted(FILES)))
+    states = copy.deepcopy(FILES[name]["states"])
+    same = True
+    for how in draw(st.lists(st.sampled_from(["permute", "rephase", "relabel", "zero"]), min_size=1, max_size=3)):
+        if how == "permute":
+            states = draw(st.permutations(states))
+        elif how == "rephase":
+            for state in states:
+                for key in ("psi", "sigma"):
+                    if key in state:
+                        state[key] = _rephased(state[key], cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+        elif how == "relabel":
+            labels = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+                                   min_size=len(states), max_size=len(states), unique=True))
+            for state, label in zip(states, labels):
+                state["label"] = label
+        else:
+            live = [i for i, state in enumerate(states) if state["prob"] > 0.0]
+            if len(live) > 1:
+                states[draw(st.sampled_from(live))]["prob"] = 0.0
+                total = sum(state["prob"] for state in states)
+                for state in states:
+                    state["prob"] /= total
+                same = False
+    return name, json.dumps({**FILES[name], "states": states}), same
+
+
+@given(source=valid_files())
+def test_valid_files_run_clean(workdir, source):
+    name, text, same = source
+    path = workdir / "valid.json"
+    path.write_text(text)
+    blind = load_ensemble(str(path)).is_blind()
+    for command in VALID_COMMANDS:
+        code, _, err = assert_clean_run([command[0], str(path), *command[1:]])
+        refused = command[0] == "simulate" and not blind
+        assert code == (1 if refused else 0), (command, err)
+    if blind and same:
+        got = fidelity_curve(load_ensemble(str(path)), SIM_NS, 0.8).points
+        want = fidelity_curve(load_ensemble(str(DATA / name)), SIM_NS, 0.8).points
+        assert [n for n, _ in got] == SIM_NS == [n for n, _ in want]
+        assert all(abs(f - w) <= 1e-12 for (_, f), (_, w) in zip(got, want)), (got, want)
