@@ -12,7 +12,6 @@ from .decomposition import (
     Decomposition,
     irreducible_components,
     is_irreducible,
-    overlap_graph,
 )
 from .ensemble import (
     Ensemble,
@@ -79,14 +78,4 @@ from .schumacher import (
     fidelity_curve,
     simulate_fidelity,
 )
-from .states import (
-    DensityMatrix,
-    PureStateVector,
-    SubsystemLayout,
-    eig_hermitian,
-    entropy_from_probs,
-    partial_trace,
-    pure_fidelity,
-    single,
-    von_neumann_entropy,
-)
+from .states import DensityMatrix, eig_hermitian, entropy_from_probs, von_neumann_entropy

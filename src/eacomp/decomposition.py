@@ -33,15 +33,6 @@ def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
     return link | link.T
 
 
-def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
-    """Boolean adjacency over items, edge iff |<joint_i|joint_j>| > tol; the
-    diagonal and the rows and columns of zero-probability items are False."""
-    sup = list(e.overlaps.support)
-    adj = np.zeros((e.size, e.size), dtype=bool)
-    adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
-    return adj
-
-
 def _part_labels(link: np.ndarray) -> np.ndarray:
     """The smallest index in each node's connected part of a symmetric
     adjacency: every label falls to its least neighbour's label, then to

@@ -38,7 +38,7 @@ from .errors import (
     EacompError,
     NotAStateError,
 )
-from .states import NORM_ATOL, DensityMatrix, SubsystemLayout, frozen_copy, single
+from .states import NORM_ATOL, DensityMatrix, frozen_copy
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -165,13 +165,14 @@ class Overlaps:
         labels, dims = self._factors(keep)
         _check_side(math.prod(dims))
         v = self.vectors(labels)
-        return DensityMatrix(SubsystemLayout(labels, dims), (self.probs[:, None] * v).T @ v.conj(), check=False)
+        return DensityMatrix((self.probs[:, None] * v).T @ v.conj(), check=False)
 
     def density(self, keep) -> DensityMatrix:
         """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
-        (layout "X") when that side is smaller. The two share their nonzero
-        spectrum, so either gives the entropy. The Gram side is read from
-        the overlap matrices; the joint rows on A (x) C are never formed for it."""
+        (one row per support item) when that side is smaller. The two share
+        their nonzero spectrum, so either gives the entropy. The Gram side is
+        read from the overlap matrices; the joint rows on A (x) C are never
+        formed for it."""
         labels, dims = self._factors(keep)
         if len(self.probs) >= math.prod(dims):
             return self.marginal(labels)
@@ -182,7 +183,7 @@ class Overlaps:
         else:
             gram = self.psi_gram * self.sigma_gram
         amp = np.sqrt(self.probs)
-        return DensityMatrix(single("X", len(amp)), np.outer(amp, amp) * gram, check=False)
+        return DensityMatrix(np.outer(amp, amp) * gram, check=False)
 
     def _factors(self, keep) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """Labels and dims of the kept factors, A before C; keep must be a

@@ -16,7 +16,7 @@ class NotAStateError(EacompError):
 
 
 class LayoutMismatchError(EacompError):
-    """Operands carry incompatible subsystem layouts or dimensions."""
+    """Operands carry incompatible shapes or dimensions."""
 
 
 class LabelError(EacompError):

@@ -1,15 +1,16 @@
 """Dense reference computations for the tests.
 
 Everything above the Gram section works on full density matrices built
-item by item, with no overlap matrices and no Gram spectra, so it shares
-no arithmetic with the package's analysis. The Gram section keeps the
-support-sized forms the analysis once used, as oracles for its
-per-component spectra: the [y = y']-masked N x N Gram matrix and the
-renormalised rows of one component. The last section keeps earlier
-per-row, graph-rebuilding, prefix-tree and fsum forms of package
-routines, as oracles for their array forms, the per-code simulator
-(np.unique keys, products folded for each code, every index tuple
-enumerated) as the oracle for the per-curve tables, and the
+item by item and reduced by reshape-and-trace partial traces, with no
+overlap matrices and no Gram spectra, so it shares no arithmetic with
+the package's analysis. The Gram section keeps the support-sized forms
+the analysis once used, as oracles for its per-component spectra: the
+[y = y']-masked N x N Gram matrix and the renormalised rows of one
+component. The last section keeps earlier per-row, graph-rebuilding,
+prefix-tree and fsum forms of package routines, as oracles for their
+array forms, the N x N overlap graph over all items, the per-code
+simulator (np.unique keys, products folded for each code, every index
+tuple enumerated) as the oracle for the per-curve tables, and the
 one-isometry kernel and the one-walk-at-a-time isometry search, as
 oracles for the stacked kernel and the lockstep search.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from eacomp._accel import BlockFidelity, _entropy_pull, _exact_sum
 from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition, _part_labels, _support_graph
 from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, reduced
-from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError
+from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError, LayoutMismatchError
 from eacomp.iepsilon import (
     ARMIJO,
     FEASIBILITY_SLACK,
@@ -40,15 +41,7 @@ from eacomp.iepsilon import (
     objective,
 )
 from eacomp.schumacher import CodeSpace, _check_sequences, _checked_rank
-from eacomp.states import (
-    DensityMatrix,
-    SubsystemLayout,
-    _require_same_layout,
-    eig_hermitian,
-    partial_trace,
-    single,
-    von_neumann_entropy,
-)
+from eacomp.states import DensityMatrix, eig_hermitian, von_neumann_entropy
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -70,15 +63,29 @@ def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
     return Ensemble([e.labels[i] for i in sup], e.probs[sup], e.psi[sup], sigma)
 
 
-def entropy(m: DensityMatrix) -> float:
-    evs = np.clip(np.linalg.eigvalsh(m.entries), 0.0, None)
+def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Trace out of m, an operator on the product of factors of the given
+    dims, every factor whose index is not in keep; the kept factors stay
+    in their order."""
+    k = len(dims)
+    keep = sorted(set(keep))
+    perm = keep + [i for i in range(k) if i not in keep]
+    tens = np.asarray(m).reshape(tuple(dims) * 2).transpose(perm + [k + i for i in perm])
+    dk = math.prod(dims[i] for i in keep)
+    dt = math.prod(dims) // dk
+    return np.einsum("iaja->ij", tens.reshape(dk, dt, dk, dt))
+
+
+def entropy(m: np.ndarray) -> float:
+    evs = np.clip(np.linalg.eigvalsh(m), 0.0, None)
     evs = evs[evs > 1e-300]
     return float(-(evs * np.log2(evs)).sum())
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity, trace-norm convention (1 for identical states)."""
-    _require_same_layout(a.layout, b.layout)
+    if a.dim != b.dim:
+        raise LayoutMismatchError(f"matrix sides differ: {a.dim} vs {b.dim}")
     evs, vecs = eig_hermitian(a)
     sqrt_a = (vecs * np.sqrt(evs)) @ vecs.conj().T
     inner = sqrt_a @ b.entries @ sqrt_a
@@ -97,12 +104,12 @@ def dense_profile(e: Ensemble, d: Decomposition) -> dict:
     for prob, psi, sigma in zip(ext.probs, ext.psi, ext.sigma):
         v = np.kron(psi, sigma)
         rho += prob * np.outer(v, v.conj())
-    acy = DensityMatrix(SubsystemLayout(("A", "C", "Y"), dims), rho)
+    DensityMatrix(rho)  # refuses a rho that is not Hermitian with unit trace
     out = {
-        "S_A": entropy(partial_trace(acy, {"A"})),
-        "S_Y": entropy(partial_trace(acy, {"Y"})),
-        "S_CY": entropy(partial_trace(acy, {"C", "Y"})),
-        "S_ACY": entropy(acy),
+        "S_A": entropy(partial_trace(rho, dims, {0})),
+        "S_Y": entropy(partial_trace(rho, dims, {2})),
+        "S_CY": entropy(partial_trace(rho, dims, {1, 2})),
+        "S_ACY": entropy(rho),
     }
     out["S_A_given_CY"] = out["S_ACY"] - out["S_CY"]
     return out
@@ -136,15 +143,15 @@ def components(e: Ensemble, tol: float) -> list[set[str]]:
 
 def y_masked_gram(e: Ensemble, ys: np.ndarray, *overlaps: np.ndarray) -> DensityMatrix:
     """sqrt(p_x p_x') [y(x) = y(x')] times the given overlap matrices, one
-    row per support item of e, whose component indices are ys (layout "X")."""
+    row per support item of e, whose component indices are ys."""
     amp = np.sqrt(e.overlaps.probs)
     gram = reduce(np.multiply, overlaps, np.outer(amp, amp))
-    return DensityMatrix(single("X", len(ys)), gram * (ys[:, None] == ys[None, :]), check=False)
+    return DensityMatrix(gram * (ys[:, None] == ys[None, :]), check=False)
 
 
 def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     """Gram matrix of the Y-extended signals sqrt(p_x) |psi_x sigma_x y(x)>,
-    one row per support item (layout "X").
+    one row per support item.
 
     Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
     cross-component overlaps at or below the decomposition tolerance.
@@ -196,6 +203,15 @@ def validate_per_row(e: Ensemble) -> list[str]:
     for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
     return out
+
+
+def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
+    """Boolean adjacency over items, edge iff |<joint_i|joint_j>| > tol; the
+    diagonal and the rows and columns of zero-probability items are False."""
+    sup = list(e.overlaps.support)
+    adj = np.zeros((e.size, e.size), dtype=bool)
+    adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
+    return adj
 
 
 def _links(e: Ensemble, d: Decomposition, tol: float):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from dense_oracle import extend_with_y, given
+from dense_oracle import extend_with_y, given, overlap_graph
 from eacomp import decomposition
 from eacomp.decomposition import (
     DEFAULT_OVERLAP_TOL,
@@ -11,7 +11,6 @@ from eacomp.decomposition import (
     check_components,
     irreducible_components,
     is_irreducible,
-    overlap_graph,
     overlaps_across_components,
 )
 from eacomp.ensemble import Ensemble, make_blind, make_visible

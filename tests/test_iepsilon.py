@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from eacomp import cli, iepsilon
+from eacomp import cli, iepsilon, limits
+from test_ensemble import traced_peak
 from test_properties import sources
 from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
-from eacomp.errors import ConsistencyError, EacompError, IsometryError
+from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, IsometryError
 from eacomp.iepsilon import (
     FEASIBILITY_SLACK,
     MAX_RESTARTS,
@@ -30,7 +31,7 @@ from eacomp.iepsilon import (
     penalised_objective,
 )
 from eacomp.rates import analyze
-from eacomp.states import entropy_from_probs
+from eacomp.states import check_isometry, entropy_from_probs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -206,6 +207,25 @@ class TestObjective:
         rng = np.random.default_rng(8)
         with pytest.raises(EacompError):
             objective(e, rand_isometry(rng, 7, 2))  # 7 not a multiple of 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        v = identity_isometry(2, 2)
+        v[3, 1] = bad
+        with pytest.raises(IsometryError, match="deviate from orthonormal"):
+            check_isometry(v)
+        with pytest.raises(IsometryError, match="deviate from orthonormal"):
+            objective(blind_pair(), v)
+
+    def test_output_refused_before_it_is_formed(self, monkeypatch):
+        # one 2000 x 2000 output state would take 64 MB
+        e = blind_pair()
+        v = identity_isometry(2, 1000)
+        monkeypatch.setattr(limits, "MATRIX_CAP", 100)
+        with pytest.raises(DimensionLimitError, match="^matrix side 2000 exceeds cap 100$"):
+            with traced_peak() as peak:
+                objective(e, v)
+        assert peak[0] < 2 * 2**20
 
 
 class TestEstimator:

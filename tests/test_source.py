@@ -1,10 +1,17 @@
 """Static checks over the package source (no linter is a dependency)."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+import eacomp
+from eacomp.ensemble import make_blind, reduced
+from eacomp.states import von_neumann_entropy
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eacomp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
@@ -48,3 +55,30 @@ def test_readme_library_lists_the_exports():
     assert sorted(package_exports() - errors - backticked(library)) == []
     listed = backticked(library.split("The package root exports:", 1)[1])
     assert sorted(n for n in listed if n.isidentifier() and n not in package_exports()) == []
+
+
+def load_spans(monkeypatch):
+    """perfbench/spans.py, the benchmark's tracer, loaded by path and
+    left unchanged; registered while the test runs, as its dataclasses
+    need."""
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reads_a_present_surface(monkeypatch):
+    """The names perfbench's per-layer metrics and its run header read
+    exist, so the benchmark cannot lose a layer by reporting it absent."""
+    spans = load_spans(monkeypatch)
+    for module, funcs in spans.WRAPPED.items():
+        home = importlib.import_module(f"eacomp.{module}")
+        for name in funcs:
+            assert callable(getattr(home, name, None)), f"eacomp.{module}.{name}"
+    e = make_blind([[1, 0], [2**-0.5, 2**-0.5]], [0.5, 0.5])
+    rho = reduced(e, {"A"})
+    assert spans._eig_side((rho,), {}, von_neumann_entropy(rho)) == {"side": 2}
+    assert isinstance(eacomp.NUMBA_AVAILABLE, bool)
+    assert eacomp.active_backend() == "numpy"
