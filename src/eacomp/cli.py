@@ -67,11 +67,10 @@ def _dump_json(obj: dict) -> str:
 
 def _load(args) -> Ensemble:
     e = load_ensemble(args.ensemble)
-    if getattr(args, "apply_cnot", False):
+    if args.apply_cnot:
         e = apply_product_unitary(e, cnot_unitary())
-    pre = getattr(args, "pre_unitary", None)
-    if pre:
-        with open(pre, "r", encoding="utf-8") as fh:
+    if args.pre_unitary:
+        with open(args.pre_unitary, "r", encoding="utf-8") as fh:
             e = apply_product_unitary(e, matrix_from_json(json.load(fh), "--pre-unitary"))
     return e
 
@@ -206,19 +205,17 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, output=True):
+def _add_common(p: argparse.ArgumentParser):
+    """The input, tolerance, output, cap and preprocessing options every
+    subcommand but validate takes."""
     p.add_argument("ensemble", help="path to an ensemble JSON file")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL,
                    help="overlap tolerance for the component graph (default %(default)s)")
-    if output:
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p.add_argument("--vector-cap", type=int, default=None, help="override the state-vector size cap")
     p.add_argument("--matrix-cap", type=int, default=None, help="override the density-matrix side cap")
     p.add_argument("--sequence-cap", type=int, default=None, help="override the sequence-enumeration cap")
     p.add_argument("--code-dim-cap", type=int, default=None, help="override the block-dimension cap")
-
-
-def _add_preprocess(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--apply-cnot", action="store_true",
                        help="rewrite signals under a CNOT from A onto C before the computation")
@@ -247,17 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="irreducible components of the source")
     _add_common(p)
-    _add_preprocess(p)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("rates", help="entropy profile and optimal rates")
     _add_common(p)
-    _add_preprocess(p)
     p.set_defaults(fn=cmd_rates)
 
     p = sub.add_parser("region", help="boundary polyline of an achievable region")
     _add_common(p)
-    _add_preprocess(p)
     p.add_argument("--kind", choices=("EQ", "CE"), required=True,
                    help="EQ: qubit/ebit region; CE: classical/ebit region (blind sources)")
     p.add_argument("--samples", type=int, default=64)
@@ -270,14 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-blocklength fidelity of typical-subspace coding")
     _add_common(p)
-    _add_preprocess(p)
     p.add_argument("--rate", type=_finite, required=True, help="qubit rate Q")
     p.add_argument("--n", required=True, help="comma-separated block lengths")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("iepsilon", help="certified lower bounds on extractable label information")
     _add_common(p)
-    _add_preprocess(p)
     p.add_argument("--eps", required=True, help="comma-separated disturbance levels in [0, 1]")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-iters", type=int, default=200,

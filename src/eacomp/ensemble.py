@@ -32,13 +32,11 @@ from . import limits
 from .errors import (
     DimensionLimitError,
     EnsembleFormatError,
-    IsometryError,
     LabelError,
     LayoutMismatchError,
     EacompError,
-    NotAStateError,
 )
-from .states import NORM_ATOL, DensityMatrix, frozen_copy
+from .states import NORM_ATOL, DensityMatrix, check_isometry, check_side, frozen_copy, gram, mixture
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -143,11 +141,11 @@ class Overlaps:
 
     @cached_property
     def psi_gram(self) -> np.ndarray:
-        return _gram(self.psi)
+        return gram(self.psi)
 
     @cached_property
     def sigma_gram(self) -> np.ndarray:
-        return _gram(self.sigma)
+        return gram(self.sigma)
 
     def vectors(self, keep) -> np.ndarray:
         """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
@@ -163,9 +161,8 @@ class Overlaps:
         """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product,
         refused above MATRIX_CAP before it is formed."""
         labels, dims = self._factors(keep)
-        _check_side(math.prod(dims))
-        v = self.vectors(labels)
-        return DensityMatrix((self.probs[:, None] * v).T @ v.conj(), check=False)
+        check_side(math.prod(dims))
+        return DensityMatrix(mixture(self.probs, self.vectors(labels)), check=False)
 
     def density(self, keep) -> DensityMatrix:
         """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
@@ -195,43 +192,38 @@ class Overlaps:
         return tuple(l for l, _ in pairs), tuple(d for _, d in pairs)
 
 
-def _check_side(side: int):
-    if side > limits.MATRIX_CAP:
-        raise DimensionLimitError(f"matrix side {side} exceeds cap {limits.MATRIX_CAP}")
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """[<v_x|v_x'>] over the rows, refused above MATRIX_CAP before the product."""
-    _check_side(len(rows))
-    return rows.conj() @ rows.T
-
-
-def _unit_rows(states) -> np.ndarray:
-    """The states stacked as rows; each must be a unit vector of the first one's shape."""
+def _stacked_rows(states) -> np.ndarray:
+    """The states stacked as rows; each must have the first one's shape."""
     rows = [np.asarray(s, dtype=np.complex128) for s in states]
     for i, row in enumerate(rows):
         if row.shape != rows[0].shape:
             raise LayoutMismatchError(f"state {i} has shape {row.shape}, state 0 has {rows[0].shape}")
-        nrm = float(np.linalg.norm(row))
-        if not abs(nrm - 1.0) <= NORM_ATOL:  # NaN fails too
-            raise NotAStateError(f"state {i}: vector norm {nrm!r} deviates from 1 beyond {NORM_ATOL}")
     return np.array(rows)
 
 
-def _default_labels(labels, n: int) -> list[str]:
-    return list(labels) if labels is not None else [str(i) for i in range(n)]
+def _checked(psi: np.ndarray, sigma: np.ndarray, probs, labels) -> Ensemble:
+    """The Ensemble of these rows, labelled 0, 1, ... by default; raises
+    EnsembleFormatError with validate's lines when it reports any."""
+    labels = list(labels) if labels is not None else [str(i) for i in range(len(psi))]
+    e = Ensemble(labels, probs, psi, sigma)
+    problems = validate(e)
+    if problems:
+        raise EnsembleFormatError(problems)
+    return e
 
 
 def make_blind(states, probs, labels=None) -> Ensemble:
-    """Ensemble with trivial side information (dimC = 1)."""
-    psi = _unit_rows(states)
-    return Ensemble(_default_labels(labels, len(psi)), probs, psi, np.ones((len(psi), 1)))
+    """Ensemble with trivial side information (dimC = 1), refused as
+    validate() reports."""
+    psi = _stacked_rows(states)
+    return _checked(psi, np.ones((len(psi), 1)), probs, labels)
 
 
 def make_visible(states, probs, labels=None) -> Ensemble:
-    """Ensemble whose side information is a classical copy of the label."""
-    psi = _unit_rows(states)
-    return Ensemble(_default_labels(labels, len(psi)), probs, psi, np.eye(len(psi)))
+    """Ensemble whose side information is a classical copy of the label,
+    refused as validate() reports."""
+    psi = _stacked_rows(states)
+    return _checked(psi, np.eye(len(psi)), probs, labels)
 
 
 def validate(e: Ensemble) -> list[str]:
@@ -251,7 +243,7 @@ def validate(e: Ensemble) -> list[str]:
     for rows in (e.psi, e.sigma):
         with np.errstate(invalid="ignore", over="ignore"):  # NaN or inf flags the row
             dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
-        faulty |= ~(dev <= _NORM_ATOL - _NORM_SCREEN)
+        faulty |= ~(dev <= NORM_ATOL - _NORM_SCREEN)
     out = []
     for i in np.flatnonzero(faulty).tolist():
         out.extend(_row_faults(e, i))
@@ -267,8 +259,7 @@ def validate(e: Ensemble) -> list[str]:
     return out
 
 
-# the norm deviation validate reports, and the margin of its array screen
-_NORM_ATOL = 1e-9
+# the margin of validate's array screen below NORM_ATOL
 _NORM_SCREEN = 1e-10
 
 
@@ -289,7 +280,7 @@ def _row_faults(e: Ensemble, i: int) -> list[str]:
         if bad.size:
             continue
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > _NORM_ATOL:
+        if abs(nrm - 1.0) > NORM_ATOL:
             out.append(f"{where}: {name} norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     return out
 
@@ -340,9 +331,7 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
     d = e.dim_a * e.dim_c
     if u.shape != (d, d):
         raise LayoutMismatchError(f"unitary shape {u.shape} does not match A(x)C dim {d}")
-    err = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if not err <= 1e-8:  # NaN fails too
-        raise IsometryError(f"matrix deviates from unitary by {err!r}")
+    check_isometry(u)
     joints = (e.psi[:, :, None] * e.sigma[:, None, :]).reshape(e.size, d)
     # u times each joint as a column rounds as the per-signal u @ w does; joints @ u.T would not
     w = u @ joints[:, :, None]

@@ -12,7 +12,7 @@ class EacompError(Exception):
 
 
 class NotAStateError(EacompError):
-    """A vector or matrix fails the structural checks for a quantum state."""
+    """A matrix fails the structural checks for a density matrix."""
 
 
 class LayoutMismatchError(EacompError):

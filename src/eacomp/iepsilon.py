@@ -58,10 +58,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ._accel import unitary_objective
-from .ensemble import Ensemble, _check_side, reduced, tensor_power
+from .ensemble import Ensemble, reduced, tensor_power
 from .errors import ConsistencyError, EacompError
 from .rates import Analysis, analyze
-from .states import DensityMatrix, check_isometry, von_neumann_entropy
+from .states import DensityMatrix, check_isometry, check_side, von_neumann_entropy
 
 FEASIBILITY_SLACK = 1e-9
 VERIFY_ATOL = 1e-8
@@ -150,7 +150,7 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
         raise EacompError(f"isometry input dim {v.shape[1]} != dimA*dimC = {d_in}")
     if v.shape[0] % d_in:
         raise EacompError(f"output dim {v.shape[0]} is not a multiple of {d_in}")
-    _check_side(v.shape[0])
+    check_side(v.shape[0])
     dims = (v.shape[0] // d_in, e.dim_a, e.dim_c)
 
     probs, joints = e.overlaps.probs, e.overlaps.vectors({"A", "C"})

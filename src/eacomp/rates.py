@@ -52,7 +52,7 @@ from .decomposition import (
 )
 from .ensemble import Ensemble, Overlaps
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
-from .states import clamped_spectra, entropy_from_probs, row_entropies, von_neumann_entropy
+from .states import clamped_spectra, entropy_from_probs, gram, mixture, row_entropies, von_neumann_entropy
 
 CONSISTENCY_ATOL = 1e-6
 CROSS_CHECK_ATOL = 1e-9
@@ -116,16 +116,6 @@ def _conditional(probs: np.ndarray, ys: np.ndarray, d: Decomposition) -> np.ndar
     return probs / q[ys]
 
 
-def _row_gram(rows: np.ndarray) -> np.ndarray:
-    """[<v_x|v_x'>] of each stacked row set, formed as for the support."""
-    return rows.conj() @ np.swapaxes(rows, -1, -2)
-
-
-def _marginal(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_x probs_x |v_x><v_x| of each stacked row set."""
-    return np.swapaxes(probs[..., None] * rows, -1, -2) @ rows.conj()
-
-
 def _spectra(ov: Overlaps, groups, probs: np.ndarray, sliced: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Spectra of sum_x probs_x |v_x><v_x| over each component's rows, for
     v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one
@@ -148,15 +138,15 @@ def _spectra(ov: Overlaps, groups, probs: np.ndarray, sliced: bool) -> tuple[lis
                 cut = (idx[:, :, None], idx[:, None, :])
                 psi_gram, sigma_gram = ov.psi_gram[cut], ov.sigma_gram[cut]
             else:
-                psi_gram, sigma_gram = _row_gram(ov.psi[idx]), _row_gram(ov.sigma[idx])
+                psi_gram, sigma_gram = gram(ov.psi[idx]), gram(ov.sigma[idx])
             amp = np.sqrt(p)
             outer = amp[..., :, None] * amp[..., None, :]
             ac = outer * (psi_gram * sigma_gram)
         else:
             psi, sigma = ov.psi[idx], ov.sigma[idx]
-            ac = _marginal(p, (psi[..., :, None] * sigma[..., None, :]).reshape(*idx.shape, -1))
+            ac = mixture(p, (psi[..., :, None] * sigma[..., None, :]).reshape(*idx.shape, -1))
         # k < dim_c <= dim_a dim_c: the Gram branch above has run
-        c = outer * sigma_gram if k < dim_c else _marginal(p, ov.sigma[idx])
+        c = outer * sigma_gram if k < dim_c else mixture(p, ov.sigma[idx])
         out_c.append(clamped_spectra(c))
         out_ac.append(clamped_spectra(ac))
     return out_c, out_ac

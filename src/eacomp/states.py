@@ -4,6 +4,11 @@ A DensityMatrix wraps a square array; the package's marginals and Gram
 matrices come as one, and the spectra and entropies take one. Its
 entries are a read-only copy.
 
+The package's one check of a matrix side against MATRIX_CAP is
+check_side, run before any matrix is formed. Over rows v_x (the last
+axis, with any leading stack axes), gram forms the overlaps
+[<v_x|v_x'>] and mixture the sum_x p_x |v_x><v_x|.
+
 All entropies are base-2 (bits). Eigenvalues of density matrices are
 clamped to [0, 1] after a tolerance check; anything below -1e-9 is
 rejected as not a state rather than silently clipped.
@@ -53,8 +58,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise LayoutMismatchError(f"matrix shape {m.shape} is not square")
         d = m.shape[0]
-        if d > limits.MATRIX_CAP:
-            raise DimensionLimitError(f"matrix side {d} exceeds cap {limits.MATRIX_CAP}")
+        check_side(d)
         if self.check:
             if not np.isfinite(m).all():
                 raise NotAStateError("matrix has non-finite entries")
@@ -70,15 +74,37 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def clamped_spectra(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a
-    stack of them (one batched eigvalsh), clamped to [0, 1] after the
-    negativity check."""
-    evs = np.linalg.eigvalsh(m)
+def check_side(side: int):
+    """Refuse a matrix side above MATRIX_CAP."""
+    if side > limits.MATRIX_CAP:
+        raise DimensionLimitError(f"matrix side {side} exceeds cap {limits.MATRIX_CAP}")
+
+
+def gram(rows: np.ndarray) -> np.ndarray:
+    """[<v_x|v_x'>] of each stacked row set, refused above MATRIX_CAP
+    before the product."""
+    check_side(rows.shape[-2])
+    return rows.conj() @ np.swapaxes(rows, -1, -2)
+
+
+def mixture(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_x probs_x |v_x><v_x| of each stacked row set."""
+    return np.swapaxes(probs[..., None] * rows, -1, -2) @ rows.conj()
+
+
+def _clamped(evs: np.ndarray) -> np.ndarray:
+    """evs clamped to [0, 1]; NotAStateError when one is below EIGENVALUE_FLOOR."""
     lo = float(evs.min()) if evs.size else 0.0
     if lo < EIGENVALUE_FLOOR:
         raise NotAStateError(f"negative eigenvalue {lo!r} below tolerance {EIGENVALUE_FLOOR}")
     return np.clip(evs, 0.0, 1.0)
+
+
+def clamped_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a
+    stack of them (one batched eigvalsh), clamped to [0, 1] after the
+    negativity check."""
+    return _clamped(np.linalg.eigvalsh(m))
 
 
 def eig_hermitian(m: DensityMatrix):
@@ -89,11 +115,7 @@ def eig_hermitian(m: DensityMatrix):
     negativity check.
     """
     evs, vecs = np.linalg.eigh(m.entries)
-    lo = float(evs.min()) if evs.size else 0.0
-    if lo < EIGENVALUE_FLOOR:
-        raise NotAStateError(f"negative eigenvalue {lo!r} below tolerance {EIGENVALUE_FLOOR}")
-    evs = np.clip(evs, 0.0, 1.0)
-    return evs[::-1].copy(), vecs[:, ::-1].copy()
+    return _clamped(evs)[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def entropy_from_probs(p: np.ndarray) -> float:
@@ -119,8 +141,9 @@ def von_neumann_entropy(m: DensityMatrix) -> float:
 
 def check_isometry(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] < v.shape[1]:
-        raise IsometryError(f"isometry must be tall or square, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[0] < v.shape[1] or not v.shape[1]:
+        raise IsometryError(
+            f"isometry must be tall or square with at least one column, got shape {v.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry makes err NaN or inf
         err = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
     if not err <= ISOMETRY_ATOL:  # NaN fails too

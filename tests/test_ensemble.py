@@ -31,7 +31,6 @@ from eacomp.errors import (
     IsometryError,
     LabelError,
     LayoutMismatchError,
-    NotAStateError,
 )
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -120,10 +119,27 @@ class TestConstructors:
         assert {e: 1}[e] == 1
 
     def test_constructors_refuse_bad_states(self):
-        with pytest.raises(NotAStateError):
+        with pytest.raises(EnsembleFormatError, match="psi norm deviates from 1"):
             make_blind([[1, 0], [1, 1]], [0.5, 0.5])
         with pytest.raises(LayoutMismatchError):
             make_visible([[1, 0], [1, 0, 0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("probs, labels", [
+        ([0.5, 0.7], None),
+        ([math.nan, 0.5], None),
+        ([0.5, 0.5], ["a", "a"]),
+    ], ids=["sum", "nan", "duplicate-label"])
+    @pytest.mark.parametrize("make, sigma", [
+        (make_blind, np.ones((2, 1))),
+        (make_visible, np.eye(2)),
+    ], ids=["blind", "visible"])
+    def test_constructors_refuse_what_validate_reports(self, make, sigma, probs, labels):
+        states = [[1, 0], PLUS]
+        expected = validate(Ensemble(labels or ["0", "1"], probs, states, sigma))
+        assert expected
+        with pytest.raises(EnsembleFormatError) as err:
+            make(states, probs, labels)
+        assert err.value.violations == expected
 
 
 class TestValidate:
@@ -391,6 +407,10 @@ class TestProductUnitary:
             apply_product_unitary(sideinfo_triple(), np.eye(4) * 0.5)
         with pytest.raises(IsometryError, match="nan"):
             apply_product_unitary(sideinfo_triple(), np.full((4, 4), np.nan))
+        u = np.eye(4)
+        u[1, 2] = np.inf
+        with pytest.raises(IsometryError, match="deviate from orthonormal"):
+            apply_product_unitary(sideinfo_triple(), u)  # a RuntimeWarning would fail the test too
         with pytest.raises(LayoutMismatchError):
             apply_product_unitary(blind_pair(), np.eye(4))
 

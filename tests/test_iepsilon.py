@@ -217,6 +217,12 @@ class TestObjective:
         with pytest.raises(IsometryError, match="deviate from orthonormal"):
             objective(blind_pair(), v)
 
+    def test_rejects_isometries_without_columns(self):
+        with pytest.raises(IsometryError, match="tall or square"):
+            objective(load_ensemble(DATA / "blind_pair.json"), np.zeros((0, 0)))
+        with pytest.raises(IsometryError, match="tall or square"):
+            check_isometry(np.zeros((3, 0)))
+
     def test_output_refused_before_it_is_formed(self, monkeypatch):
         # one 2000 x 2000 output state would take 64 MB
         e = blind_pair()

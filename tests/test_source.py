@@ -34,6 +34,22 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names, dunders aside, imported from a module of the package."""
+    return sorted(
+        f"from {'.' * node.level}{node.module or ''} import {a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("eacomp"))
+        for a in node.names
+        if a.name.startswith("_") and not a.name.endswith("__")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def backticked(markdown: str) -> set[str]:
     """The inline code spans of a markdown text, fenced blocks left out,
     each without a trailing "()"."""
