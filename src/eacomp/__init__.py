@@ -25,7 +25,6 @@ from .ensemble import (
     reduced,
     save_ensemble,
     tensor_power,
-    validate,
 )
 from .errors import (
     ConsistencyError,

@@ -47,6 +47,8 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.umask(umask := os.umask(0))  # os reads the umask only by setting it
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -52,7 +52,9 @@ def check_tolerance(tol: float):
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """The source {p_x, psi_x (x) sigma_x} as rows: labels (N,), probs
-    (N,), psi (N, dimA) and sigma (N, dimC), each a read-only copy."""
+    (N,), psi (N, dimA) and sigma (N, dimC), each a read-only copy. Rows
+    that validate() faults are refused with EnsembleFormatError of its
+    lines, so every builder returns only sources that have a rate."""
 
     labels: tuple[str, ...]
     probs: np.ndarray
@@ -75,6 +77,9 @@ class Ensemble:
         for dim in (self.dim_a, self.dim_c):
             if dim > limits.VECTOR_CAP:
                 raise DimensionLimitError(f"vector dimension {dim} exceeds cap {limits.VECTOR_CAP}")
+        problems = validate(self)
+        if problems:
+            raise EnsembleFormatError(problems)
 
     @property
     def dim_a(self) -> int:
@@ -201,29 +206,18 @@ def _stacked_rows(states) -> np.ndarray:
     return np.array(rows)
 
 
-def _checked(psi: np.ndarray, sigma: np.ndarray, probs, labels) -> Ensemble:
-    """The Ensemble of these rows, labelled 0, 1, ... by default; raises
-    EnsembleFormatError with validate's lines when it reports any."""
-    labels = list(labels) if labels is not None else [str(i) for i in range(len(psi))]
-    e = Ensemble(labels, probs, psi, sigma)
-    problems = validate(e)
-    if problems:
-        raise EnsembleFormatError(problems)
-    return e
-
-
 def make_blind(states, probs, labels=None) -> Ensemble:
-    """Ensemble with trivial side information (dimC = 1), refused as
-    validate() reports."""
+    """Ensemble with trivial side information (dimC = 1), labelled 0, 1, ... by default."""
     psi = _stacked_rows(states)
-    return _checked(psi, np.ones((len(psi), 1)), probs, labels)
+    labels = map(str, range(len(psi))) if labels is None else labels
+    return Ensemble(labels, probs, psi, np.ones((len(psi), 1)))
 
 
 def make_visible(states, probs, labels=None) -> Ensemble:
-    """Ensemble whose side information is a classical copy of the label,
-    refused as validate() reports."""
+    """Ensemble whose side information is a classical copy of the label."""
     psi = _stacked_rows(states)
-    return _checked(psi, np.eye(len(psi)), probs, labels)
+    labels = map(str, range(len(psi))) if labels is None else labels
+    return Ensemble(labels, probs, psi, np.eye(len(psi)))
 
 
 def validate(e: Ensemble) -> list[str]:
@@ -291,8 +285,10 @@ def reduced(e: Ensemble, keep) -> DensityMatrix:
 
 
 def tensor_power(e: Ensemble, n: int) -> Ensemble:
-    """n independent copies, labels joined with commas, in C order of the
-    copies' item indices (item k of two copies holds items k // N, k % N)."""
+    """n independent copies, in C order of the copies' item indices (item
+    k of two copies holds items k // N, k % N). For n >= 2 the labels are
+    joined with commas, each with its backslashes and commas escaped by a
+    backslash, so distinct sequences keep distinct labels."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if e.size**n > limits.SEQUENCE_CAP:
@@ -302,9 +298,10 @@ def tensor_power(e: Ensemble, n: int) -> Ensemble:
     da, dc = e.dim_a**n, e.dim_c**n
     if da > limits.VECTOR_CAP or dc > limits.VECTOR_CAP:
         raise DimensionLimitError(f"copy dimensions {da}x{dc} exceed cap {limits.VECTOR_CAP}")
-    labels, probs, psi, sigma = list(e.labels), e.probs, e.psi, e.sigma
+    factors = [l.replace("\\", "\\\\").replace(",", "\\,") for l in e.labels] if n > 1 else e.labels
+    labels, probs, psi, sigma = list(factors), e.probs, e.psi, e.sigma
     for _ in range(n - 1):
-        labels = [f"{a},{b}" for a in labels for b in e.labels]
+        labels = [f"{a},{b}" for a in labels for b in factors]
         probs = (probs[:, None] * e.probs).ravel()
         psi = (psi[:, None, :, None] * e.psi[None, :, None, :]).reshape(len(labels), -1)
         sigma = (sigma[:, None, :, None] * e.sigma[None, :, None, :]).reshape(len(labels), -1)
@@ -429,9 +426,9 @@ def matrix_from_json(raw, where: str) -> np.ndarray:
 def ensemble_from_json(data: dict) -> Ensemble:
     """Parse and validate the interchange dict; raises EnsembleFormatError.
 
-    The parser checks structure (keys, types, shapes). Once every state is
-    built, the values are checked by validate(); a file whose structure is
-    broken reports only the structural faults.
+    The parser checks structure (keys, types, shapes); the Ensemble it
+    builds checks the values. Its lines follow the structural ones, and a
+    file whose structure is broken reports only the structural faults.
     """
     problems: list[str] = []
     if not isinstance(data, dict):
@@ -489,10 +486,10 @@ def ensemble_from_json(data: dict) -> Ensemble:
 
     # a complete state above VECTOR_CAP is refused even when other states
     # have structural faults
-    e = Ensemble(*zip(*rows)) if rows else None
-    if len(rows) < len(states):
-        raise EnsembleFormatError(problems)
-    problems.extend(validate(e))
+    try:
+        e = Ensemble(*zip(*rows)) if rows else None
+    except EnsembleFormatError as exc:
+        raise EnsembleFormatError(problems + (exc.violations if len(rows) == len(states) else [])) from None
     if problems:
         raise EnsembleFormatError(problems)
     return e

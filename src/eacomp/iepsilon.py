@@ -255,14 +255,16 @@ def _target(a: Analysis) -> _Target:
 
 
 def _pair_target(a: Analysis) -> _Target:
-    """The two-copy source of a, with Y = (y(a), y(b)) and both ceilings
-    doubled; no second analysis. tensor_power enumerates the pairs (a, b)
-    in C order, so pair item k holds items k // n and k % n."""
-    e, d = a.source, a.decomposition
-    pair = tensor_power(e, 2)
-    y = dict(zip(e.overlaps.support, d.support_ys(e)))
-    ys = np.array([y[k // e.size] * d.size + y[k % e.size] for k in pair.overlaps.support])
-    return _Target(pair, ys, 2.0 * a.profile.s_cy, 2.0 * a.profile.h_x)
+    """The two-copy source of a's support, scaled to unit probability sum
+    and row norms (a source within validate's tolerances can have a square
+    outside them), with Y = (y(a), y(b)) and both ceilings doubled; no
+    second analysis. Pair item k holds support items k // m and k % m."""
+    e, d, ov = a.source, a.decomposition, a.source.overlaps
+    psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
+    pair = tensor_power(Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma), 2)
+    ys = d.support_ys(e)
+    return _Target(pair, (ys[:, None] * d.size + ys).ravel()[list(pair.overlaps.support)],
+                   2.0 * a.profile.s_cy, 2.0 * a.profile.h_x)
 
 
 def _witness(t: _Target, env_dim: int) -> np.ndarray | None:

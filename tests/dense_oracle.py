@@ -170,20 +170,23 @@ def given(ov: Overlaps, rows, weight: float) -> Overlaps:
 # Earlier forms
 
 
-def validate_per_row(e: Ensemble) -> list[str]:
-    """ensemble.validate as one loop over the rows: a line per fault, a
-    non-finite probability or amplitude not also reported as a bad
-    probability sum or norm, and the support's sum only when the whole
+def validate_per_row(labels, probs, psi, sigma) -> list[str]:
+    """ensemble.validate as one loop over the raw rows of a source, which
+    the Ensemble constructor would refuse with these lines: a line per
+    fault, a non-finite probability or amplitude not also reported as a
+    bad probability sum or norm, and the support's sum only when the whole
     sum is within tolerance."""
     out = []
-    probs = e.probs.tolist()
-    for i, (label, prob) in enumerate(zip(e.labels, probs)):
+    labels = list(labels)
+    probs = np.asarray(probs, dtype=np.float64).tolist()
+    psi, sigma = np.asarray(psi, dtype=np.complex128), np.asarray(sigma, dtype=np.complex128)
+    for i, (label, prob) in enumerate(zip(labels, probs)):
         where = f"item {i} ({label!r})"
         if not math.isfinite(prob):
             out.append(f"{where}: probability {prob!r} is not finite")
         elif prob < -PROB_ATOL:
             out.append(f"{where}: negative probability {prob!r}")
-        for name, amps in (("psi", e.psi[i]), ("sigma", e.sigma[i])):
+        for name, amps in (("psi", psi[i]), ("sigma", sigma[i])):
             bad = np.flatnonzero(~np.isfinite(amps))
             for k in bad:
                 out.append(f"{where}: {name} has non-finite amplitudes: "
@@ -200,7 +203,7 @@ def validate_per_row(e: Ensemble) -> list[str]:
             out.append(f"probability sum deviates from 1 by {abs(total - 1.0):.3e}")
         elif not abs(support - 1.0) <= PROB_ATOL:
             out.append(f"probability sum over the support deviates from 1 by {abs(support - 1.0):.3e}")
-    for lbl in sorted(set(l for l in e.labels if e.labels.count(l) > 1)):
+    for lbl in sorted(set(l for l in labels if labels.count(l) > 1)):
         out.append(f"duplicate label {lbl!r}")
     return out
 

@@ -6,6 +6,7 @@ that `python -m eacomp.cli` writes the bytes an in-process call writes.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,6 +380,23 @@ class TestRates:
         # atomic write leaves no temp droppings
         assert not list(tmp_path.glob(".eacomp-*"))
 
+    def test_output_files_get_a_plain_files_mode(self, tmp_path, capsys):
+        # under umask 022 a plain write gives 0644, where the temp file
+        # behind the atomic write starts at 0600
+        old = os.umask(0o022)
+        try:
+            (tmp_path / "plain").write_text("")
+            out = tmp_path / "region.csv"
+            assert cli.main(["region", BLIND, "--kind", "EQ", "-o", str(out)]) == 0
+            assert cli.main(["rates", BLIND, "-o", str(tmp_path / "rates.json")]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        plain = (tmp_path / "plain").stat().st_mode
+        assert plain & 0o777 == 0o644
+        for name in ("region.csv", "region.json", "rates.json"):
+            assert (tmp_path / name).stat().st_mode == plain
+
     def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
         # -o naming a directory: the temp file is written beside it, and
         # the rename over the directory fails
@@ -422,6 +440,16 @@ class TestRates:
             assert (code, out, err) == run(["rates", BLIND], capsys)
         else:
             assert (code, out) == (1, "") and fault in err
+
+    def test_near_unitary_pre_unitary_leaves_rows_validate_refuses(self, tmp_path, capsys):
+        # (1 + 4e-9) I is within check_isometry's 1e-8 of unitary, but its
+        # rows miss validate's 1e-9 norm tolerance
+        u = tmp_path / "u.json"
+        u.write_text(json.dumps([[1 + 4e-9, 0], [0, 1 + 4e-9]]))
+        code, out, err = run(["rates", BLIND, "--pre-unitary", str(u)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"item {i} ({label!r}): psi norm deviates from 1 by 4.000e-09"
+                                    for i, label in enumerate(("zero", "plus"))]
 
     def test_decompose_refuses_overlaps_above_matrix_cap(self, capsys):
         # sideinfo_triple's overlap matrices are 3 x 3
@@ -654,6 +682,27 @@ class TestIEpsilon:
         argv = ["iepsilon", TRIPLE, "--eps", "0.1", "--restarts", restarts, "--seed", "-1"]
         assert run(argv, capsys) == (2, "", "seed must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("probs, scale", [
+        ([0.45, 0.45 - 8e-10, 0.1], 1.0),
+        ([0.45, 0.45, 0.1], 1.0 + 8e-10),
+        ([0.45, 0.45, 0.1, -5e-10], 1.0),
+    ], ids=["probability-sum", "row-norm", "negative-probability"])
+    def test_check_lemma_on_a_source_at_the_tolerances(self, tmp_path, capsys, probs, scale):
+        # the two-copy source of a source within validate's tolerances
+        # passes them too; an item at a negative probability within them
+        # is left out of the pairs
+        r = 1 / math.sqrt(2)
+        psis = [[[scale, 0], [0, 0]], [[0, 0], [1, 0]], [[r, 0], [r, 0]], [[1, 0], [0, 0]]]
+        sigmas = [[[1, 0], [0, 0]], [[1, 0], [0, 0]], [[r, 0], [r, 0]], [[0, 0], [1, 0]]]
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dimA": 2, "dimC": 2, "states": [
+            {"label": str(i), "prob": p, "psi": psis[i], "sigma": sigmas[i]} for i, p in enumerate(probs)]}))
+        assert run(["validate", str(path)], capsys)[0] == 0
+        code, out, err = run(["iepsilon", str(path), "--eps", "0,0.1", "--restarts", "1",
+                              "--max-iters", "8", "--check-lemma"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lemma_checks"]["subadditive_ok"] is True
+
     def test_check_lemma_section(self, capsys):
         code, out, _ = run(
             ["iepsilon", BLIND, "--eps", "0.0,0.1", "--restarts", "1",
@@ -675,8 +724,10 @@ class TestConsoleScript:
     def test_module_invocation_malformed_input(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("[1, 2,")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "eacomp.cli", "rates", str(bad)],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
         assert "malformed JSON" in proc.stderr
 

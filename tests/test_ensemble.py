@@ -32,6 +32,7 @@ from eacomp.errors import (
     LabelError,
     LayoutMismatchError,
 )
+from eacomp.rates import optimal_rates
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -52,6 +53,16 @@ def traced_peak():
     finally:
         peak[0] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def refusal(labels, probs, psi, sigma) -> list[str]:
+    """The lines the Ensemble constructor refuses these rows with; none
+    when it builds them."""
+    try:
+        Ensemble(labels, probs, psi, sigma)
+    except EnsembleFormatError as exc:
+        return exc.violations
+    return []
 
 
 def blind_pair():
@@ -135,24 +146,36 @@ class TestConstructors:
     ], ids=["blind", "visible"])
     def test_constructors_refuse_what_validate_reports(self, make, sigma, probs, labels):
         states = [[1, 0], PLUS]
-        expected = validate(Ensemble(labels or ["0", "1"], probs, states, sigma))
+        expected = refusal(labels or ["0", "1"], probs, states, sigma)
         assert expected
+        assert expected == validate_per_row(labels or ["0", "1"], probs, states, sigma)
         with pytest.raises(EnsembleFormatError) as err:
             make(states, probs, labels)
         assert err.value.violations == expected
 
+    @pytest.mark.parametrize("probs, psi, labels", [
+        ([0.5, 0.7], [[1, 0], [0, 1]], ["0", "1"]),
+        ([math.nan, 0.5], [[1, 0], [0, 1]], ["0", "1"]),
+        ([0.5, 0.5], [[1, 0], [0, 1]], ["a", "a"]),
+        ([0.5, 0.5], [[1, 0], [1, 1]], ["0", "1"]),
+    ], ids=["sum", "nan", "duplicate-label", "norm"])
+    def test_bare_constructor_refuses_what_validate_reports(self, probs, psi, labels):
+        # the analysis never runs: the rows are refused before it is called
+        with pytest.raises(EnsembleFormatError) as err:
+            optimal_rates(Ensemble(labels, probs, psi, np.ones((2, 1))))
+        assert err.value.violations == validate_per_row(labels, probs, psi, np.ones((2, 1)))
+        assert err.value.violations
+
 
 class TestValidate:
     def test_flags_problems(self):
-        bad = Ensemble(("x", "x"), [0.7, 0.7], [[1, 1], [1, 0]], [[1], [1]])
-        msgs = validate(bad)
+        msgs = refusal(("x", "x"), [0.7, 0.7], [[1, 1], [1, 0]], [[1], [1]])
         assert any("psi norm" in m for m in msgs)
         assert any("probability sum" in m for m in msgs)
         assert any("duplicate label" in m for m in msgs)
 
     def test_flags_non_finite(self):
-        bad = Ensemble(("p", "q"), [float("nan"), 0.5], [[1, 0], [np.inf, 0]], [[1], [1]])
-        msgs = validate(bad)
+        msgs = refusal(("p", "q"), [float("nan"), 0.5], [[1, 0], [np.inf, 0]], [[1], [1]])
         assert any("'p'): probability nan is not finite" in m for m in msgs)
         assert any("'q'): psi has non-finite amplitudes" in m for m in msgs)
 
@@ -166,8 +189,8 @@ class TestValidate:
                              ["probability sum over the support deviates from 1 by 3.000e-09"]),
                             ([0.5 + 3e-9, 0.5, -1e-9, 0.0, 0.0], ["probability sum deviates from 1 by 2.000e-09"]),
                             ([0.5, 0.5, -5e-10, 0.0, 0.0], [])):
-            e = Ensemble(tuple("abcde"), probs, [[1, 0]] * 5, [[1]] * 5)
-            assert validate(e) == want == validate_per_row(e)
+            rows = (tuple("abcde"), probs, [[1, 0]] * 5, [[1]] * 5)
+            assert refusal(*rows) == want == validate_per_row(*rows)
 
     def test_matches_per_row_loop(self):
         # fuzzed rows: non-finite amplitudes and probabilities, norms a hair
@@ -194,9 +217,8 @@ class TestValidate:
                 elif fault == 3:
                     rows[i] *= 1.0 + rng.uniform(-3e-9, 3e-9)
             labels = [str(rng.integers(0, n + 2)) for _ in range(n)]
-            e = Ensemble(labels, probs, psi, sigma)
-            lines = validate(e)
-            assert lines == validate_per_row(e)
+            lines = refusal(labels, probs, psi, sigma)
+            assert lines == validate_per_row(labels, probs, psi, sigma)
             kinds |= {line.split(": ", 1)[-1].split(" ")[0] for line in lines}
         assert {"probability", "negative", "psi", "sigma", "duplicate"} <= kinds
         assert any(near) and not all(near)  # norms just past and just inside the threshold
@@ -322,6 +344,15 @@ class TestTensorPower:
         e = make_blind([[1, 0], PLUS], [0.5, 0.5], labels=["1", "11"])
         sq = tensor_power(e, 2)
         assert len(set(sq.labels)) == 4
+
+    def test_commas_in_labels_are_escaped(self):
+        e = make_blind([[1, 0], PLUS], [0.5, 0.5], labels=["a", "a,a"])
+        assert tensor_power(e, 1).labels == ("a", "a,a")
+        sq = tensor_power(e, 2)
+        assert sq.labels == ("a,a", "a,a\\,a", "a\\,a,a", "a\\,a,a\\,a")
+        assert len(set(sq.labels)) == 4
+        e = make_blind([[1, 0], PLUS], [0.5, 0.5], labels=["\\", "\\,"])
+        assert len(set(tensor_power(e, 3).labels)) == 8
 
     def test_caps(self):
         old = limits.SEQUENCE_CAP
@@ -510,10 +541,10 @@ class TestJson:
         with pytest.raises(EnsembleFormatError) as err:
             ensemble_from_json({"dimA": 2, "states": [
                 {"label": l, "prob": p, "psi": v} for l, p, v in zip(labels, probs, psis)]})
-        in_memory = Ensemble(labels, probs, psis, [[1]] * 3)
+        in_memory = refusal(labels, probs, psis, [[1]] * 3)
         # negative prob, norm, one line per non-finite amplitude, sum, duplicate
         assert len(err.value.violations) == 6
-        assert set(err.value.violations) == set(validate(in_memory))
+        assert set(err.value.violations) == set(in_memory)
 
     def test_sigma_required_when_dimc_gt1(self):
         with pytest.raises(EnsembleFormatError, match="sigma required"):
