@@ -207,12 +207,13 @@ def _finite(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
-    """The input, tolerance, output, cap and preprocessing options every
-    subcommand but validate takes."""
+def _add_common(p: argparse.ArgumentParser, tol: bool = True):
+    """The input, output, cap and preprocessing options every subcommand
+    but validate takes, and the tolerance unless tol is false."""
     p.add_argument("ensemble", help="path to an ensemble JSON file")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL,
-                   help="overlap tolerance for the component graph (default %(default)s)")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL,
+                       help="overlap tolerance for the component graph (default %(default)s)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p.add_argument("--vector-cap", type=int, default=None, help="override the state-vector size cap")
     p.add_argument("--matrix-cap", type=int, default=None, help="override the density-matrix side cap")
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_region)
 
     p = sub.add_parser("simulate", help="finite-blocklength fidelity of typical-subspace coding")
-    _add_common(p)
+    _add_common(p, tol=False)  # the simulator reads no overlap graph
     p.add_argument("--rate", type=_finite, required=True, help="qubit rate Q")
     p.add_argument("--n", required=True, help="comma-separated block lengths")
     p.set_defaults(fn=cmd_simulate)

@@ -133,7 +133,9 @@ class Overlaps:
     sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
     Every rate quantity is invariant under U_A (x) U_C, so it depends on
     the source only through p and these two matrices. Each is built on
-    first read, and refused above MATRIX_CAP before it is formed. The
+    first read, and refused above MATRIX_CAP before it is formed. `joint`,
+    the rows psi_x (x) sigma_x on A (x) C, is built on first read too.
+    states.mixture_spectra reads a mixture's spectrum from these. The
     parts of the overlap graph are derived once per tolerance too: `roots`
     keeps, for each tolerance, the least support index of each item's part
     (see decomposition), and not the graph itself."""
@@ -152,49 +154,10 @@ class Overlaps:
     def sigma_gram(self) -> np.ndarray:
         return gram(self.sigma)
 
-    def vectors(self, keep) -> np.ndarray:
-        """Rows v_x = psi_x, sigma_x or psi_x (x) sigma_x as keep is {A},
-        {C} or {A, C}."""
-        labels, _ = self._factors(keep)
-        if labels == ("A",):
-            return self.psi
-        if labels == ("C",):
-            return self.sigma
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """The rows psi_x (x) sigma_x on A (x) C."""
         return (self.psi[:, :, None] * self.sigma[:, None, :]).reshape(len(self.probs), -1)
-
-    def marginal(self, keep) -> DensityMatrix:
-        """sum_x p_x |v_x><v_x| on the kept factors, as one matrix product,
-        refused above MATRIX_CAP before it is formed."""
-        labels, dims = self._factors(keep)
-        check_side(math.prod(dims))
-        return DensityMatrix(mixture(self.probs, self.vectors(labels)), check=False)
-
-    def density(self, keep) -> DensityMatrix:
-        """The marginal on keep, or the Gram matrix [sqrt(p_x p_x') <v_x|v_x'>]
-        (one row per support item) when that side is smaller. The two share
-        their nonzero spectrum, so either gives the entropy. The Gram side is
-        read from the overlap matrices; the joint rows on A (x) C are never
-        formed for it."""
-        labels, dims = self._factors(keep)
-        if len(self.probs) >= math.prod(dims):
-            return self.marginal(labels)
-        if labels == ("A",):
-            gram = self.psi_gram
-        elif labels == ("C",):
-            gram = self.sigma_gram
-        else:
-            gram = self.psi_gram * self.sigma_gram
-        amp = np.sqrt(self.probs)
-        return DensityMatrix(np.outer(amp, amp) * gram, check=False)
-
-    def _factors(self, keep) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """Labels and dims of the kept factors, A before C; keep must be a
-        nonempty subset of {A, C}."""
-        keep = set(keep)
-        if not keep or keep - {"A", "C"}:
-            raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
-        pairs = [(l, m.shape[1]) for l, m in (("A", self.psi), ("C", self.sigma)) if l in keep]
-        return tuple(l for l, _ in pairs), tuple(d for _, d in pairs)
 
 
 def _stacked_rows(states) -> np.ndarray:
@@ -280,8 +243,15 @@ def _row_faults(e: Ensemble, i: int) -> list[str]:
 
 
 def reduced(e: Ensemble, keep) -> DensityMatrix:
-    """Marginal of the average state on a nonempty subset of {A, C}."""
-    return e.overlaps.marginal(keep)
+    """Marginal of the average state on a nonempty subset of {A, C},
+    refused above MATRIX_CAP before it is formed."""
+    keep, dims = set(keep), {"A": e.dim_a, "C": e.dim_c}
+    if not keep or keep - dims.keys():
+        raise LabelError(f"keep must be a nonempty subset of {{'A', 'C'}}, got {sorted(keep)}")
+    check_side(math.prod(dims[k] for k in keep))
+    ov = e.overlaps
+    rows = ov.joint if len(keep) == 2 else ov.psi if "A" in keep else ov.sigma
+    return DensityMatrix(mixture(ov.probs, rows), check=False)
 
 
 def tensor_power(e: Ensemble, n: int) -> Ensemble:

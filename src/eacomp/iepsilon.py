@@ -58,10 +58,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ._accel import unitary_objective
-from .ensemble import Ensemble, reduced, tensor_power
+from .ensemble import Ensemble, tensor_power
 from .errors import ConsistencyError, EacompError
 from .rates import Analysis, analyze
-from .states import DensityMatrix, check_isometry, check_side, von_neumann_entropy
+from .states import (DensityMatrix, check_isometry, check_side, entropy_from_probs, mixture_spectra,
+                     von_neumann_entropy)
 
 FEASIBILITY_SLACK = 1e-9
 VERIFY_ATOL = 1e-8
@@ -153,7 +154,7 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
     check_side(v.shape[0])
     dims = (v.shape[0] // d_in, e.dim_a, e.dim_c)
 
-    probs, joints = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+    probs, joints = e.overlaps.probs, e.overlaps.joint
     cw_states = []
     fid = 0.0
     for p, phi in zip(probs, joints):
@@ -178,9 +179,8 @@ def i_zero_bounds(src) -> tuple[float, float]:
     The identity channel extracts I(X : C) = S(C); no lossless extraction
     can beat S(CY) of the component-extended source.
     """
-    a = analyze(src)
-    floor = von_neumann_entropy(reduced(a.source, {"C"}))
-    return floor, a.profile.s_cy
+    t = _target(analyze(src))
+    return t.identity_floor, t.s_cy
 
 
 @dataclass(frozen=True)
@@ -241,30 +241,43 @@ def _gaussian(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Target:
-    """What a search needs to know of its source: the component index of
-    each support item and the two proven ceilings."""
+    """What a search needs to know of its source: the source itself, the
+    component index of each of its items, the identity channel's
+    I(X : C) and the two proven ceilings."""
 
     source: Ensemble
     ys: np.ndarray
+    identity_floor: float
     s_cy: float
     h_x: float
 
 
+def _unit_support(e: Ensemble) -> Ensemble:
+    """e's support scaled to unit probability sum and row norms: within
+    validate's tolerances, the identity start can miss FEASIBILITY_SLACK
+    and a square can miss validate's tolerances."""
+    ov = e.overlaps
+    psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
+    return Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma)
+
+
 def _target(a: Analysis) -> _Target:
-    return _Target(a.source, a.decomposition.support_ys(a.source), a.profile.s_cy, a.profile.h_x)
+    """The search target of a's support scaled by _unit_support, with the
+    ceilings of a and the floor S(C) from the smaller of its Gram and
+    dimC x dimC sides."""
+    e, ov = a.source, a.source.overlaps
+    s_c = entropy_from_probs(mixture_spectra(ov.probs, e.dim_c, lambda: ov.sigma_gram, lambda: ov.sigma))
+    return _Target(_unit_support(e), a.decomposition.support_ys(e), s_c, a.profile.s_cy, a.profile.h_x)
 
 
 def _pair_target(a: Analysis) -> _Target:
-    """The two-copy source of a's support, scaled to unit probability sum
-    and row norms (a source within validate's tolerances can have a square
-    outside them), with Y = (y(a), y(b)) and both ceilings doubled; no
-    second analysis. Pair item k holds support items k // m and k % m."""
-    e, d, ov = a.source, a.decomposition, a.source.overlaps
-    psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
-    pair = tensor_power(Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma), 2)
-    ys = d.support_ys(e)
-    return _Target(pair, (ys[:, None] * d.size + ys).ravel()[list(pair.overlaps.support)],
-                   2.0 * a.profile.s_cy, 2.0 * a.profile.h_x)
+    """The two-copy source of _target(a), with Y = (y(a), y(b)) and the
+    floor and both ceilings doubled; no second analysis. Pair item k holds
+    support items k // m and k % m."""
+    t = _target(a)
+    pair = tensor_power(t.source, 2)
+    ys = (t.ys[:, None] * a.decomposition.size + t.ys).ravel()[list(pair.overlaps.support)]
+    return _Target(pair, ys, 2.0 * t.identity_floor, 2.0 * t.s_cy, 2.0 * t.h_x)
 
 
 def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
@@ -279,7 +292,7 @@ def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
     groups = t.ys % env_dim
     if not groups.any():
         return None
-    joints = t.source.overlaps.vectors({"A", "C"})
+    joints = t.source.overlaps.joint
     d_in = joints.shape[1]
     v = identity_isometry(d_in, env_dim)
     basis = np.zeros((d_in, 0), dtype=np.complex128)
@@ -355,9 +368,10 @@ def _search(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     e = t.source
-    probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
     d_in = e.dim_a * e.dim_c
     env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
+    check_side(env_dim * d_in)  # the isometry's output side, before anything is formed
+    probs, phis = e.overlaps.probs, e.overlaps.joint
     dims = (e.dim_a, e.dim_c, env_dim)
 
     need = 1.0 - eps
@@ -451,14 +465,13 @@ def _search(
             f"search kernel ({best_mi!r}, {best_fid!r}) and dense evaluation "
             f"({ref_mi!r}, {ref_fid!r}) disagree beyond {VERIFY_ATOL}"
         )
-    floor = von_neumann_entropy(reduced(e, {"C"}))
     return IEpsilonEstimate(
         eps=float(eps),
         value=ref_mi,
         fidelity=ref_fid,
         isometry=best_v,
         env_dim=env_dim,
-        identity_floor=floor,
+        identity_floor=t.identity_floor,
         restart_values=tuple(float(b[0]) for b in bests),
         evaluations=evaluations,
         fallback_identity=best_v is identity,
@@ -476,11 +489,11 @@ def estimate_grid(
     eps_grid = [float(x) for x in eps_grid]
     if any(b < a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError(f"eps grid must be sorted ascending, got {eps_grid}")
-    a = analyze(src)
+    t = _target(analyze(src))
     out = []
     warm: tuple[np.ndarray, ...] = ()
     for eps in eps_grid:
-        est = estimate_i_epsilon(a, eps, config, warm_starts=warm)
+        est = _search(t, eps, config, warm_starts=warm)
         out.append(est)
         warm = (est.isometry,)
     return out

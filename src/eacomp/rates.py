@@ -27,13 +27,15 @@ rho_ACY is block diagonal in y, and each block has the nonzero spectrum
 of its Gram matrix sqrt(p_x p_x') <psi_x|psi_x'> <sigma_x|sigma_x'>
 (without <psi_x|psi_x'> for S(CY); Jozsa & Schlienz, PRA 62, 012301,
 2000). Disagreement beyond 1e-6 raises ConsistencyError since it can
-only come from a bug. Each block comes from the smaller of its Gram
-matrix and its marginal, and equal-size blocks share one batched
-eigvalsh, so the cost is sum_y min(k_y, dA dC)^3 over components of
-k_y states; MATRIX_CAP bounds the support size. S(A) has one route
-only; it and the rest of the profile must meet the entropy
-inequalities in _bound_faults, within the same 1e-6, or the profile
-raises ConsistencyError as well.
+only come from a bug. Every spectrum comes from states.mixture_spectra,
+on the smaller of its Gram matrix and its marginal, and equal-size
+blocks share one batched eigvalsh, so the cost is
+sum_y min(k_y, dA dC)^3 over components of k_y states; MATRIX_CAP
+bounds the support size. S(A), the whole support's mixture of psi_x
+through the same routine, has one route only; it and the rest of the
+profile must meet the entropy inequalities in _bound_faults, within the
+same 1e-6, or the profile raises ConsistencyError as well. S(C) is no
+part of the profile: only iepsilon's floor reads it.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .decomposition import (
 )
 from .ensemble import Ensemble, Overlaps
 from .errors import ConsistencyError, EacompError, InfeasibleConversionError
-from .states import clamped_spectra, entropy_from_probs, gram, mixture, row_entropies, von_neumann_entropy
+from .states import entropy_from_probs, gram, mixture_spectra, row_entropies
 
 CONSISTENCY_ATOL = 1e-6
 CROSS_CHECK_ATOL = 1e-9
@@ -118,37 +120,23 @@ def _conditional(probs: np.ndarray, ys: np.ndarray, d: Decomposition) -> np.ndar
 
 def _spectra(ov: Overlaps, groups, probs: np.ndarray, sliced: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Spectra of sum_x probs_x |v_x><v_x| over each component's rows, for
-    v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one
-    (m, side) stack per group of `_groups`, from one batched eigvalsh,
-    clamped to [0, 1] after the negativity check.
-
-    A component of k items gives its k x k Gram block
-    [sqrt(probs_x probs_x') <v_x|v_x'>] when k is below the side of v_x,
-    and its marginal otherwise (the tie goes to the marginal, as in
-    Overlaps.density); the two share their nonzero spectrum. The Gram
-    blocks multiply the overlaps of the component's own rows or, when
-    sliced, read them off the support's overlap matrices.
+    v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one stack per
+    group of `_groups`, by mixture_spectra. A Gram block multiplies the
+    overlaps of the component's own rows or, when sliced, reads them off
+    the support's overlap matrices.
     """
     dim_a, dim_c = ov.psi.shape[1], ov.sigma.shape[1]
     out_c, out_ac = [], []
     for _, idx in groups:
-        k, p = idx.shape[1], probs[idx]
-        if k < dim_a * dim_c:
-            if sliced:
-                cut = (idx[:, :, None], idx[:, None, :])
-                psi_gram, sigma_gram = ov.psi_gram[cut], ov.sigma_gram[cut]
-            else:
-                psi_gram, sigma_gram = gram(ov.psi[idx]), gram(ov.sigma[idx])
-            amp = np.sqrt(p)
-            outer = amp[..., :, None] * amp[..., None, :]
-            ac = outer * (psi_gram * sigma_gram)
+        if sliced:
+            cut = (idx[:, :, None], idx[:, None, :])
+            psi_gram, sigma_gram = (lambda: ov.psi_gram[cut]), (lambda: ov.sigma_gram[cut])
         else:
-            psi, sigma = ov.psi[idx], ov.sigma[idx]
-            ac = mixture(p, (psi[..., :, None] * sigma[..., None, :]).reshape(*idx.shape, -1))
-        # k < dim_c <= dim_a dim_c: the Gram branch above has run
-        c = outer * sigma_gram if k < dim_c else mixture(p, ov.sigma[idx])
-        out_c.append(clamped_spectra(c))
-        out_ac.append(clamped_spectra(ac))
+            psi_gram, sigma_gram = (lambda: gram(ov.psi[idx])), (lambda: gram(ov.sigma[idx]))
+        p = probs[idx]
+        out_c.append(mixture_spectra(p, dim_c, sigma_gram, lambda: ov.sigma[idx]))
+        out_ac.append(
+            mixture_spectra(p, dim_a * dim_c, lambda: psi_gram() * sigma_gram(), lambda: ov.joint[idx]))
     return out_c, out_ac
 
 
@@ -186,7 +174,7 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> 
     q = d.weights
     s_y = entropy_from_probs(q)
     h_x = entropy_from_probs(ov.probs)
-    s_a = von_neumann_entropy(ov.density({"A"}))
+    s_a = entropy_from_probs(mixture_spectra(ov.probs, e.dim_a, lambda: ov.psi_gram, lambda: ov.psi))
     groups = _groups(ys)
 
     # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each

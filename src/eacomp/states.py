@@ -7,7 +7,10 @@ entries are a read-only copy.
 The package's one check of a matrix side against MATRIX_CAP is
 check_side, run before any matrix is formed. Over rows v_x (the last
 axis, with any leading stack axes), gram forms the overlaps
-[<v_x|v_x'>] and mixture the sum_x p_x |v_x><v_x|.
+[<v_x|v_x'>] and mixture the sum_x p_x |v_x><v_x|. mixture_spectra is
+the one route to the spectrum of such a mixture: from the smaller of its
+Gram matrix and its marginal, for S(A), the I_eps floor S(C) and every
+component block of the entropy profile.
 
 All entropies are base-2 (bits). Eigenvalues of density matrices are
 clamped to [0, 1] after a tolerance check; anything below -1e-9 is
@@ -105,6 +108,29 @@ def clamped_spectra(m: np.ndarray) -> np.ndarray:
     stack of them (one batched eigvalsh), clamped to [0, 1] after the
     negativity check."""
     return _clamped(np.linalg.eigvalsh(m))
+
+
+def mixture_spectra(probs: np.ndarray, side: int, overlaps, rows) -> np.ndarray:
+    """Clamped ascending spectra of sum_x probs_x |v_x><v_x| over each
+    stacked group of k rows v_x of length side, in one eigvalsh.
+
+    A group gives its k x k Gram matrix [sqrt(probs_x probs_x') <v_x|v_x'>]
+    when k is below side, and its side x side marginal otherwise (a tie
+    takes the marginal); the two share their nonzero spectrum (Jozsa &
+    Schlienz, PRA 62, 012301, 2000). overlaps() returns [<v_x|v_x'>] and
+    rows() the rows, each with probs' leading axes; only the side's own is
+    called, so a Gram-side group never forms its rows, nor a marginal-side
+    one its overlaps. The matrix side min(k, side) is refused above
+    MATRIX_CAP before either is called.
+    """
+    k = probs.shape[-1]
+    check_side(min(k, side))
+    if k < side:
+        amp = np.sqrt(probs)
+        m = (amp[..., :, None] * amp[..., None, :]) * overlaps()
+    else:
+        m = mixture(probs, rows())
+    return clamped_spectra(m)
 
 
 def eig_hermitian(m: DensityMatrix):

@@ -5,8 +5,8 @@ item by item and reduced by reshape-and-trace partial traces, with no
 overlap matrices and no Gram spectra, so it shares no arithmetic with
 the package's analysis. The Gram section keeps the support-sized forms
 the analysis once used, as oracles for its per-component spectra: the
-[y = y']-masked N x N Gram matrix and the renormalised rows of one
-component. The last section keeps earlier per-row, graph-rebuilding,
+[y = y']-masked N x N Gram matrix, the renormalised rows of one
+component, and the one-matrix route to S(A). The last section keeps earlier per-row, graph-rebuilding,
 prefix-tree and fsum forms of package routines, as oracles for their
 array forms, the N x N overlap graph over all items, the per-code
 simulator (np.unique keys, products folded for each code, every index
@@ -41,7 +41,7 @@ from eacomp.iepsilon import (
     objective,
 )
 from eacomp.schumacher import CodeSpace, _check_sequences, _checked_rank
-from eacomp.states import DensityMatrix, eig_hermitian, von_neumann_entropy
+from eacomp.states import DensityMatrix, eig_hermitian, mixture, von_neumann_entropy
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -157,6 +157,20 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     cross-component overlaps at or below the decomposition tolerance.
     """
     return y_masked_gram(e, d.support_ys(e), e.overlaps.psi_gram, e.overlaps.sigma_gram)
+
+
+def density_s_a(e: Ensemble) -> float:
+    """S(A) by the route entropy_profile took before states.mixture_spectra
+    (Overlaps.density): the support's dimA x dimA marginal when it has at
+    least dimA items, else its Gram matrix sqrt(p_x p_x') <psi_x|psi_x'>,
+    each as one DensityMatrix."""
+    ov = e.overlaps
+    if len(ov.probs) >= e.dim_a:
+        m = mixture(ov.probs, ov.psi)
+    else:
+        amp = np.sqrt(ov.probs)
+        m = np.outer(amp, amp) * ov.psi_gram
+    return von_neumann_entropy(DensityMatrix(m, check=False))
 
 
 def given(ov: Overlaps, rows, weight: float) -> Overlaps:
@@ -521,7 +535,7 @@ def sequential_search(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     e = t.source
-    probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+    probs, phis = e.overlaps.probs, e.overlaps.joint
     d_in = e.dim_a * e.dim_c
     env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
     dims = (e.dim_a, e.dim_c, env_dim)

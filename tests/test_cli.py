@@ -640,6 +640,14 @@ class TestSimulate:
         flags = ["--rate", "1.2", "--n", ",".join(map(str, ns))]
         assert run(["simulate", str(path), *flags], capsys) == (0, out, "")
 
+    def test_tolerance_is_not_an_option(self, capsys):
+        # the simulator reads no overlap graph
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", BLIND, "--rate", "0.8", "--n", "2", "--tol", "0.5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tol 0.5" in captured.err
+
     def test_blind_required_exit_1(self, capsys):
         code, _, err = run(["simulate", TRIPLE, "--rate", "0.9", "--n", "1,2"], capsys)
         assert code == 1
@@ -702,6 +710,26 @@ class TestIEpsilon:
                               "--max-iters", "8", "--check-lemma"], capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["lemma_checks"]["subadditive_ok"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--check-lemma"]], ids=["plain", "check-lemma"])
+    def test_source_short_of_unit_sum_and_norms(self, tmp_path, capsys, flags):
+        # sideinfo_triple with its probabilities scaled by 1 - 1e-9 and
+        # its psi rows by 1 - 9.9e-10 passes validate; the search runs on
+        # the rescaled support, so its identity start is feasible
+        doc = json.loads(Path(TRIPLE).read_text())
+        for state in doc["states"]:
+            state["prob"] *= 1 - 1e-9
+            state["psi"] = [[re * (1 - 9.9e-10), im * (1 - 9.9e-10)] for re, im in state["psi"]]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)], capsys)[0] == 0
+        code, out, err = run(["iepsilon", str(path), "--eps", "0,0.1", *flags], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert [est["eps"] for est in report["estimates"]] == [0.0, 0.1]
+        want = json.loads(run(["iepsilon", TRIPLE, "--eps", "0,0.1", *flags], capsys)[1])
+        for got, ref in zip(report["estimates"], want["estimates"]):
+            assert abs(got["estimate"] - ref["estimate"]) <= 1e-6
 
     def test_check_lemma_section(self, capsys):
         code, out, _ = run(

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from eacomp import cli, iepsilon, limits
-from test_ensemble import traced_peak
+from test_ensemble import rand_unit, traced_peak
 from test_properties import sources
 from eacomp._accel import unitary_objective
-from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible, reduced
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, IsometryError
 from eacomp.iepsilon import (
     FEASIBILITY_SLACK,
@@ -31,7 +31,7 @@ from eacomp.iepsilon import (
     penalised_objective,
 )
 from eacomp.rates import analyze
-from eacomp.states import check_isometry, entropy_from_probs
+from eacomp.states import check_isometry, entropy_from_probs, von_neumann_entropy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -157,7 +157,7 @@ class TestObjective:
         for da, dc, nx in KERNEL_DIMS:
             e = random_source(rng, da, dc, nx)
             d_in = da * dc
-            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            probs, phis = e.overlaps.probs, e.overlaps.joint
             for dw in sorted({2, d_in**2, 16}):
                 for trial in range(4):
                     v = rand_isometry(rng, dw * d_in, d_in)
@@ -176,7 +176,7 @@ class TestObjective:
         for da, dc, nx in KERNEL_DIMS:
             e = random_source(rng, da, dc, nx)
             d_in = da * dc
-            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            probs, phis = e.overlaps.probs, e.overlaps.joint
             for dw in sorted({2, d_in**2, 16}):
                 dims = (da, dc, dw)
                 v = rand_isometry(rng, dw * d_in, d_in)
@@ -235,6 +235,45 @@ class TestObjective:
 
 
 class TestEstimator:
+    def test_floor_is_s_c_from_the_smaller_side(self):
+        # N >= dimC: the marginal on C, to the bit; N < dimC: the Gram
+        # side, within rounding of it
+        rng = np.random.default_rng(23)
+        for dc in (1, 2, 3, 5):
+            for nx in (2, 3, 4, 6):
+                e = random_source(rng, 2, dc, nx)
+                marginal = von_neumann_entropy(reduced(e, {"C"}))
+                floor, _ = i_zero_bounds(e)
+                if nx >= dc:
+                    assert floor == marginal
+                else:
+                    assert abs(floor - marginal) <= 1e-13
+                assert estimate_grid(e, [0.0], FAST)[0].identity_floor == floor
+
+    def test_one_target_and_one_floor_per_grid(self, monkeypatch):
+        # the analysis takes its spectra through rates' own binding
+        calls = {"_target": 0, "mixture_spectra": 0}
+        for name in calls:
+            def counted(*args, real=getattr(iepsilon, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(iepsilon, name, counted)
+        ests = estimate_grid(load_ensemble(DATA / "sideinfo_triple.json"), [0.0, 0.05, 0.1, 0.2], FAST)
+        assert len(ests) == 4
+        assert calls == {"_target": 1, "mixture_spectra": 1}
+
+    def test_search_refused_before_it_is_formed(self, monkeypatch):
+        # two states with dimC = 2000: the analysis and S(C) take their
+        # 2 x 2 Gram sides, and the search's 16 * 2 * 2000 output side is
+        # refused before the 4 GB identity start is formed
+        rng = np.random.default_rng(24)
+        e = Ensemble(("a", "b"), [0.5, 0.5], np.eye(2), [rand_unit(rng, 2000) for _ in range(2)])
+        monkeypatch.setattr(limits, "MATRIX_CAP", 100)
+        with pytest.raises(DimensionLimitError, match="^matrix side 64000 exceeds cap 100$"):
+            with traced_peak() as peak:
+                estimate_grid(e, [0.0])
+        assert peak[0] < 2 * 2**20
+
     def test_floor_and_feasibility(self):
         e = sideinfo_triple()
         for eps in (0.0, 0.1):
@@ -478,7 +517,7 @@ class TestLockstep:
         for da, dc, nx in KERNEL_DIMS:
             e = random_source(rng, da, dc, nx)
             d_in = da * dc
-            probs, phis = e.overlaps.probs, e.overlaps.vectors({"A", "C"})
+            probs, phis = e.overlaps.probs, e.overlaps.joint
             for dw in sorted({2, d_in**2, 16}):
                 for nb in range(1, 6):
                     v = np.stack([rand_isometry(rng, dw * d_in, d_in) for _ in range(nb)])

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import eacomp.rates as rates_mod
-from dense_oracle import dense_profile, gram_matrix
+from dense_oracle import dense_profile, density_s_a, gram_matrix
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
@@ -23,6 +24,7 @@ from eacomp.rates import (
     visible_rates,
 )
 from eacomp.region import ce_region, eq_region
+from test_properties import sources
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -355,6 +357,21 @@ class TestComponentSpectra:
             s_cy, s_acy = rates_mod._direct_entropies(e.overlaps, rates_mod._groups(d.support_ys(e)))
             assert abs(s_cy - dense["S_CY"]) <= 1e-12
             assert abs(s_acy - dense["S_ACY"]) <= 1e-12
+
+
+    def test_s_a_equals_the_density_route(self):
+        # the support's size below, on and above dimA, and the data files
+        rng = np.random.default_rng(1406)
+        cases = [load_ensemble(p) for p in sorted(DATA.glob("*.json"))]
+        for dim_a in (2, 3, 5):
+            for n in (dim_a - 1, dim_a, dim_a + 1):
+                cases += [rand_ensemble(rng, dim_a, int(rng.integers(1, 4)), n) for _ in range(20) if n > 1]
+        for e in cases:
+            assert entropy_profile(e).s_a == density_s_a(e)
+
+    @given(sources())
+    def test_s_a_equals_the_density_route_on_random_sources(self, e):
+        assert entropy_profile(e).s_a == density_s_a(e)
 
 
 class TestAnalyze:

@@ -50,6 +50,52 @@ def test_no_private_imports(path):
     assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+def private_definitions(tree: ast.Module):
+    """(name, first line, last line) of each underscore name, dunders
+    aside, that a module defines at top level (function, class or
+    assignment) or as a method of a top-level class."""
+    nodes = list(tree.body)
+    nodes += [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def reads(tree: ast.Module):
+    """(name, line) of each name or attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_private_definition_is_read():
+    """An underscore function, class, constant or method that nothing in
+    the package reads outside its own definition is dead code."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    seen: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for name, line in reads(tree):
+            seen.setdefault(name, []).append((module, line))
+    unread = [
+        f"{module}:{first} {name}"
+        for module, tree in trees.items()
+        for name, first, last in private_definitions(tree)
+        if not any(m != module or not first <= line <= last for m, line in seen.get(name, []))
+    ]
+    assert unread == []
+
+
 def backticked(markdown: str) -> set[str]:
     """The inline code spans of a markdown text, fenced blocks left out,
     each without a trailing "()"."""

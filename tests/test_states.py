@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dense_oracle import fidelity, partial_trace
+from dense_oracle import entropy, fidelity, partial_trace
 from eacomp.ensemble import Ensemble
 from eacomp.errors import LayoutMismatchError, NotAStateError
 from eacomp.iepsilon import objective
-from eacomp.states import DensityMatrix, eig_hermitian, entropy_from_probs, von_neumann_entropy
+from eacomp import limits
+from eacomp.errors import DimensionLimitError
+from eacomp.states import (
+    DensityMatrix,
+    eig_hermitian,
+    entropy_from_probs,
+    mixture_spectra,
+    von_neumann_entropy,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -153,6 +161,41 @@ class TestSpectraAndEntropy:
         assert not math.copysign(1.0, entropy_from_probs([1.0])) < 0  # no -0.0
 
 
+class TestMixtureSpectra:
+    @pytest.mark.parametrize("side", [1, 2, 3, 6])
+    def test_matches_the_dense_marginal(self, side):
+        # groups of k rows for k below, on and above the side, stacked in
+        # twos and threes, with probabilities summing to 1 or not
+        rng = np.random.default_rng(30 + side)
+        for k in (side - 1, side, side + 1):
+            if k < 1:
+                continue
+            for m in (1, 2, 3):
+                rows = rng.standard_normal((m, k, side)) + 1j * rng.standard_normal((m, k, side))
+                rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+                probs = rng.dirichlet(np.ones(k), size=m) * rng.uniform(0.2, 1.0, (m, 1))
+                called = []
+                spectra = mixture_spectra(
+                    probs, side,
+                    lambda: called.append("gram") or rows.conj() @ np.swapaxes(rows, -1, -2),
+                    lambda: called.append("rows") or rows)
+                assert called == (["gram"] if k < side else ["rows"])
+                assert spectra.shape == (m, min(k, side))
+                for p, v, spectrum in zip(probs, rows, spectra):
+                    dense = sum(px * np.outer(vx, vx.conj()) for px, vx in zip(p, v))
+                    assert abs(entropy_from_probs(spectrum) - entropy(dense)) <= 1e-12, (side, k, m)
+
+    def test_side_refused_above_the_cap(self, monkeypatch):
+        # the smaller side is checked, so three rows of length 10^4 pass
+        # a cap of 3 on their Gram side, and four do not
+        monkeypatch.setattr(limits, "MATRIX_CAP", 3)
+        rows = np.eye(4, 10**4)
+        s = mixture_spectra(np.full(3, 1 / 3), 10**4, lambda: np.eye(3), lambda: rows[:3])
+        np.testing.assert_allclose(s, np.full(3, 1 / 3), rtol=0, atol=1e-15)
+        with pytest.raises(DimensionLimitError, match="^matrix side 4 exceeds cap 3$"):
+            mixture_spectra(np.full(4, 1 / 4), 10**4, lambda: np.eye(4), lambda: rows)
+
+
 class TestFidelity:
     def test_identical(self):
         m = rand_density(3)
@@ -180,7 +223,7 @@ class TestFidelity:
             d = da * dc
             p = rng.dirichlet(np.ones(3))
             e = Ensemble(("a", "b", "c"), p, [rand_state(da, rng) for _ in p], [rand_state(dc, rng) for _ in p])
-            phis = e.overlaps.vectors({"A", "C"})
+            phis = e.overlaps.joint
             for _ in range(4):
                 z = rng.standard_normal((dw * d, d)) + 1j * rng.standard_normal((dw * d, d))
                 v = np.linalg.qr(z)[0]
