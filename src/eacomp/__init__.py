@@ -11,7 +11,6 @@ from .decomposition import (
     Component,
     Decomposition,
     irreducible_components,
-    is_irreducible,
 )
 from .ensemble import (
     Ensemble,

@@ -215,10 +215,10 @@ def _add_common(p: argparse.ArgumentParser, tol: bool = True):
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_OVERLAP_TOL,
                        help="overlap tolerance for the component graph (default %(default)s)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p.add_argument("--vector-cap", type=int, default=None, help="override the state-vector size cap")
-    p.add_argument("--matrix-cap", type=int, default=None, help="override the density-matrix side cap")
-    p.add_argument("--sequence-cap", type=int, default=None, help="override the sequence-enumeration cap")
-    p.add_argument("--code-dim-cap", type=int, default=None, help="override the block-dimension cap")
+    p.add_argument("--vector-cap", type=limits.positive_int, help="override the state-vector size cap")
+    p.add_argument("--matrix-cap", type=limits.positive_int, help="override the density-matrix side cap")
+    p.add_argument("--sequence-cap", type=limits.positive_int, help="override the sequence-enumeration cap")
+    p.add_argument("--code-dim-cap", type=limits.positive_int, help="override the block-dimension cap")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--apply-cnot", action="store_true",
                        help="rewrite signals under a CNOT from A onto C before the computation")

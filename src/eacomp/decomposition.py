@@ -154,7 +154,3 @@ def check_components(e: Ensemble, d: Decomposition):
                 f"decomposition does not match the overlap graph: component y={c.y} "
                 f"covers {parts[c.y]} connected parts of it, not one"
             )
-
-
-def is_irreducible(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
-    return irreducible_components(e, tol).size == 1

@@ -174,13 +174,14 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
 
 def i_zero_bounds(src) -> tuple[float, float]:
     """(floor, ceiling) for the zero-disturbance limit of an ensemble or
-    its analysis.
-
-    The identity channel extracts I(X : C) = S(C); no lossless extraction
-    can beat S(CY) of the component-extended source.
-    """
-    t = _target(analyze(src))
-    return t.identity_floor, t.s_cy
+    its analysis, with no search source built: the identity channel
+    extracts I(X : C) = S(C), from the smaller of the support's Gram and
+    dimC x dimC sides, and no lossless extraction can beat S(CY) of the
+    component-extended source, read off the profile."""
+    a = analyze(src)
+    ov = a.source.overlaps
+    s_c = entropy_from_probs(mixture_spectra(ov.probs, a.source.dim_c, lambda: ov.sigma_gram, lambda: ov.sigma))
+    return s_c, a.profile.s_cy
 
 
 @dataclass(frozen=True)
@@ -262,12 +263,10 @@ def _unit_support(e: Ensemble) -> Ensemble:
 
 
 def _target(a: Analysis) -> _Target:
-    """The search target of a's support scaled by _unit_support, with the
-    ceilings of a and the floor S(C) from the smaller of its Gram and
-    dimC x dimC sides."""
-    e, ov = a.source, a.source.overlaps
-    s_c = entropy_from_probs(mixture_spectra(ov.probs, e.dim_c, lambda: ov.sigma_gram, lambda: ov.sigma))
-    return _Target(_unit_support(e), a.decomposition.support_ys(e), s_c, a.profile.s_cy, a.profile.h_x)
+    """The search target of a's support scaled by _unit_support, with
+    the floor and the S(CY) ceiling of i_zero_bounds(a) and a's H(X)."""
+    floor, s_cy = i_zero_bounds(a)
+    return _Target(_unit_support(a.source), a.decomposition.support_ys(a.source), floor, s_cy, a.profile.h_x)
 
 
 def _pair_target(a: Analysis) -> _Target:

@@ -4,15 +4,22 @@ Defaults are sized for desk-scale problems (an n=12 qubit block simulation
 fits comfortably in memory). Each cap can be overridden by environment
 variable at import time or reassigned at runtime (the CLI does the latter
 for one call when the corresponding flag is given, and restores the cap
-after it; flags win over the environment).
+after it; flags win over the environment). A cap is a positive integer.
 """
 
 import os
 
 
+def positive_int(text: str, name: str = "a cap") -> int:
+    """text as an integer >= 1; ValueError naming name otherwise."""
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
+    return positive_int(raw, name) if raw else default
 
 
 # max entries of a state vector

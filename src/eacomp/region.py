@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EacompError
-from .rates import analyze, classical_entanglement_corner
+from .rates import analyze, classical_entanglement_corner, optimal_rates
 
 CONTAINS_ATOL = 1e-9
 # CSV numbers of this magnitude or more are written in scientific notation:
@@ -77,10 +77,9 @@ class RegionSpec:
 
 
 def eq_region(src) -> RegionSpec:
-    """Qubit/ebit region of an ensemble or its analysis."""
-    profile = analyze(src).profile
-    q_min = 0.5 * (profile.s_a + profile.s_a_given_cy)
-    return RegionSpec(kind="EQ", q_min=q_min, sum_min=profile.s_a)
+    """Qubit/ebit region of an ensemble or its analysis, cornered at optimal_rates."""
+    a = analyze(src)
+    return RegionSpec(kind="EQ", q_min=optimal_rates(a).q, sum_min=a.profile.s_a)
 
 
 def ce_region(src) -> RegionSpec:
@@ -142,7 +141,7 @@ def boundary_polyline(
         if hi < lo:
             return []
         grid = set(np.linspace(lo, hi, samples).tolist())
-        corner_e = spec.sum_min - spec.q_min
+        corner_e = spec.corner[0]
         if lo <= corner_e <= hi:
             grid.add(corner_e)
         # emit the corner vertex exactly; recomputing it as sum_min - E

@@ -86,8 +86,7 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     Only defined for sources without usable side information (the encoder
     acts on A alone).
     """
-    rank = _checked_rank(e, n, rate_q)
-    return _code_space(e, n, rate_q, rank, _Curve(e, eig_hermitian(reduced(e, {"A"}))))
+    return _code_space(e, n, rate_q, _checked_rank(e, n, rate_q), _Curve(e))
 
 
 def _checked_rank(e: Ensemble, n: int, rate_q: float) -> int:
@@ -111,13 +110,13 @@ def _check_sequences(e: Ensemble, n: int) -> None:
 
 class _Curve:
     """What the codes of one curve share: the eigendecomposition (weights,
-    vectors) of the average signal state, the type counts of the index
-    tuples at the last block length built, and, on first use, the kernel's
-    tables on g and the trace that eig_hermitian's clamp took off."""
+    vectors) of e's average signal state unless spectrum is a code's, the
+    type counts of the index tuples at the last block length built, and, on
+    first use, the kernel's tables on g and the clamp's lost trace."""
 
-    def __init__(self, e: Ensemble, spectrum: tuple):
+    def __init__(self, e: Ensemble, spectrum: tuple | None = None):
         self.e = e
-        self.weights, self.vectors = spectrum
+        self.weights, self.vectors = eig_hermitian(reduced(e, {"A"})) if spectrum is None else spectrum
         self._n, self._counts = 0, np.zeros((e.dim_a, 1), dtype=np.int64)
 
     @cached_property
@@ -178,8 +177,7 @@ def simulate_fidelity(e: Ensemble, code: CodeSpace, curve: _Curve | None = None)
             f"code built for dimension {code.eigen_vectors.shape[0]}, ensemble has {e.dim_a}"
         )
     _check_sequences(e, code.n)
-    if curve is None:
-        curve = _Curve(e, (code.eigen_weights, code.eigen_vectors))
+    curve = curve or _Curve(e, (code.eigen_weights, code.eigen_vectors))
     result = block_fidelity(curve.tables, code.selected)
     _check_tables(code, result, curve.lost)
     return result.fidelity
@@ -245,8 +243,7 @@ def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
             # simulate_fidelity checks this too, but only once the code is
             # built, and _code_space sorts all dA^n index tuples
             _check_sequences(e, int(n))
-            if curve is None:
-                curve = _Curve(e, eig_hermitian(reduced(e, {"A"})))
+            curve = curve or _Curve(e)
             code = _code_space(e, int(n), rate_q, rank, curve)
             points.append((int(n), simulate_fidelity(e, code, curve)))
         except DimensionLimitError as exc:

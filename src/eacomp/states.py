@@ -1,8 +1,8 @@
 """Density matrices and the linear algebra on them.
 
-A DensityMatrix wraps a square array; the package's marginals and Gram
-matrices come as one, and the spectra and entropies take one. Its
-entries are a read-only copy.
+A DensityMatrix wraps a read-only copy of a square array; reduced returns
+one, built with check=False, and eig_hermitian and von_neumann_entropy
+take one. Gram matrices and mixtures are plain arrays.
 
 The package's one check of a matrix side against MATRIX_CAP is
 check_side, run before any matrix is formed. Over rows v_x (the last
@@ -48,8 +48,8 @@ def frozen_copy(a, dtype=np.complex128) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator.
 
-    Hermiticity and trace are checked at construction; positivity is
-    checked lazily whenever a spectrum is requested.
+    Hermiticity and trace are checked at construction unless check is
+    false; positivity whenever a spectrum is requested.
     """
 
     entries: np.ndarray = field(repr=False)

@@ -241,6 +241,13 @@ class TestNumericOptions:
         ["region", BLIND, "--kind", "EQ", "--samples", str(MAX_SAMPLES + 1)],
         ["simulate", BLIND, "--rate", "inf", "--n", "1,2"],
         ["simulate", BLIND, "--rate", "nan", "--n", "1,2"],
+        # a cap below 1 is refused before the source is read, on every
+        # subcommand that takes the flag
+        *([sub, BLIND, *rest, flag, value]
+          for sub, rest in (("decompose", []), ("rates", []), ("region", ["--kind", "EQ"]),
+                            ("simulate", ["--rate", "0.8", "--n", "2,3"]), ("iepsilon", ["--eps", "0"]))
+          for flag in ("--vector-cap", "--matrix-cap", "--sequence-cap", "--code-dim-cap")
+          for value in ("0", "-5")),
     ], ids=lambda argv: " ".join([argv[0], *argv[2:]]))
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
         # some are refused by argparse (SystemExit), the rest by main
@@ -740,6 +747,20 @@ class TestIEpsilon:
         report = json.loads(out)
         assert report["lemma_checks"]["floor_ok"] is True
         assert len(report["estimates"]) == 2
+
+
+class TestEnvCaps:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_env_cap_must_be_a_positive_integer(self, monkeypatch, raw):
+        # the module reads each EACOMP_*_CAP through _env_int at import
+        monkeypatch.setenv("EACOMP_MATRIX_CAP", raw)
+        with pytest.raises(ValueError, match=f"^EACOMP_MATRIX_CAP must be a positive integer, got '{raw}'$"):
+            limits._env_int("EACOMP_MATRIX_CAP", 5)
+
+    @pytest.mark.parametrize("raw, cap", [("", 5), (" ", 5), ("7", 7), (" +12 ", 12)])
+    def test_env_cap_or_default(self, monkeypatch, raw, cap):
+        monkeypatch.setenv("EACOMP_MATRIX_CAP", raw)
+        assert limits._env_int("EACOMP_MATRIX_CAP", 5) == cap
 
 
 class TestConsoleScript:

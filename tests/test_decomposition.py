@@ -10,7 +10,6 @@ from eacomp.decomposition import (
     Decomposition,
     check_components,
     irreducible_components,
-    is_irreducible,
     overlaps_across_components,
 )
 from eacomp.ensemble import Ensemble, make_blind, make_visible
@@ -82,7 +81,7 @@ class TestComponents:
         assert d.size == 1
         assert d.components[0].labels == ("0", "1", "2")
         assert abs(d.components[0].weight - 1.0) < 1e-12
-        assert is_irreducible(sideinfo_triple())
+        assert irreducible_components(sideinfo_triple()).size == 1
 
     def test_two_sectors(self):
         d = irreducible_components(two_sector_blind())

@@ -262,6 +262,21 @@ class TestEstimator:
         assert len(ests) == 4
         assert calls == {"_target": 1, "mixture_spectra": 1}
 
+    @pytest.mark.parametrize("run, builds", [
+        (lambda path: i_zero_bounds(load_ensemble(path)), 0),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.1"]), 1),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.1", "--check-lemma"]), 2),
+    ], ids=["bounds", "grid", "check-lemma"])
+    def test_search_sources_built(self, monkeypatch, capsys, run, builds):
+        # the bounds rescale nothing, a grid rescales the source once, and
+        # --check-lemma once more for the two-copy pair
+        calls = []
+        real = iepsilon._unit_support
+        monkeypatch.setattr(iepsilon, "_unit_support", lambda e: calls.append(e) or real(e))
+        run(DATA / "sideinfo_triple.json")
+        capsys.readouterr()
+        assert len(calls) == builds
+
     def test_search_refused_before_it_is_formed(self, monkeypatch):
         # two states with dimC = 2000: the analysis and S(C) take their
         # 2 x 2 Gram sides, and the search's 16 * 2 * 2000 output side is
