@@ -30,7 +30,6 @@ from .errors import (
     DimensionLimitError,
     EacompError,
     EnsembleFormatError,
-    InfeasibleConversionError,
     IsometryError,
     LabelError,
     LayoutMismatchError,
@@ -56,15 +55,12 @@ from .rates import (
     classical_entanglement_corner,
     entropy_profile,
     optimal_rates,
-    resource_convert,
     visible_rates,
 )
 from .region import (
     RegionSpec,
     boundary_polyline,
-    ce_contains,
     ce_region,
-    eq_contains,
     eq_region,
     polyline_csv,
 )

@@ -124,6 +124,13 @@ def cmd_rates(args) -> int:
 
 
 def cmd_region(args) -> int:
+    spec_out = args.spec_out
+    if spec_out is None and args.output:
+        spec_out = os.path.splitext(args.output)[0] + ".json"
+    if args.output and spec_out and os.path.realpath(spec_out) == os.path.realpath(args.output):
+        print(f"the region spec would overwrite the CSV {args.output}; give --spec-out another path",
+              file=sys.stderr)
+        return 2
     a = analyze(_load(args), args.tol)
     if args.kind == "EQ":
         spec = eq_region(a)
@@ -133,10 +140,6 @@ def cmd_region(args) -> int:
         header = ("C", "E")
     points = boundary_polyline(spec, lo=args.lo, hi=args.hi, samples=args.samples)
     _emit(polyline_csv(points, header), args.output)
-    spec_out = args.spec_out
-    if spec_out is None and args.output:
-        root, _ = os.path.splitext(args.output)
-        spec_out = root + ".json"
     if spec_out:
         _atomic_write(spec_out, _dump_json(spec.to_json()))
     return 0

@@ -324,6 +324,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_positive_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 def _float(v) -> float:
     """float(v), with ints too large for a float as infinities for validate() to reject."""
     try:
@@ -414,10 +418,10 @@ def ensemble_from_json(data: dict) -> Ensemble:
     if not isinstance(states, list) or not states:
         raise EnsembleFormatError(problems + ["'states' must be a nonempty array"])
     dim_a = data.get("dimA")
-    if not isinstance(dim_a, int) or dim_a < 1:
+    if not _is_positive_int(dim_a):
         raise EnsembleFormatError(problems + ["'dimA' must be a positive integer"])
     dim_c = data.get("dimC", len(states) if visible else 1)
-    if not isinstance(dim_c, int) or dim_c < 1:
+    if not _is_positive_int(dim_c):
         raise EnsembleFormatError(problems + ["'dimC' must be a positive integer"])
     if visible and dim_c != len(states):
         problems.append(f"visible ensembles need dimC = number of states ({len(states)})")

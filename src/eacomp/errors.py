@@ -42,9 +42,5 @@ class EnsembleFormatError(EacompError):
         super().__init__("; ".join(self.violations))
 
 
-class InfeasibleConversionError(EacompError):
-    """A resource conversion would drive a nonnegative rate negative."""
-
-
 class ConsistencyError(EacompError):
     """Two independent computations of the same quantity disagree."""

@@ -348,22 +348,22 @@ def estimate_i_epsilon(
     src,
     eps: float,
     config: IsometrySearchConfig = IsometrySearchConfig(),
-    warm_starts: tuple[np.ndarray, ...] = (),
 ) -> IEpsilonEstimate:
     """Best certified value found by the multi-start search at one eps.
 
     src is an ensemble or its analysis (pass analyze(e, tol) for another
     overlap tolerance); the witness start and both ceilings come from
-    the analysis. warm_starts are extra isometries to start from
-    (estimate_grid passes the previous optimum so estimates grow with
-    eps).
+    the analysis.
     """
-    return _search(_target(analyze(src)), eps, config, warm_starts)
+    return _search(_target(analyze(src)), eps, config)
 
 
 def _search(
     t: _Target, eps: float, config: IsometrySearchConfig, warm_starts: tuple[np.ndarray, ...] = ()
 ) -> IEpsilonEstimate:
+    """The multi-start search at one eps on the target t. warm_starts are
+    extra isometries to start from: estimate_grid passes the previous
+    optimum, so estimates grow with eps."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     e = t.source

@@ -41,7 +41,7 @@ part of the profile: only iepsilon's floor reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .decomposition import (
     overlaps_across_components,
 )
 from .ensemble import Ensemble, Overlaps
-from .errors import ConsistencyError, EacompError, InfeasibleConversionError
+from .errors import ConsistencyError, EacompError
 from .states import entropy_from_probs, gram, mixture_spectra, row_entropies
 
 CONSISTENCY_ATOL = 1e-6
@@ -379,30 +379,3 @@ def classical_entanglement_corner(src) -> RatePoint:
         e=p.s_a - p.s_y,
         note="classical-channel corner (blind)",
     )
-
-
-def resource_convert(point: RatePoint, mode: str, amount: float) -> RatePoint:
-    """Teleportation / dense-coding bookkeeping on a rate point.
-
-    teleport a:   Q -= a, C += 2a, E += a
-    dense_code a: C -= a, Q += a/2, E += a/2
-
-    Missing coordinates count as 0. Driving Q or C negative is refused.
-    """
-    if amount < 0:
-        raise ValueError(f"amount must be nonnegative, got {amount}")
-    q = point.q or 0.0
-    ee = point.e or 0.0
-    c = point.c or 0.0
-    if mode == "teleport":
-        q, c, ee = q - amount, c + 2.0 * amount, ee + amount
-        if q < RATE_FLOOR:
-            raise InfeasibleConversionError(f"teleporting {amount} would leave Q = {q!r} < 0")
-    elif mode == "dense_code":
-        c, q, ee = c - amount, q + 0.5 * amount, ee + 0.5 * amount
-        if c < RATE_FLOOR:
-            raise InfeasibleConversionError(f"dense coding {amount} would leave C = {c!r} < 0")
-    else:
-        raise ValueError(f"mode must be 'teleport' or 'dense_code', got {mode!r}")
-    snap = lambda v: 0.0 if RATE_FLOOR <= v < 0.0 else v
-    return replace(point, q=snap(q), e=ee, c=snap(c))

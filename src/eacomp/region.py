@@ -88,34 +88,6 @@ def ce_region(src) -> RegionSpec:
     return RegionSpec(kind="CE", c_min=corner.c, e_min=corner.e)
 
 
-def eq_contains(
-    spec: RegionSpec,
-    point: tuple[float, float],
-    tol: float = CONTAINS_ATOL,
-    strict_nonneg_e: bool = True,
-) -> bool:
-    """Membership of (E, Q) in the EQ region.
-
-    strict_nonneg_e additionally requires E >= 0, i.e. the protocol may
-    consume entanglement but the region query refuses points that would
-    need to generate it; pass False to query the bare half-planes.
-    """
-    if spec.kind != "EQ":
-        raise EacompError(f"expected an EQ region, got kind {spec.kind!r}")
-    ee, q = float(point[0]), float(point[1])
-    if strict_nonneg_e and ee < -tol:
-        return False
-    return q >= spec.q_min - tol and q + ee >= spec.sum_min - tol
-
-
-def ce_contains(spec: RegionSpec, point: tuple[float, float], tol: float = CONTAINS_ATOL) -> bool:
-    """Membership of (C, E) in the CE region."""
-    if spec.kind != "CE":
-        raise EacompError(f"expected a CE region, got kind {spec.kind!r}")
-    c, ee = float(point[0]), float(point[1])
-    return c >= spec.c_min - tol and ee >= spec.e_min - tol
-
-
 def boundary_polyline(
     spec: RegionSpec,
     lo: float | None = None,
@@ -128,8 +100,8 @@ def boundary_polyline(
     from lo (default 0) to hi (default sum_min); the corner vertex is
     always inserted exactly. CE: points (C, e_min) for C from
     max(lo, c_min) to hi. Every emitted vertex lies in the region; the
-    same vertex shifted down in the second coordinate by more than the
-    containment tolerance does not.
+    same vertex shifted down in the second coordinate by more than
+    CONTAINS_ATOL does not.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")

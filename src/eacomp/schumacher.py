@@ -39,7 +39,8 @@ from .states import eig_hermitian
 
 @dataclass(frozen=True)
 class CodeSpace:
-    """The retained product basis for an (n, rate_q) typical-subspace code.
+    """The retained product basis of a typical-subspace code on n copies:
+    its rank heaviest eigenvector products of the average signal state.
 
     selected holds one row of per-copy eigenvector indices for each kept
     basis vector, heaviest first with lexicographic tie-break, so the
@@ -48,16 +49,11 @@ class CodeSpace:
     """
 
     n: int
-    rate_q: float
     rank: int
     eigen_weights: np.ndarray
     eigen_vectors: np.ndarray
     selected: np.ndarray
     selected_weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigen_weights.shape[0] ** self.n)
 
 
 def code_rank(n: int, rate_q: float, dim_single: int) -> int:
@@ -86,7 +82,7 @@ def build_code_space(e: Ensemble, n: int, rate_q: float) -> CodeSpace:
     Only defined for sources without usable side information (the encoder
     acts on A alone).
     """
-    return _code_space(e, n, rate_q, _checked_rank(e, n, rate_q), _Curve(e))
+    return _code_space(e, n, _checked_rank(e, n, rate_q), _Curve(e))
 
 
 def _checked_rank(e: Ensemble, n: int, rate_q: float) -> int:
@@ -143,7 +139,7 @@ class _Curve:
         return self._counts
 
 
-def _code_space(e: Ensemble, n: int, rate_q: float, rank: int, curve: _Curve) -> CodeSpace:
+def _code_space(e: Ensemble, n: int, rank: int, curve: _Curve) -> CodeSpace:
     """The code of the given rank on n copies of curve's average signal state."""
     da = e.dim_a
     # Weigh each index tuple, in lexicographic order, as prod_j w_j ** count_j,
@@ -159,7 +155,6 @@ def _code_space(e: Ensemble, n: int, rate_q: float, rank: int, curve: _Curve) ->
     selected = kept[:, None] // da ** np.arange(n - 1, -1, -1, dtype=np.int64) % da
     return CodeSpace(
         n=n,
-        rate_q=float(rate_q),
         rank=rank,
         eigen_weights=curve.weights,
         eigen_vectors=curve.vectors,
@@ -244,7 +239,7 @@ def fidelity_curve(e: Ensemble, ns, rate_q: float) -> FidelityCurve:
             # built, and _code_space sorts all dA^n index tuples
             _check_sequences(e, int(n))
             curve = curve or _Curve(e)
-            code = _code_space(e, int(n), rate_q, rank, curve)
+            code = _code_space(e, int(n), rank, curve)
             points.append((int(n), simulate_fidelity(e, code, curve)))
         except DimensionLimitError as exc:
             warnings.append(f"n={n}: {exc}")

@@ -72,10 +72,6 @@ class DensityMatrix:
             if not abs(tr - 1.0) <= NORM_ATOL:
                 raise NotAStateError(f"trace {tr!r} deviates from 1 beyond {NORM_ATOL}")
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def check_side(side: int):
     """Refuse a matrix side above MATRIX_CAP."""

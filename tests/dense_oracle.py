@@ -84,8 +84,8 @@ def entropy(m: np.ndarray) -> float:
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity, trace-norm convention (1 for identical states)."""
-    if a.dim != b.dim:
-        raise LayoutMismatchError(f"matrix sides differ: {a.dim} vs {b.dim}")
+    if a.entries.shape != b.entries.shape:
+        raise LayoutMismatchError(f"matrix sides differ: {a.entries.shape[0]} vs {b.entries.shape[0]}")
     evs, vecs = eig_hermitian(a)
     sqrt_a = (vecs * np.sqrt(evs)) @ vecs.conj().T
     inner = sqrt_a @ b.entries @ sqrt_a
@@ -362,7 +362,7 @@ def per_code_block_fidelity(probs: np.ndarray, g: np.ndarray, sel: np.ndarray) -
     return BlockFidelity(fidelity, mean_pass, mean_fail, mean_clipped_pass)
 
 
-def enumerating_code_space(e: Ensemble, n: int, rate_q: float, rank: int, spectrum: tuple) -> CodeSpace:
+def enumerating_code_space(e: Ensemble, n: int, rank: int, spectrum: tuple) -> CodeSpace:
     """schumacher._code_space from every index tuple of n copies, in an
     n x dA^n array, with the count of each index taken per tuple."""
     da = e.dim_a
@@ -386,7 +386,6 @@ def enumerating_code_space(e: Ensemble, n: int, rate_q: float, rank: int, spectr
     selected = np.ascontiguousarray(indices[:, kept].T, dtype=np.int64)
     return CodeSpace(
         n=n,
-        rate_q=float(rate_q),
         rank=rank,
         eigen_weights=weights,
         eigen_vectors=vectors,
@@ -408,7 +407,7 @@ def per_code_curve(e: Ensemble, ns, rate_q: float) -> tuple[list, list, list]:
             _check_sequences(e, int(n))
             if spectrum is None:
                 spectrum = eig_hermitian(reduced(e, {"A"}))
-            code = enumerating_code_space(e, int(n), rate_q, rank, spectrum)
+            code = enumerating_code_space(e, int(n), rank, spectrum)
             g = np.abs(e.overlaps.psi @ code.eigen_vectors.conj()) ** 2
             codes.append(code)
             results.append(per_code_block_fidelity(e.overlaps.probs, g, code.selected))

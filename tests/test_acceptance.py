@@ -17,10 +17,9 @@ import numpy as np
 from eacomp import (
     Ensemble,
     IsometrySearchConfig,
-    RatePoint,
+    classical_entanglement_corner,
     cli,
     entropy_profile,
-    eq_contains,
     eq_region,
     estimate_grid,
     fidelity_curve,
@@ -30,7 +29,6 @@ from eacomp import (
     make_blind,
     make_visible,
     optimal_rates,
-    resource_convert,
     save_ensemble,
 )
 
@@ -175,17 +173,17 @@ def test_corner_consistency(capsys):
                 e = blind_two_sector(rng)
             r = optimal_rates(e)
             spec = eq_region(e)
-            assert eq_contains(spec, (r.e, r.q))
+            assert r.e >= -1e-9
             assert abs(r.q - spec.q_min) <= 1e-9
             assert abs((r.q + r.e) - spec.sum_min) <= 1e-9
             if e.is_blind():
+                # teleporting the q0 qubits of the no-ebit point (q0, C = S(Y))
+                # costs 2 q0 cbits and q0 ebits
                 p = entropy_profile(e)
-                base = RatePoint(q=p.s_a - p.s_y, e=0.0, c=p.s_y,
-                                 note="classically assisted, no ebits")
-                moved = resource_convert(base, "teleport", base.q)
-                assert moved.q <= 1e-12
-                assert abs(moved.c - (2 * p.s_a - p.s_y)) <= 1e-12
-                assert abs(moved.e - (p.s_a - p.s_y)) <= 1e-12
+                q0 = p.s_a - p.s_y
+                corner = classical_entanglement_corner(e)
+                assert abs(corner.c - (p.s_y + 2 * q0)) <= 1e-12
+                assert abs(corner.e - q0) <= 1e-12
 
 
 def test_entropy_dual_path(capsys):

@@ -557,6 +557,15 @@ class TestRegion:
         assert spec_path.exists()
         assert not (tmp_path / "eq.json").exists()
 
+    @pytest.mark.parametrize("argv", [["-o", "eq.json"], ["-o", "same.csv", "--spec-out", "same.csv"]])
+    def test_spec_onto_the_csv_refused(self, argv, tmp_path, capsys, monkeypatch):
+        # the spec JSON would replace the CSV; nothing is written
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["region", BLIND, "--kind", "EQ", *argv], capsys)
+        assert code == 2
+        assert out == "" and "--spec-out" in err
+        assert not list(tmp_path.iterdir())
+
     def test_stdout_mode_writes_no_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(["region", BLIND, "--kind", "CE"], capsys)

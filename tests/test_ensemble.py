@@ -564,6 +564,13 @@ class TestJson:
         with pytest.raises(EnsembleFormatError):
             ensemble_from_json([1, 2])
 
+    @pytest.mark.parametrize("key", ["dimA", "dimC"])
+    def test_boolean_dimension_refused(self, key):
+        # a JSON true is a Python int, and must not pass as dimension 1
+        data = {"dimA": 1, "dimC": 1, "states": [{"label": "a", "prob": 1.0, "psi": [[1.0, 0.0]]}]}
+        with pytest.raises(EnsembleFormatError, match=f"'{key}' must be a positive integer"):
+            ensemble_from_json({**data, key: True})
+
     def test_json_decode_error_propagates(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{ nope")

@@ -11,7 +11,7 @@ import eacomp.rates as rates_mod
 from dense_oracle import dense_profile, density_s_a, gram_matrix
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
-from eacomp.errors import ConsistencyError, EacompError, InfeasibleConversionError
+from eacomp.errors import ConsistencyError, EacompError
 from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
 from eacomp.rates import (
     RatePoint,
@@ -20,7 +20,6 @@ from eacomp.rates import (
     classical_entanglement_corner,
     entropy_profile,
     optimal_rates,
-    resource_convert,
     visible_rates,
 )
 from eacomp.region import ce_region, eq_region
@@ -162,45 +161,6 @@ class TestSpecializations:
         assert abs(r.q - 0.5) < 1e-12 and abs(r.e - 0.5) < 1e-12
 
 
-class TestResourceConvert:
-    def test_teleport_then_dense_code_round_trip(self):
-        p = RatePoint(q=1.0, e=0.0, c=0.0)
-        t = resource_convert(p, "teleport", 1.0)
-        assert (t.q, t.c, t.e) == (0.0, 2.0, 1.0)
-        back = resource_convert(t, "dense_code", 2.0)
-        assert (back.q, back.c, back.e) == (1.0, 0.0, 2.0)
-
-    def test_missing_coords_are_zero(self):
-        t = resource_convert(RatePoint(q=0.5), "teleport", 0.25)
-        assert abs(t.q - 0.25) < 1e-15 and t.c == 0.5 and t.e == 0.25
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleConversionError):
-            resource_convert(RatePoint(q=0.5), "teleport", 1.0)
-        with pytest.raises(InfeasibleConversionError):
-            resource_convert(RatePoint(c=0.1), "dense_code", 0.2)
-        with pytest.raises(ValueError):
-            resource_convert(RatePoint(q=1.0), "teleport", -1.0)
-        with pytest.raises(ValueError):
-            resource_convert(RatePoint(q=1.0), "swap", 0.1)
-
-    def test_e_may_go_negative_never_q_c(self):
-        p = RatePoint(q=1.0, e=-2.0)
-        t = resource_convert(p, "teleport", 1.0)
-        assert t.e == -1.0 and t.q == 0.0
-        with pytest.raises(EacompError):
-            RatePoint(q=-0.5)
-
-    def test_float_dust_kept_raw_clamped_in_reports(self):
-        p = RatePoint(q=0.1 + 0.2)  # 0.30000000000000004
-        t = resource_convert(p, "teleport", 0.3)
-        assert 0.0 <= t.q < 1e-12
-        assert t.to_json()["Q"] == 0.0
-        # slight negative dust snaps to exactly zero
-        t2 = resource_convert(RatePoint(q=0.3), "teleport", 0.1 + 0.2)
-        assert t2.q == 0.0
-
-
 class TestRatePointJson:
     def test_clamp(self):
         p = RatePoint(q=1e-13, e=-1e-13, c=2.0, note="x")
@@ -209,6 +169,10 @@ class TestRatePointJson:
 
     def test_none_fields_omitted(self):
         assert set(RatePoint(q=1.0).to_json()) == {"Q"}
+
+    def test_negative_q_refused(self):
+        with pytest.raises(EacompError):
+            RatePoint(q=-0.5)
 
 
 def dense_acy_spectrum(e, d):
@@ -291,7 +255,7 @@ class TestGramPath:
     def test_zero_probability_items_dropped(self):
         e = make_blind([[1, 0], PLUS, [0, 1]], [0.5, 0.5, 0.0])
         d = irreducible_components(e)
-        assert gram_matrix(e, d).dim == 2
+        assert gram_matrix(e, d).entries.shape == (2, 2)
         self.assert_same_spectrum(e, d)
 
 

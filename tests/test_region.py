@@ -5,11 +5,10 @@ from eacomp.ensemble import make_blind, make_visible
 from eacomp.errors import EacompError
 from eacomp.rates import analyze, optimal_rates
 from eacomp.region import (
+    CONTAINS_ATOL,
     RegionSpec,
     boundary_polyline,
-    ce_contains,
     ce_region,
-    eq_contains,
     eq_region,
     polyline_csv,
 )
@@ -23,6 +22,16 @@ def visible_pair():
 
 def orthogonal_pair():
     return make_blind([[1, 0], [0, 1]], [0.5, 0.5])
+
+
+def in_eq(spec, ee, q, tol=CONTAINS_ATOL):
+    """(E, Q) at E >= 0 meets the EQ half-planes Q >= q_min and Q + E >= sum_min."""
+    return ee >= -tol and q >= spec.q_min - tol and q + ee >= spec.sum_min - tol
+
+
+def in_ce(spec, c, ee, tol=CONTAINS_ATOL):
+    """(C, E) meets the CE half-planes C >= c_min and E >= e_min."""
+    return c >= spec.c_min - tol and ee >= spec.e_min - tol
 
 
 class TestSpecs:
@@ -60,41 +69,6 @@ class TestSpecs:
         assert j["kind"] == "CE" and "c_min" in j and "e_min" in j
 
 
-class TestContainment:
-    def test_eq_membership(self):
-        spec = RegionSpec(kind="EQ", q_min=0.3, sum_min=1.0)
-        assert eq_contains(spec, (0.7, 0.3))  # corner
-        assert eq_contains(spec, (0.7, 0.9))
-        assert eq_contains(spec, (2.0, 0.3))
-        assert not eq_contains(spec, (0.7, 0.3 - 1e-3))  # below the floor
-        assert not eq_contains(spec, (0.6, 0.3))  # violates the sum line
-        assert not eq_contains(spec, (0.0, 0.9))
-
-    def test_eq_nonneg_e_flag(self):
-        spec = RegionSpec(kind="EQ", q_min=0.3, sum_min=1.0)
-        assert not eq_contains(spec, (-0.5, 2.0))
-        assert eq_contains(spec, (-0.5, 2.0), strict_nonneg_e=False)
-
-    def test_eq_tolerance(self):
-        spec = RegionSpec(kind="EQ", q_min=0.3, sum_min=1.0)
-        assert eq_contains(spec, (0.7, 0.3 - 0.5e-9))
-        assert not eq_contains(spec, (0.7, 0.3 - 2e-9))
-
-    def test_ce_membership(self):
-        spec = RegionSpec(kind="CE", c_min=1.2, e_min=0.6)
-        assert ce_contains(spec, (1.2, 0.6))
-        assert ce_contains(spec, (5.0, 0.6))
-        assert ce_contains(spec, (1.2, 3.0))
-        assert not ce_contains(spec, (1.2 - 1e-3, 0.6))
-        assert not ce_contains(spec, (1.2, 0.6 - 1e-3))
-
-    def test_kind_guard(self):
-        with pytest.raises(EacompError):
-            eq_contains(RegionSpec(kind="CE", c_min=1, e_min=0), (0, 0))
-        with pytest.raises(EacompError):
-            ce_contains(RegionSpec(kind="EQ", q_min=0, sum_min=0), (0, 0))
-
-
 class TestPolyline:
     def test_eq_shape(self):
         spec = RegionSpec(kind="EQ", q_min=0.3, sum_min=1.0)
@@ -109,16 +83,16 @@ class TestPolyline:
     def test_every_vertex_on_boundary(self):
         spec = eq_region(visible_pair())
         for ee, q in boundary_polyline(spec, samples=33):
-            assert eq_contains(spec, (ee, q))
-            assert not eq_contains(spec, (ee, q - 1e-3))
+            assert in_eq(spec, ee, q)
+            assert not in_eq(spec, ee, q - 1e-3)
 
     def test_ce_every_vertex_on_boundary(self):
         spec = ce_region(orthogonal_pair())
         pts = boundary_polyline(spec, samples=17)
         assert pts[0][0] == spec.c_min
         for c, ee in pts:
-            assert ce_contains(spec, (c, ee))
-            assert not ce_contains(spec, (c, ee - 1e-3))
+            assert in_ce(spec, c, ee)
+            assert not in_ce(spec, c, ee - 1e-3)
 
     def test_custom_range(self):
         spec = RegionSpec(kind="EQ", q_min=0.25, sum_min=1.0)

@@ -131,7 +131,8 @@ class TestCodeSpace:
             for n in (cap + 1, 10**30):
                 with pytest.raises(DimensionLimitError, match="lower n"):
                     build_code_space(e, n, 0.5)
-        assert build_code_space(blind_pair(), 6, 0.5).dim == cap
+        code = build_code_space(blind_pair(), 6, 0.5)
+        assert code.eigen_weights.shape[0] ** code.n == cap
         assert build_code_space(blind_line(), cap, 0.5).selected.shape == (1, cap)
 
     @pytest.mark.parametrize("source, ns", [
