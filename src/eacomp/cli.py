@@ -123,14 +123,39 @@ def cmd_rates(args) -> int:
     return 0
 
 
+def _spec_out(args) -> str | None:
+    """region's --spec-out, by default the -o path with a .json extension."""
+    if args.spec_out is None and args.output:
+        return os.path.splitext(args.output)[0] + ".json"
+    return args.spec_out
+
+
+def _refuse_outputs(args) -> str | None:
+    """The line refusing the first output of args that would overwrite
+    the ensemble, the --pre-unitary file or an earlier output, or that
+    cannot be a file in an existing directory; None when every output can
+    be written."""
+    outputs = []
+    if getattr(args, "output", None):  # validate writes nothing
+        outputs.append(("-o", args.output, "the CSV" if args.command == "region" else "the output"))
+    if args.command == "region" and (spec_out := _spec_out(args)):
+        outputs.append(("--spec-out", spec_out, "the region spec"))
+    taken = {os.path.realpath(args.ensemble): f"the ensemble {args.ensemble}"}
+    if getattr(args, "pre_unitary", None):
+        taken[os.path.realpath(args.pre_unitary)] = f"the --pre-unitary file {args.pre_unitary}"
+    for option, path, noun in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            return f"{noun} would overwrite {taken[real]}; give {option} another path"
+        if not os.path.isdir(os.path.dirname(real)):
+            return f"{noun} cannot be written to {path}: no such directory; give {option} another path"
+        if os.path.isdir(real):
+            return f"{noun} cannot be written to {path}: it is a directory; give {option} another path"
+        taken[real] = f"{noun} {path}"
+    return None
+
+
 def cmd_region(args) -> int:
-    spec_out = args.spec_out
-    if spec_out is None and args.output:
-        spec_out = os.path.splitext(args.output)[0] + ".json"
-    if args.output and spec_out and os.path.realpath(spec_out) == os.path.realpath(args.output):
-        print(f"the region spec would overwrite the CSV {args.output}; give --spec-out another path",
-              file=sys.stderr)
-        return 2
     a = analyze(_load(args), args.tol)
     if args.kind == "EQ":
         spec = eq_region(a)
@@ -140,7 +165,7 @@ def cmd_region(args) -> int:
         header = ("C", "E")
     points = boundary_polyline(spec, lo=args.lo, hi=args.hi, samples=args.samples)
     _emit(polyline_csv(points, header), args.output)
-    if spec_out:
+    if spec_out := _spec_out(args):
         _atomic_write(spec_out, _dump_json(spec.to_json()))
     return 0
 
@@ -294,6 +319,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     saved = {name: getattr(limits, name) for name in _CAPS}
     try:
+        if refusal := _refuse_outputs(args):
+            print(refusal, file=sys.stderr)
+            return 2
         for name in _CAPS:
             value = getattr(args, name.lower(), None)  # validate takes no cap flags
             if value is not None:

@@ -26,8 +26,8 @@ feasible at every eps, which pins the estimate at I(X : C) or above;
 the reversible extraction of the component index Y, V = sum_y P_y (x)
 |y>_W with P_y the projector onto the A(x)C span of component y, which
 keeps every signal intact and extracts S(CY) (a coarse-graining of Y
-when there are more components than |W|); the warm starts, less copies
-of earlier starts; random isometries. A start where the gradient
+when there are more components than |W|); the warm start, unless it
+repeats an earlier start; random isometries. A start where the gradient
 vanishes (the identity on a blind source, where I = 0 is a minimum) is
 left by a step along a random tangent direction.
 The search ends as soon as a feasible candidate reaches a proven
@@ -85,11 +85,11 @@ class IsometrySearchConfig:
 
     restarts counts every search start but the witness (the order is in
     the module docstring): random isometries fill what the identity and
-    the warm starts leave, so restarts = 1 runs the identity and, on a
+    the warm start leave, so restarts = 1 runs the identity and, on a
     source with several components, the witness. Each walk takes at
     most max_iters Riemannian gradient steps and ends once an accepted
     step gains less than conv_tol, or no step that could gain conv_tol
-    is accepted. env_dim pins |W|; left unset it defaults to
+    is accepted. env_dim, at least 1, pins |W|; left unset it defaults to
     min((dimA*dimC)^2, env_cap). restarts is at most MAX_RESTARTS, and
     seed, which seeds the random starts and kicks, is nonnegative.
     """
@@ -113,6 +113,8 @@ class IsometrySearchConfig:
             raise ValueError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {self.penalty}")
         if not 0 < self.conv_tol < np.inf:
             raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol}")
+        if self.env_dim is not None and self.env_dim < 1:
+            raise ValueError(f"env_dim must be >= 1, got {self.env_dim}")
         if self.env_cap < 1:
             raise ValueError(f"env_cap must be >= 1, got {self.env_cap}")
         if self.seed < 0:
@@ -121,7 +123,7 @@ class IsometrySearchConfig:
     def resolve_env_dim(self, dim_a: int, dim_c: int) -> int:
         bound = (dim_a * dim_c) ** 2
         if self.env_dim is not None:
-            if not 1 <= self.env_dim <= bound:
+            if self.env_dim > bound:
                 raise ValueError(f"env_dim must lie in [1, {bound}], got {self.env_dim}")
             return self.env_dim
         return max(1, min(bound, self.env_cap))
@@ -244,7 +246,8 @@ def _gaussian(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 class _Target:
     """What a search needs to know of its source: the source itself, the
     component index of each of its items, the identity channel's
-    I(X : C) and the two proven ceilings."""
+    I(X : C) and the two proven ceilings. A command builds one, and
+    everything after reads it."""
 
     source: Ensemble
     ys: np.ndarray
@@ -253,29 +256,24 @@ class _Target:
     h_x: float
 
 
-def _unit_support(e: Ensemble) -> Ensemble:
-    """e's support scaled to unit probability sum and row norms: within
-    validate's tolerances, the identity start can miss FEASIBILITY_SLACK
-    and a square can miss validate's tolerances."""
-    ov = e.overlaps
-    psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
-    return Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma)
-
-
 def _target(a: Analysis) -> _Target:
-    """The search target of a's support scaled by _unit_support, with
-    the floor and the S(CY) ceiling of i_zero_bounds(a) and a's H(X)."""
+    """The search target of a: its support scaled to unit probability sum
+    and row norms (within validate's tolerances, the identity start can
+    miss FEASIBILITY_SLACK and a square can miss validate's tolerances),
+    with the floor and the S(CY) ceiling of i_zero_bounds(a) and a's H(X)."""
     floor, s_cy = i_zero_bounds(a)
-    return _Target(_unit_support(a.source), a.decomposition.support_ys(a.source), floor, s_cy, a.profile.h_x)
+    e, ov = a.source, a.source.overlaps
+    psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
+    unit = Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma)
+    return _Target(unit, a.decomposition.support_ys(e), floor, s_cy, a.profile.h_x)
 
 
-def _pair_target(a: Analysis) -> _Target:
-    """The two-copy source of _target(a), with Y = (y(a), y(b)) and the
-    floor and both ceilings doubled; no second analysis. Pair item k holds
-    support items k // m and k % m."""
-    t = _target(a)
+def _pair_target(t: _Target, components: int) -> _Target:
+    """The two-copy source of t, with Y = (y(a), y(b)) over t's number of
+    components and the floor and both ceilings doubled; no second
+    analysis. Pair item k holds support items k // m and k % m."""
     pair = tensor_power(t.source, 2)
-    ys = (t.ys[:, None] * a.decomposition.size + t.ys).ravel()[list(pair.overlaps.support)]
+    ys = (t.ys[:, None] * components + t.ys).ravel()[list(pair.overlaps.support)]
     return _Target(pair, ys, 2.0 * t.identity_floor, 2.0 * t.s_cy, 2.0 * t.h_x)
 
 
@@ -355,17 +353,15 @@ def estimate_i_epsilon(
     overlap tolerance); the witness start and both ceilings come from
     the analysis.
     """
-    return _search(_target(analyze(src)), eps, config)
+    return _grid(_target(analyze(src)), [eps], config)[0]
 
 
 def _search(
-    t: _Target, eps: float, config: IsometrySearchConfig, warm_starts: tuple[np.ndarray, ...] = ()
+    t: _Target, eps: float, config: IsometrySearchConfig, warm: np.ndarray | None = None
 ) -> IEpsilonEstimate:
-    """The multi-start search at one eps on the target t. warm_starts are
-    extra isometries to start from: estimate_grid passes the previous
+    """The multi-start search at one eps in [0, 1] on the target t. warm
+    is an extra isometry to start from: _grid passes the previous
     optimum, so estimates grow with eps."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     e = t.source
     d_in = e.dim_a * e.dim_c
     env_dim = config.resolve_env_dim(e.dim_a, e.dim_c)
@@ -404,14 +400,11 @@ def _search(
     witness = _witness(t, env_dim)
     if witness is not None:
         starts.append(witness)
-    # estimate_grid passes the previous optimum back, often the identity
-    # or the witness itself
-    warm = 0
-    for w in warm_starts:
-        if not any(np.array_equal(w, s) for s in starts):
-            starts.append(np.asarray(w, dtype=np.complex128))
-            warm += 1
-    for run in runs(range(config.restarts - 1 - warm)):
+    # the previous optimum is often the identity or the witness itself
+    fresh = warm is not None and not any(np.array_equal(warm, s) for s in starts)
+    if fresh:
+        starts.append(warm)
+    for run in runs(range(config.restarts - 1 - fresh)):
         rngs = [np.random.default_rng([config.seed, 1000 + r]) for r in run]
         starts.extend(_retract(np.stack([_gaussian(rng, identity.shape) for rng in rngs])))
 
@@ -465,7 +458,7 @@ def _search(
             f"({ref_mi!r}, {ref_fid!r}) disagree beyond {VERIFY_ATOL}"
         )
     return IEpsilonEstimate(
-        eps=float(eps),
+        eps=eps,
         value=ref_mi,
         fidelity=ref_fid,
         isometry=best_v,
@@ -485,16 +478,21 @@ def estimate_grid(
     """Estimates along an ascending eps grid, warm-starting each point
     with the previous optimum so the reported curve is non-decreasing.
     src is an ensemble or its analysis."""
+    return _grid(_target(analyze(src)), eps_grid, config)
+
+
+def _grid(t: _Target, eps_grid, config: IsometrySearchConfig) -> list[IEpsilonEstimate]:
+    """The searches on t along an ascending grid of eps in [0, 1], each
+    warm-started with the optimum before it."""
     eps_grid = [float(x) for x in eps_grid]
     if any(b < a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError(f"eps grid must be sorted ascending, got {eps_grid}")
-    t = _target(analyze(src))
-    out = []
-    warm: tuple[np.ndarray, ...] = ()
     for eps in eps_grid:
-        est = _search(t, eps, config, warm_starts=warm)
-        out.append(est)
-        warm = (est.isometry,)
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    out = []
+    for eps in eps_grid:
+        out.append(_search(t, eps, config, out[-1].isometry if out else None))
     return out
 
 
@@ -552,10 +550,11 @@ def check_lemma_properties(
     ensemble or its analysis. Diagnostic only: nothing here raises.
     """
     a = analyze(src)
-    ests = estimate_grid(a, eps_grid, config)
+    t = _target(a)
+    ests = _grid(t, eps_grid, config)
     values = tuple(est.value for est in ests)
     grid = tuple(est.eps for est in ests)
-    floor, ceiling = i_zero_bounds(a)
+    floor, ceiling = t.identity_floor, t.s_cy
 
     violations = []
     for (e0, v0), (e1, v1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
@@ -569,7 +568,7 @@ def check_lemma_properties(
     )
 
     pair_cfg = replace(config, restarts=max(2, config.restarts // 2), env_dim=None)
-    pair_est = _search(_pair_target(a), 0.0, pair_cfg)
+    pair_est = _search(_pair_target(t, a.decomposition.size), 0.0, pair_cfg)
     subadditive_ok = pair_est.value <= 2.0 * ceiling + 1e-3
 
     secants = []

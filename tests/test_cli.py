@@ -573,6 +573,10 @@ class TestRegion:
         assert out.splitlines()[0] == "C,E"
         assert not list(tmp_path.iterdir())
 
+    def test_ce_range_below_the_corner_is_the_header_alone(self, capsys):
+        # --hi below the CE corner's C leaves no boundary to sample
+        assert run(["region", BLIND, "--kind", "CE", "--hi", "-5"], capsys) == (0, "C,E\n", "")
+
     def test_ce_needs_blind_exit_1(self, capsys):
         code, _, err = run(["region", VISIBLE, "--kind", "CE"], capsys)
         assert code == 1
@@ -585,6 +589,33 @@ class TestRegion:
         cli.main(["region", TRIPLE, "--kind", "EQ", "-o", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestOutputPaths:
+    """An output that would replace the ensemble, the --pre-unitary file or
+    another output, or that is no file in an existing directory, is
+    refused before the source is read: exit 2 naming the option and the
+    path, and nothing written."""
+
+    @pytest.mark.parametrize("argv, option, path", [
+        (["region", "s.json", "--kind", "EQ", "-o", "s.csv"], "--spec-out", "s.json"),
+        (["rates", "s.json", "-o", "s.json"], "-o", "s.json"),
+        (["region", "s.json", "--kind", "EQ", "-o", "eq.csv", "--spec-out", "missing/eq.json"],
+         "--spec-out", "missing/eq.json"),
+        (["rates", "s.json", "-o", "U.json", "--pre-unitary", "U.json"], "-o", "U.json"),
+        (["decompose", "s.json", "-o", "."], "-o", "."),
+    ], ids=["derived-spec-onto-source", "report-onto-source", "spec-in-missing-directory",
+            "report-onto-pre-unitary", "report-onto-directory"])
+    def test_refused_before_the_source_is_read(self, tmp_path, capsys, monkeypatch, argv, option, path):
+        monkeypatch.chdir(tmp_path)
+        Path("s.json").write_text(Path(BLIND).read_text())
+        Path("U.json").write_text("[[1, 0], [0, 1]]")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "load_ensemble", lambda *args: pytest.fail("source read"))
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert path in err and err.endswith(f"; give {option} another path\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestSimulate:
@@ -746,6 +777,18 @@ class TestIEpsilon:
         want = json.loads(run(["iepsilon", TRIPLE, "--eps", "0,0.1", *flags], capsys)[1])
         for got, ref in zip(report["estimates"], want["estimates"]):
             assert abs(got["estimate"] - ref["estimate"]) <= 1e-6
+
+    def test_env_dim_below_one_is_refused_before_the_analysis(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analysed"))
+        argv = ["iepsilon", BLIND, "--eps", "0", "--env-dim", "0"]
+        assert run(argv, capsys) == (2, "", "env_dim must be >= 1, got 0\n")
+
+    def test_repeated_eps_has_flat_secants(self, capsys):
+        # a secant over a zero-width span of the grid holds trivially
+        code, out, _ = run(["iepsilon", BLIND, "--eps", "0.1,0.1,0.1", "--restarts", "1",
+                            "--max-iters", "8", "--check-lemma"], capsys)
+        assert code == 0
+        assert json.loads(out)["lemma_checks"]["concave_secants_ok"] == [True]
 
     def test_check_lemma_section(self, capsys):
         code, out, _ = run(

@@ -358,7 +358,7 @@ class TestTensorPower:
         e = make_blind([[1, 0], PLUS], [0.5, 0.5], labels=["\\", "\\,"])
         assert len(set(tensor_power(e, 3).labels)) == 8
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         old = limits.SEQUENCE_CAP
         limits.SEQUENCE_CAP = 8
         try:
@@ -368,6 +368,9 @@ class TestTensorPower:
             limits.SEQUENCE_CAP = old
         with pytest.raises(ValueError):
             tensor_power(blind_pair(), 0)
+        monkeypatch.setattr(limits, "VECTOR_CAP", 65536)
+        with pytest.raises(DimensionLimitError, match="^copy dimensions 90000x1 exceed cap 65536$"):
+            tensor_power(make_blind([np.eye(300)[0]], [1.0]), 2)
 
 
 class TestProductUnitary:

@@ -97,6 +97,7 @@ class TestConfig:
             {"conv_tol": 0.0},
             {"conv_tol": float("nan")},
             {"env_cap": 0},
+            {"env_dim": 0},
             {"restarts": MAX_RESTARTS + 1},
         ):
             with pytest.raises(ValueError):
@@ -262,20 +263,25 @@ class TestEstimator:
         assert len(ests) == 4
         assert calls == {"_target": 1, "mixture_spectra": 1}
 
-    @pytest.mark.parametrize("run, builds", [
-        (lambda path: i_zero_bounds(load_ensemble(path)), 0),
-        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.1"]), 1),
-        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.1", "--check-lemma"]), 2),
+    @pytest.mark.parametrize("run, targets, bounds", [
+        (lambda path: iepsilon.i_zero_bounds(load_ensemble(path)), 0, 1),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2"]), 1, 2),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2", "--check-lemma"]), 1, 2),
     ], ids=["bounds", "grid", "check-lemma"])
-    def test_search_sources_built(self, monkeypatch, capsys, run, builds):
-        # the bounds rescale nothing, a grid rescales the source once, and
-        # --check-lemma once more for the two-copy pair
-        calls = []
-        real = iepsilon._unit_support
-        monkeypatch.setattr(iepsilon, "_unit_support", lambda e: calls.append(e) or real(e))
+    def test_search_sources_built(self, monkeypatch, capsys, run, targets, bounds):
+        # the bounds build no search target; a command builds one, whose
+        # floor and ceilings --check-lemma reads and squares for the
+        # two-copy pair, and takes the bounds once for the report and
+        # once for the target
+        calls = {"_target": 0, "i_zero_bounds": 0}
+        for module, name in ((iepsilon, "_target"), (iepsilon, "i_zero_bounds"), (cli, "i_zero_bounds")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
         run(DATA / "sideinfo_triple.json")
         capsys.readouterr()
-        assert len(calls) == builds
+        assert calls == {"_target": targets, "i_zero_bounds": bounds}
 
     def test_search_refused_before_it_is_formed(self, monkeypatch):
         # two states with dimC = 2000: the analysis and S(C) take their
@@ -555,11 +561,12 @@ class TestLockstep:
         t = file_target(name)
         for restarts, seed in ((1, 0), (4, 0), (6, 3)):
             cfg = IsometrySearchConfig(restarts=restarts, seed=seed)
-            warm = ()
+            warm = None
             for eps in (0.0, 0.05, 0.1, 0.2, 1.0):
                 got = _search(t, eps, cfg, warm)
-                assert_same_estimate(got, dense_oracle.sequential_search(t, eps, cfg, warm))
-                warm = (got.isometry,)
+                want = dense_oracle.sequential_search(t, eps, cfg, () if warm is None else (warm,))
+                assert_same_estimate(got, want)
+                warm = got.isometry
 
     @settings(max_examples=80)
     @given(st.one_of(random_sources(), multi_sector_sources(), sources()),

@@ -61,6 +61,7 @@ class TestSpecs:
         # S_A = 1, S_Y = 1: corner at C = 1, E = 0
         assert abs(spec.c_min - 1.0) < 1e-12
         assert abs(spec.e_min - 0.0) < 1e-12
+        assert RegionSpec(kind="CE", c_min=1.2, e_min=0.4).corner == (1.2, 0.4)
 
     def test_to_json(self):
         j = eq_region(visible_pair()).to_json()
