@@ -37,7 +37,7 @@ from .rates import (
     blind_rates,
     visible_rates,
 )
-from .region import boundary_polyline, ce_region, eq_region, polyline_csv
+from .region import boundary_polyline, ce_region, check_samples, eq_region, polyline_csv
 from .schumacher import fidelity_curve
 
 
@@ -156,7 +156,9 @@ def _refuse_outputs(args) -> str | None:
 
 
 def cmd_region(args) -> int:
-    a = analyze(_load(args), args.tol)
+    e = _load(args)
+    check_samples(args.samples)
+    a = analyze(e, args.tol)
     if args.kind == "EQ":
         spec = eq_region(a)
         header = ("E", "Q")
@@ -197,6 +199,7 @@ def cmd_iepsilon(args) -> int:
         env_cap=args.env_cap,
         seed=args.seed,
     )
+    config.resolve_env_dim(e.dim_a, e.dim_c)  # refuses --env-dim above (dimA dimC)^2 before the analysis
     a = analyze(e, args.tol)
     floor, ceiling = i_zero_bounds(a)
     report = {

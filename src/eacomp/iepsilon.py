@@ -60,7 +60,7 @@ import numpy as np
 from ._accel import unitary_objective
 from .ensemble import Ensemble, tensor_power
 from .errors import ConsistencyError, EacompError
-from .rates import Analysis, analyze
+from .rates import Analysis
 from .states import (DensityMatrix, check_isometry, check_side, entropy_from_probs, mixture_spectra,
                      von_neumann_entropy)
 
@@ -174,13 +174,12 @@ def objective(e: Ensemble, v: np.ndarray) -> tuple[float, float]:
     return mi, float(fid)
 
 
-def i_zero_bounds(src) -> tuple[float, float]:
-    """(floor, ceiling) for the zero-disturbance limit of an ensemble or
-    its analysis, with no search source built: the identity channel
-    extracts I(X : C) = S(C), from the smaller of the support's Gram and
+def i_zero_bounds(a: Analysis) -> tuple[float, float]:
+    """(floor, ceiling) for the zero-disturbance limit of an analysed
+    source, with no search source built: the identity channel extracts
+    I(X : C) = S(C), from the smaller of the support's Gram and
     dimC x dimC sides, and no lossless extraction can beat S(CY) of the
     component-extended source, read off the profile."""
-    a = analyze(src)
     ov = a.source.overlaps
     s_c = entropy_from_probs(mixture_spectra(ov.probs, a.source.dim_c, lambda: ov.sigma_gram, lambda: ov.sigma))
     return s_c, a.profile.s_cy
@@ -343,17 +342,13 @@ def _walk(r: int, v: np.ndarray, cur: tuple, config: IsometrySearchConfig, keep)
 
 
 def estimate_i_epsilon(
-    src,
+    a: Analysis,
     eps: float,
     config: IsometrySearchConfig = IsometrySearchConfig(),
 ) -> IEpsilonEstimate:
-    """Best certified value found by the multi-start search at one eps.
-
-    src is an ensemble or its analysis (pass analyze(e, tol) for another
-    overlap tolerance); the witness start and both ceilings come from
-    the analysis.
-    """
-    return _grid(_target(analyze(src)), [eps], config)[0]
+    """Best certified value found by the multi-start search at one eps;
+    the witness start and both ceilings come from the analysis a."""
+    return _grid(_target(a), [eps], config)[0]
 
 
 def _search(
@@ -471,14 +466,14 @@ def _search(
 
 
 def estimate_grid(
-    src,
+    a: Analysis,
     eps_grid,
     config: IsometrySearchConfig = IsometrySearchConfig(),
 ) -> list[IEpsilonEstimate]:
-    """Estimates along an ascending eps grid, warm-starting each point
-    with the previous optimum so the reported curve is non-decreasing.
-    src is an ensemble or its analysis."""
-    return _grid(_target(analyze(src)), eps_grid, config)
+    """Estimates on the analysed source a along an ascending eps grid,
+    warm-starting each point with the previous optimum so the reported
+    curve is non-decreasing."""
+    return _grid(_target(a), eps_grid, config)
 
 
 def _grid(t: _Target, eps_grid, config: IsometrySearchConfig) -> list[IEpsilonEstimate]:
@@ -531,7 +526,7 @@ class LemmaReport:
 
 
 def check_lemma_properties(
-    src,
+    a: Analysis,
     eps_grid,
     config: IsometrySearchConfig = IsometrySearchConfig(),
 ) -> LemmaReport:
@@ -546,10 +541,9 @@ def check_lemma_properties(
     witness and ceiling 2 S(CY) come from the pairs (y(a), y(b)) of the
     one analysis. Both searches at eps = 0 end at the ceiling with the
     reversible-extraction witness (or the identity), so ceiling_at_zero_ok
-    and subadditive_ok test that witness, not the optimiser. src is an
-    ensemble or its analysis. Diagnostic only: nothing here raises.
+    and subadditive_ok test that witness, not the optimiser. Diagnostic
+    only: nothing here raises.
     """
-    a = analyze(src)
     t = _target(a)
     ests = _grid(t, eps_grid, config)
     values = tuple(est.value for est in ests)

@@ -15,8 +15,8 @@ A source is analysed once (`analyze`): one decomposition, one entropy
 profile and the blind/visible flags, all read from the source's two
 overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>] over its
 support (`Ensemble.overlaps`). Every rate point is arithmetic on that
-analysis; passing an Ensemble instead analyses it on entry, at the
-default tolerance. `analyze` is the one place a tolerance is given.
+analysis, and every rate, region and bound function takes the Analysis,
+never the Ensemble. `analyze` is the one place a tolerance is given.
 
 S(CY) and S(ACY) are each evaluated twice. The block path takes
 H(q) + sum_y q_y S(.|y), each S(.|y) from component y's rows with
@@ -159,15 +159,14 @@ def _direct_entropies(ov: Overlaps, groups) -> tuple[float, float]:
     )
 
 
-def entropy_profile(e: Ensemble, decomposition: Decomposition | None = None) -> EntropyProfile:
-    """Entropy profile of e over a decomposition of e, by default the one
-    at the strict default tolerance.
+def entropy_profile(e: Ensemble, decomposition: Decomposition) -> EntropyProfile:
+    """Entropy profile of e over a decomposition of e.
 
     The decomposition is checked against e's overlap graph at its own
     tolerance first: the block and direct paths below share its label ->
     y map, so neither could see a merged or split component.
     """
-    d = irreducible_components(e, DEFAULT_OVERLAP_TOL) if decomposition is None else decomposition
+    d = decomposition
     check_components(e, d)
     ov = e.overlaps
     ys = d.support_ys(e)
@@ -242,23 +241,15 @@ class Analysis:
     visible: bool
 
 
-def analyze(src, tol: float | None = None) -> Analysis:
-    """Decompose src and build its entropy profile, once each; both, and
-    the blind/visible flags, read the overlap matrices src builds once.
+def analyze(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
+    """Decompose e and build its entropy profile, once each; both, and
+    the blind/visible flags, read the overlap matrices e builds once.
 
-    tol is the overlap tolerance of the component graph and the flags
-    (default DEFAULT_OVERLAP_TOL); no rate, region or bound function
-    takes one. An Analysis is returned as it is, so every function
-    taking a source accepts either form; a tol other than its own is
-    refused with ValueError.
+    tol is the overlap tolerance of the component graph and the flags;
+    no rate, region or bound function takes one.
     """
-    if isinstance(src, Analysis):
-        if tol is not None and tol != src.decomposition.tolerance:
-            raise ValueError(f"analysis is at tolerance {src.decomposition.tolerance}, not {tol}")
-        return src
-    tol = DEFAULT_OVERLAP_TOL if tol is None else tol
-    d = irreducible_components(src, tol)
-    return Analysis(src, d, entropy_profile(src, d), src.is_blind(tol), src.is_visible(tol))
+    d = irreducible_components(e, tol)
+    return Analysis(e, d, entropy_profile(e, d), e.is_blind(tol), e.is_visible(tol))
 
 
 @dataclass(frozen=True)
@@ -292,10 +283,10 @@ class RatePoint:
         return out
 
 
-def optimal_rates(src) -> RatePoint:
+def optimal_rates(a: Analysis) -> RatePoint:
     """Cheapest qubit rate under free entanglement, with the ebit rate
     the protocol actually consumes at that corner."""
-    p = analyze(src).profile
+    p = a.profile
     return RatePoint(
         q=0.5 * (p.s_a + p.s_a_given_cy),
         e=0.5 * p.i_a_cy,
@@ -332,7 +323,7 @@ def _check_against_general(q: float, ee: float, a: Analysis, kind: str):
     )
 
 
-def blind_rates(src) -> RatePoint:
+def blind_rates(a: Analysis) -> RatePoint:
     """No side information: Q = S(A) - S(Y)/2, E = S(Y)/2.
 
     Cross-checked against the general formula. A disagreement is a
@@ -341,7 +332,6 @@ def blind_rates(src) -> RatePoint:
     within the looser tolerance of its analysis, it is an EacompError
     naming --tol.
     """
-    a = analyze(src)
     if not a.blind:
         raise EacompError("ensemble has nontrivial side information; blind formulas do not apply")
     p = a.profile
@@ -350,7 +340,7 @@ def blind_rates(src) -> RatePoint:
     return RatePoint(q=q, e=ee, note="blind specialization")
 
 
-def visible_rates(src) -> RatePoint:
+def visible_rates(a: Analysis) -> RatePoint:
     """Side information identifies the signal: Q = E = S(A)/2.
 
     Cross-checked against the general formula as blind_rates is: a bug
@@ -358,7 +348,6 @@ def visible_rates(src) -> RatePoint:
     the source is visible only within the looser tolerance of its
     analysis.
     """
-    a = analyze(src)
     if not a.visible:
         raise EacompError("side information does not identify the signal; visible formulas do not apply")
     p = a.profile
@@ -367,11 +356,10 @@ def visible_rates(src) -> RatePoint:
     return RatePoint(q=q, e=ee, note="visible specialization")
 
 
-def classical_entanglement_corner(src) -> RatePoint:
+def classical_entanglement_corner(a: Analysis) -> RatePoint:
     """Blind corner after teleporting the whole quantum message:
     C = 2 S(A) - S(Y), E = S(A) - S(Y). Refused as blind_rates is when
     the blind point disagrees with the general formula."""
-    a = analyze(src)
     blind_rates(a)
     p = a.profile
     return RatePoint(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EacompError
-from .rates import analyze, classical_entanglement_corner, optimal_rates
+from .rates import Analysis, classical_entanglement_corner, optimal_rates
 
 CONTAINS_ATOL = 1e-9
 # CSV numbers of this magnitude or more are written in scientific notation:
@@ -76,16 +76,23 @@ class RegionSpec:
         return out
 
 
-def eq_region(src) -> RegionSpec:
-    """Qubit/ebit region of an ensemble or its analysis, cornered at optimal_rates."""
-    a = analyze(src)
+def eq_region(a: Analysis) -> RegionSpec:
+    """Qubit/ebit region of an analysed source, cornered at optimal_rates."""
     return RegionSpec(kind="EQ", q_min=optimal_rates(a).q, sum_min=a.profile.s_a)
 
 
-def ce_region(src) -> RegionSpec:
-    """Cbit/ebit region at the blind corner of an ensemble or its analysis."""
-    corner = classical_entanglement_corner(src)
+def ce_region(a: Analysis) -> RegionSpec:
+    """Cbit/ebit region at the blind corner of an analysed source."""
+    corner = classical_entanglement_corner(a)
     return RegionSpec(kind="CE", c_min=corner.c, e_min=corner.e)
+
+
+def check_samples(samples: int):
+    """Refuse a boundary_polyline sample count outside [2, MAX_SAMPLES]."""
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
 
 
 def boundary_polyline(
@@ -103,10 +110,7 @@ def boundary_polyline(
     same vertex shifted down in the second coordinate by more than
     CONTAINS_ATOL does not.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
+    check_samples(samples)
     if spec.kind == "EQ":
         lo = 0.0 if lo is None else max(float(lo), 0.0)
         hi = spec.sum_min if hi is None else float(hi)

@@ -17,9 +17,9 @@ import numpy as np
 from eacomp import (
     Ensemble,
     IsometrySearchConfig,
+    analyze,
     classical_entanglement_corner,
     cli,
-    entropy_profile,
     eq_region,
     estimate_grid,
     fidelity_curve,
@@ -121,8 +121,9 @@ def test_blind_irreducible_no_advantage(capsys):
             if irreducible_components(e).size != 1:
                 continue
             produced += 1
-            r = optimal_rates(e)
-            s_a = entropy_profile(e).s_a
+            a = analyze(e)
+            r = optimal_rates(a)
+            s_a = a.profile.s_a
             assert abs(r.q - s_a) <= 1e-9
         assert time.monotonic() - start < 5.0
 
@@ -136,8 +137,9 @@ def test_visible_rates_halve(capsys):
             m = int(rng.integers(2, 5))
             probs = rng.dirichlet(np.ones(m))
             e = make_visible([rand_unit(rng, dim_a) for _ in range(m)], probs)
-            r = optimal_rates(e)
-            s_a = entropy_profile(e).s_a
+            a = analyze(e)
+            r = optimal_rates(a)
+            s_a = a.profile.s_a
             assert abs(r.q - 0.5 * s_a) <= 1e-9
             assert abs(r.e - 0.5 * s_a) <= 1e-9
 
@@ -171,17 +173,18 @@ def test_corner_consistency(capsys):
                 ])
             else:
                 e = blind_two_sector(rng)
-            r = optimal_rates(e)
-            spec = eq_region(e)
+            a = analyze(e)
+            r = optimal_rates(a)
+            spec = eq_region(a)
             assert r.e >= -1e-9
             assert abs(r.q - spec.q_min) <= 1e-9
             assert abs((r.q + r.e) - spec.sum_min) <= 1e-9
             if e.is_blind():
                 # teleporting the q0 qubits of the no-ebit point (q0, C = S(Y))
                 # costs 2 q0 cbits and q0 ebits
-                p = entropy_profile(e)
+                p = a.profile
                 q0 = p.s_a - p.s_y
-                corner = classical_entanglement_corner(e)
+                corner = classical_entanglement_corner(a)
                 assert abs(corner.c - (p.s_y + 2 * q0)) <= 1e-12
                 assert abs(corner.e - q0) <= 1e-12
 
@@ -203,7 +206,7 @@ def test_entropy_dual_path(capsys):
                 else:
                     sig = rand_unit(rng, dim_c)
                 rows.append((str(i), float(probs[i]), rand_unit(rng, dim_a), sig))
-            p = entropy_profile(build(rows))
+            p = analyze(build(rows)).profile
             assert abs(p.s_acy - p.s_acy_direct) <= 1e-8
 
 
@@ -258,8 +261,9 @@ def test_information_bounds(capsys):
 
         values = {}
         for name, e in fixtures.items():
-            ests = estimate_grid(e, grid, config)
-            floor, ceiling = i_zero_bounds(e)
+            a = analyze(e)
+            ests = estimate_grid(a, grid, config)
+            floor, ceiling = i_zero_bounds(a)
             vals = [est.value for est in ests]
             values[name] = vals
             for v in vals:
@@ -269,10 +273,10 @@ def test_information_bounds(capsys):
             assert vals[0] <= ceiling + 1e-6, name
             if name in blind_irreducible:
                 assert vals[0] <= 1e-3, name
-            for a, b in zip(vals, vals[1:]):
-                assert b >= a - 1e-3, name
+            for v0, v1 in zip(vals, vals[1:]):
+                assert v1 >= v0 - 1e-3, name
 
-        rerun = [est.value for est in estimate_grid(fixtures["triple"], grid, config)]
+        rerun = [est.value for est in estimate_grid(analyze(fixtures["triple"]), grid, config)]
         assert rerun == values["triple"]
         assert time.monotonic() - start < 120.0
 

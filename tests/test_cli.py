@@ -24,7 +24,6 @@ from eacomp import (
     blind_rates,
     cli,
     cnot_unitary,
-    entropy_profile,
     fidelity_curve,
     limits,
     load_ensemble,
@@ -360,7 +359,7 @@ class TestRates:
         assert code == 0
         report = json.loads(out)
         e = load_ensemble(BLIND)
-        opt = optimal_rates(e)
+        opt = optimal_rates(analyze(e))
         assert report["schema_version"] == 1
         assert report["rates"]["optimal"]["Q"] == pytest.approx(opt.q, abs=1e-15)
         assert report["rates"]["optimal"]["E"] == pytest.approx(opt.e, abs=1e-15)
@@ -418,7 +417,7 @@ class TestRates:
         assert code == 0
         report = json.loads(out)
         e = apply_product_unitary(load_ensemble(TRIPLE), cnot_unitary())
-        profile = entropy_profile(e)
+        profile = analyze(e).profile
         assert report["rates"]["optimal"]["Q"] == pytest.approx(
             0.5 * (profile.s_a + profile.s_a_given_cy), abs=1e-12)
 
@@ -577,6 +576,15 @@ class TestRegion:
         # --hi below the CE corner's C leaves no boundary to sample
         assert run(["region", BLIND, "--kind", "CE", "--hi", "-5"], capsys) == (0, "C,E\n", "")
 
+    @pytest.mark.parametrize("samples, message", [
+        ("1", "samples must be >= 2, got 1"),
+        (str(MAX_SAMPLES + 1), f"samples must be <= {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"),
+    ], ids=["below", "above"])
+    def test_samples_out_of_range_refused_before_the_analysis(self, monkeypatch, capsys, samples, message):
+        monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analysed"))
+        argv = ["region", BLIND, "--kind", "EQ", "--samples", samples]
+        assert run(argv, capsys) == (2, "", message + "\n")
+
     def test_ce_needs_blind_exit_1(self, capsys):
         code, _, err = run(["region", VISIBLE, "--kind", "CE"], capsys)
         assert code == 1
@@ -616,6 +624,16 @@ class TestOutputPaths:
         assert (code, out) == (2, "")
         assert path in err and err.endswith(f"; give {option} another path\n")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_replace_removes_the_temporary_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "r.json"
+        code, out, err = run(["rates", BLIND, "-o", str(target)], capsys)
+        assert (code, out, err) == (2, "", f"cannot replace {target}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -782,6 +800,12 @@ class TestIEpsilon:
         monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analysed"))
         argv = ["iepsilon", BLIND, "--eps", "0", "--env-dim", "0"]
         assert run(argv, capsys) == (2, "", "env_dim must be >= 1, got 0\n")
+
+    def test_env_dim_above_the_bound_is_refused_before_the_analysis(self, monkeypatch, capsys):
+        # blind_pair has dimA * dimC = 2, so |W| is at most 4
+        monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("analysed"))
+        argv = ["iepsilon", BLIND, "--eps", "0", "--env-dim", "5"]
+        assert run(argv, capsys) == (2, "", "env_dim must lie in [1, 4], got 5\n")
 
     def test_repeated_eps_has_flat_secants(self, capsys):
         # a secant over a zero-width span of the grid holds trivially

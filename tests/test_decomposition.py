@@ -14,7 +14,7 @@ from eacomp.decomposition import (
 )
 from eacomp.ensemble import Ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, LabelError
-from eacomp.rates import analyze, entropy_profile, optimal_rates
+from eacomp.rates import analyze, optimal_rates
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -145,12 +145,12 @@ class TestExtendWithY:
         # side information must not move any entropy the rates depend on
         e = two_sector_blind()
         ext = extend_with_y(e, irreducible_components(e))
-        p1 = entropy_profile(e)
-        p2 = entropy_profile(ext)
+        a1, a2 = analyze(e), analyze(ext)
+        p1, p2 = a1.profile, a2.profile
         assert abs(p1.s_a - p2.s_a) < 1e-10
         assert abs(p1.s_cy - p2.s_cy) < 1e-10
         assert abs(p1.s_acy - p2.s_acy) < 1e-10
-        r1, r2 = optimal_rates(e), optimal_rates(ext)
+        r1, r2 = optimal_rates(a1), optimal_rates(a2)
         assert abs(r1.q - r2.q) < 1e-10 and abs(r1.e - r2.e) < 1e-10
 
 
@@ -228,7 +228,7 @@ class TestOnePartition:
         e = two_sector_blind()
         a = analyze(e)
         assert builds == [DEFAULT_OVERLAP_TOL]
-        entropy_profile(e)
+        analyze(e)
         assert not overlaps_across_components(e, a.decomposition)
         check_components(e, a.decomposition)
         assert builds == [DEFAULT_OVERLAP_TOL]

@@ -32,7 +32,7 @@ from eacomp.errors import (
     LabelError,
     LayoutMismatchError,
 )
-from eacomp.rates import optimal_rates
+from eacomp.rates import analyze
 from eacomp.states import mixture_spectra
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -163,7 +163,7 @@ class TestConstructors:
     def test_bare_constructor_refuses_what_validate_reports(self, probs, psi, labels):
         # the analysis never runs: the rows are refused before it is called
         with pytest.raises(EnsembleFormatError) as err:
-            optimal_rates(Ensemble(labels, probs, psi, np.ones((2, 1))))
+            analyze(Ensemble(labels, probs, psi, np.ones((2, 1))))
         assert err.value.violations == validate_per_row(labels, probs, psi, np.ones((2, 1)))
         assert err.value.violations
 

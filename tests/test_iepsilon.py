@@ -116,7 +116,7 @@ class TestObjective:
         e = sideinfo_triple()
         v = identity_isometry(4, 3)
         mi, fid = objective(e, v)
-        floor, _ = i_zero_bounds(e)
+        floor, _ = i_zero_bounds(analyze(e))
         assert abs(mi - floor) < 1e-10
         assert abs(fid - 1.0) < 1e-12
 
@@ -244,12 +244,13 @@ class TestEstimator:
             for nx in (2, 3, 4, 6):
                 e = random_source(rng, 2, dc, nx)
                 marginal = von_neumann_entropy(reduced(e, {"C"}))
-                floor, _ = i_zero_bounds(e)
+                a = analyze(e)
+                floor, _ = i_zero_bounds(a)
                 if nx >= dc:
                     assert floor == marginal
                 else:
                     assert abs(floor - marginal) <= 1e-13
-                assert estimate_grid(e, [0.0], FAST)[0].identity_floor == floor
+                assert estimate_grid(a, [0.0], FAST)[0].identity_floor == floor
 
     def test_one_target_and_one_floor_per_grid(self, monkeypatch):
         # the analysis takes its spectra through rates' own binding
@@ -259,12 +260,12 @@ class TestEstimator:
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(iepsilon, name, counted)
-        ests = estimate_grid(load_ensemble(DATA / "sideinfo_triple.json"), [0.0, 0.05, 0.1, 0.2], FAST)
+        ests = estimate_grid(analyze(load_ensemble(DATA / "sideinfo_triple.json")), [0.0, 0.05, 0.1, 0.2], FAST)
         assert len(ests) == 4
         assert calls == {"_target": 1, "mixture_spectra": 1}
 
     @pytest.mark.parametrize("run, targets, bounds", [
-        (lambda path: iepsilon.i_zero_bounds(load_ensemble(path)), 0, 1),
+        (lambda path: iepsilon.i_zero_bounds(analyze(load_ensemble(path))), 0, 1),
         (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2"]), 1, 2),
         (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2", "--check-lemma"]), 1, 2),
     ], ids=["bounds", "grid", "check-lemma"])
@@ -292,54 +293,54 @@ class TestEstimator:
         monkeypatch.setattr(limits, "MATRIX_CAP", 100)
         with pytest.raises(DimensionLimitError, match="^matrix side 64000 exceeds cap 100$"):
             with traced_peak() as peak:
-                estimate_grid(e, [0.0])
+                estimate_grid(analyze(e), [0.0])
         assert peak[0] < 2 * 2**20
 
     def test_floor_and_feasibility(self):
         e = sideinfo_triple()
         for eps in (0.0, 0.1):
-            est = estimate_i_epsilon(e, eps, FAST)
+            est = estimate_i_epsilon(analyze(e), eps, FAST)
             assert est.value >= est.identity_floor - 1e-9
             assert est.fidelity >= 1.0 - eps - 1e-9
             v = est.isometry
             np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-9)
 
     def test_blind_zero_eps_is_tiny(self):
-        est = estimate_i_epsilon(blind_pair(), 0.0, FAST)
+        est = estimate_i_epsilon(analyze(blind_pair()), 0.0, FAST)
         assert est.value <= 1e-3
         assert est.fidelity >= 1.0 - 1e-9
 
     def test_single_state_always_zero(self):
         e = make_blind([[1, 0]], [1.0])
         for eps in (0.0, 0.2):
-            est = estimate_i_epsilon(e, eps, FAST)
+            est = estimate_i_epsilon(analyze(e), eps, FAST)
             assert est.value == 0.0
 
     def test_visible_pair_saturates_h_x(self):
         e = make_visible([[1, 0], PLUS], [0.5, 0.5])
-        est = estimate_i_epsilon(e, 0.0, IsometrySearchConfig(restarts=1, max_iters=10))
+        est = estimate_i_epsilon(analyze(e), 0.0, IsometrySearchConfig(restarts=1, max_iters=10))
         assert abs(est.value - 1.0) < 1e-9
         assert est.fallback_identity
 
     def test_deterministic(self):
         e = blind_pair()
-        a = estimate_i_epsilon(e, 0.1, FAST)
-        b = estimate_i_epsilon(e, 0.1, FAST)
+        a = estimate_i_epsilon(analyze(e), 0.1, FAST)
+        b = estimate_i_epsilon(analyze(e), 0.1, FAST)
         assert a.value == b.value
         assert a.fidelity == b.fidelity
         np.testing.assert_array_equal(a.isometry, b.isometry)
-        c = estimate_i_epsilon(e, 0.1, IsometrySearchConfig(restarts=2, max_iters=50, seed=5))
+        c = estimate_i_epsilon(analyze(e), 0.1, IsometrySearchConfig(restarts=2, max_iters=50, seed=5))
         assert c.value != a.value  # different seed explores differently
 
     def test_eps_guard(self):
         for eps in (-0.1, 1.5, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                estimate_i_epsilon(blind_pair(), eps, FAST)
+                estimate_i_epsilon(analyze(blind_pair()), eps, FAST)
 
     def test_stationary_identity_start_is_left(self):
         # on a blind source the identity is a critical point (I = 0, zero
         # gradient); with one start the walk must still leave it
-        est = estimate_i_epsilon(blind_pair(), 0.1, IsometrySearchConfig(restarts=1))
+        est = estimate_i_epsilon(analyze(blind_pair()), 0.1, IsometrySearchConfig(restarts=1))
         assert est.value >= 0.5
         assert est.fidelity >= 0.9 - 1e-9
         assert not est.fallback_identity
@@ -347,7 +348,7 @@ class TestEstimator:
     def test_reducible_blind_extracts_component_bit(self):
         # orthogonal states: the component label is a free bit once eps > 0
         e = make_blind([[1, 0], [0, 1]], [0.5, 0.5])
-        est = estimate_i_epsilon(e, 0.1, FAST)
+        est = estimate_i_epsilon(analyze(e), 0.1, FAST)
         assert est.value > 0.5
 
 
@@ -395,7 +396,7 @@ class TestCeilingsAndWitness:
     def test_estimate_never_below_s_cy(self, e):
         a = analyze(e)
         cfg = IsometrySearchConfig(restarts=2, max_iters=5, env_cap=4)
-        for est in estimate_grid(e, [0.0, 0.05, 0.2], cfg):
+        for est in estimate_grid(analyze(e), [0.0, 0.05, 0.2], cfg):
             assert est.value >= a.profile.s_cy - 1e-9, est.eps
             assert est.fidelity >= 1.0 - est.eps - 1e-9
 
@@ -419,7 +420,7 @@ class TestCeilingsAndWitness:
         # three orthogonal signals, |W| = 2: groups {0, 2} and {1}
         probs = [0.2, 0.3, 0.5]
         e = make_blind(np.eye(3), probs)
-        est = estimate_i_epsilon(e, 0.0, IsometrySearchConfig(restarts=1, env_dim=2))
+        est = estimate_i_epsilon(analyze(e), 0.0, IsometrySearchConfig(restarts=1, env_dim=2))
         assert abs(est.value - entropy_from_probs(np.array([0.7, 0.3]))) <= 1e-12
         assert est.fidelity >= 1.0 - 1e-9
 
@@ -448,7 +449,7 @@ class TestCeilingsAndWitness:
 class TestGrid:
     def test_monotone_chain(self):
         e = blind_pair()
-        ests = estimate_grid(e, [0.0, 0.05, 0.1, 0.2], FAST)
+        ests = estimate_grid(analyze(e), [0.0, 0.05, 0.1, 0.2], FAST)
         values = [est.value for est in ests]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12  # warm start keeps the chain non-decreasing
@@ -459,7 +460,7 @@ class TestGrid:
         # eps = 0.1 is the gradient walk recorded when the search moved to
         # the isometries: a kernel or step-rule change that moves one step
         # of the search moves these numbers
-        ests = estimate_grid(sideinfo_triple(), [0.0, 0.1], FAST)
+        ests = estimate_grid(analyze(sideinfo_triple()), [0.0, 0.1], FAST)
         assert [est.evaluations for est in ests] == [1, 42]
         for est, value, fid in zip(
             ests, [0.27451479891986763, 1.2058510708599512], [1.0, 0.9002608996911337]
@@ -492,12 +493,12 @@ class TestGrid:
 
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
-            estimate_grid(blind_pair(), [0.1, 0.0], FAST)
+            estimate_grid(analyze(blind_pair()), [0.1, 0.0], FAST)
 
 
 class TestLemmaReport:
     def test_blind_pair_report(self):
-        rep = check_lemma_properties(blind_pair(), [0.0, 0.1, 0.2], FAST)
+        rep = check_lemma_properties(analyze(blind_pair()), [0.0, 0.1, 0.2], FAST)
         assert rep.floor == 0.0 and rep.ceiling == 0.0
         assert rep.floor_ok and rep.ceiling_at_zero_ok
         assert rep.monotone_ok and not rep.monotone_violations
@@ -507,13 +508,13 @@ class TestLemmaReport:
         assert j["estimates"] == list(rep.estimates)
 
     def test_two_sector_pair_reaches_doubled_ceiling(self):
-        rep = check_lemma_properties(load_ensemble(DATA / "blind_two_sectors.json"), [0.0], FAST)
+        rep = check_lemma_properties(analyze(load_ensemble(DATA / "blind_two_sectors.json")), [0.0], FAST)
         assert abs(rep.estimates[0] - rep.ceiling) <= 1e-12
         assert abs(rep.pair_estimate_at_zero - 2 * rep.ceiling) <= 1e-9
         assert rep.ceiling_at_zero_ok and rep.subadditive_ok
 
     def test_triple_report(self):
-        rep = check_lemma_properties(sideinfo_triple(), [0.0, 0.1], FAST)
+        rep = check_lemma_properties(analyze(sideinfo_triple()), [0.0, 0.1], FAST)
         assert rep.floor_ok
         assert rep.ceiling_at_zero_ok
         assert rep.continuity_gap >= 0.0
@@ -642,9 +643,9 @@ class TestLockstep:
         # blind pair's 31 walks (16 entries per isometry) into runs of 10
         e = blind_pair()
         cfg = IsometrySearchConfig(restarts=30, max_iters=20)
-        want = estimate_grid(e, [0.0, 0.1, 0.3], cfg)
+        want = estimate_grid(analyze(e), [0.0, 0.1, 0.3], cfg)
         monkeypatch.setattr(iepsilon, "STACK_ENTRIES", budget)
-        for got, ref in zip(estimate_grid(e, [0.0, 0.1, 0.3], cfg), want):
+        for got, ref in zip(estimate_grid(analyze(e), [0.0, 0.1, 0.3], cfg), want):
             assert_same_estimate(got, ref)
 
     def test_stacks_stay_within_the_budget_at_most_restarts(self, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from dense_oracle import dense_profile, density_s_a, gram_matrix
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError
-from eacomp.iepsilon import check_lemma_properties, i_zero_bounds
+from eacomp.iepsilon import check_lemma_properties, estimate_grid, estimate_i_epsilon, i_zero_bounds
 from eacomp.rates import (
     RatePoint,
     analyze,
@@ -60,7 +60,7 @@ def rand_ensemble(rng, dim_a=None, dim_c=None, n_items=None, blind=False):
 
 class TestEntropyProfile:
     def test_triple_values(self):
-        p = entropy_profile(sideinfo_triple(0.05))
+        p = analyze(sideinfo_triple(0.05)).profile
         assert abs(p.s_a - TRIPLE_ORACLE[0.05][0]) < 1e-12
         assert p.num_components == 1
         assert p.s_y == 0.0
@@ -69,24 +69,24 @@ class TestEntropyProfile:
     def test_dual_paths_agree(self):
         rng = np.random.default_rng(2101)
         for _ in range(20):
-            p = entropy_profile(rand_ensemble(rng))
+            p = analyze(rand_ensemble(rng)).profile
             assert abs(p.s_acy - p.s_acy_direct) <= 1e-8
 
     def test_identity_i_a_cy(self):
-        p = entropy_profile(sideinfo_triple(0.01))
+        p = analyze(sideinfo_triple(0.01)).profile
         assert abs(p.i_a_cy - (p.s_a - p.s_a_given_cy)) < 1e-15
         assert p.i_a_cy >= -1e-9
 
     def test_blind_profile(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5])
-        p = entropy_profile(e)
+        p = analyze(e).profile
         assert abs(p.s_a - BLIND_PAIR_S_A) < 1e-12
         assert p.s_cy == 0.0 and p.s_y == 0.0
         assert abs(p.s_acy - p.s_a) < 1e-12
 
     def test_to_json_clamps_tiny(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5])
-        j = entropy_profile(e).to_json()
+        j = analyze(e).profile.to_json()
         assert j["S_Y"] == 0.0 and j["S_CY"] == 0.0
         assert j["num_components"] == 1
 
@@ -94,26 +94,25 @@ class TestEntropyProfile:
 class TestOptimalRates:
     def test_triple_oracle(self):
         for t, (s_a, q, _) in TRIPLE_ORACLE.items():
-            r = optimal_rates(sideinfo_triple(t))
+            a = analyze(sideinfo_triple(t))
+            r = optimal_rates(a)
             assert abs(r.q - q) < 1e-12, t
-            p = entropy_profile(sideinfo_triple(t))
-            assert abs(r.e - 0.5 * p.i_a_cy) < 1e-15
+            assert abs(r.e - 0.5 * a.profile.i_a_cy) < 1e-15
 
     def test_q_plus_e_is_s_a(self):
         # the corner always satisfies Q + E = S(A)
         rng = np.random.default_rng(321)
         for _ in range(20):
-            e = rand_ensemble(rng)
-            r = optimal_rates(e)
-            p = entropy_profile(e)
-            assert abs((r.q + r.e) - p.s_a) < 1e-9
+            a = analyze(rand_ensemble(rng))
+            r = optimal_rates(a)
+            assert abs((r.q + r.e) - a.profile.s_a) < 1e-9
 
     def test_assistance_never_hurts(self):
         rng = np.random.default_rng(322)
         for _ in range(20):
-            e = rand_ensemble(rng)
-            r = optimal_rates(e)
-            assert r.q <= entropy_profile(e).s_a + 1e-9
+            a = analyze(rand_ensemble(rng))
+            r = optimal_rates(a)
+            assert r.q <= a.profile.s_a + 1e-9
             assert r.e >= -1e-9
 
 
@@ -121,43 +120,43 @@ class TestSpecializations:
     def test_blind_equals_general(self):
         rng = np.random.default_rng(323)
         for _ in range(10):
-            e = rand_ensemble(rng, blind=True)
-            r = blind_rates(e)
-            g = optimal_rates(e)
+            a = analyze(rand_ensemble(rng, blind=True))
+            r = blind_rates(a)
+            g = optimal_rates(a)
             assert abs(r.q - g.q) < 1e-9 and abs(r.e - g.e) < 1e-9
 
     def test_blind_irreducible_no_advantage(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5])
-        r = blind_rates(e)
+        r = blind_rates(analyze(e))
         assert abs(r.q - BLIND_PAIR_S_A) < 1e-12
         assert abs(r.e) < 1e-12
 
     def test_blind_rejects_side_information(self):
         with pytest.raises(EacompError):
-            blind_rates(sideinfo_triple(0.05))
+            blind_rates(analyze(sideinfo_triple(0.05)))
 
     def test_visible(self):
         e = make_visible([[1, 0], PLUS], [0.5, 0.5])
-        r = visible_rates(e)
+        r = visible_rates(analyze(e))
         assert abs(r.q - BLIND_PAIR_S_A / 2) < 1e-12
         assert abs(r.e - BLIND_PAIR_S_A / 2) < 1e-12
 
     def test_visible_rejects_blind(self):
         with pytest.raises(EacompError):
-            visible_rates(make_blind([[1, 0], PLUS], [0.5, 0.5]))
+            visible_rates(analyze(make_blind([[1, 0], PLUS], [0.5, 0.5])))
 
     def test_corner(self):
         e = make_blind([[1, 0], PLUS], [0.5, 0.5])
-        c = classical_entanglement_corner(e)
+        c = classical_entanglement_corner(analyze(e))
         assert abs(c.c - 2 * BLIND_PAIR_S_A) < 1e-12
         assert abs(c.e - BLIND_PAIR_S_A) < 1e-12
         with pytest.raises(EacompError):
-            classical_entanglement_corner(sideinfo_triple(0.05))
+            classical_entanglement_corner(analyze(sideinfo_triple(0.05)))
 
     def test_reducible_blind_gains(self):
         # orthogonal pair: S_Y = 1, so entanglement buys half a qubit
         e = make_blind([[1, 0], [0, 1]], [0.5, 0.5])
-        r = blind_rates(e)
+        r = blind_rates(analyze(e))
         assert abs(r.q - 0.5) < 1e-12 and abs(r.e - 0.5) < 1e-12
 
 
@@ -331,11 +330,11 @@ class TestComponentSpectra:
             for n in (dim_a - 1, dim_a, dim_a + 1):
                 cases += [rand_ensemble(rng, dim_a, int(rng.integers(1, 4)), n) for _ in range(20) if n > 1]
         for e in cases:
-            assert entropy_profile(e).s_a == density_s_a(e)
+            assert analyze(e).profile.s_a == density_s_a(e)
 
     @given(sources())
     def test_s_a_equals_the_density_route_on_random_sources(self, e):
-        assert entropy_profile(e).s_a == density_s_a(e)
+        assert analyze(e).profile.s_a == density_s_a(e)
 
 
 class TestAnalyze:
@@ -344,32 +343,16 @@ class TestAnalyze:
         a = analyze(e)
         assert a.source is e and a.blind and not a.visible
         assert a.decomposition.size == 2
-        assert a.profile == entropy_profile(e)
-        assert analyze(a) is a
-
-    def test_rate_functions_accept_analysis(self):
-        e = make_visible([[1, 0], PLUS], [0.5, 0.5])
-        a = analyze(e)
-        assert visible_rates(a) == visible_rates(e)
-        assert optimal_rates(a) == optimal_rates(e)
-        with pytest.raises(EacompError):
-            blind_rates(a)
+        assert a.profile == entropy_profile(e, a.decomposition)
 
     def test_only_analyze_takes_a_tolerance(self):
         # the tolerance fixes Y; every rate, region and bound reads it
         # from the one analysis
         for fn in (optimal_rates, blind_rates, visible_rates, classical_entanglement_corner,
-                   eq_region, ce_region, i_zero_bounds, check_lemma_properties,
-                   overlaps_across_components, entropy_profile):
+                   eq_region, ce_region, i_zero_bounds, estimate_i_epsilon, estimate_grid,
+                   check_lemma_properties, overlaps_across_components, entropy_profile):
             assert "tol" not in inspect.signature(fn).parameters, fn.__name__
         assert "tol" in inspect.signature(analyze).parameters
-
-    def test_analysis_refuses_another_tolerance(self):
-        # analyze(analyze(e), 2.0) once kept 1e-10 without a word
-        a = analyze(load_ensemble(DATA / "blind_pair.json"))
-        assert analyze(a) is a and analyze(a, 1e-10) is a
-        with pytest.raises(ValueError, match=r"analysis is at tolerance 1e-10, not 2\.0"):
-            analyze(a, 2.0)
 
     def test_loose_analysis_keeps_its_tolerance(self):
         # at tol 2 the two signals of blind_pair are separate components:
@@ -380,7 +363,7 @@ class TestAnalyze:
         q = optimal_rates(loose).q
         assert abs(q - BLIND_PAIR_S_A / 2) < 1e-12
         assert eq_region(loose).q_min == q
-        assert abs(optimal_rates(e).q - BLIND_PAIR_S_A) < 1e-12
+        assert abs(optimal_rates(analyze(e)).q - BLIND_PAIR_S_A) < 1e-12
 
 
 class TestConsistencyGuard:
@@ -397,7 +380,7 @@ class TestConsistencyGuard:
 
         monkeypatch.setattr(rates_mod, "_direct_entropies", crooked)
         with pytest.raises(ConsistencyError, match=r"S\(ACY\)") as exc:
-            entropy_profile(sideinfo_triple(0.05))
+            analyze(sideinfo_triple(0.05)).profile
         assert "S(CY)" not in str(exc.value)
         assert calls["n"] == 1
 
@@ -417,7 +400,7 @@ class TestConsistencyGuard:
     def test_wrong_component_weight_raises_both(self, monkeypatch, source):
         self.mutate_first_component(monkeypatch, lambda c: replace(c, weight=c.weight * 0.9))
         with pytest.raises(ConsistencyError) as exc:
-            entropy_profile(GUARD_SOURCES[source]())
+            analyze(GUARD_SOURCES[source]()).profile
         assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
 
     @pytest.mark.parametrize("source", ["two_sectors", "triple", "visible"])
@@ -431,7 +414,7 @@ class TestConsistencyGuard:
 
         monkeypatch.setattr(rates_mod, "_conditional", unnormalised)
         with pytest.raises(ConsistencyError) as exc:
-            entropy_profile(GUARD_SOURCES[source]())
+            analyze(GUARD_SOURCES[source]()).profile
         assert "S(CY) disagrees" in str(exc.value) and "S(ACY) disagrees" in str(exc.value)
 
     @staticmethod
@@ -457,7 +440,7 @@ class TestConsistencyGuard:
 
     def test_unmutated_sources_pass(self):
         for make in GUARD_SOURCES.values():
-            entropy_profile(make())
+            analyze(make()).profile
 
     @pytest.mark.parametrize("name, field, value, bound", [
         ("sideinfo_triple", "s_acy", 0.5, "|S(A) - S(CY)| <= S(ACY)"),
@@ -472,14 +455,14 @@ class TestConsistencyGuard:
         real = rates_mod.EntropyProfile
         monkeypatch.setattr(rates_mod, "EntropyProfile", lambda **kw: real(**{**kw, field: value}))
         with pytest.raises(ConsistencyError) as exc:
-            entropy_profile(load_ensemble(DATA / f"{name}.json"))
+            analyze(load_ensemble(DATA / f"{name}.json")).profile
         assert str(exc.value).startswith(f"entropy bound {bound} fails: ")
         assert str(exc.value).count("entropy bound") == 1
 
     @pytest.mark.parametrize("name", ["blind_pair", "blind_two_sectors", "sideinfo_triple", "visible_pair"])
     def test_data_files_meet_the_entropy_bounds(self, name):
         e = load_ensemble(DATA / f"{name}.json")
-        assert rates_mod._bound_faults(entropy_profile(e), e.dim_a, e.dim_c) == []
+        assert rates_mod._bound_faults(analyze(e).profile, e.dim_a, e.dim_c) == []
 
 
 def two_sectors_with_side_information():

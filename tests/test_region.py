@@ -36,11 +36,10 @@ def in_ce(spec, c, ee, tol=CONTAINS_ATOL):
 
 class TestSpecs:
     def test_eq_from_ensemble_and_profile(self):
-        e = visible_pair()
-        spec = eq_region(e)
-        assert spec == eq_region(analyze(e))
-        r = optimal_rates(e)
-        assert abs(spec.q_min - r.q) < 1e-12
+        a = analyze(visible_pair())
+        spec = eq_region(a)
+        assert spec.sum_min == a.profile.s_a
+        assert abs(spec.q_min - optimal_rates(a).q) < 1e-12
 
     def test_eq_corner(self):
         spec = RegionSpec(kind="EQ", q_min=0.3, sum_min=1.0)
@@ -57,16 +56,16 @@ class TestSpecs:
             RegionSpec(kind="XX", q_min=0.1, sum_min=0.2)
 
     def test_ce(self):
-        spec = ce_region(orthogonal_pair())
+        spec = ce_region(analyze(orthogonal_pair()))
         # S_A = 1, S_Y = 1: corner at C = 1, E = 0
         assert abs(spec.c_min - 1.0) < 1e-12
         assert abs(spec.e_min - 0.0) < 1e-12
         assert RegionSpec(kind="CE", c_min=1.2, e_min=0.4).corner == (1.2, 0.4)
 
     def test_to_json(self):
-        j = eq_region(visible_pair()).to_json()
+        j = eq_region(analyze(visible_pair())).to_json()
         assert j["kind"] == "EQ" and "q_min" in j and "sum_min" in j
-        j = ce_region(orthogonal_pair()).to_json()
+        j = ce_region(analyze(orthogonal_pair())).to_json()
         assert j["kind"] == "CE" and "c_min" in j and "e_min" in j
 
 
@@ -82,13 +81,13 @@ class TestPolyline:
         assert pts[-1] == (1.0, 0.3)
 
     def test_every_vertex_on_boundary(self):
-        spec = eq_region(visible_pair())
+        spec = eq_region(analyze(visible_pair()))
         for ee, q in boundary_polyline(spec, samples=33):
             assert in_eq(spec, ee, q)
             assert not in_eq(spec, ee, q - 1e-3)
 
     def test_ce_every_vertex_on_boundary(self):
-        spec = ce_region(orthogonal_pair())
+        spec = ce_region(analyze(orthogonal_pair()))
         pts = boundary_polyline(spec, samples=17)
         assert pts[0][0] == spec.c_min
         for c, ee in pts:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -190,3 +191,52 @@ def test_benchmark_reads_a_present_surface(monkeypatch):
     assert spans._eig_side((rho,), {}, von_neumann_entropy(rho)) == {"side": 2}
     assert isinstance(eacomp.NUMBA_AVAILABLE, bool)
     assert eacomp.active_backend() == "numpy"
+
+
+def test_only_the_cli_analyses_a_source():
+    """A source is analysed once, by the command: within the package only
+    cli.py calls analyze, and no rate, region or I_eps function takes a
+    `src` that could be either an Ensemble or an Analysis."""
+    callers = {
+        p.name for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "analyze" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"cli.py"}
+    takes_src = [
+        f"{name}:{node.lineno} {node.name}"
+        for name in ("rates.py", "region.py", "iepsilon.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "src" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    ]
+    assert takes_src == []
+
+
+PROBE = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_hypothesis_test_ends_as_a_failure(tmp_path):
+    """Under the project's warning filters, a failing @given test is one
+    failure and the tests after it still run: Hypothesis reports it
+    through an import chain that warns, and the warning must not turn
+    into an internal error that ends the session."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(PROBE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(SRC.parent.parent / "pyproject.toml"), "--rootdir", str(tmp_path), str(probe)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
