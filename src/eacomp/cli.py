@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+from dataclasses import fields
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .ensemble import (
     matrix_from_json,
 )
 from .errors import EacompError, EnsembleFormatError
-from .iepsilon import IsometrySearchConfig, check_lemma_properties, estimate_grid, i_zero_bounds
+from .iepsilon import IsometrySearchConfig, check_lemma_properties, estimate_grid
 from .rates import (
     analyze,
     classical_entanglement_corner,
@@ -37,7 +38,7 @@ from .rates import (
     blind_rates,
     visible_rates,
 )
-from .region import boundary_polyline, ce_region, check_samples, eq_region, polyline_csv
+from .region import DEFAULT_SAMPLES, boundary_polyline, ce_region, check_samples, eq_region, polyline_csv
 from .schumacher import fidelity_curve
 
 
@@ -173,12 +174,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    e = _load(args)
-    ns = [int(v) for v in args.n.split(",") if v.strip()]
-    if not ns or any(n < 1 for n in ns):
-        print("--n needs a comma-separated list of positive integers", file=sys.stderr)
-        return 2
-    curve = fidelity_curve(e, ns, args.rate)
+    curve = fidelity_curve(_load(args), args.n, args.rate)
     for w in curve.warnings:
         print(f"skipped {w}", file=sys.stderr)
     _emit(curve.csv(), args.output)
@@ -187,37 +183,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_iepsilon(args) -> int:
     e = _load(args)
-    eps_grid = sorted(float(v) for v in args.eps.split(",") if v.strip())
-    if not eps_grid or not all(0.0 <= x <= 1.0 for x in eps_grid):
-        print("--eps needs a comma-separated list of values in [0, 1]", file=sys.stderr)
-        return 2
-    config = IsometrySearchConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        penalty=args.penalty,
-        env_dim=args.env_dim,
-        env_cap=args.env_cap,
-        seed=args.seed,
-    )
+    # each search flag sets the config field of its name
+    config = IsometrySearchConfig(**{f.name: getattr(args, f.name) for f in fields(IsometrySearchConfig)})
     config.resolve_env_dim(e.dim_a, e.dim_c)  # refuses --env-dim above (dimA dimC)^2 before the analysis
     a = analyze(e, args.tol)
-    floor, ceiling = i_zero_bounds(a)
     report = {
         "schema_version": 1,
         "input": args.ensemble,
         "backend": active_backend(),
         "config": config.to_json(),
-        "bounds": {"floor_I_X_C": floor, "ceiling_S_CY": ceiling},
     }
     if args.check_lemma:
-        lemma = check_lemma_properties(a, eps_grid, config)
+        lemma = check_lemma_properties(a, args.eps, config)
+        floor = lemma.floor
         report["estimates"] = [
             {"eps": g, "estimate": v} for g, v in zip(lemma.eps_grid, lemma.estimates)
         ]
         report["lemma_checks"] = lemma.to_json()
     else:
-        ests = estimate_grid(a, eps_grid, config)
+        ests = estimate_grid(a, args.eps, config)
+        floor = ests[0].identity_floor
         report["estimates"] = [est.to_json() for est in ests]
+    report["bounds"] = {"floor_I_X_C": floor, "ceiling_S_CY": a.profile.s_cy}  # those the search ran against
     _emit(_dump_json(report), args.output)
     return 0
 
@@ -236,6 +223,20 @@ def _finite(text: str) -> float:
     if not np.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _listed(convert, accepts, what: str, sort: bool = False):
+    """argparse type for a comma-separated list of what: each item read by
+    convert and accepted by accepts, in ascending order if sort."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values or not all(map(accepts, values)):
+            raise argparse.ArgumentTypeError(f"needs a comma-separated list of {what}, got {text!r}")
+        return sorted(values) if sort else values
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser, tol: bool = True):
@@ -288,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kind", choices=("EQ", "CE"), required=True,
                    help="EQ: qubit/ebit region; CE: classical/ebit region (blind sources)")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--lo", type=_finite, default=None)
-    p.add_argument("--hi", type=_finite, default=None)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--lo", type=_finite)
+    p.add_argument("--hi", type=_finite)
     p.add_argument("--spec-out", default=None,
                    help="where to write the region constraints as JSON "
                         "(default: alongside -o with a .json extension)")
@@ -299,19 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="finite-blocklength fidelity of typical-subspace coding")
     _add_common(p, tol=False)  # the simulator reads no overlap graph
     p.add_argument("--rate", type=_finite, required=True, help="qubit rate Q")
-    p.add_argument("--n", required=True, help="comma-separated block lengths")
+    p.add_argument("--n", type=_listed(int, lambda n: n >= 1, "positive integers"), required=True,
+                   help="comma-separated block lengths")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("iepsilon", help="certified lower bounds on extractable label information")
     _add_common(p)
-    p.add_argument("--eps", required=True, help="comma-separated disturbance levels in [0, 1]")
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iters", type=int, default=200,
+    p.add_argument("--eps", type=_listed(float, lambda x: 0.0 <= x <= 1.0, "values in [0, 1]", sort=True),
+                   required=True, help="comma-separated disturbance levels in [0, 1]")
+    p.add_argument("--restarts", type=int, default=IsometrySearchConfig.restarts)
+    p.add_argument("--max-iters", type=int, default=IsometrySearchConfig.max_iters,
                    help="Riemannian gradient steps per search start (default %(default)s)")
-    p.add_argument("--penalty", type=float, default=64.0)
-    p.add_argument("--env-dim", type=int, default=None)
-    p.add_argument("--env-cap", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--penalty", type=float, default=IsometrySearchConfig.penalty)
+    p.add_argument("--env-dim", type=int, default=IsometrySearchConfig.env_dim)
+    p.add_argument("--env-cap", type=int, default=IsometrySearchConfig.env_cap)
+    p.add_argument("--seed", type=int, default=IsometrySearchConfig.seed)
     p.add_argument("--check-lemma", action="store_true",
                    help="also run the monotonicity/bounds diagnostics")
     p.set_defaults(fn=cmd_iepsilon)

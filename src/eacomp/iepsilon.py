@@ -77,6 +77,8 @@ STACK_ENTRIES = 1 << 16
 ARMIJO = 1e-4
 # Frobenius length of the step that leaves a stationary start
 KICK = 0.5
+# a walk ends on a gain below this; a start with a smaller slope is stationary
+CONV_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class IsometrySearchConfig:
     the warm start leave, so restarts = 1 runs the identity and, on a
     source with several components, the witness. Each walk takes at
     most max_iters Riemannian gradient steps and ends once an accepted
-    step gains less than conv_tol, or no step that could gain conv_tol
+    step gains less than CONV_TOL, or no step that could gain CONV_TOL
     is accepted. env_dim, at least 1, pins |W|; left unset it defaults to
     min((dimA*dimC)^2, env_cap). restarts is at most MAX_RESTARTS, and
     seed, which seeds the random starts and kicks, is nonnegative.
@@ -97,7 +99,6 @@ class IsometrySearchConfig:
     restarts: int = 4
     max_iters: int = 200
     penalty: float = 64.0
-    conv_tol: float = 1e-4
     env_dim: int | None = None
     env_cap: int = 16
     seed: int = 0
@@ -111,8 +112,6 @@ class IsometrySearchConfig:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if not 0 <= self.penalty <= MAX_PENALTY:
             raise ValueError(f"penalty must lie in [0, {MAX_PENALTY:g}], got {self.penalty}")
-        if not 0 < self.conv_tol < np.inf:
-            raise ValueError(f"conv_tol must be finite and > 0, got {self.conv_tol}")
         if self.env_dim is not None and self.env_dim < 1:
             raise ValueError(f"env_dim must be >= 1, got {self.env_dim}")
         if self.env_cap < 1:
@@ -129,7 +128,7 @@ class IsometrySearchConfig:
         return max(1, min(bound, self.env_cap))
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "conv_tol": CONV_TOL}
 
 
 def identity_isometry(d_in: int, env_dim: int) -> np.ndarray:
@@ -292,7 +291,7 @@ def _witness(t: _Target, env_dim: int) -> np.ndarray | None:
     d_in = joints.shape[1]
     v = identity_isometry(d_in, env_dim)
     basis = np.zeros((d_in, 0), dtype=np.complex128)
-    for g in sorted(set(groups.tolist())):  # np.unique would import numpy.ma (1 MB)
+    for g in sorted(set(groups.tolist())):
         m = joints[groups == g].T
         m = m - basis @ (basis.conj().T @ m)
         u, s, _ = np.linalg.svd(m, full_matrices=False)
@@ -316,7 +315,7 @@ def _walk(r: int, v: np.ndarray, cur: tuple, config: IsometrySearchConfig, keep)
     for it in range(config.max_iters):
         z = _tangent(v, g)
         slope = float(np.vdot(z, z).real)
-        if it == 0 and slope < config.conv_tol:
+        if it == 0 and slope < CONV_TOL:
             # a stationary start (the identity on a blind source):
             # leave it along a random tangent direction
             z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
@@ -331,11 +330,11 @@ def _walk(r: int, v: np.ndarray, cur: tuple, config: IsometrySearchConfig, keep)
             if cand_pen >= pen + ARMIJO * step * slope:
                 break
             step /= 2.0
-            if step * slope < config.conv_tol:  # no step left to gain conv_tol
+            if step * slope < CONV_TOL:  # no step left to gain CONV_TOL
                 return False
         gain = cand_pen - pen
         v, pen = cand, cand_pen
-        if gain < config.conv_tol:
+        if gain < CONV_TOL:
             break
         step *= 2.0
     return False

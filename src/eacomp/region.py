@@ -27,6 +27,7 @@ FIXED_POINT_LIMIT = 1e15
 # boundary_polyline holds its whole grid (a list of floats and a set of
 # them) before it returns; 10**6 samples peak near 130 MB there
 MAX_SAMPLES = 10**6
+DEFAULT_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def boundary_polyline(
     spec: RegionSpec,
     lo: float | None = None,
     hi: float | None = None,
-    samples: int = 64,
+    samples: int = DEFAULT_SAMPLES,
 ) -> list[tuple[float, float]]:
     """Lower boundary of the region as ordered vertices.
 

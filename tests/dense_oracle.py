@@ -28,6 +28,7 @@ from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, reduced
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError, LayoutMismatchError
 from eacomp.iepsilon import (
     ARMIJO,
+    CONV_TOL,
     FEASIBILITY_SLACK,
     KICK,
     VERIFY_ATOL,
@@ -566,7 +567,7 @@ def sequential_search(
         for it in range(config.max_iters):
             z = _tangent(v, g)
             slope = float(np.vdot(z, z).real)
-            if it == 0 and slope < config.conv_tol:
+            if it == 0 and slope < CONV_TOL:
                 # a stationary start (the identity on a blind source):
                 # leave it along a random tangent direction
                 z = _tangent(v, _gaussian(np.random.default_rng([config.seed, r]), v.shape))
@@ -583,11 +584,11 @@ def sequential_search(
                 if cand_pen >= pen + ARMIJO * step * slope:
                     break
                 step /= 2.0
-                if step * slope < config.conv_tol:  # no step left to gain conv_tol
+                if step * slope < CONV_TOL:  # no step left to gain CONV_TOL
                     return False
             gain = cand_pen - pen
             v, pen = cand, cand_pen
-            if gain < config.conv_tol:
+            if gain < CONV_TOL:
                 break
             step *= 2.0
         return False

@@ -259,6 +259,31 @@ class TestNumericOptions:
         assert captured.out == "" and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, option", [
+        (["simulate", BLIND, "--rate", "0.8", "--n", "2.5"], "--n"),
+        (["simulate", BLIND, "--rate", "0.8", "--n", "2,x"], "--n"),
+        (["simulate", BLIND, "--rate", "0.8", "--n", "2,-1"], "--n"),
+        (["iepsilon", BLIND, "--eps", "abc"], "--eps"),
+        (["iepsilon", BLIND, "--eps", "0,1.5"], "--eps"),
+        (["iepsilon", BLIND, "--eps", "0,nan"], "--eps"),
+    ], ids=["n-fraction", "n-word", "n-negative", "eps-word", "eps-above-1", "eps-nan"])
+    def test_malformed_list_refused_before_the_source_is_read(self, monkeypatch, capsys, argv, option):
+        # the list used to be parsed after the source was read, and a
+        # malformed item failed in a bare Python message
+        reads = []
+
+        def counted(*args, real=cli.load_ensemble):
+            reads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_ensemble", counted)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {option}: needs a comma-separated list of " in captured.err
+        assert reads == []
+
     def test_huge_rate_keeps_the_whole_space(self, capsys):
         code, out, _ = run(["simulate", BLIND, "--rate", "1e300", "--n", "1,2"], capsys)
         assert code == 0
@@ -645,9 +670,10 @@ class TestSimulate:
         assert err == ""
 
     def test_bad_block_list_exit_2(self, capsys):
-        code, _, err = run(["simulate", BLIND, "--rate", "0.8", "--n", "2,0"], capsys)
-        assert code == 2
-        assert "positive integers" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", BLIND, "--rate", "0.8", "--n", "2,0"])
+        assert exc.value.code == 2
+        assert "positive integers" in capsys.readouterr().err
 
     def test_sequence_cap_skips_with_warning(self, capsys):
         code, out, err = run(
@@ -743,9 +769,10 @@ class TestIEpsilon:
             assert 0.0 <= est["fidelity"] <= 1.0 + 1e-12
 
     def test_empty_eps_exit_2(self, capsys):
-        code, _, err = run(["iepsilon", BLIND, "--eps", ","], capsys)
-        assert code == 2
-        assert "--eps" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["iepsilon", BLIND, "--eps", ","])
+        assert exc.value.code == 2
+        assert "--eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("restarts", ["1", "4"])
     def test_negative_seed_is_refused_before_the_analysis(self, monkeypatch, capsys, restarts):

@@ -1,5 +1,6 @@
+import inspect
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from eacomp._accel import unitary_objective
 from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible, reduced
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, IsometryError
 from eacomp.iepsilon import (
+    CONV_TOL,
     FEASIBILITY_SLACK,
     MAX_RESTARTS,
     STACK_ENTRIES,
@@ -31,6 +33,7 @@ from eacomp.iepsilon import (
     penalised_objective,
 )
 from eacomp.rates import analyze
+from eacomp.region import boundary_polyline
 from eacomp.states import check_isometry, entropy_from_probs, von_neumann_entropy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -94,14 +97,29 @@ class TestConfig:
             {"penalty": float("inf")},
             {"penalty": -1.0},
             {"max_iters": -3},
-            {"conv_tol": 0.0},
-            {"conv_tol": float("nan")},
             {"env_cap": 0},
             {"env_dim": 0},
             {"restarts": MAX_RESTARTS + 1},
         ):
             with pytest.raises(ValueError):
                 IsometrySearchConfig(**bad)
+
+    def test_conv_tol_is_a_constant(self):
+        # no caller set it: the report still shows it, but no config holds it
+        with pytest.raises(TypeError):
+            IsometrySearchConfig(conv_tol=1e-3)
+        assert IsometrySearchConfig().to_json()["conv_tol"] == CONV_TOL
+        assert [f.name for f in fields(IsometrySearchConfig)] == [
+            "restarts", "max_iters", "penalty", "env_dim", "env_cap", "seed"]
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["iepsilon", "s.json", "--eps", "0"])
+        for f in fields(IsometrySearchConfig):
+            assert getattr(args, f.name) == f.default, f.name
+        args = parser.parse_args(["region", "s.json", "--kind", "EQ"])
+        for name in ("lo", "hi", "samples"):
+            assert getattr(args, name) == inspect.signature(boundary_polyline).parameters[name].default, name
 
     def test_negative_seed_is_refused(self):
         # numpy's own refusal came only once a random start or kick was
@@ -264,25 +282,24 @@ class TestEstimator:
         assert len(ests) == 4
         assert calls == {"_target": 1, "mixture_spectra": 1}
 
-    @pytest.mark.parametrize("run, targets, bounds", [
-        (lambda path: iepsilon.i_zero_bounds(analyze(load_ensemble(path))), 0, 1),
-        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2"]), 1, 2),
-        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2", "--check-lemma"]), 1, 2),
+    @pytest.mark.parametrize("run, targets", [
+        (lambda path: iepsilon.i_zero_bounds(analyze(load_ensemble(path))), 0),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2"]), 1),
+        (lambda path: cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1,0.2", "--check-lemma"]), 1),
     ], ids=["bounds", "grid", "check-lemma"])
-    def test_search_sources_built(self, monkeypatch, capsys, run, targets, bounds):
+    def test_search_sources_built(self, monkeypatch, capsys, run, targets):
         # the bounds build no search target; a command builds one, whose
         # floor and ceilings --check-lemma reads and squares for the
-        # two-copy pair, and takes the bounds once for the report and
-        # once for the target
+        # two-copy pair, and whose bounds the report reads
         calls = {"_target": 0, "i_zero_bounds": 0}
-        for module, name in ((iepsilon, "_target"), (iepsilon, "i_zero_bounds"), (cli, "i_zero_bounds")):
-            def counted(*args, real=getattr(module, name), name=name):
+        for name in calls:
+            def counted(*args, real=getattr(iepsilon, name), name=name):
                 calls[name] += 1
                 return real(*args)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(iepsilon, name, counted)
         run(DATA / "sideinfo_triple.json")
         capsys.readouterr()
-        assert calls == {"_target": targets, "i_zero_bounds": bounds}
+        assert calls == {"_target": targets, "i_zero_bounds": 1}
 
     def test_search_refused_before_it_is_formed(self, monkeypatch):
         # two states with dimC = 2000: the analysis and S(C) take their
