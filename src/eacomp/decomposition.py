@@ -1,14 +1,14 @@
 """Splitting a source into irreducible pieces.
 
 Two signals belong to the same piece when their joint states on A (x) C
-overlap, directly or through a chain of overlapping signals: the graph
-is |<psi_x|psi_x'>| |<sigma_x|sigma_x'>| > tol on the two overlap
-matrices (`Ensemble.overlaps`), split by propagating the least index
-along its edges until every part carries one label. The labels are
-computed once per source and tolerance and kept on `Overlaps.roots`;
-the decomposition and its checks read them. The rate formulas
-condition on the resulting component index Y, which is the finest
-classical information any protocol can extract for free.
+overlap, directly or through a chain: the graph is |<psi_x|psi_x'>|
+|<sigma_x|sigma_x'>| > tol, tested at most EDGE_BLOCK rows at a time
+(`_edges`), so no N x N matrix is formed. A frontier search over those
+row blocks, with no label propagation, labels each part by its least
+index, seeding each unreached item in ascending order; `Overlaps.roots`
+keeps the labels per tolerance for the decomposition and its checks. The
+rate formulas condition on the component index Y, the finest classical
+information any protocol can extract for free.
 
 Zero-probability items are ignored throughout: they contribute nothing
 to any rate and their conditional ensembles would be ill defined.
@@ -24,35 +24,44 @@ import numpy as np
 
 from .ensemble import DEFAULT_OVERLAP_TOL, Ensemble, Overlaps, check_tolerance
 from .errors import ConsistencyError, LabelError
+from .states import check_side
 
 
-def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
-    """Adjacency over the support items: |<psi|psi'>| |<sigma|sigma'>| > tol."""
-    check_tolerance(tol)
-    link = np.triu(np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) > tol, 1)
-    return link | link.T
+EDGE_BLOCK = 512  # rows of the overlap graph per product: EDGE_BLOCK x N tests at a time
 
 
-def _part_labels(link: np.ndarray) -> np.ndarray:
-    """The smallest index in each node's connected part of a symmetric
-    adjacency: every label falls to its least neighbour's label, then to
-    its own label's label, until nothing changes."""
-    n = len(link)
-    labels = np.arange(n)
-    while True:
-        new = np.minimum(labels, np.where(link, labels, n).min(axis=1, initial=n))
-        new = new[new]
-        if (new == labels).all():
-            return labels
-        labels = new
+def _edges(ov: Overlaps, rows, tol: float, cols=slice(None)) -> np.ndarray:
+    """The overlap graph at support indices rows and cols: |<psi|psi'>| |<sigma|sigma'>| > tol."""
+    return np.abs(ov.psi[rows].conj() @ ov.psi[cols].T) * np.abs(ov.sigma[rows].conj() @ ov.sigma[cols].T) > tol
 
 
 def _roots(ov: Overlaps, tol: float) -> np.ndarray:
     """The least support index in each support item's part of the overlap
-    graph at tol, computed once and kept on ov."""
-    if tol not in ov.roots:
-        ov.roots[tol] = _part_labels(_support_graph(ov, tol))
-    return ov.roots[tol]
+    graph at tol, kept on ov. The EDGE_BLOCK rows from a seed on are tested at
+    once, each pair as the dense test reads it (upper triangle); a frontier past
+    them is tested against the unreached items only, which BLAS may round an ulp off."""
+    if tol in ov.roots:
+        return ov.roots[tol]
+    check_tolerance(tol)
+    check_side(n := len(ov.probs))
+    roots, hi = np.full(n, n), 0  # n: not reached yet
+    for seed in (s for s in range(n) if roots[s] == n):
+        if seed >= hi:
+            lo, hi = seed, min(seed + EDGE_BLOCK, n)
+            block, r = _edges(ov, slice(lo, hi), tol), np.arange(hi - lo)
+            block[:, lo:hi] = np.where(r[:, None] < r, block[:, lo:hi], block[:, lo:hi].T)
+        roots[seed] = seed
+        frontier = (block[seed - lo] & (roots == n)).nonzero()[0]
+        while frontier.size:
+            roots[frontier] = seed
+            k = frontier.searchsorted(hi)  # the frontier ascends
+            hit = block[frontier[:k] - lo].any(axis=0)
+            for i in range(k, frontier.size, EDGE_BLOCK):
+                todo = (roots == n).nonzero()[0]
+                hit[todo] |= _edges(ov, frontier[i:i + EDGE_BLOCK], tol, todo).any(axis=0)
+            frontier = (hit & (roots == n)).nonzero()[0]
+    ov.roots[tol] = roots
+    return roots
 
 
 @dataclass(frozen=True)
@@ -94,23 +103,13 @@ class Decomposition:
         return np.array([self.y_of(e.labels[i]) for i in e.overlaps.support], dtype=int)
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "tolerance": self.tolerance,
-            "num_components": self.size,
-            "components": [
-                {"y": c.y, "labels": list(c.labels), "weight": c.weight}
-                for c in self.components
-            ],
-        }
+        comps = [{"y": c.y, "labels": list(c.labels), "weight": c.weight} for c in self.components]
+        return dict(schema_version=1, tolerance=self.tolerance, num_components=self.size, components=comps)
 
 
 def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Decomposition:
-    """Connected components of the overlap graph.
-
-    Components are ordered by their smallest member label so the Y index
-    does not depend on item order quirks.
-    """
+    """Connected components of the overlap graph, ordered by their smallest
+    member label so the Y index does not depend on item order quirks."""
     ov = e.overlaps
     roots = _roots(ov, tol)
     order = np.argsort(roots, kind="stable")
@@ -118,7 +117,6 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     parts = np.split(order, np.flatnonzero(roots[order] == order))[1:]
     groups = [[ov.support[k] for k in part] for part in parts]
     groups.sort(key=lambda g: min(e.labels[i] for i in g))
-
     comps = [Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
              for y, g in enumerate(groups)]
     return Decomposition(tuple(comps), tol)
@@ -134,14 +132,17 @@ def overlaps_across_components(e: Ensemble, d: Decomposition) -> bool:
 def check_components(e: Ensemble, d: Decomposition):
     """Raise ConsistencyError unless d is the component structure of e's
     overlap graph at d's tolerance: no edge joins two components, and
-    each component is one connected part. Only a failing check builds
-    the graph again, to name the first edge across components."""
+    each component is one connected part. Only a failing check tests edges
+    again, scanning rows in ascending order for the first across components."""
     ov = e.overlaps
     ys = d.support_ys(e)
     roots = _roots(ov, d.tolerance)
     if (ys != ys[roots]).any():  # some part spans two components
-        cross = _support_graph(ov, d.tolerance) & (ys[:, None] != ys[None, :])
-        i, j = np.argwhere(cross)[0]
+        for lo in range(0, len(ys), EDGE_BLOCK):
+            cross = _edges(ov, slice(lo, lo + EDGE_BLOCK), d.tolerance) & (ys[lo:lo + EDGE_BLOCK, None] != ys)
+            if cross.any():
+                break
+        i, j = np.argwhere(cross)[0] + (lo, 0)
         raise ConsistencyError(
             f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
             f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "

@@ -133,12 +133,11 @@ class Overlaps:
     sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
     Every rate quantity is invariant under U_A (x) U_C, so it depends on
     the source only through p and these two matrices. Each is built on
-    first read, and refused above MATRIX_CAP before it is formed. `joint`,
+    first read, refused above MATRIX_CAP before it is formed, and read only
+    by spectra (states.mixture_spectra) and Ensemble.is_visible; `joint`,
     the rows psi_x (x) sigma_x on A (x) C, is built on first read too.
-    states.mixture_spectra reads a mixture's spectrum from these. The
-    parts of the overlap graph are derived once per tolerance too: `roots`
-    keeps, for each tolerance, the least support index of each item's part
-    (see decomposition), and not the graph itself."""
+    `roots` keeps, for each tolerance, the least support index of each
+    item's part of the overlap graph (see decomposition)."""
 
     support: tuple[int, ...]
     probs: np.ndarray

@@ -8,7 +8,8 @@ the analysis once used, as oracles for its per-component spectra: the
 [y = y']-masked N x N Gram matrix, the renormalised rows of one
 component, and the one-matrix route to S(A). The last section keeps earlier per-row, graph-rebuilding,
 prefix-tree and fsum forms of package routines, as oracles for their
-array forms, the N x N overlap graph over all items, the per-code
+array forms, the dense N x N overlap graph and its label propagation,
+as the oracle for the partition's blocked frontier search, the per-code
 simulator (np.unique keys, products folded for each code, every index
 tuple enumerated) as the oracle for the per-curve tables, and the
 one-isometry kernel and the one-walk-at-a-time isometry search, as
@@ -23,8 +24,8 @@ from functools import reduce
 import numpy as np
 
 from eacomp._accel import BlockFidelity, _entropy_pull, _exact_sum
-from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition, _part_labels, _support_graph
-from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, reduced
+from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition
+from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, check_tolerance, reduced
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError, LayoutMismatchError
 from eacomp.iepsilon import (
     ARMIJO,
@@ -223,6 +224,27 @@ def validate_per_row(labels, probs, psi, sigma) -> list[str]:
     return out
 
 
+def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
+    """Adjacency over the support items: |<psi|psi'>| |<sigma|sigma'>| > tol."""
+    check_tolerance(tol)
+    link = np.triu(np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) > tol, 1)
+    return link | link.T
+
+
+def _part_labels(link: np.ndarray) -> np.ndarray:
+    """The smallest index in each node's connected part of a symmetric
+    adjacency: every label falls to its least neighbour's label, then to
+    its own label's label, until nothing changes."""
+    n = len(link)
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(link, labels, n).min(axis=1, initial=n))
+        new = new[new]
+        if (new == labels).all():
+            return labels
+        labels = new
+
+
 def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
     """Boolean adjacency over items, edge iff |<joint_i|joint_j>| > tol; the
     diagonal and the rows and columns of zero-probability items are False."""
@@ -230,6 +252,18 @@ def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
     adj = np.zeros((e.size, e.size), dtype=bool)
     adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
     return adj
+
+
+def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Decomposition:
+    """decomposition.irreducible_components from the dense overlap graph and
+    label propagation: each part's items ascending, the parts ordered by
+    their least label, each weight summed over its items in that order."""
+    ov = e.overlaps
+    labels = _part_labels(_support_graph(ov, tol))
+    groups = [[ov.support[k] for k in np.flatnonzero(labels == root)] for root in np.unique(labels)]
+    groups.sort(key=lambda g: min(e.labels[i] for i in g))
+    return Decomposition(tuple(Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
+                               for y, g in enumerate(groups)), tol)
 
 
 def _links(e: Ensemble, d: Decomposition, tol: float):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import make_decompose_goldens
 from eacomp import (
     Ensemble,
     __version__,
@@ -494,6 +495,35 @@ class TestRates:
         assert report["num_components"] == 2
         weights = [c["weight"] for c in report["components"]]
         assert weights == pytest.approx([0.6, 0.4], abs=1e-12)
+
+
+DECOMPOSE_GOLDENS = json.loads((Path(__file__).parent / "decompose_goldens.json").read_text())
+
+
+class TestDecomposeGoldens:
+    """tests/decompose_goldens.json holds the stdout (input path replaced)
+    and exit code of decompose on each data file and each source in
+    tests/sources at --tol 0, 1e-10 and 1e-3, as tests/make_decompose_goldens.py
+    recorded them while the partition still built the dense graph."""
+
+    @pytest.mark.parametrize("key", sorted(DECOMPOSE_GOLDENS))
+    def test_report_keeps_its_bytes(self, key, monkeypatch):
+        monkeypatch.chdir(DATA.parent)
+        assert make_decompose_goldens.decompose(*key.split(" --tol ")) == DECOMPOSE_GOLDENS[key]
+
+    @pytest.mark.parametrize("key", [k for k in sorted(DECOMPOSE_GOLDENS)
+                                     if k.startswith("tests/") and not k.endswith("1e-3")])
+    def test_module_invocation_under_two_blas_threads(self, key):
+        # the synthetic sources at --tol 0 and 1e-10, where rounding-level
+        # and near-threshold overlaps decide the partition
+        path, tol = key.split(" --tol ")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "OPENBLAS_NUM_THREADS": "2"}
+        proc = subprocess.run([sys.executable, "-m", "eacomp.cli", "decompose", path, "--tol", tol],
+                              capture_output=True, text=True, timeout=120, env=env, cwd=DATA.parent)
+        got = {"stdout": proc.stdout.replace(json.dumps(path), json.dumps("<input>")), "exit": proc.returncode}
+        assert got == DECOMPOSE_GOLDENS[key], proc.stderr
 
 
 class TestAnalysedOnce:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -222,9 +224,11 @@ class TestOnePartition:
         ]
 
     def test_one_graph_per_tolerance(self, monkeypatch):
+        # one edge block per pass at N = 4: one call per partition or scan
         builds = []
-        real = decomposition._support_graph
-        monkeypatch.setattr(decomposition, "_support_graph", lambda ov, tol: builds.append(tol) or real(ov, tol))
+        real = decomposition._edges
+        monkeypatch.setattr(decomposition, "_edges",
+                            lambda ov, rows, tol, *cols: builds.append(tol) or real(ov, rows, tol, *cols))
         e = two_sector_blind()
         a = analyze(e)
         assert builds == [DEFAULT_OVERLAP_TOL]
@@ -234,9 +238,129 @@ class TestOnePartition:
         assert builds == [DEFAULT_OVERLAP_TOL]
         analyze(e, 0.5)
         assert builds == [DEFAULT_OVERLAP_TOL, 0.5]
-        # only a failing check builds the graph again, to name the overlap
+        # only a failing check tests edges again, to name the overlap
         _, b = a.decomposition.components
         split = Decomposition((Component(0, ("a0",), 0.3), b, Component(2, ("a1",), 0.3)), DEFAULT_OVERLAP_TOL)
         with pytest.raises(ConsistencyError, match=r"'a0' \(y=0\) and 'a1' \(y=2\) overlap"):
             check_components(e, split)
         assert builds == [DEFAULT_OVERLAP_TOL, 0.5, DEFAULT_OVERLAP_TOL]
+
+
+def assert_dense_decomposition(e, tol, blocks=(2, 3, decomposition.EDGE_BLOCK)):
+    """irreducible_components of a fresh copy of e, at each edge block size,
+    is the dense oracle's Decomposition: labels, order and weight bits."""
+    want = dense_oracle.irreducible_components(e, tol)
+    for size in blocks:
+        with mock.patch.object(decomposition, "EDGE_BLOCK", size):
+            got = irreducible_components(Ensemble(e.labels, e.probs, e.psi, e.sigma), tol)
+        assert got == want, size
+        assert [c.weight.hex() for c in got.components] == [c.weight.hex() for c in want.components]
+    return want
+
+
+def unit_rows(rng, n, dim):
+    rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def ring_sectors(rng, size, sectors=3):
+    """Blind items on sectors 2-dimensional subspaces of A under a Haar
+    U_A: item x is cos(phi_x) e_a + sin(phi_x) e_b of its sector, so two
+    items of a sector overlap by |cos(phi_x - phi_x')|, and a tol near 1
+    leaves each sector a ring of short edges, many frontiers deep. The
+    rows are shuffled, so every part spans every edge block."""
+    phi = rng.uniform(0, np.pi, sectors * size)
+    sec = rng.permutation(np.repeat(np.arange(sectors), size))
+    psi = np.zeros((len(phi), 2 * sectors))
+    psi[np.arange(len(phi)), 2 * sec], psi[np.arange(len(phi)), 2 * sec + 1] = np.cos(phi), np.sin(phi)
+    return make_blind(psi @ haar_unitary(rng, 2 * sectors).T, rng.dirichlet(np.ones(len(phi))))
+
+
+class TestFrontierSearch:
+    """The partition tests the graph's rows in blocks and searches them
+    from each unreached item in ascending order; it gives the Decomposition
+    of the dense graph and its label propagation, bit for bit, and forms
+    no N x N matrix."""
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_OVERLAP_TOL, 1e-3, 0.5])
+    def test_rotated_sectors(self, tol):
+        rng = np.random.default_rng(1808)
+        e = two_sector_blind()
+        for sigma in (e.sigma, np.array([[1, 0], [1, 0], PLUS, PLUS])):
+            u_a, u_c = haar_unitary(rng, 4), haar_unitary(rng, sigma.shape[1])
+            assert_dense_decomposition(Ensemble(e.labels, e.probs, e.psi @ u_a.T, sigma @ u_c.T), tol)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-3])
+    def test_near_threshold(self, tol):
+        e = near_threshold(tol)
+        for t in (0.0, tol, tol * (1 - 2e-6), tol * (1 + 2e-6)):
+            assert_dense_decomposition(e, t)
+
+    def test_more_rows_than_two_edge_blocks(self):
+        rng = np.random.default_rng(31)
+        e = ring_sectors(rng, 400)
+        assert len(e.overlaps.probs) > 2 * decomposition.EDGE_BLOCK
+        sizes = {tol: assert_dense_decomposition(e, tol, blocks=(64, decomposition.EDGE_BLOCK)).size
+                 for tol in (0.0, DEFAULT_OVERLAP_TOL, 0.99, 0.99999)}
+        # rounding merges the sectors at tol 0; near 1 the rings break up
+        assert sizes[0.0] == 1 and sizes[DEFAULT_OVERLAP_TOL] == sizes[0.99] == 3
+        assert 3 < sizes[0.99999] < len(e.overlaps.probs)
+
+    def test_a_frontier_past_the_block_spans_several_blocks(self):
+        # item 0 overlaps each a_i by 0.71, the a_i overlap each other by
+        # 0.5 and each its own b_i by 0.5: at tol 0.4 and blocks of 2 or 3
+        # rows, the b_i are found only through a far frontier of five a_i
+        m = 6
+        eye = np.eye(2 * m + 1)
+        a = [(eye[0] + eye[i]) / np.sqrt(2) for i in range(1, m + 1)]
+        b = [(eye[i] + eye[m + i]) / np.sqrt(2) for i in range(1, m + 1)]
+        e = make_blind([eye[0], *a, *b], np.full(2 * m + 1, 1 / (2 * m + 1)))
+        assert assert_dense_decomposition(e, 0.4).size == 1
+
+    def test_a_pair_is_read_from_its_upper_triangle(self):
+        # BLAS may round <v_x|v_x'> and <v_x'|v_x> apart; at a tol equal to
+        # any product, the graph within one edge block is the dense one
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            e = Ensemble([str(x) for x in range(5)], np.full(5, 0.2), unit_rows(rng, 5, 3), unit_rows(rng, 5, 2))
+            products = np.abs(e.overlaps.psi_gram) * np.abs(e.overlaps.sigma_gram)
+            for tol in np.unique(products[~np.eye(5, dtype=bool)]).tolist():
+                assert_dense_decomposition(e, tol, blocks=(decomposition.EDGE_BLOCK,))
+
+    def test_checks_scan_every_edge_block(self):
+        # a failing check names the first edge across components, in the
+        # first block of rows that holds one
+        e = ring_sectors(np.random.default_rng(31), 20)
+        with mock.patch.object(decomposition, "EDGE_BLOCK", 7):
+            for tol in (DEFAULT_OVERLAP_TOL, 0.99):
+                for m in dense_oracle.mutated(e, irreducible_components(e, tol)):
+                    want = dense_oracle.outcomes(dense_oracle, e, m)
+                    assert dense_oracle.outcomes(decomposition, e, m) == want
+
+    @pytest.mark.parametrize("size", [2, 7, 64, decomposition.EDGE_BLOCK])
+    def test_edge_blocks_are_the_dense_products(self, size):
+        # thresholds at the dense products and at the doubles just below
+        # them pin each block's products bit for bit (blocks of 2+ rows)
+        ov = ring_sectors(np.random.default_rng(31), 400).overlaps
+        dense = np.abs(ov.psi_gram) * np.abs(ov.sigma_gram)
+        assert len(dense) % size != 1
+        for lo in range(0, len(dense), size):
+            rows = slice(lo, lo + size)
+            assert not decomposition._edges(ov, rows, dense[rows]).any()
+            assert decomposition._edges(ov, rows, np.nextafter(dense[rows], -np.inf)).all()
+
+    def test_analysis_forms_no_overlap_matrix(self):
+        # one component of 64 items on A (x) C = C^2 (x) C^2: every
+        # spectrum takes its marginal side, and the partition its rows
+        rng = np.random.default_rng(64)
+        e = Ensemble([str(x) for x in range(64)], np.full(64, 1 / 64),
+                     unit_rows(rng, 64, 2), unit_rows(rng, 64, 2))
+        assert analyze(e).decomposition.size == 1
+        assert "psi_gram" not in vars(e.overlaps) and "sigma_gram" not in vars(e.overlaps)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_refused(self, tol):
+        e = sideinfo_triple()
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            irreducible_components(e, tol)
+        assert not e.overlaps.roots

@@ -6,6 +6,8 @@ the other sectors far below the overlap tolerance, so that components
 are separated by small but nonzero cross-component overlaps.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,6 +101,18 @@ def test_component_checks_match_their_graph_oracles(e):
     for tol in (DEFAULT_OVERLAP_TOL, TOL, 0.5):
         for d in dense_oracle.mutated(e, irreducible_components(e, tol)):
             assert dense_oracle.outcomes(decomposition, e, d) == dense_oracle.outcomes(dense_oracle, e, d)
+
+
+@given(sources())
+def test_partition_matches_the_dense_graph(e):
+    # each part's items ascend, so each weight sums in the oracle's order
+    for tol in (0.0, DEFAULT_OVERLAP_TOL, TOL, 0.5):
+        want = dense_oracle.irreducible_components(e, tol)
+        for size in (2, decomposition.EDGE_BLOCK):
+            with mock.patch.object(decomposition, "EDGE_BLOCK", size):
+                got = irreducible_components(Ensemble(e.labels, e.probs, e.psi, e.sigma), tol)
+            assert got == want
+            assert [c.weight.hex() for c in got.components] == [c.weight.hex() for c in want.components]
 
 
 @given(sources())
