@@ -36,7 +36,8 @@ from .errors import (
     LayoutMismatchError,
     EacompError,
 )
-from .states import NORM_ATOL, DensityMatrix, check_isometry, check_side, frozen_copy, gram, mixture
+from .states import (NORM_ATOL, DensityMatrix, check_isometry, check_side, frozen_copy, gram, mixture,
+                     product_rows)
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -100,7 +101,7 @@ class Ensemble:
     @cached_property
     def overlaps(self) -> "Overlaps":
         """The support's rows; built on first use and shared by every
-        analysis of this ensemble (its overlap matrices on first read)."""
+        analysis of this ensemble (their A (x) C products on first read)."""
         sup = self.support()
         rows = list(sup)
         return Overlaps(sup, self.probs[rows], self.psi[rows], self.sigma[rows])
@@ -123,19 +124,17 @@ class Ensemble:
         n = len(self.overlaps.probs)
         if n < 2 or self.dim_c < n:
             return False
-        g = self.overlaps.sigma_gram
+        g = gram(self.overlaps.sigma)
         return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
 
 
 @dataclass(frozen=True, eq=False)
 class Overlaps:
     """A source's support: item indices, probabilities, the rows psi_x and
-    sigma_x, and the overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>].
-    Every rate quantity is invariant under U_A (x) U_C, so it depends on
-    the source only through p and these two matrices. Each is built on
-    first read, refused above MATRIX_CAP before it is formed, and read only
-    by spectra (states.mixture_spectra) and Ensemble.is_visible; `joint`,
-    the rows psi_x (x) sigma_x on A (x) C, is built on first read too.
+    sigma_x, and `joint`, the rows psi_x (x) sigma_x on A (x) C, built on
+    first read. Every rate quantity is invariant under U_A (x) U_C, so it
+    depends on the source only through p and the overlaps of these rows;
+    each spectrum forms them from its own rows (states.mixture_spectra).
     `roots` keeps, for each tolerance, the least support index of each
     item's part of the overlap graph (see decomposition)."""
 
@@ -146,17 +145,8 @@ class Overlaps:
     roots: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def psi_gram(self) -> np.ndarray:
-        return gram(self.psi)
-
-    @cached_property
-    def sigma_gram(self) -> np.ndarray:
-        return gram(self.sigma)
-
-    @cached_property
     def joint(self) -> np.ndarray:
-        """The rows psi_x (x) sigma_x on A (x) C."""
-        return (self.psi[:, :, None] * self.sigma[:, None, :]).reshape(len(self.probs), -1)
+        return product_rows(self.psi, self.sigma)
 
 
 def _stacked_rows(states) -> np.ndarray:
@@ -298,7 +288,7 @@ def apply_product_unitary(e: Ensemble, u: np.ndarray) -> Ensemble:
     if u.shape != (d, d):
         raise LayoutMismatchError(f"unitary shape {u.shape} does not match A(x)C dim {d}")
     check_isometry(u)
-    joints = (e.psi[:, :, None] * e.sigma[:, None, :]).reshape(e.size, d)
+    joints = product_rows(e.psi, e.sigma)
     # u times each joint as a column rounds as the per-signal u @ w does; joints @ u.T would not
     w = u @ joints[:, :, None]
     left, s, right = np.linalg.svd(w.reshape(e.size, e.dim_a, e.dim_c))

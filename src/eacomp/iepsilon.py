@@ -180,7 +180,7 @@ def i_zero_bounds(a: Analysis) -> tuple[float, float]:
     dimC x dimC sides, and no lossless extraction can beat S(CY) of the
     component-extended source, read off the profile."""
     ov = a.source.overlaps
-    s_c = entropy_from_probs(mixture_spectra(ov.probs, a.source.dim_c, lambda: ov.sigma_gram, lambda: ov.sigma))
+    s_c = entropy_from_probs(mixture_spectra(ov.probs, ov.sigma))
     return s_c, a.profile.s_cy
 
 
@@ -538,10 +538,13 @@ def check_lemma_properties(
     structure. Subadditivity is spot-checked on a two-copy product at
     eps = 0, the one point where the cap is available in closed form; its
     witness and ceiling 2 S(CY) come from the pairs (y(a), y(b)) of the
-    one analysis. Both searches at eps = 0 end at the ceiling with the
-    reversible-extraction witness (or the identity), so ceiling_at_zero_ok
-    and subadditive_ok test that witness, not the optimiser. Diagnostic
-    only: nothing here raises.
+    one analysis. A search at eps = 0 ends at the ceiling on the
+    reversible-extraction witness (or the identity) when its source has
+    at most |W| components; ceiling_at_zero_ok and subadditive_ok then
+    test that witness, not the optimiser. The pair of m components has
+    m^2, more than |W| = 16 at the default env_cap from m = 5 on: there
+    the witness groups them by y mod |W| and falls short of 2 S(CY), and
+    the pair search walks. Diagnostic only: nothing here raises.
     """
     t = _target(a)
     ests = _grid(t, eps_grid, config)

@@ -12,22 +12,24 @@ Q = E = S(A)/2, and trading the quantum channel for a classical one at
 the blind corner costs C = 2 S(A) - S(Y) cbits with E = S(A) - S(Y) ebits.
 
 A source is analysed once (`analyze`): one decomposition, one entropy
-profile and the blind/visible flags, all read from the source's two
-overlap matrices [<psi_x|psi_x'>] and [<sigma_x|sigma_x'>] over its
-support (`Ensemble.overlaps`). Every rate point is arithmetic on that
-analysis, and every rate, region and bound function takes the Analysis,
-never the Ensemble. `analyze` is the one place a tolerance is given.
+profile and the blind/visible flags, all read from the rows psi_x and
+sigma_x of its support (`Ensemble.overlaps`). Every rate point is
+arithmetic on that analysis, and every rate, region and bound function
+takes the Analysis, never the Ensemble. `analyze` is the one place a
+tolerance is given.
 
 S(CY) and S(ACY) are each evaluated twice. The block path takes
 H(q) + sum_y q_y S(.|y), each S(.|y) from component y's rows with
 p(x|y) = p_x / q_y. The direct path sums -lambda log lambda over the raw,
 unnormalised blocks of every component, from the raw items, the
-label -> y map and the support's overlap matrices, with no N x N matrix:
+label -> y map and each component's own rows, with no N x N matrix:
 rho_ACY is block diagonal in y, and each block has the nonzero spectrum
 of its Gram matrix sqrt(p_x p_x') <psi_x|psi_x'> <sigma_x|sigma_x'>
 (without <psi_x|psi_x'> for S(CY); Jozsa & Schlienz, PRA 62, 012301,
-2000). Disagreement beyond 1e-6 raises ConsistencyError since it can
-only come from a bug. Every spectrum comes from states.mixture_spectra,
+2000). Each path forms its own blocks by the same routine; the check
+holds the weighting (p(x|y) against raw p_x) and the final sums
+independent. Disagreement beyond 1e-6 raises ConsistencyError since it
+can only come from a bug. Every spectrum comes from states.mixture_spectra,
 on the smaller of its Gram matrix and its marginal, and equal-size
 blocks share one batched eigvalsh, so the cost is
 sum_y min(k_y, dA dC)^3 over components of k_y states; MATRIX_CAP
@@ -54,7 +56,7 @@ from .decomposition import (
 )
 from .ensemble import Ensemble, Overlaps
 from .errors import ConsistencyError, EacompError
-from .states import entropy_from_probs, gram, mixture_spectra, row_entropies
+from .states import entropy_from_probs, mixture_spectra, row_entropies
 
 CONSISTENCY_ATOL = 1e-6
 CROSS_CHECK_ATOL = 1e-9
@@ -118,25 +120,16 @@ def _conditional(probs: np.ndarray, ys: np.ndarray, d: Decomposition) -> np.ndar
     return probs / q[ys]
 
 
-def _spectra(ov: Overlaps, groups, probs: np.ndarray, sliced: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _spectra(ov: Overlaps, groups, probs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Spectra of sum_x probs_x |v_x><v_x| over each component's rows, for
     v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one stack per
-    group of `_groups`, by mixture_spectra. A Gram block multiplies the
-    overlaps of the component's own rows or, when sliced, reads them off
-    the support's overlap matrices.
+    group of `_groups`, by mixture_spectra from the component's own rows.
     """
-    dim_a, dim_c = ov.psi.shape[1], ov.sigma.shape[1]
     out_c, out_ac = [], []
     for _, idx in groups:
-        if sliced:
-            cut = (idx[:, :, None], idx[:, None, :])
-            psi_gram, sigma_gram = (lambda: ov.psi_gram[cut]), (lambda: ov.sigma_gram[cut])
-        else:
-            psi_gram, sigma_gram = (lambda: gram(ov.psi[idx])), (lambda: gram(ov.sigma[idx]))
-        p = probs[idx]
-        out_c.append(mixture_spectra(p, dim_c, sigma_gram, lambda: ov.sigma[idx]))
-        out_ac.append(
-            mixture_spectra(p, dim_a * dim_c, lambda: psi_gram() * sigma_gram(), lambda: ov.joint[idx]))
+        p, psi, sigma = probs[idx], ov.psi[idx], ov.sigma[idx]
+        out_c.append(mixture_spectra(p, sigma))
+        out_ac.append(mixture_spectra(p, psi, sigma))
     return out_c, out_ac
 
 
@@ -145,17 +138,17 @@ def _conditional_entropies(ov: Overlaps, groups, cond: np.ndarray) -> tuple[dict
     p(x|y)."""
     return tuple(
         {y: h for (ys, _), s in zip(groups, spectra) for y, h in zip(ys.tolist(), row_entropies(s).tolist())}
-        for spectra in _spectra(ov, groups, cond, sliced=False)
+        for spectra in _spectra(ov, groups, cond)
     )
 
 
 def _direct_entropies(ov: Overlaps, groups) -> tuple[float, float]:
     """S(CY) and S(ACY), each as -sum lambda log lambda over every
-    component's raw block sum_x p_x |v_x><v_x|, read off the support's
-    overlap matrices."""
+    component's raw block sum_x p_x |v_x><v_x|, each block formed from the
+    component's own rows."""
     return tuple(
         entropy_from_probs(np.concatenate([s.ravel() for s in spectra]))
-        for spectra in _spectra(ov, groups, ov.probs, sliced=True)
+        for spectra in _spectra(ov, groups, ov.probs)
     )
 
 
@@ -173,7 +166,7 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition) -> EntropyProfile
     q = d.weights
     s_y = entropy_from_probs(q)
     h_x = entropy_from_probs(ov.probs)
-    s_a = entropy_from_probs(mixture_spectra(ov.probs, e.dim_a, lambda: ov.psi_gram, lambda: ov.psi))
+    s_a = entropy_from_probs(mixture_spectra(ov.probs, ov.psi))
     groups = _groups(ys)
 
     # Block path: S(CY) = H(q) + sum_y q_y S(C|y), same for ACY, each
@@ -182,9 +175,9 @@ def entropy_profile(e: Ensemble, decomposition: Decomposition) -> EntropyProfile
     s_cy = s_y + sum(c.weight * s_c[c.y] for c in d.components)
     s_acy = s_y + sum(c.weight * s_ac[c.y] for c in d.components)
 
-    # Direct path: every component's raw block, from the raw items, the
-    # label -> y map and the overlap matrices; no weight or renormalisation
-    # shared with the block path.
+    # Direct path: every component's raw block, from the raw items and the
+    # label -> y map; no weight or renormalisation shared with the block
+    # path.
     s_cy_direct, s_acy_direct = _direct_entropies(ov, groups)
 
     faults = [
@@ -243,7 +236,7 @@ class Analysis:
 
 def analyze(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Analysis:
     """Decompose e and build its entropy profile, once each; both, and
-    the blind/visible flags, read the overlap matrices e builds once.
+    the blind/visible flags, read the support rows e builds once.
 
     tol is the overlap tolerance of the component graph and the flags;
     no rate, region or bound function takes one.

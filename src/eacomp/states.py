@@ -7,10 +7,11 @@ take one. Gram matrices and mixtures are plain arrays.
 The package's one check of a matrix side against MATRIX_CAP is
 check_side, run before any matrix is formed. Over rows v_x (the last
 axis, with any leading stack axes), gram forms the overlaps
-[<v_x|v_x'>] and mixture the sum_x p_x |v_x><v_x|. mixture_spectra is
-the one route to the spectrum of such a mixture: from the smaller of its
-Gram matrix and its marginal, for S(A), the I_eps floor S(C) and every
-component block of the entropy profile.
+[<v_x|v_x'>], mixture the sum_x p_x |v_x><v_x| and product_rows the
+rows v_x (x) w_x of a product state. mixture_spectra is the one route to
+the spectrum of such a mixture, given the factor rows of its signals:
+from the smaller of its Gram matrix and its marginal, for S(A), the
+I_eps floor S(C) and every component block of the entropy profile.
 
 All entropies are base-2 (bits). Eigenvalues of density matrices are
 clamped to [0, 1] after a tolerance check; anything below -1e-9 is
@@ -19,7 +20,9 @@ rejected as not a state rather than silently clipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -91,6 +94,12 @@ def mixture(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.swapaxes(probs[..., None] * rows, -1, -2) @ rows.conj()
 
 
+def product_rows(*factors: np.ndarray) -> np.ndarray:
+    """The rows v_x (x) w_x (x) ... of the factors' rows v_x, w_x, ...,
+    each stacked as the factors are."""
+    return reduce(lambda v, w: (v[..., :, None] * w[..., None, :]).reshape(*v.shape[:-1], -1), factors)
+
+
 def _clamped(evs: np.ndarray) -> np.ndarray:
     """evs clamped to [0, 1]; NotAStateError when one is below EIGENVALUE_FLOOR."""
     lo = float(evs.min()) if evs.size else 0.0
@@ -106,26 +115,27 @@ def clamped_spectra(m: np.ndarray) -> np.ndarray:
     return _clamped(np.linalg.eigvalsh(m))
 
 
-def mixture_spectra(probs: np.ndarray, side: int, overlaps, rows) -> np.ndarray:
+def mixture_spectra(probs: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     """Clamped ascending spectra of sum_x probs_x |v_x><v_x| over each
-    stacked group of k rows v_x of length side, in one eigvalsh.
+    stacked group of k signals, in one eigvalsh. Signal v_x is the product
+    of row x of each factor (psi, sigma, or both for A (x) C), so its
+    length, the marginal's side, is the product of the factors' lengths.
 
-    A group gives its k x k Gram matrix [sqrt(probs_x probs_x') <v_x|v_x'>]
-    when k is below side, and its side x side marginal otherwise (a tie
-    takes the marginal); the two share their nonzero spectrum (Jozsa &
-    Schlienz, PRA 62, 012301, 2000). overlaps() returns [<v_x|v_x'>] and
-    rows() the rows, each with probs' leading axes; only the side's own is
-    called, so a Gram-side group never forms its rows, nor a marginal-side
-    one its overlaps. The matrix side min(k, side) is refused above
-    MATRIX_CAP before either is called.
+    A group gives its k x k Gram matrix [sqrt(probs_x probs_x') <v_x|v_x'>],
+    the product of the factors' grams, when k is below the side, and its
+    marginal from the product_rows otherwise (a tie takes the marginal);
+    the two share their nonzero spectrum (Jozsa & Schlienz, PRA 62,
+    012301, 2000). Only the chosen side is formed, and min(k, side) is
+    refused above MATRIX_CAP before it is.
     """
     k = probs.shape[-1]
+    side = math.prod(f.shape[-1] for f in factors)
     check_side(min(k, side))
     if k < side:
         amp = np.sqrt(probs)
-        m = (amp[..., :, None] * amp[..., None, :]) * overlaps()
+        m = (amp[..., :, None] * amp[..., None, :]) * reduce(np.multiply, map(gram, factors))
     else:
-        m = mixture(probs, rows())
+        m = mixture(probs, product_rows(*factors))
     return clamped_spectra(m)
 
 

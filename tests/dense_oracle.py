@@ -43,7 +43,7 @@ from eacomp.iepsilon import (
     objective,
 )
 from eacomp.schumacher import CodeSpace, _check_sequences, _checked_rank
-from eacomp.states import DensityMatrix, eig_hermitian, mixture, von_neumann_entropy
+from eacomp.states import DensityMatrix, eig_hermitian, gram, mixture, von_neumann_entropy
 
 
 def extend_with_y(e: Ensemble, d: Decomposition) -> Ensemble:
@@ -158,7 +158,7 @@ def gram_matrix(e: Ensemble, d: Decomposition) -> DensityMatrix:
     Its nonzero spectrum is that of rho_ACY; the [y(x) = y(y)] mask drops
     cross-component overlaps at or below the decomposition tolerance.
     """
-    return y_masked_gram(e, d.support_ys(e), e.overlaps.psi_gram, e.overlaps.sigma_gram)
+    return y_masked_gram(e, d.support_ys(e), gram(e.overlaps.psi), gram(e.overlaps.sigma))
 
 
 def density_s_a(e: Ensemble) -> float:
@@ -171,7 +171,7 @@ def density_s_a(e: Ensemble) -> float:
         m = mixture(ov.probs, ov.psi)
     else:
         amp = np.sqrt(ov.probs)
-        m = np.outer(amp, amp) * ov.psi_gram
+        m = np.outer(amp, amp) * gram(ov.psi)
     return von_neumann_entropy(DensityMatrix(m, check=False))
 
 
@@ -227,7 +227,7 @@ def validate_per_row(labels, probs, psi, sigma) -> list[str]:
 def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
     """Adjacency over the support items: |<psi|psi'>| |<sigma|sigma'>| > tol."""
     check_tolerance(tol)
-    link = np.triu(np.abs(ov.psi_gram) * np.abs(ov.sigma_gram) > tol, 1)
+    link = np.triu(np.abs(gram(ov.psi)) * np.abs(gram(ov.sigma)) > tol, 1)
     return link | link.T
 
 

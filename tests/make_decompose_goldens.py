@@ -1,6 +1,9 @@
 """Write tests/decompose_goldens.json: the stdout (input path replaced by
 "<input>") and the exit code of `decompose` on each data file and each
-synthetic source in tests/sources, at --tol 0, 1e-10 and 1e-3.
+synthetic source in tests/sources, at --tol 0, 1e-10 and 1e-3. Then
+write tests/cli_goldens.json: the stdout, stderr, files written (by -o
+and the derived region spec) and exit code of each command of
+CLI_COMMANDS on the same sources, input path replaced the same way.
 
 The synthetic sources are written first, from fixed seeds:
 - rotated_sectors: two orthogonal sectors on A = C^4 under a Haar U_A,
@@ -20,6 +23,7 @@ A change that rewrites a golden names it in CHANGES.md.
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ROOT / "tests" / "sources"
 GOLDENS = ROOT / "tests" / "decompose_goldens.json"
 TOLS = ("0", "1e-10", "1e-3")
+CLI_GOLDENS = ROOT / "tests" / "cli_goldens.json"
+# each with "<input>" for the source; an output named out.* goes to a scratch directory
+CLI_COMMANDS = (
+    "validate <input>",
+    "rates <input>",
+    "rates <input> --apply-cnot",
+    "region <input> --kind EQ -o out.csv",
+    "region <input> --kind CE -o out.csv",
+    "simulate <input> --rate 0.8 --n 1,2,3,4,5,6,7,8",
+)
 
 
 def synthetic_sources() -> dict[str, Ensemble]:
@@ -56,6 +70,21 @@ def decompose(path: str, tol: str) -> dict:
     return {"stdout": out.getvalue().replace(json.dumps(path), json.dumps("<input>")), "exit": code}
 
 
+def cli_run(command: str) -> dict:
+    """The stdout, stderr, files written and exit code of a CLI_COMMANDS
+    entry with "<input>" replaced by a source path (and back in its
+    output)."""
+    path = command.split()[1]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [str(Path(tmp) / a) if a.startswith("out.") else a for a in command.split()]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        files = {f.name: f.read_text() for f in sorted(Path(tmp).iterdir())}
+    return {"stdout": out.getvalue().replace(path, "<input>"), "stderr": err.getvalue().replace(path, "<input>"),
+            "files": {name: text.replace(path, "<input>") for name, text in files.items()}, "exit": code}
+
+
 def sources() -> list[str]:
     """Every source the goldens cover, relative to the repository root."""
     return sorted(str(p.relative_to(ROOT)) for p in [*ROOT.glob("data/*.json"), *SOURCES.glob("*.json")])
@@ -67,7 +96,10 @@ def main():
         save_ensemble(e, SOURCES / f"{name}.json")
     with contextlib.chdir(ROOT):
         goldens = {f"{path} --tol {tol}": decompose(path, tol) for path in sources() for tol in TOLS}
+        cli_goldens = {c.replace("<input>", path): cli_run(c.replace("<input>", path))
+                       for path in sources() for c in CLI_COMMANDS}
     GOLDENS.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
+    CLI_GOLDENS.write_text(json.dumps(cli_goldens, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

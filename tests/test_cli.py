@@ -484,7 +484,7 @@ class TestRates:
                                     for i, label in enumerate(("zero", "plus"))]
 
     def test_decompose_refuses_overlaps_above_matrix_cap(self, capsys):
-        # sideinfo_triple's overlap matrices are 3 x 3
+        # sideinfo_triple's support has 3 items, refused before any edge is tested
         assert run(["decompose", TRIPLE, "--matrix-cap", "2"], capsys) == (
             1, "", "matrix side 3 exceeds cap 2\n")
 
@@ -524,6 +524,25 @@ class TestDecomposeGoldens:
                               capture_output=True, text=True, timeout=120, env=env, cwd=DATA.parent)
         got = {"stdout": proc.stdout.replace(json.dumps(path), json.dumps("<input>")), "exit": proc.returncode}
         assert got == DECOMPOSE_GOLDENS[key], proc.stderr
+
+
+CLI_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+class TestCliGoldens:
+    """tests/cli_goldens.json holds the stdout, stderr, files written and
+    exit code (input path replaced) of validate, rates, region and
+    simulate on the sources of the decompose goldens, as
+    tests/make_decompose_goldens.py records them."""
+
+    def test_every_command_on_every_source(self):
+        assert sorted(CLI_GOLDENS) == sorted(c.replace("<input>", path) for path in make_decompose_goldens.sources()
+                                             for c in make_decompose_goldens.CLI_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(CLI_GOLDENS))
+    def test_command_keeps_its_bytes(self, command, monkeypatch):
+        monkeypatch.chdir(DATA.parent)
+        assert make_decompose_goldens.cli_run(command) == CLI_GOLDENS[command]
 
 
 class TestAnalysedOnce:

@@ -17,6 +17,8 @@ from eacomp.decomposition import (
 from eacomp.ensemble import Ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, LabelError
 from eacomp.rates import analyze, optimal_rates
+from eacomp.states import gram
+from test_ensemble import traced_peak
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -323,7 +325,7 @@ class TestFrontierSearch:
         rng = np.random.default_rng(0)
         for _ in range(30):
             e = Ensemble([str(x) for x in range(5)], np.full(5, 0.2), unit_rows(rng, 5, 3), unit_rows(rng, 5, 2))
-            products = np.abs(e.overlaps.psi_gram) * np.abs(e.overlaps.sigma_gram)
+            products = np.abs(gram(e.overlaps.psi)) * np.abs(gram(e.overlaps.sigma))
             for tol in np.unique(products[~np.eye(5, dtype=bool)]).tolist():
                 assert_dense_decomposition(e, tol, blocks=(decomposition.EDGE_BLOCK,))
 
@@ -342,7 +344,7 @@ class TestFrontierSearch:
         # thresholds at the dense products and at the doubles just below
         # them pin each block's products bit for bit (blocks of 2+ rows)
         ov = ring_sectors(np.random.default_rng(31), 400).overlaps
-        dense = np.abs(ov.psi_gram) * np.abs(ov.sigma_gram)
+        dense = np.abs(gram(ov.psi)) * np.abs(gram(ov.sigma))
         assert len(dense) % size != 1
         for lo in range(0, len(dense), size):
             rows = slice(lo, lo + size)
@@ -350,13 +352,15 @@ class TestFrontierSearch:
             assert decomposition._edges(ov, rows, np.nextafter(dense[rows], -np.inf)).all()
 
     def test_analysis_forms_no_overlap_matrix(self):
-        # one component of 64 items on A (x) C = C^2 (x) C^2: every
-        # spectrum takes its marginal side, and the partition its rows
+        # one component of 256 items on A (x) C = C^2 (x) C^2: every
+        # spectrum takes its marginal side, and the partition its rows, 16
+        # at a time, so the peak stays below one N x N complex matrix
+        n = 256
         rng = np.random.default_rng(64)
-        e = Ensemble([str(x) for x in range(64)], np.full(64, 1 / 64),
-                     unit_rows(rng, 64, 2), unit_rows(rng, 64, 2))
-        assert analyze(e).decomposition.size == 1
-        assert "psi_gram" not in vars(e.overlaps) and "sigma_gram" not in vars(e.overlaps)
+        e = Ensemble([str(x) for x in range(n)], np.full(n, 1 / n), unit_rows(rng, n, 2), unit_rows(rng, n, 2))
+        with mock.patch.object(decomposition, "EDGE_BLOCK", 16), traced_peak() as peak:
+            assert analyze(e).decomposition.size == 1
+        assert peak[0] < n * n * 16
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_bad_tolerance_refused(self, tol):

@@ -530,6 +530,26 @@ class TestLemmaReport:
         assert abs(rep.pair_estimate_at_zero - 2 * rep.ceiling) <= 1e-9
         assert rep.ceiling_at_zero_ok and rep.subadditive_ok
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_pair_search_walks_once_its_components_outnumber_w(self, m, monkeypatch):
+        # m orthogonal blind states: the pair has m^2 components, and the
+        # witness takes y mod |W| = 16 at the default env_cap. At m = 4
+        # the search ends on the witness, its second start, at the
+        # ceiling 2 S(CY); at m = 5 the witness extracts 3.9239 of
+        # 4.6439 bits and the search walks, so subadditive_ok tests the
+        # optimiser there
+        searches = []
+        monkeypatch.setattr(iepsilon, "_search", lambda *a, real=iepsilon._search: searches.append(real(*a)) or searches[-1])
+        rep = check_lemma_properties(analyze(make_blind(np.eye(m), np.full(m, 1 / m))), [0.0], IsometrySearchConfig())
+        pair = searches[-1]
+        assert pair.value == rep.pair_estimate_at_zero and pair.env_dim == 16
+        if m == 4:
+            assert pair.evaluations == 2 and abs(pair.value - 2 * rep.ceiling) <= 1e-9
+        else:
+            assert abs(pair.restart_values[1] - 3.9238561897747255) <= 1e-9
+            assert pair.evaluations > len(pair.restart_values)
+            assert pair.value < 2 * rep.ceiling - 0.5 and rep.subadditive_ok
+
     def test_triple_report(self):
         rep = check_lemma_properties(analyze(sideinfo_triple()), [0.0, 0.1], FAST)
         assert rep.floor_ok

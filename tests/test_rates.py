@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 
 import eacomp.rates as rates_mod
+import exact_oracle
 from dense_oracle import dense_profile, density_s_a, gram_matrix
 from eacomp.decomposition import Component, irreducible_components, overlaps_across_components
-from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible
+from eacomp.ensemble import Ensemble, apply_product_unitary, cnot_unitary, load_ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, EacompError
 from eacomp.iepsilon import check_lemma_properties, estimate_grid, estimate_i_epsilon, i_zero_bounds
 from eacomp.rates import (
@@ -23,6 +24,7 @@ from eacomp.rates import (
     visible_rates,
 )
 from eacomp.region import ce_region, eq_region
+from test_ensemble import traced_peak
 from test_properties import sources
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -322,6 +324,23 @@ class TestComponentSpectra:
             assert abs(s_acy - dense["S_ACY"]) <= 1e-12
 
 
+    def test_profile_forms_no_n_by_n_matrix(self):
+        # N = 1024 blind signals on A = C^128: 32 components of 32 states,
+        # each in its own 2-dim sector. Once the partition is cached, the
+        # profile's peak stays below one N x N complex matrix (16 MB):
+        # each component's block is formed from its own rows
+        n, k = 1024, 32
+        rng = np.random.default_rng(1407)
+        psi = np.zeros((n, 128), dtype=complex)
+        for y in range(n // k):
+            psi[y * k:(y + 1) * k, 2 * y:2 * y + 2] = rng.standard_normal((k, 2, 2)) @ [1, 1j]
+        e = make_blind(psi / np.linalg.norm(psi, axis=1, keepdims=True), np.full(n, 1 / n))
+        d = irreducible_components(e)
+        assert d.size == n // k
+        with traced_peak() as peak:
+            entropy_profile(e, d)
+        assert peak[0] < n * n * 16
+
     def test_s_a_equals_the_density_route(self):
         # the support's size below, on and above dimA, and the data files
         rng = np.random.default_rng(1406)
@@ -335,6 +354,44 @@ class TestComponentSpectra:
     @given(sources())
     def test_s_a_equals_the_density_route_on_random_sources(self, e):
         assert analyze(e).profile.s_a == density_s_a(e)
+
+
+def _reference_cases() -> list[tuple[Path, bool]]:
+    """(source, with --apply-cnot) over the data files and tests/sources,
+    with the CNOT wherever rates accepts it."""
+    cases = []
+    for path in sorted([*DATA.glob("*.json"), *(DATA.parent / "tests" / "sources").glob("*.json")]):
+        cases.append((path, False))
+        try:
+            apply_product_unitary(load_ensemble(path), cnot_unitary())
+            cases.append((path, True))
+        except EacompError:
+            pass
+    return cases
+
+
+class TestExactReference:
+    """The reported S_A, S_CY, S_ACY and S_ACY_direct against the 40-digit
+    reference of tests/exact_oracle.py: within REFERENCE_ULPS units in the
+    last place of the reference, or within REFERENCE_FLOOR bits of a
+    reference that small (near_threshold_1e-3 reports S_CY = 0.0 against
+    3.3e-41). The largest errors measured: S_CY 4.5 ulps
+    (rotated_sideinfo), S_ACY 2.14, S_ACY_direct 1.42, S_A 1.23."""
+
+    REFERENCE_ULPS = 5
+    REFERENCE_FLOOR = 1e-30
+
+    @pytest.mark.parametrize("path, cnot", _reference_cases(),
+                             ids=lambda v: v.name if isinstance(v, Path) else ("cnot" if v else "plain"))
+    def test_profile_within_ulps_of_the_reference(self, path, cnot):
+        e = load_ensemble(path)
+        if cnot:
+            e = apply_product_unitary(e, cnot_unitary())
+        a = analyze(e)
+        reported = a.profile.to_json()
+        for name, ref in exact_oracle.profile(e, a.decomposition.support_ys(e)).items():
+            err = exact_oracle.ulps(reported[name], ref)
+            assert err <= self.REFERENCE_ULPS or abs(reported[name] - float(ref)) <= self.REFERENCE_FLOOR, (name, err)
 
 
 class TestAnalyze:

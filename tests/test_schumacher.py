@@ -1,14 +1,14 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eacomp import limits, schumacher
-from eacomp.ensemble import make_blind, make_visible, reduced
+from eacomp.ensemble import Ensemble, make_blind, make_visible, reduced
 from eacomp.errors import DimensionLimitError, EacompError
 from eacomp.schumacher import build_code_space, code_rank, fidelity_curve, simulate_fidelity
+from test_ensemble import traced_peak
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -228,11 +228,16 @@ class TestSimulate:
 
     def test_builds_no_overlap_matrix(self):
         # blind with dimC = 2: the blind check, the marginal on A and the
-        # fidelity read the rows psi_x and sigma_x, never an N x N matrix
-        e = replace(blind_pair(), sigma=[[1, 0], [1, 0]])
-        reduced(e, {"A"})
-        simulate_fidelity(e, build_code_space(e, 2, 0.5))
-        assert not {"psi_gram", "sigma_gram"} & vars(e.overlaps).keys()
+        # fidelity read the rows psi_x and sigma_x, so the peak stays
+        # below one N x N complex matrix
+        n = 256
+        psi = np.random.default_rng(5).standard_normal((n, 2, 2)) @ [1, 1j]
+        e = Ensemble([str(x) for x in range(n)], np.full(n, 1 / n), psi / np.linalg.norm(psi, axis=1, keepdims=True),
+                     np.tile([1.0, 0.0], (n, 1)))
+        with traced_peak() as peak:
+            reduced(e, {"A"})
+            simulate_fidelity(e, build_code_space(e, 1, 0.5))
+        assert peak[0] < n * n * 16
 
     def test_code_ensemble_dim_mismatch(self):
         code = build_code_space(blind_pair(), 2, 0.5)

@@ -7,12 +7,15 @@ from dense_oracle import entropy, fidelity, partial_trace
 from eacomp.ensemble import Ensemble
 from eacomp.errors import LayoutMismatchError, NotAStateError
 from eacomp.iepsilon import objective
-from eacomp import limits
+from eacomp import limits, states
 from eacomp.errors import DimensionLimitError
 from eacomp.states import (
     DensityMatrix,
+    clamped_spectra,
     eig_hermitian,
     entropy_from_probs,
+    gram,
+    mixture,
     mixture_spectra,
     von_neumann_entropy,
 )
@@ -162,10 +165,20 @@ class TestSpectraAndEntropy:
 
 
 class TestMixtureSpectra:
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The names of the states.gram and states.mixture calls made, in order."""
+        called = []
+        for name in ("gram", "mixture"):
+            f = getattr(states, name)
+            monkeypatch.setattr(states, name, lambda *a, f=f, name=name: called.append(name) or f(*a))
+        return called
+
     @pytest.mark.parametrize("side", [1, 2, 3, 6])
-    def test_matches_the_dense_marginal(self, side):
+    def test_matches_the_dense_marginal(self, side, formed):
         # groups of k rows for k below, on and above the side, stacked in
-        # twos and threes, with probabilities summing to 1 or not
+        # twos and threes, with probabilities summing to 1 or not; only the
+        # chosen side is formed
         rng = np.random.default_rng(30 + side)
         for k in (side - 1, side, side + 1):
             if k < 1:
@@ -174,26 +187,45 @@ class TestMixtureSpectra:
                 rows = rng.standard_normal((m, k, side)) + 1j * rng.standard_normal((m, k, side))
                 rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
                 probs = rng.dirichlet(np.ones(k), size=m) * rng.uniform(0.2, 1.0, (m, 1))
-                called = []
-                spectra = mixture_spectra(
-                    probs, side,
-                    lambda: called.append("gram") or rows.conj() @ np.swapaxes(rows, -1, -2),
-                    lambda: called.append("rows") or rows)
-                assert called == (["gram"] if k < side else ["rows"])
+                formed.clear()
+                spectra = mixture_spectra(probs, rows)
+                assert formed == (["gram"] if k < side else ["mixture"])
                 assert spectra.shape == (m, min(k, side))
                 for p, v, spectrum in zip(probs, rows, spectra):
                     dense = sum(px * np.outer(vx, vx.conj()) for px, vx in zip(p, v))
                     assert abs(entropy_from_probs(spectrum) - entropy(dense)) <= 1e-12, (side, k, m)
 
-    def test_side_refused_above_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize("k", [2, 5, 6, 9])
+    def test_two_factors_keep_the_product_bits(self, k, formed):
+        # psi (x) sigma on C^2 (x) C^3, in stacks of 3 groups of k: the
+        # Gram side is (amp (x) amp) * (gram(psi) * gram(sigma)), the
+        # marginal mixture(p, joint) over Overlaps.joint's rows
+        rng = np.random.default_rng(40 + k)
+        e = Ensemble([str(x) for x in range(3 * k)], np.full(3 * k, 1 / (3 * k)),
+                     [rand_state(2, rng) for _ in range(3 * k)], [rand_state(3, rng) for _ in range(3 * k)])
+        ov, idx = e.overlaps, np.arange(3 * k).reshape(3, k)
+        p = rng.dirichlet(np.ones(k), size=3)
+        got = mixture_spectra(p, ov.psi[idx], ov.sigma[idx])
+        assert formed == (["gram", "gram"] if k < 6 else ["mixture"])
+        if k < 6:
+            amp = np.sqrt(p)
+            m = (amp[..., :, None] * amp[..., None, :]) * (gram(ov.psi[idx]) * gram(ov.sigma[idx]))
+        else:
+            m = mixture(p, ov.joint[idx])
+        assert np.array_equal(got, clamped_spectra(m))
+
+    def test_side_refused_above_the_cap(self, monkeypatch, formed):
         # the smaller side is checked, so three rows of length 10^4 pass
-        # a cap of 3 on their Gram side, and four do not
+        # a cap of 3 on their Gram side, and four do not, before either
+        # side is formed
         monkeypatch.setattr(limits, "MATRIX_CAP", 3)
         rows = np.eye(4, 10**4)
-        s = mixture_spectra(np.full(3, 1 / 3), 10**4, lambda: np.eye(3), lambda: rows[:3])
+        s = mixture_spectra(np.full(3, 1 / 3), rows[:3])
         np.testing.assert_allclose(s, np.full(3, 1 / 3), rtol=0, atol=1e-15)
+        formed.clear()
         with pytest.raises(DimensionLimitError, match="^matrix side 4 exceeds cap 3$"):
-            mixture_spectra(np.full(4, 1 / 4), 10**4, lambda: np.eye(4), lambda: rows)
+            mixture_spectra(np.full(4, 1 / 4), rows)
+        assert formed == []
 
 
 class TestFidelity:
