@@ -6,7 +6,10 @@ Kernels:
                      the pass probabilities of all of them from one
                      matrix product over code rows split at n/2, the
                      fidelity terms formed in place, and their sum
-                     rounded once by error-free extraction passes; it
+                     rounded once by error-free extraction passes (Rump,
+                     Ogita & Oishi), which end as soon as a proven bound
+                     on the float sum of the residuals (Higham) settles
+                     the rounding, after one pass on nearly every sum; it
                      also returns the sequence means that schumacher
                      checks against the code's eigenvalue weights. The
                      per-copy tables it reads (SequenceTables) are built
@@ -135,12 +138,28 @@ def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
     each q is a multiple of 2^(e+k-53) with |q| <= 2^e, so every partial
     sum of the q's is such a multiple below sigma in size, and q.sum() is
     exact in any order; the parts are these exact sums. The new residuals
-    are rounding errors of sigma + r, at most 2^(e+k-53) <= m * 2^(k-52),
-    and B = max|r| * 2^k bounds |sum(r)| exactly. Once sum(parts) - B and
-    sum(parts) + B round to one double, so does the true sum between them.
-    Residuals are multiples of 2^-1074 that shrink by 2^(52-k) or more a
-    pass, so at most about 2100 / (52 - k) passes reach all zeros, where
-    B = 0 ends the loop.
+    are rounding errors of sigma + r, each at most 2^(e+k-53) in size, so
+    sum|r| < 2^(e+2k-53).
+
+    The pass then sums the residuals in floating point, t = r.sum(). In
+    any order t is within gamma_(N-1) sum|r| of their exact sum (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., 2002,
+    section 4.2), and gamma_(N-1) <= 2(N-1) 2^-53 for N < 2^50, so within
+    N(N-1) 2^(e+k-105) <= err = N^2 2^(e+k-105) (N^2 becomes a double
+    with an error below N). The true sum thus lies within err of
+    sum(parts) + t, and once fsum rounds sum(parts) + t - err and
+    sum(parts) + t + err to one double, that is its rounding too (t and
+    err go to fsum as separate items: t +- err in floating point would
+    round). An exact tie never settles that way, and small sums often land
+    on one, so t is taken as exact where it is: every term is a multiple
+    of the ulp of the smallest positive term, and so is every residual and
+    every partial sum of them, so while 2^(e+2k-53) <= 2^53 ulp each
+    partial sum is a double. That test holds wherever err would round to
+    0; where err rounds to a subnormal, t's error, a multiple of 2^-1074
+    within the bound, is within err still. A pass that settles nothing is
+    followed by another, on residuals that shrink by 2^(52-k) or more a
+    pass; they are multiples of 2^-1074, so at most about 2100 / (52 - k)
+    passes reach all zeros, where the loop ends.
     """
     lo, hi = float(r.min()), float(r.max())
     if not (lo >= 0.0 and hi < math.inf):
@@ -148,6 +167,9 @@ def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
     k = r.size.bit_length()
     if k > 50:
         raise ValueError(f"{r.size} terms are too many to sum exactly")
+    if lo == 0.0:
+        lo = float(r.min(initial=hi, where=r > 0.0))
+    ulp = math.ulp(lo)
     parts = []
     while True:
         e = math.frexp(hi)[1]
@@ -158,9 +180,14 @@ def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
         q -= sigma
         r -= q
         parts.append(float(q.sum()))
+        t = float(r.sum())
+        if math.ldexp(sigma, k - 106) <= ulp:  # t is exact
+            return math.fsum(parts + [t])
+        err = math.ldexp(r.size * r.size, e + k - 105)
+        if (total := math.fsum(parts + [t, -err])) == math.fsum(parts + [t, err]):
+            return total
         hi = max(float(r.max()), -float(r.min()))
-        bound = math.ldexp(hi, k)
-        if math.fsum(parts + [bound]) == math.fsum(parts + [-bound]):
+        if hi == 0.0:
             return math.fsum(parts)
 
 

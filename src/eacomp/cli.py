@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 from dataclasses import fields
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -43,13 +43,18 @@ from .schumacher import fidelity_curve
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eacomp-", suffix=".tmp")
+    # open(tmp, O_CREAT, 0o666) takes the umask as open(path, "w") would,
+    # without reading it through os.umask, which sets it process-wide
+    stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".eacomp-{os.getpid()}-")
+    for attempt in itertools.count():
+        try:
+            fd = os.open(tmp := f"{stem}{attempt}.tmp", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.umask(umask := os.umask(0))  # os reads the umask only by setting it
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -225,6 +230,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _rate(text: str) -> float:
+    """argparse type for --rate: a finite float >= 0, with -0.0 read as 0.0."""
+    if not (value := _finite(text)) >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value + 0.0
+
+
 def _listed(convert, accepts, what: str, sort: bool = False):
     """argparse type for a comma-separated list of what: each item read by
     convert and accepted by accepts, in ascending order if sort."""
@@ -299,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-blocklength fidelity of typical-subspace coding")
     _add_common(p, tol=False)  # the simulator reads no overlap graph
-    p.add_argument("--rate", type=_finite, required=True, help="qubit rate Q")
+    p.add_argument("--rate", type=_rate, required=True, help="qubit rate Q")
     p.add_argument("--n", type=_listed(int, lambda n: n >= 1, "positive integers"), required=True,
                    help="comma-separated block lengths")
     p.set_defaults(fn=cmd_simulate)

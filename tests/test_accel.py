@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -370,6 +371,70 @@ class TestExactSum:
     def test_overflowing_terms_raise(self):
         with pytest.raises(OverflowError):
             exact_sum([1e308] * 4)
+
+
+class TestExtractionPasses:
+    """_exact_sum settles the rounding of the kernel's sums after one
+    extraction pass, and a sum that needs more still rounds as fsum does.
+    Each pass calls math.frexp once, as _accel sees it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The extraction passes of each _exact_sum call run under it."""
+        counts = []
+
+        def counted_sum(r, q, real=_accel._exact_sum):
+            counts.append(0)
+            return real(r, q)
+
+        def counted_frexp(x):
+            counts[-1] += 1
+            return math.frexp(x)
+
+        seen = types.SimpleNamespace(**vars(math))
+        seen.frexp = counted_frexp
+        monkeypatch.setattr(_accel, "math", seen)
+        monkeypatch.setattr(_accel, "_exact_sum", counted_sum)
+        return counts
+
+    @pytest.mark.parametrize("name", BLIND_FILES)  # the others have no simulate points
+    def test_data_file_curves(self, passes, name):
+        e = load_ensemble(str(DATA / f"{name}.json"))
+        for rate in (0.3, 0.8, 1.2):
+            passes.clear()
+            curve = fidelity_curve(e, range(1, 13), rate)
+            assert curve.points and passes == [1] * len(curve.points), rate
+
+    @pytest.mark.parametrize("signals,rate,ns", [(2, 0.8, range(2, 13)), (3, 0.75, range(2, 11))])
+    def test_benchmark_shaped_curves(self, passes, signals, rate, ns):
+        rng = np.random.default_rng(116)
+        for _ in range(3):
+            passes.clear()
+            curve = fidelity_curve(random_blind(rng, signals, 2), ns, rate)
+            assert len(curve.points) == len(ns) and passes == [1] * len(ns)
+
+    @pytest.mark.parametrize("xs", [
+        [1.0, 2.0**-53, 5e-324],  # a tie broken by a subnormal
+        [2.0**-951, 2.0**-1004, 5e-324],  # the same where err is a subnormal
+        [1.0, 1.0, 2.0**-52, 2.0**-1000],
+        [1.0, 2.0**-53] + [2.0**-200] * 3,
+        # the residuals' float sum is 2^-52 and drops the 2^-111 that breaks the tie
+        [1.0 + 2.0**-52, 1.0, 2.0**-48 - 2.0**-59, 2.0**-59 + 2.0**-111],
+    ])
+    def test_unsettled_passes_go_on(self, passes, xs):
+        r = np.array(xs)
+        assert _accel._exact_sum(r, np.empty_like(r)).hex() == math.fsum(xs).hex()
+        assert passes[0] >= 2
+
+    @pytest.mark.parametrize("xs", [
+        [0.25 + 2.0**-54, 0.5],  # exact ties, which small sums often land on
+        [0.375 + 2.0**-54, 0.375 + 2.0**-53],
+        [2.0**-951, 2.0**-1006, 5e-324],  # err a subnormal
+    ])
+    def test_one_pass_cases(self, passes, xs):
+        r = np.array(xs)
+        assert _accel._exact_sum(r, np.empty_like(r)).hex() == math.fsum(xs).hex()
+        assert passes == [1]
 
 
 class TestObjectiveAgreement:

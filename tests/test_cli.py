@@ -429,6 +429,24 @@ class TestRates:
         for name in ("region.csv", "region.json", "rates.json"):
             assert (tmp_path / name).stat().st_mode == plain
 
+    def test_output_files_written_without_reading_the_umask(self, tmp_path, capsys, monkeypatch):
+        # os.umask sets the mask for every thread of the process while it
+        # reads it, so the atomic write must not call it
+        want = {}
+        for name, argv in (("rates.json", ["rates", BLIND]), ("region.csv", ["region", BLIND, "--kind", "EQ"])):
+            assert cli.main(argv) == 0
+            want[name] = capsys.readouterr().out
+
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        assert run(["rates", BLIND, "-o", str(tmp_path / "rates.json")], capsys) == (0, "", "")
+        assert run(["region", BLIND, "--kind", "EQ", "-o", str(tmp_path / "region.csv")], capsys) == (0, "", "")
+        for name, text in want.items():
+            assert (tmp_path / name).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.json", "region.csv", "region.json"]
+
     def test_failed_write_removes_its_temp_file(self, tmp_path, capsys):
         # -o naming a directory: the temp file is written beside it, and
         # the rename over the directory fails
@@ -717,6 +735,31 @@ class TestSimulate:
         curve = fidelity_curve(load_ensemble(BLIND), [1, 2, 3], 0.8)
         assert out == curve.csv()
         assert err == ""
+
+    @pytest.mark.parametrize("path", [BLIND, VISIBLE])
+    # argparse reads "-1e-300" after a space as an option, so it goes after "="
+    @pytest.mark.parametrize("rate", [["--rate", "-1"], ["--rate", "-0.5"], ["--rate=-1e-300"], ["--rate=-inf"]],
+                             ids=["minus-one", "minus-half", "minus-tiny", "minus-inf"])
+    def test_negative_rate_refused_before_the_source_is_read(self, monkeypatch, capsys, path, rate):
+        # the sign used to be checked after the source was read, and a
+        # source with side information failed on that first, with exit 1
+        reads = []
+
+        def counted(*args, real=cli.load_ensemble):
+            reads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_ensemble", counted)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", path, *rate, "--n", "2"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --rate: expected a finite number" in captured.err
+        assert reads == []
+
+    def test_negative_zero_rate_prints_as_zero(self, capsys):
+        code, out, err = run(["simulate", BLIND, "--rate", "-0.0", "--n", "2"], capsys)
+        assert (code, out, err) == (0, "n,Q,fidelity\n2,0.000000,0.8535533906\n", "")
 
     def test_bad_block_list_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
