@@ -14,6 +14,7 @@ import itertools
 from dataclasses import fields
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -270,6 +271,15 @@ def _add_common(p: argparse.ArgumentParser, tol: bool = True):
                        help="JSON matrix of [re, im] pairs applied on A(x)C before the computation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number with an exponent, and
+    -inf and -nan, as a value, as it reads -1 and -0.5, not as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
@@ -277,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     Each parse_args fills a fresh namespace, so the shared parser carries
     nothing from one main() call to the next. Callers must not modify it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eacomp",
         description="Optimal compression rates for pure-state sources with encoder side information",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="check an ensemble file, print violations")
     p.add_argument("ensemble")

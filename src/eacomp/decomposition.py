@@ -24,15 +24,12 @@ import numpy as np
 
 from .ensemble import DEFAULT_OVERLAP_TOL, Ensemble, Overlaps, check_tolerance
 from .errors import ConsistencyError, LabelError
-from .states import check_side
-
-
-EDGE_BLOCK = 512  # rows of the overlap graph per product: EDGE_BLOCK x N tests at a time
+from .states import EDGE_BLOCK, check_side, overlaps_above
 
 
 def _edges(ov: Overlaps, rows, tol: float, cols=slice(None)) -> np.ndarray:
     """The overlap graph at support indices rows and cols: |<psi|psi'>| |<sigma|sigma'>| > tol."""
-    return np.abs(ov.psi[rows].conj() @ ov.psi[cols].T) * np.abs(ov.sigma[rows].conj() @ ov.sigma[cols].T) > tol
+    return overlaps_above(tol, rows, cols, ov.psi, ov.sigma)
 
 
 def _roots(ov: Overlaps, tol: float) -> np.ndarray:

@@ -36,8 +36,8 @@ from .errors import (
     LayoutMismatchError,
     EacompError,
 )
-from .states import (NORM_ATOL, DensityMatrix, check_isometry, check_side, frozen_copy, gram, mixture,
-                     product_rows)
+from .states import (EDGE_BLOCK, NORM_ATOL, DensityMatrix, check_isometry, check_side, frozen_copy, mixture,
+                     overlaps_above, product_rows)
 
 PROB_ATOL = 1e-9
 # default overlap tolerance of the component graph and the blind/visible flags
@@ -103,7 +103,7 @@ class Ensemble:
         """The support's rows; built on first use and shared by every
         analysis of this ensemble (their A (x) C products on first read)."""
         sup = self.support()
-        rows = list(sup)
+        rows = slice(None) if len(sup) == self.size else list(sup)  # a full support views the source
         return Overlaps(sup, self.probs[rows], self.psi[rows], self.sigma[rows])
 
     def is_blind(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
@@ -119,13 +119,15 @@ class Ensemble:
         return not (1.0 - np.abs(sigma[:1].conj() @ sigma.T) > tol).any()
 
     def is_visible(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
-        """True when the side information identifies x: sigmas pairwise orthogonal."""
+        """True when the side information identifies x: sigmas pairwise orthogonal,
+        read from the upper triangle, EDGE_BLOCK rows at a time, up to the first pair above tol."""
         check_tolerance(tol)
-        n = len(self.overlaps.probs)
+        n = len(sigma := self.overlaps.sigma)
         if n < 2 or self.dim_c < n:
             return False
-        g = gram(self.overlaps.sigma)
-        return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
+        check_side(n)
+        return not any(np.triu(overlaps_above(tol, slice(lo, lo + EDGE_BLOCK), slice(None), sigma), lo + 1).any()
+                       for lo in range(0, n, EDGE_BLOCK))
 
 
 @dataclass(frozen=True, eq=False)

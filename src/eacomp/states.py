@@ -7,11 +7,12 @@ take one. Gram matrices and mixtures are plain arrays.
 The package's one check of a matrix side against MATRIX_CAP is
 check_side, run before any matrix is formed. Over rows v_x (the last
 axis, with any leading stack axes), gram forms the overlaps
-[<v_x|v_x'>], mixture the sum_x p_x |v_x><v_x| and product_rows the
-rows v_x (x) w_x of a product state. mixture_spectra is the one route to
-the spectrum of such a mixture, given the factor rows of its signals:
-from the smaller of its Gram matrix and its marginal, for S(A), the
-I_eps floor S(C) and every component block of the entropy profile.
+[<v_x|v_x'>], overlaps_above (the one threshold on them, read EDGE_BLOCK
+rows at a time) |<v_x|v_x'>| > tol, mixture the sum_x p_x |v_x><v_x| and
+product_rows the rows v_x (x) w_x of a product state. mixture_spectra is
+the one route to the spectrum of such a mixture, given the factor rows of
+its signals: from the smaller of its Gram matrix and its marginal, for
+S(A), the I_eps floor S(C) and every component block of the entropy profile.
 
 All entropies are base-2 (bits). Eigenvalues of density matrices are
 clamped to [0, 1] after a tolerance check; anything below -1e-9 is
@@ -38,6 +39,7 @@ NORM_ATOL = 1e-9
 HERMITICITY_ATOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 ISOMETRY_ATOL = 1e-8
+EDGE_BLOCK = 512  # rows per overlaps_above call: EDGE_BLOCK x N pairs tested at a time
 
 
 def frozen_copy(a, dtype=np.complex128) -> np.ndarray:
@@ -87,6 +89,11 @@ def gram(rows: np.ndarray) -> np.ndarray:
     before the product."""
     check_side(rows.shape[-2])
     return rows.conj() @ np.swapaxes(rows, -1, -2)
+
+
+def overlaps_above(tol, rows, cols, *factors: np.ndarray) -> np.ndarray:
+    """prod_f |<f_x|f_x'>| > tol over the factors' rows f, for x in rows and x' in cols."""
+    return reduce(np.multiply, (np.abs(f[rows].conj() @ f[cols].T) for f in factors)) > tol
 
 
 def mixture(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:

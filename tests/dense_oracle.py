@@ -9,7 +9,9 @@ the analysis once used, as oracles for its per-component spectra: the
 component, and the one-matrix route to S(A). The last section keeps earlier per-row, graph-rebuilding,
 prefix-tree and fsum forms of package routines, as oracles for their
 array forms, the dense N x N overlap graph and its label propagation,
-as the oracle for the partition's blocked frontier search, the per-code
+as the oracle for the partition's blocked frontier search, the inline
+joint product as the oracle for overlaps_above, sigma's N x N Gram
+matrix as the oracle for is_visible's blocked scan, the per-code
 simulator (np.unique keys, products folded for each code, every index
 tuple enumerated) as the oracle for the per-curve tables, and the
 one-isometry kernel and the one-walk-at-a-time isometry search, as
@@ -229,6 +231,23 @@ def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
     check_tolerance(tol)
     link = np.triu(np.abs(gram(ov.psi)) * np.abs(gram(ov.sigma)) > tol, 1)
     return link | link.T
+
+
+def edges(ov: Overlaps, rows, tol, cols=slice(None)) -> np.ndarray:
+    """decomposition._edges as it formed the overlap graph at support
+    indices rows and cols before states.overlaps_above."""
+    return np.abs(ov.psi[rows].conj() @ ov.psi[cols].T) * np.abs(ov.sigma[rows].conj() @ ov.sigma[cols].T) > tol
+
+
+def is_visible(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
+    """Ensemble.is_visible from sigma's whole Gram matrix, each pair read
+    from its upper triangle."""
+    check_tolerance(tol)
+    n = len(e.overlaps.probs)
+    if n < 2 or e.dim_c < n:
+        return False
+    g = gram(e.overlaps.sigma)
+    return not (np.abs(g[np.triu_indices(len(g), 1)]) > tol).any()
 
 
 def _part_labels(link: np.ndarray) -> np.ndarray:

@@ -301,6 +301,62 @@ class TestNumericOptions:
         assert run(argv, capsys) == (0, "\n".join(fields) + "\n", "")
 
 
+class TestNegativeNumbersAfterASpace:
+    """A negative number with an exponent, and -inf and -nan, reach their
+    option's type after a space as after "=". Python's argparse alone
+    reads only the forms -1 and -0.5 there, and took the rest for an
+    option: "expected one argument", exit 2."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E+1", "-.5e-1", "-inf", "-nan", "-Infinity"])
+    @pytest.mark.parametrize("argv, option", [
+        (["validate", BLIND], "--tol"),
+        (["decompose", BLIND], "--tol"),
+        (["rates", BLIND], "--tol"),
+        (["region", BLIND, "--kind", "EQ", "--samples", "3"], "--lo"),
+        (["region", BLIND, "--kind", "EQ", "--samples", "3"], "--hi"),
+        (["simulate", BLIND, "--n", "1"], "--rate"),
+        (["iepsilon", TRIPLE, "--eps", "0"], "--penalty"),
+        (["iepsilon", TRIPLE], "--eps"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_spaced_value_reads_as_joined(self, capsys, argv, option, value):
+        spaced = self.outcome([*argv, option, value], capsys)
+        assert spaced == self.outcome([*argv, f"{option}={value}"], capsys)
+        assert "expected one argument" not in spaced[2]
+
+    def test_spaced_lo_gives_the_joined_csv(self, capsys):
+        argv = ["region", BLIND, "--kind", "EQ", "--samples", "3"]
+        out = self.outcome([*argv, "--lo", "-1e-3"], capsys)
+        assert out == self.outcome([*argv, "--lo=-1e-3"], capsys)
+        assert out[0] == 0 and out[1].startswith("E,Q\n") and out[2] == ""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", BLIND, "--n", "1", "--rate", "-1e-3"],
+         "argument --rate: expected a finite number >= 0, got '-1e-3'"),
+        (["rates", BLIND, "--tol", "-1e-3"],
+         "argument --tol: tolerance must be a finite nonnegative number, got -0.001"),
+        (["region", BLIND, "--kind", "EQ", "--lo", "-inf"], "argument --lo: expected a finite number, got '-inf'"),
+    ], ids=["rate", "tol", "lo"])
+    def test_refused_by_its_type_before_the_source_is_read(self, monkeypatch, capsys, argv, line):
+        reads = []
+
+        def counted(*args, real=cli.load_ensemble):
+            reads.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "load_ensemble", counted)
+        code, out, err = self.outcome(argv, capsys)
+        assert (code, out, err.splitlines()[-1], reads) == (2, "", f"eacomp {argv[0]}: error: {line}", [])
+
+
 class TestUsage:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -563,6 +619,31 @@ class TestCliGoldens:
         assert make_decompose_goldens.cli_run(command) == CLI_GOLDENS[command]
 
 
+USAGE_GOLDENS = json.loads((Path(__file__).parent / "usage_goldens.json").read_text())
+
+
+class TestUsageGoldens:
+    """tests/usage_goldens.json holds the same record of the --help of
+    eacomp and each subcommand and of the known refusals, with argparse
+    wrapping at make_decompose_goldens.COLUMNS, as
+    tests/make_decompose_goldens.py records them."""
+
+    def test_every_usage_command(self):
+        assert sorted(USAGE_GOLDENS) == sorted(make_decompose_goldens.USAGE_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(USAGE_GOLDENS))
+    def test_command_keeps_its_bytes(self, command, monkeypatch):
+        monkeypatch.chdir(DATA.parent)
+        assert make_decompose_goldens.cli_run(command) == USAGE_GOLDENS[command]
+
+    def test_help_is_read_at_the_pinned_width(self, monkeypatch):
+        # the record does not depend on the caller's terminal
+        monkeypatch.chdir(DATA.parent)
+        monkeypatch.setenv("COLUMNS", "200")
+        assert make_decompose_goldens.cli_run("rates --help") == USAGE_GOLDENS["rates --help"]
+        assert os.environ["COLUMNS"] == "200"
+
+
 class TestAnalysedOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -737,7 +818,7 @@ class TestSimulate:
         assert err == ""
 
     @pytest.mark.parametrize("path", [BLIND, VISIBLE])
-    # argparse reads "-1e-300" after a space as an option, so it goes after "="
+    # "-1e-300" and "-inf" after "="; TestNegativeNumbersAfterASpace reads them after a space
     @pytest.mark.parametrize("rate", [["--rate", "-1"], ["--rate", "-0.5"], ["--rate=-1e-300"], ["--rate=-inf"]],
                              ids=["minus-one", "minus-half", "minus-tiny", "minus-inf"])
     def test_negative_rate_refused_before_the_source_is_read(self, monkeypatch, capsys, path, rate):

@@ -17,7 +17,7 @@ from eacomp.decomposition import (
 from eacomp.ensemble import Ensemble, make_blind, make_visible
 from eacomp.errors import ConsistencyError, LabelError
 from eacomp.rates import analyze, optimal_rates
-from eacomp.states import gram
+from eacomp.states import gram, overlaps_above
 from test_ensemble import traced_peak
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -350,6 +350,26 @@ class TestFrontierSearch:
             rows = slice(lo, lo + size)
             assert not decomposition._edges(ov, rows, dense[rows]).any()
             assert decomposition._edges(ov, rows, np.nextafter(dense[rows], -np.inf)).all()
+
+    @pytest.mark.parametrize("size", [2, 7, 64, decomposition.EDGE_BLOCK])
+    def test_overlaps_above_is_the_joint_graph(self, size):
+        # over psi and sigma, the one thresholded product gives _edges' bits,
+        # and the inline product _edges formed before, against every column
+        # and against a set of them, at the block's products and just below
+        rng = np.random.default_rng(34)
+        psi = ring_sectors(rng, 200).psi
+        ov = Ensemble([str(x) for x in range(len(psi))], np.full(len(psi), 1 / len(psi)), psi,
+                      unit_rows(rng, len(psi), 3)).overlaps
+        todo = np.flatnonzero(rng.random(len(psi)) < 0.5)
+        for lo in range(0, len(psi), size):
+            rows = slice(lo, lo + size)
+            for cols in (slice(None), todo):
+                products = (np.abs(ov.psi[rows].conj() @ ov.psi[cols].T)
+                            * np.abs(ov.sigma[rows].conj() @ ov.sigma[cols].T))
+                for tol in (products, np.nextafter(products, -np.inf), DEFAULT_OVERLAP_TOL, 0.5):
+                    got = overlaps_above(tol, rows, cols, ov.psi, ov.sigma)
+                    assert np.array_equal(got, decomposition._edges(ov, rows, tol, cols))
+                    assert np.array_equal(got, dense_oracle.edges(ov, rows, tol, cols))
 
     def test_analysis_forms_no_overlap_matrix(self):
         # one component of 256 items on A (x) C = C^2 (x) C^2: every

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_oracle
 from dense_oracle import partial_trace, validate_per_row
 from eacomp import ensemble as ensemble_mod
 from eacomp import limits
@@ -33,7 +34,7 @@ from eacomp.errors import (
     LayoutMismatchError,
 )
 from eacomp.rates import analyze
-from eacomp.states import mixture_spectra
+from eacomp.states import gram, mixture_spectra
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -223,6 +224,100 @@ class TestValidate:
             kinds |= {line.split(": ", 1)[-1].split(" ")[0] for line in lines}
         assert {"probability", "negative", "psi", "sigma", "duplicate"} <= kinds
         assert any(near) and not all(near)  # norms just past and just inside the threshold
+
+
+class TestSupportRows:
+    def test_full_support_views_the_source(self):
+        # a wide source is held once: its support rows are the source's own
+        # read-only arrays, and a zero-probability item keeps compact copies
+        full = sideinfo_triple()
+        padded = Ensemble(("0", "1", "2", "z"), [*full.probs, 0.0], [*full.psi, [1, 0]], [*full.sigma, [0, 1]])
+        for name in ("probs", "psi", "sigma"):
+            assert np.shares_memory(getattr(full.overlaps, name), getattr(full, name))
+            assert not np.shares_memory(getattr(padded.overlaps, name), getattr(padded, name))
+            np.testing.assert_array_equal(getattr(padded.overlaps, name), getattr(full.overlaps, name))
+        for rows in (full.overlaps.psi, full.overlaps.sigma):
+            assert not rows.flags.writeable
+
+
+def near_visible(rng, n, noise):
+    """n states on A = C^2 with sigma_x = U_C |x> on C^(n + 1), each
+    sigma perturbed by noise and renormalised."""
+    shape = (n, n + 1)
+    sigma = rand_unitary(rng, n + 1)[:, :n].T + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return Ensemble([str(x) for x in range(n)], rng.dirichlet(np.ones(n)), [rand_unit(rng, 2) for _ in range(n)],
+                    sigma / np.linalg.norm(sigma, axis=1, keepdims=True))
+
+
+def upper_overlaps(e) -> np.ndarray:
+    """|<sigma_x|sigma_x'>| for x < x' over e's support, as the dense read forms them."""
+    g = np.abs(gram(e.overlaps.sigma))
+    return g[np.triu_indices(len(g), 1)]
+
+
+class TestVisibleScan:
+    """is_visible reads sigma's pairs EDGE_BLOCK rows at a time through
+    states.overlaps_above and decides as sigma's whole Gram matrix did
+    (dense_oracle.is_visible)."""
+
+    def test_sources_match_the_gram_read(self):
+        rng = np.random.default_rng(34)
+        cases = [make_visible([rand_unit(rng, 2) for _ in range(n)], rng.dirichlet(np.ones(n))) for n in (2, 5, 9)]
+        cases += [rand_source(rng, 2, dim_c, n) for n in (2, 3, 6) for dim_c in (n, n + 2) for _ in range(5)]
+        cases += [near_visible(rng, n, noise) for n in (2, 7, 20) for noise in (0.0, 1e-14, 1e-11, 1e-8)]
+        cases += [blind_pair(), sideinfo_triple()]
+        for e in cases:
+            for tol in (0.0, 1e-12, 1e-10, 1e-3, 0.5):
+                assert e.is_visible(tol) == dense_oracle.is_visible(e, tol), (e.size, tol)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    def test_near_threshold_pairs(self, tol):
+        # sigma pairs at tol (1 + 1e-6) and tol (1 - 1e-6), as near_visible_1e-10 of the goldens
+        hi, lo = tol * (1 + 1e-6), tol * (1 - 1e-6)
+        rows = np.array([[1, 0, 0], [hi, np.sqrt(1 - hi * hi), 0], [lo, 0, np.sqrt(1 - lo * lo)]])
+        sources = [Ensemble([str(x) for x in range(len(sigma))], np.full(len(sigma), 1 / len(sigma)),
+                            np.eye(2)[np.arange(len(sigma)) % 2], sigma)
+                   for sigma in (rows, rows[[0, 2]], rows[[2, 0]])]
+        for e in sources:
+            for t in (tol, hi, lo, np.nextafter(lo, 0.0)):
+                assert e.is_visible(t) == dense_oracle.is_visible(e, t), (e.size, t)
+        assert not sources[0].is_visible(tol) and sources[0].is_visible(hi) and sources[1].is_visible(tol)
+
+    @pytest.mark.parametrize("block", [2, 3, 7])
+    def test_blocks_at_every_product(self, monkeypatch, block):
+        # N above EDGE_BLOCK, tol at each pair's product and just below the largest
+        rng = np.random.default_rng(block)
+        monkeypatch.setattr(ensemble_mod, "EDGE_BLOCK", block)
+        for noise in (1e-14, 1e-10):
+            e = near_visible(rng, 16, noise)
+            products = upper_overlaps(e)
+            for tol in (*products, np.nextafter(products.max(), 0.0), float(np.median(products))):
+                assert e.is_visible(tol) == dense_oracle.is_visible(e, tol), tol
+            assert e.is_visible(products.max()) and not e.is_visible(np.nextafter(products.max(), 0.0))
+
+    def test_peak_stays_below_one_gram_matrix(self, monkeypatch):
+        n = 1024
+        rng = np.random.default_rng(1024)
+        e = make_visible([rand_unit(rng, 4) for _ in range(n)], np.full(n, 1 / n))
+        e.overlaps  # built beforehand, as an analysis builds them for its partition
+        monkeypatch.setattr(ensemble_mod, "EDGE_BLOCK", 64)
+        with traced_peak() as peak:
+            assert e.is_visible()
+        assert peak[0] < n * n * 16
+
+    def test_first_block_with_a_pair_above_tol_ends_the_scan(self, monkeypatch):
+        calls = []
+        real = ensemble_mod.overlaps_above
+        monkeypatch.setattr(ensemble_mod, "overlaps_above", lambda *args: calls.append(args[1]) or real(*args))
+        monkeypatch.setattr(ensemble_mod, "EDGE_BLOCK", 2)
+        e = rand_source(np.random.default_rng(3), 2, 8, 8)
+        assert abs(gram(e.overlaps.sigma)[0, 1]) > 1e-10
+        assert not e.is_visible()
+        assert calls == [slice(0, 2)]
+        e = near_visible(np.random.default_rng(3), 8, 0.0)
+        calls.clear()
+        assert e.is_visible()
+        assert calls == [slice(lo, lo + 2) for lo in range(0, 8, 2)]
 
 
 class TestReduced:

@@ -116,6 +116,12 @@ def test_partition_matches_the_dense_graph(e):
 
 
 @given(sources())
+def test_visibility_matches_the_gram_read(e):
+    for tol in (0.0, DEFAULT_OVERLAP_TOL, TOL, 0.5):
+        assert e.is_visible(tol) == dense_oracle.is_visible(e, tol)
+
+
+@given(sources())
 def test_single_letter_additivity(e):
     # two independent copies: every overlap of a pair is a product of two,
     # so the components of the pair are the pairs of components, and Q, E

@@ -394,6 +394,50 @@ class TestExactReference:
             assert err <= self.REFERENCE_ULPS or abs(reported[name] - float(ref)) <= self.REFERENCE_FLOOR, (name, err)
 
 
+def derived_rates(a) -> dict[str, float]:
+    """Every value exact_oracle.derived references that the package
+    reports for the analysis a, as the library returns it (unclamped)."""
+    p, opt, eq = a.profile, optimal_rates(a), eq_region(a)
+    out = {"S_A": p.s_a, "S_CY": p.s_cy, "S_ACY": p.s_acy, "S_ACY_direct": p.s_acy_direct, "S_Y": p.s_y,
+           "H_X": p.h_x, "S_A_given_CY": p.s_a_given_cy, "optimal_Q": opt.q, "optimal_E": opt.e,
+           "q_min": eq.q_min, "sum_min": eq.sum_min, "floor_S_C": i_zero_bounds(a)[0]}
+    if a.blind:
+        blind, corner = blind_rates(a), classical_entanglement_corner(a)
+        out |= {"blind_Q": blind.q, "blind_E": blind.e, "corner_C": corner.c, "corner_E": corner.e}
+    if a.visible:
+        visible = visible_rates(a)
+        out |= {"visible_Q": visible.q, "visible_E": visible.e}
+    return out
+
+
+class TestExactDerivedRates:
+    """Every derived rate against the 40-digit reference of
+    tests/exact_oracle.py, within SCALE_ULPS units in the last place of
+    the source's scale max(|S(A)|, |S(ACY)|): a value's own ulps mean
+    nothing near zero, as for E* of one component. The largest errors
+    measured: the CE corner's C 2.82 (rotated_sectors with the CNOT),
+    S_CY 2.25, S_ACY 2.14, S_ACY_direct 1.42, the blind Q 1.41,
+    S_A_given_CY 1.26, S_A 1.23, H_X 1.09, Q* 1.08; every other value
+    within 1.05."""
+
+    SCALE_ULPS = 4
+
+    @pytest.mark.parametrize("path, cnot", _reference_cases(),
+                             ids=lambda v: v.name if isinstance(v, Path) else ("cnot" if v else "plain"))
+    def test_rates_within_ulps_of_the_source_scale(self, path, cnot):
+        e = load_ensemble(path)
+        if cnot:
+            e = apply_product_unitary(e, cnot_unitary())
+        a = analyze(e)
+        reference = exact_oracle.derived(e, a.decomposition.support_ys(e))
+        scale = max(abs(reference["S_A"]), abs(reference["S_ACY"]))
+        reported = derived_rates(a)
+        assert {"optimal_Q", "floor_S_C"} <= reported.keys() <= reference.keys()
+        for name, value in reported.items():
+            err = exact_oracle.ulps(value, reference[name], scale)
+            assert err <= self.SCALE_ULPS, (name, err)
+
+
 class TestAnalyze:
     def test_bundles_one_profile(self):
         e = make_blind([[1, 0], [0, 1]], [0.5, 0.5])
