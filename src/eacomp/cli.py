@@ -39,7 +39,8 @@ from .rates import (
     blind_rates,
     visible_rates,
 )
-from .region import DEFAULT_SAMPLES, boundary_polyline, ce_region, check_samples, eq_region, polyline_csv
+from .region import (DEFAULT_SAMPLES, boundary_polyline, ce_region, check_samples, eq_region, polyline_csv,
+                     polyline_range)
 from .schumacher import fidelity_curve
 
 
@@ -173,6 +174,11 @@ def cmd_region(args) -> int:
         spec = ce_region(a)
         header = ("C", "E")
     points = boundary_polyline(spec, lo=args.lo, hi=args.hi, samples=args.samples)
+    if not points:
+        lo, hi = polyline_range(spec, args.lo, args.hi)
+        print(f"the {header[0]} range from {lo!r} to {hi!r} is empty; give --hi at or above {lo!r}",
+              file=sys.stderr)
+        return 2
     _emit(polyline_csv(points, header), args.output)
     if spec_out := _spec_out(args):
         _atomic_write(spec_out, _dump_json(spec.to_json()))

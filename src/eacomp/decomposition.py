@@ -5,10 +5,10 @@ overlap, directly or through a chain: the graph is |<psi_x|psi_x'>|
 |<sigma_x|sigma_x'>| > tol, tested at most EDGE_BLOCK rows at a time
 (`_edges`), so no N x N matrix is formed. A frontier search over those
 row blocks, with no label propagation, labels each part by its least
-index, seeding each unreached item in ascending order; `Overlaps.roots`
-keeps the labels per tolerance for the decomposition and its checks. The
-rate formulas condition on the component index Y, the finest classical
-information any protocol can extract for free.
+index, seeding each unreached item in ascending order; the support
+source's `roots` keeps the labels per tolerance for the decomposition
+and its checks. The rate formulas condition on the component index Y,
+the finest classical information any protocol can extract for free.
 
 Zero-probability items are ignored throughout: they contribute nothing
 to any rate and their conditional ensembles would be ill defined.
@@ -22,19 +22,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import DEFAULT_OVERLAP_TOL, Ensemble, Overlaps, check_tolerance
+from .ensemble import DEFAULT_OVERLAP_TOL, Ensemble, check_tolerance
 from .errors import ConsistencyError, LabelError
 from .states import EDGE_BLOCK, check_side, overlaps_above
 
 
-def _edges(ov: Overlaps, rows, tol: float, cols=slice(None)) -> np.ndarray:
-    """The overlap graph at support indices rows and cols: |<psi|psi'>| |<sigma|sigma'>| > tol."""
+def _edges(ov: Ensemble, rows, tol: float, cols=slice(None)) -> np.ndarray:
+    """The overlap graph of the support source ov at rows and cols: |<psi|psi'>| |<sigma|sigma'>| > tol."""
     return overlaps_above(tol, rows, cols, ov.psi, ov.sigma)
 
 
-def _roots(ov: Overlaps, tol: float) -> np.ndarray:
-    """The least support index in each support item's part of the overlap
-    graph at tol, kept on ov. The EDGE_BLOCK rows from a seed on are tested at
+def _roots(ov: Ensemble, tol: float) -> np.ndarray:
+    """The least index in each item's part of the overlap graph of the support
+    source ov at tol, kept on ov. The EDGE_BLOCK rows from a seed on are tested at
     once, each pair as the dense test reads it (upper triangle); a frontier past
     them is tested against the unreached items only, which BLAS may round an ulp off."""
     if tol in ov.roots:
@@ -97,7 +97,7 @@ class Decomposition:
 
     def support_ys(self, e: Ensemble) -> np.ndarray:
         """The component index y of each support item of e, in support order."""
-        return np.array([self.y_of(e.labels[i]) for i in e.overlaps.support], dtype=int)
+        return np.array([self.y_of(label) for label in e.overlaps.labels], dtype=int)
 
     def to_json(self) -> dict:
         comps = [{"y": c.y, "labels": list(c.labels), "weight": c.weight} for c in self.components]
@@ -112,10 +112,9 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     order = np.argsort(roots, kind="stable")
     # ascending within each part, so each part starts at its root
     parts = np.split(order, np.flatnonzero(roots[order] == order))[1:]
-    groups = [[ov.support[k] for k in part] for part in parts]
-    groups.sort(key=lambda g: min(e.labels[i] for i in g))
-    comps = [Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
-             for y, g in enumerate(groups)]
+    parts.sort(key=lambda g: min(ov.labels[k] for k in g))
+    comps = [Component(y, tuple(ov.labels[k] for k in g), float(sum(ov.probs[g].tolist())))
+             for y, g in enumerate(parts)]
     return Decomposition(tuple(comps), tol)
 
 
@@ -141,8 +140,8 @@ def check_components(e: Ensemble, d: Decomposition):
                 break
         i, j = np.argwhere(cross)[0] + (lo, 0)
         raise ConsistencyError(
-            f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
-            f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "
+            f"decomposition does not match the overlap graph: items {ov.labels[i]!r} "
+            f"(y={ys[i]}) and {ov.labels[j]!r} (y={ys[j]}) overlap above the "
             f"tolerance {d.tolerance} across components"
         )
     parts = Counter(ys[roots == np.arange(len(ys))].tolist())  # one root per part

@@ -55,12 +55,16 @@ class Ensemble:
     """The source {p_x, psi_x (x) sigma_x} as rows: labels (N,), probs
     (N,), psi (N, dimA) and sigma (N, dimC), each a read-only copy. Rows
     that validate() faults are refused with EnsembleFormatError of its
-    lines, so every builder returns only sources that have a rate."""
+    lines, so every builder returns only sources that have a rate. The
+    analysis reads `joint`, the rows psi_x (x) sigma_x built on first
+    read, and `roots`, the partition at each tolerance (see
+    decomposition), on the support source `overlaps`."""
 
     labels: tuple[str, ...]
     probs: np.ndarray
     psi: np.ndarray
     sigma: np.ndarray
+    roots: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -99,12 +103,21 @@ class Ensemble:
         return tuple(np.flatnonzero(self.probs > 0.0).tolist())
 
     @cached_property
-    def overlaps(self) -> "Overlaps":
-        """The support's rows; built on first use and shared by every
-        analysis of this ensemble (their A (x) C products on first read)."""
-        sup = self.support()
-        rows = slice(None) if len(sup) == self.size else list(sup)  # a full support views the source
-        return Overlaps(sup, self.probs[rows], self.psi[rows], self.sigma[rows])
+    def overlaps(self) -> Ensemble:
+        """The support as a source: self when every p > 0, else the Ensemble
+        of the positive rows. Built on first use and shared by every
+        analysis of this ensemble."""
+        sup = list(self.support())
+        if len(sup) == self.size:
+            return self
+        # the gate cannot refuse these rows: they are this source's, none is
+        # negative, they sum as validate's support sum did (the same list in
+        # the same order), and their labels are some of its unique labels
+        return Ensemble([self.labels[k] for k in sup], self.probs[sup], self.psi[sup], self.sigma[sup])
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        return product_rows(self.psi, self.sigma)
 
     def is_blind(self, tol: float = DEFAULT_OVERLAP_TOL) -> bool:
         """True when the encoder side information carries nothing.
@@ -128,27 +141,6 @@ class Ensemble:
         check_side(n)
         return not any(np.triu(overlaps_above(tol, slice(lo, lo + EDGE_BLOCK), slice(None), sigma), lo + 1).any()
                        for lo in range(0, n, EDGE_BLOCK))
-
-
-@dataclass(frozen=True, eq=False)
-class Overlaps:
-    """A source's support: item indices, probabilities, the rows psi_x and
-    sigma_x, and `joint`, the rows psi_x (x) sigma_x on A (x) C, built on
-    first read. Every rate quantity is invariant under U_A (x) U_C, so it
-    depends on the source only through p and the overlaps of these rows;
-    each spectrum forms them from its own rows (states.mixture_spectra).
-    `roots` keeps, for each tolerance, the least support index of each
-    item's part of the overlap graph (see decomposition)."""
-
-    support: tuple[int, ...]
-    probs: np.ndarray
-    psi: np.ndarray
-    sigma: np.ndarray
-    roots: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def joint(self) -> np.ndarray:
-        return product_rows(self.psi, self.sigma)
 
 
 def _stacked_rows(states) -> np.ndarray:

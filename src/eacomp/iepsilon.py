@@ -260,10 +260,10 @@ def _target(a: Analysis) -> _Target:
     miss FEASIBILITY_SLACK and a square can miss validate's tolerances),
     with the floor and the S(CY) ceiling of i_zero_bounds(a) and a's H(X)."""
     floor, s_cy = i_zero_bounds(a)
-    e, ov = a.source, a.source.overlaps
+    ov = a.source.overlaps
     psi, sigma = (rows / np.linalg.norm(rows, axis=1, keepdims=True) for rows in (ov.psi, ov.sigma))
-    unit = Ensemble([e.labels[k] for k in ov.support], ov.probs / ov.probs.sum(), psi, sigma)
-    return _Target(unit, a.decomposition.support_ys(e), floor, s_cy, a.profile.h_x)
+    unit = Ensemble(ov.labels, ov.probs / ov.probs.sum(), psi, sigma)
+    return _Target(unit, a.decomposition.support_ys(a.source), floor, s_cy, a.profile.h_x)
 
 
 def _pair_target(t: _Target, components: int) -> _Target:
@@ -271,7 +271,7 @@ def _pair_target(t: _Target, components: int) -> _Target:
     components and the floor and both ceilings doubled; no second
     analysis. Pair item k holds support items k // m and k % m."""
     pair = tensor_power(t.source, 2)
-    ys = (t.ys[:, None] * components + t.ys).ravel()[list(pair.overlaps.support)]
+    ys = (t.ys[:, None] * components + t.ys).ravel()[list(pair.support())]
     return _Target(pair, ys, 2.0 * t.identity_floor, 2.0 * t.s_cy, 2.0 * t.h_x)
 
 

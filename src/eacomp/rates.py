@@ -54,7 +54,7 @@ from .decomposition import (
     irreducible_components,
     overlaps_across_components,
 )
-from .ensemble import Ensemble, Overlaps
+from .ensemble import Ensemble
 from .errors import ConsistencyError, EacompError
 from .states import entropy_from_probs, mixture_spectra, row_entropies
 
@@ -120,7 +120,7 @@ def _conditional(probs: np.ndarray, ys: np.ndarray, d: Decomposition) -> np.ndar
     return probs / q[ys]
 
 
-def _spectra(ov: Overlaps, groups, probs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _spectra(ov: Ensemble, groups, probs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Spectra of sum_x probs_x |v_x><v_x| over each component's rows, for
     v_x = sigma_x and for v_x = psi_x (x) sigma_x: for each, one stack per
     group of `_groups`, by mixture_spectra from the component's own rows.
@@ -133,7 +133,7 @@ def _spectra(ov: Overlaps, groups, probs: np.ndarray) -> tuple[list[np.ndarray],
     return out_c, out_ac
 
 
-def _conditional_entropies(ov: Overlaps, groups, cond: np.ndarray) -> tuple[dict[int, float], dict[int, float]]:
+def _conditional_entropies(ov: Ensemble, groups, cond: np.ndarray) -> tuple[dict[int, float], dict[int, float]]:
     """S(C|y) and S(AC|y) of each component y, from its rows weighted by
     p(x|y)."""
     return tuple(
@@ -142,7 +142,7 @@ def _conditional_entropies(ov: Overlaps, groups, cond: np.ndarray) -> tuple[dict
     )
 
 
-def _direct_entropies(ov: Overlaps, groups) -> tuple[float, float]:
+def _direct_entropies(ov: Ensemble, groups) -> tuple[float, float]:
     """S(CY) and S(ACY), each as -sum lambda log lambda over every
     component's raw block sum_x p_x |v_x><v_x|, each block formed from the
     component's own rows."""

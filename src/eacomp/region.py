@@ -96,45 +96,47 @@ def check_samples(samples: int):
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
 
 
+def polyline_range(spec: RegionSpec, lo: float | None, hi: float | None) -> tuple[float, float]:
+    """The range of the first coordinate boundary_polyline traces, empty
+    when hi < lo: EQ's E from lo (default 0, and at least 0) to hi
+    (default sum_min); CE's C from lo (default and at least c_min) to hi
+    (default c_min + max(1, |e_min|))."""
+    if spec.kind == "EQ":
+        return 0.0 if lo is None else max(float(lo), 0.0), spec.sum_min if hi is None else float(hi)
+    return (spec.c_min if lo is None else max(float(lo), spec.c_min),
+            spec.c_min + max(1.0, abs(spec.e_min)) if hi is None else float(hi))
+
+
 def boundary_polyline(
     spec: RegionSpec,
     lo: float | None = None,
     hi: float | None = None,
     samples: int = DEFAULT_SAMPLES,
 ) -> list[tuple[float, float]]:
-    """Lower boundary of the region as ordered vertices.
+    """Lower boundary of the region as ordered vertices over
+    polyline_range(spec, lo, hi), none when that range is empty.
 
-    EQ: points (E, Q(E)) with Q(E) = max(q_min, sum_min - E), E running
-    from lo (default 0) to hi (default sum_min); the corner vertex is
-    always inserted exactly. CE: points (C, e_min) for C from
-    max(lo, c_min) to hi. Every emitted vertex lies in the region; the
-    same vertex shifted down in the second coordinate by more than
-    CONTAINS_ATOL does not.
+    EQ: points (E, Q(E)) with Q(E) = max(q_min, sum_min - E); the corner
+    vertex is always inserted exactly. CE: points (C, e_min). Every
+    emitted vertex lies in the region; the same vertex shifted down in the
+    second coordinate by more than CONTAINS_ATOL does not.
     """
     check_samples(samples)
-    if spec.kind == "EQ":
-        lo = 0.0 if lo is None else max(float(lo), 0.0)
-        hi = spec.sum_min if hi is None else float(hi)
-        if hi < lo:
-            return []
-        grid = set(np.linspace(lo, hi, samples).tolist())
-        corner_e = spec.corner[0]
-        if lo <= corner_e <= hi:
-            grid.add(corner_e)
-        # emit the corner vertex exactly; recomputing it as sum_min - E
-        # would reintroduce rounding dust
-        return [
-            (ee, spec.q_min if ee == corner_e else max(spec.q_min, spec.sum_min - ee))
-            for ee in sorted(grid)
-        ]
-
-    lo = spec.c_min if lo is None else max(float(lo), spec.c_min)
-    if hi is None:
-        hi = spec.c_min + max(1.0, abs(spec.e_min))
+    lo, hi = polyline_range(spec, lo, hi)
     if hi < lo:
         return []
     grid = set(np.linspace(lo, hi, samples).tolist())
-    return [(c, spec.e_min) for c in sorted(grid)]
+    if spec.kind == "CE":
+        return [(c, spec.e_min) for c in sorted(grid)]
+    corner_e = spec.corner[0]
+    if lo <= corner_e <= hi:
+        grid.add(corner_e)
+    # emit the corner vertex exactly; recomputing it as sum_min - E
+    # would reintroduce rounding dust
+    return [
+        (ee, spec.q_min if ee == corner_e else max(spec.q_min, spec.sum_min - ee))
+        for ee in sorted(grid)
+    ]
 
 
 def csv_number(v: float, decimals: int) -> str:

@@ -98,7 +98,7 @@ def _checked_rank(e: Ensemble, n: int, rate_q: float) -> int:
 
 
 def _check_sequences(e: Ensemble, n: int) -> None:
-    ns = len(e.overlaps.probs)
+    ns = e.overlaps.size
     # ns**n is formed only once n is small: n passed code_rank's caps
     if ns ** n > limits.SEQUENCE_CAP:
         raise DimensionLimitError(f"{ns}^{n} sequences exceed cap {limits.SEQUENCE_CAP}; lower n")

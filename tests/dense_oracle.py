@@ -27,7 +27,7 @@ import numpy as np
 
 from eacomp._accel import BlockFidelity, _entropy_pull, _exact_sum
 from eacomp.decomposition import DEFAULT_OVERLAP_TOL, Component, Decomposition
-from eacomp.ensemble import PROB_ATOL, Ensemble, Overlaps, check_tolerance, reduced
+from eacomp.ensemble import PROB_ATOL, Ensemble, check_tolerance, reduced
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, LabelError, LayoutMismatchError
 from eacomp.iepsilon import (
     ARMIJO,
@@ -177,10 +177,10 @@ def density_s_a(e: Ensemble) -> float:
     return von_neumann_entropy(DensityMatrix(m, check=False))
 
 
-def given(ov: Overlaps, rows, weight: float) -> Overlaps:
-    """The items at rows, a boolean mask over the support, with their
-    probabilities divided by weight: one component, renormalised."""
-    return Overlaps(tuple(k for k, keep in zip(ov.support, rows) if keep), ov.probs[rows] / weight,
+def given(ov: Ensemble, rows, weight: float) -> Ensemble:
+    """The items at rows, a boolean mask over the support source ov, with
+    their probabilities divided by weight: one component, renormalised."""
+    return Ensemble([label for label, keep in zip(ov.labels, rows) if keep], ov.probs[rows] / weight,
                     ov.psi[rows], ov.sigma[rows])
 
 
@@ -226,14 +226,14 @@ def validate_per_row(labels, probs, psi, sigma) -> list[str]:
     return out
 
 
-def _support_graph(ov: Overlaps, tol: float) -> np.ndarray:
+def _support_graph(ov: Ensemble, tol: float) -> np.ndarray:
     """Adjacency over the support items: |<psi|psi'>| |<sigma|sigma'>| > tol."""
     check_tolerance(tol)
     link = np.triu(np.abs(gram(ov.psi)) * np.abs(gram(ov.sigma)) > tol, 1)
     return link | link.T
 
 
-def edges(ov: Overlaps, rows, tol, cols=slice(None)) -> np.ndarray:
+def edges(ov: Ensemble, rows, tol, cols=slice(None)) -> np.ndarray:
     """decomposition._edges as it formed the overlap graph at support
     indices rows and cols before states.overlaps_above."""
     return np.abs(ov.psi[rows].conj() @ ov.psi[cols].T) * np.abs(ov.sigma[rows].conj() @ ov.sigma[cols].T) > tol
@@ -267,7 +267,7 @@ def _part_labels(link: np.ndarray) -> np.ndarray:
 def overlap_graph(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> np.ndarray:
     """Boolean adjacency over items, edge iff |<joint_i|joint_j>| > tol; the
     diagonal and the rows and columns of zero-probability items are False."""
-    sup = list(e.overlaps.support)
+    sup = list(e.support())
     adj = np.zeros((e.size, e.size), dtype=bool)
     adj[np.ix_(sup, sup)] = _support_graph(e.overlaps, tol)
     return adj
@@ -277,9 +277,8 @@ def irreducible_components(e: Ensemble, tol: float = DEFAULT_OVERLAP_TOL) -> Dec
     """decomposition.irreducible_components from the dense overlap graph and
     label propagation: each part's items ascending, the parts ordered by
     their least label, each weight summed over its items in that order."""
-    ov = e.overlaps
-    labels = _part_labels(_support_graph(ov, tol))
-    groups = [[ov.support[k] for k in np.flatnonzero(labels == root)] for root in np.unique(labels)]
+    sup, labels = e.support(), _part_labels(_support_graph(e.overlaps, tol))
+    groups = [[sup[k] for k in np.flatnonzero(labels == root)] for root in np.unique(labels)]
     groups.sort(key=lambda g: min(e.labels[i] for i in g))
     return Decomposition(tuple(Component(y, tuple(e.labels[i] for i in g), float(sum(e.probs[g].tolist())))
                                for y, g in enumerate(groups)), tol)
@@ -311,8 +310,8 @@ def check_components(e: Ensemble, d: Decomposition):
     if cross.any():
         i, j = np.argwhere(cross)[0]
         raise ConsistencyError(
-            f"decomposition does not match the overlap graph: items {e.labels[ov.support[i]]!r} "
-            f"(y={ys[i]}) and {e.labels[ov.support[j]]!r} (y={ys[j]}) overlap above the "
+            f"decomposition does not match the overlap graph: items {ov.labels[i]!r} "
+            f"(y={ys[i]}) and {ov.labels[j]!r} (y={ys[j]}) overlap above the "
             f"tolerance {d.tolerance} across components"
         )
     labels = _part_labels(link)

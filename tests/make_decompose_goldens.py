@@ -20,7 +20,11 @@ The synthetic sources are written first, from fixed seeds:
   the sigmas sits at rounding level;
 - near_visible_1e-10: psi_x = |0>, |1>, |+> on A = C^2 with the sigmas of
   near_threshold_1e-10 on C^3, one sigma pair at 1e-10 (1 + 1e-6) and
-  one at 1e-10 (1 - 1e-6).
+  one at 1e-10 (1 - 1e-6);
+- padded_sectors and padded_sideinfo: rotated_sectors and
+  rotated_sideinfo with a p = 0 item inserted at index 1 and a
+  p = -1e-12 item appended, each of whose joint states overlaps both
+  sectors, so they would join them if the analysis read them.
 
 Run from the repository root:
 
@@ -80,13 +84,32 @@ USAGE_COMMANDS = (
     f"region {PAIR} --kind EQ --lo -1e-3 -o out.csv",
     f"region {PAIR} --kind EQ --lo=-1e-3 -o out.csv",
     f"region {PAIR} --kind EQ --hi -1e-3",
+    # an empty range, refused before anything is written
+    f"region {PAIR} --kind EQ --lo 5 --hi 1 -o out.csv",
+    f"region {PAIR} --kind CE --lo 5 --hi 1 -o out.csv",
     f"region {PAIR} --kind EQ --lo -inf",
     f"region {PAIR} --kind EQ --lo -nan",
     f"simulate {PAIR} --rate -1e-3 --n 1",
     f"rates {PAIR} --tol -1e-3",
     f"iepsilon {TRIPLE} --eps -1e-3",
     f"iepsilon {TRIPLE} --eps 0 --penalty -1e-3 --restarts 1 --max-iters 2",
+    # a tolerance at which every source reads as blind, each item its own component
+    f"rates {TRIPLE} --tol 2",
+    "rates data/visible_pair.json --tol 2",
+    f"region {PAIR} --kind CE --tol 2",
 )
+
+
+def padded(e: Ensemble) -> Ensemble:
+    """e with an item of p = 0 inserted at index 1 and one of p = -1e-12
+    appended, whose joint states overlap items 0 and 2 and items 1 and 3."""
+    def bridge(i, j):
+        return (e.psi[i] + e.psi[j]) / np.linalg.norm(e.psi[i] + e.psi[j])
+
+    labels = [e.labels[0], "pad0", *e.labels[1:], "pad1"]
+    probs = [e.probs[0], 0.0, *e.probs[1:], -1e-12]
+    return Ensemble(labels, probs, [e.psi[0], bridge(0, 2), *e.psi[1:], bridge(1, 3)],
+                    [e.sigma[0], e.sigma[0], *e.sigma[1:], e.sigma[3]])
 
 
 def synthetic_sources() -> dict[str, Ensemble]:
@@ -98,15 +121,19 @@ def synthetic_sources() -> dict[str, Ensemble]:
     rng64 = np.random.default_rng(2048)
     psi64 = rng64.standard_normal((64, 2)) + 1j * rng64.standard_normal((64, 2))
     near = near_threshold(1e-10)
+    sectors = Ensemble(e.labels, e.probs, e.psi @ u_a.T, e.sigma)
+    sideinfo = Ensemble(e.labels, e.probs, e.psi @ u_a2.T, side @ u_c.T)
     return {
-        "rotated_sectors": Ensemble(e.labels, e.probs, e.psi @ u_a.T, e.sigma),
-        "rotated_sideinfo": Ensemble(e.labels, e.probs, e.psi @ u_a2.T, side @ u_c.T),
+        "rotated_sectors": sectors,
+        "rotated_sideinfo": sideinfo,
         "near_threshold_1e-10": near,
         "near_threshold_1e-3": near_threshold(1e-3),
         "rotated_visible": Ensemble([str(x) for x in range(64)], np.full(64, 1 / 64),
                                     psi64 / np.linalg.norm(psi64, axis=1, keepdims=True),
                                     haar_unitary(rng64, 64).T),
         "near_visible_1e-10": Ensemble(near.labels, near.probs, [[1, 0], [0, 1], PLUS], near.psi),
+        "padded_sectors": padded(sectors),
+        "padded_sideinfo": padded(sideinfo),
     }
 
 

@@ -33,6 +33,7 @@ from eacomp import (
     save_ensemble,
     schumacher,
 )
+from eacomp.ensemble import ensemble_to_json
 from eacomp.errors import ConsistencyError, EacompError
 from eacomp.region import MAX_SAMPLES
 
@@ -600,6 +601,16 @@ class TestDecomposeGoldens:
         assert got == DECOMPOSE_GOLDENS[key], proc.stderr
 
 
+class TestSyntheticSources:
+    def test_committed_files_are_the_script_sources(self):
+        # the goldens read the files, so a change of the script shows here
+        made = make_decompose_goldens.synthetic_sources()
+        assert sorted(p.stem for p in make_decompose_goldens.SOURCES.glob("*.json")) == sorted(made)
+        for name, e in made.items():
+            committed = json.loads((make_decompose_goldens.SOURCES / f"{name}.json").read_text())
+            assert committed == json.loads(json.dumps(ensemble_to_json(e))), name
+
+
 CLI_GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
 
 
@@ -745,9 +756,13 @@ class TestRegion:
         assert out.splitlines()[0] == "C,E"
         assert not list(tmp_path.iterdir())
 
-    def test_ce_range_below_the_corner_is_the_header_alone(self, capsys):
-        # --hi below the CE corner's C leaves no boundary to sample
-        assert run(["region", BLIND, "--kind", "CE", "--hi", "-5"], capsys) == (0, "C,E\n", "")
+    def test_ce_range_below_the_corner_is_refused(self, tmp_path, capsys):
+        # --hi below the CE corner's C leaves no boundary to sample; neither
+        # the CSV nor the spec is written
+        code, out, err = run(["region", BLIND, "--kind", "CE", "--hi", "-5", "-o", str(tmp_path / "ce.csv")], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("the C range from ") and " to -5.0 is empty" in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("samples, message", [
         ("1", "samples must be >= 2, got 1"),

@@ -239,6 +239,23 @@ class TestSupportRows:
         for rows in (full.overlaps.psi, full.overlaps.sigma):
             assert not rows.flags.writeable
 
+    def test_full_support_is_the_source(self):
+        e = sideinfo_triple()
+        assert e.overlaps is e
+
+    def test_support_of_a_padded_source_is_the_source_of_its_positive_rows(self):
+        full = sideinfo_triple()
+        padded = Ensemble(("0", "z", "1", "2", "w"), [full.probs[0], 0.0, *full.probs[1:], -1e-12],
+                          [full.psi[0], PLUS, *full.psi[1:], [1, 0]], [full.sigma[0], [1, 0], *full.sigma[1:], PLUS])
+        ov = padded.overlaps
+        assert type(ov) is Ensemble and ov.labels == full.labels
+        for name in ("probs", "psi", "sigma"):
+            assert np.array_equal(getattr(ov, name), getattr(full, name))
+        assert ov.overlaps is ov
+
+    def test_the_support_has_no_type_of_its_own(self):
+        assert "Overlaps" not in vars(ensemble_mod)
+
 
 def near_visible(rng, n, noise):
     """n states on A = C^2 with sigma_x = U_C |x> on C^(n + 1), each

@@ -13,7 +13,7 @@ from eacomp import cli, iepsilon, limits
 from test_ensemble import rand_unit, traced_peak
 from test_properties import sources
 from eacomp._accel import unitary_objective
-from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible, reduced
+from eacomp.ensemble import Ensemble, load_ensemble, make_blind, make_visible, reduced, save_ensemble
 from eacomp.errors import ConsistencyError, DimensionLimitError, EacompError, IsometryError
 from eacomp.iepsilon import (
     CONV_TOL,
@@ -744,3 +744,20 @@ class TestGoldenReports:
         report = json.loads(capsys.readouterr().out)
         del report["input"]
         assert hexed(report) == GOLDENS[name][mode]
+
+    @pytest.mark.parametrize("mode", ["plain", "check_lemma"])
+    def test_zero_probability_items_change_no_bit(self, mode, tmp_path, capsys):
+        # a p = 0 item inserted at index 1 and a p = -1e-12 item appended,
+        # each overlapping every signal of sideinfo_triple
+        e = load_ensemble(DATA / "sideinfo_triple.json")
+        padded = Ensemble([e.labels[0], "pad0", *e.labels[1:], "pad1"], [e.probs[0], 0.0, *e.probs[1:], -1e-12],
+                          [e.psi[0], PLUS, *e.psi[1:], [1, 0]], [e.sigma[0], [1, 0], *e.sigma[1:], PLUS])
+        save_ensemble(padded, tmp_path / "padded.json")
+        flags = ["--check-lemma"] if mode == "check_lemma" else []
+        reports = []
+        for path in (DATA / "sideinfo_triple.json", tmp_path / "padded.json"):
+            assert cli.main(["iepsilon", str(path), "--eps", "0,0.05,0.1", *flags]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["input"]
+            reports.append(hexed(report))
+        assert reports[0] == reports[1]

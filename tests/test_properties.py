@@ -116,6 +116,17 @@ def test_partition_matches_the_dense_graph(e):
 
 
 @given(sources())
+def test_support_source_analyses_as_its_source(e):
+    # the partition and the profile read a source only through e.overlaps,
+    # the source of its positive rows
+    for tol in (0.0, DEFAULT_OVERLAP_TOL, TOL, 0.5):
+        got, want = irreducible_components(e, tol), irreducible_components(e.overlaps, tol)
+        assert got == want
+        assert [c.weight.hex() for c in got.components] == [c.weight.hex() for c in want.components]
+    assert analyze(e).profile == analyze(e.overlaps).profile
+
+
+@given(sources())
 def test_visibility_matches_the_gram_read(e):
     for tol in (0.0, DEFAULT_OVERLAP_TOL, TOL, 0.5):
         assert e.is_visible(tol) == dense_oracle.is_visible(e, tol)

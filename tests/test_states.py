@@ -199,7 +199,7 @@ class TestMixtureSpectra:
     def test_two_factors_keep_the_product_bits(self, k, formed):
         # psi (x) sigma on C^2 (x) C^3, in stacks of 3 groups of k: the
         # Gram side is (amp (x) amp) * (gram(psi) * gram(sigma)), the
-        # marginal mixture(p, joint) over Overlaps.joint's rows
+        # marginal mixture(p, joint) over Ensemble.joint's rows
         rng = np.random.default_rng(40 + k)
         e = Ensemble([str(x) for x in range(3 * k)], np.full(3 * k, 1 / (3 * k)),
                      [rand_state(2, rng) for _ in range(3 * k)], [rand_state(3, rng) for _ in range(3 * k)])
